@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
+.PHONY: build test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
@@ -67,7 +67,15 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -players 10000 -m 64 -post-batch 16 -workers 40 \
 		-rates 20000 -duration 1s -out BENCH_NET.smoke.json
 
-verify: build race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke
+# The benchmark harness (perfbench/, see BENCHMARK.json) is its own Go
+# module, so `go build ./...` and `go test ./...` from the root never
+# compile it; yet it builds against netboard.Config, netboard.Cluster
+# and probe.Engine. Vet and test it here so an API change that breaks
+# the benchmark fails the gate.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test
 
 # Refresh the perf-trajectory snapshots at the repo root.
 # BENCH_1.json: core experiment benchmarks.
@@ -75,7 +83,9 @@ bench:
 	$(GO) run ./cmd/benchdiff -bench 'E1ZeroRadius|E8Main' -count 5
 
 # BENCH_2.json: networked-billboard throughput — full Zero Radius runs
-# over HTTP, batched vs legacy wire protocol, with requests/op.
+# over HTTP with requests/op. The committed file also records the
+# retired one-request-per-operation protocol's rows, the baseline of
+# the batching cut (DESIGN.md §8).
 bench-net:
 	$(GO) run ./cmd/benchdiff -suite netboard -count 3
 

@@ -130,10 +130,11 @@ func TestDeadRemoteBoardHitsDeadline(t *testing.T) {
 	in := IdenticalInstance(16, 16, 0.5, 11)
 	ft := faultnet.New(nil, 7)
 	ft.DropRequest = 1.0
-	client := netboard.NewClient("http://127.0.0.1:0")
-	client.HTTPClient = &http.Client{Transport: ft}
-	client.Retries = 1000
-	client.RetryBackoff = 50 * time.Millisecond
+	client := netboard.NewClientWithConfig("http://127.0.0.1:0", netboard.Config{
+		HTTPClient:   &http.Client{Transport: ft},
+		Retries:      1000,
+		RetryBackoff: 50 * time.Millisecond,
+	})
 
 	const deadline = 100 * time.Millisecond
 	start := time.Now()

@@ -51,7 +51,7 @@ var suites = map[string]struct {
 	// The experiment benchmarks of the root package (the default).
 	"experiments": {pkg: ".", bench: ".", out: "BENCH_1.json"},
 	// The networked-billboard throughput suite: full Zero Radius runs
-	// over HTTP, batched vs legacy wire protocol, reporting requests/op.
+	// over HTTP, reporting requests/op.
 	"netboard": {pkg: "./internal/netboard", bench: "NetboardRun|HTTP", out: "BENCH_2.json"},
 	// The telemetry-overhead suite: E1/E8 with telemetry disabled (the
 	// plain benchmarks — nil registry on the hot path) and enabled (the

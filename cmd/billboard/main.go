@@ -58,7 +58,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "shard servers to run on consecutive ports; >1 prints the cluster spec")
 		state     = flag.String("state", "", "snapshot file: restore at start, save on shutdown (per shard: <state>.shard<i>)")
 		dedupe    = flag.Int("dedupe", netboard.DefaultDedupeWindow, "idempotency window: remembered request ids (0 disables dedupe)")
-		codec     = flag.String("codec", "auto", "wire codec policy: auto (negotiate binary per request) or json (pin JSON, answer binary bodies with 415)")
 		withPprof = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		readHdrT  = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
 		readT     = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout for a full request")
@@ -74,16 +73,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shards must be positive")
 		os.Exit(2)
 	}
-	var codecOpts []netboard.ServerOption
-	switch *codec {
-	case "auto":
-	case "json":
-		codecOpts = append(codecOpts, netboard.WithJSONOnly())
-	default:
-		fmt.Fprintf(os.Stderr, "-codec %q: want auto or json\n", *codec)
-		os.Exit(2)
-	}
-
 	addrs, err := shardAddrs(*addr, *shards)
 	if err != nil {
 		log.Fatal(err)
@@ -106,8 +95,7 @@ func main() {
 		}
 		reg := telemetry.New()
 		board.SetTelemetry(reg)
-		opts := append([]netboard.ServerOption{netboard.WithDedupeWindow(*dedupe), netboard.WithTelemetry(reg)}, codecOpts...)
-		srv := netboard.NewServer(board, opts...)
+		srv := netboard.NewServer(board, netboard.WithDedupeWindow(*dedupe), netboard.WithTelemetry(reg))
 
 		var handler http.Handler = srv
 		if *withPprof {

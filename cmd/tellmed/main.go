@@ -56,7 +56,7 @@ func main() {
 		capacity   = flag.Int("capacity", 256, "maximum concurrently registered players")
 		alpha      = flag.Float64("alpha", 0.25, "assumed community fraction (0,1]")
 		boardSpec  = flag.String("board", "", "remote billboard: one base URL, or a comma-separated shard list (empty = in-process board)")
-		boardCodec = flag.String("codec", "json", "wire codec for the remote billboard: json or binary (binary falls back to json against servers that refuse it)")
+		boardCodec = flag.String("codec", "json", "wire codec for the remote billboard: json or binary (billboard servers accept both)")
 		epochEvery = flag.Duration("epoch-every", 5*time.Second, "epoch interval (epochs run earlier when churn is pending)")
 		epochT     = flag.Duration("epoch-timeout", 0, "per-epoch wall-clock bound (0 = none); an epoch exceeding it aborts and the previous snapshot keeps serving")
 		deadline   = flag.Duration("deadline", serve.DefaultRecommendDeadline, "default per-request recommend deadline")

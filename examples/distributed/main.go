@@ -3,21 +3,20 @@
 // The paper's players communicate only through a shared public board.
 // This example starts a billboard HTTP server (the same one
 // cmd/billboard runs standalone) and executes Algorithm Zero Radius
-// against it four times:
+// against it three times:
 //
-//  1. over the batched wire protocol (the default),
-//  2. over the legacy one-request-per-operation protocol,
-//  3. over a deliberately hostile transport that drops requests, loses
+//  1. over the batched wire protocol,
+//  2. over a deliberately hostile transport that drops requests, loses
 //     responses after the server committed, and duplicates deliveries,
-//  4. over a three-shard cluster: topics and probe columns spread
+//  3. over a three-shard cluster: topics and probe columns spread
 //     across three independent billboard servers by consistent
 //     hashing, behind the same boardclient interface.
 //
-// All four runs produce byte-identical outputs: the simulation is
-// deterministic, batching only changes how posts travel, the client's
-// idempotent retries make the faults invisible — the server's counters
-// prove no post was lost or applied twice — and sharding only changes
-// where each key lives, not what any player observes.
+// All three runs produce byte-identical outputs: the simulation is
+// deterministic, the client's idempotent retries make the faults
+// invisible — the server's counters prove no post was lost or applied
+// twice — and sharding only changes where each key lives, not what any
+// player observes.
 package main
 
 import (
@@ -90,22 +89,11 @@ func main() {
 	fmt.Printf("probes per player: max %d (solo = %d)\n", rep.MaxProbes, objects)
 	fmt.Printf("server-side state: %d probe postings, %d vector postings\n",
 		board.ProbeCount(), board.VectorPostCount())
+	fmt.Printf("HTTP requests for the whole simulation: %d\n", batchedReqs)
 	wantProbes, wantVectors := board.ProbeCount(), board.VectorPostCount()
 	stop()
 
-	// 2. Legacy protocol: same simulation, one request per operation.
-	_, url, stop = serve()
-	legacyRep, legacyReqs := run(inst, url, netboard.Config{DisableBatch: true})
-	stop()
-	fmt.Printf("\nHTTP requests for the identical simulation:\n")
-	fmt.Printf("  batched protocol: %5d requests\n", batchedReqs)
-	fmt.Printf("  legacy protocol:  %5d requests (%.1fx more)\n",
-		legacyReqs, float64(legacyReqs)/float64(batchedReqs))
-	if !reflect.DeepEqual(rep.Outputs, legacyRep.Outputs) {
-		log.Fatal("batched and legacy runs diverged")
-	}
-
-	// 3. Hostile transport: 10% dropped requests, 10% responses lost
+	// 2. Hostile transport: 10% dropped requests, 10% responses lost
 	// after the server already committed, 20% duplicated deliveries.
 	// Idempotent retries (request-id dedupe on the server) keep the
 	// board exact.
@@ -131,7 +119,7 @@ func main() {
 		wantProbes, wantVectors)
 	fmt.Println("zero posts lost, zero posts double-applied")
 
-	// 4. Sharded cluster: three independent billboard servers, keys
+	// 3. Sharded cluster: three independent billboard servers, keys
 	// spread across them by consistent hashing. The run sees one board.
 	const shards = 3
 	boards := make([]*billboard.Board, shards)

@@ -75,10 +75,11 @@ func TestRunOverFlakyTransport(t *testing.T) {
 	defer srv.Close()
 	ft := faultnet.New(nil, 33)
 	ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.1, 0.1, 0.2
-	client := netboard.NewClient(srv.URL)
-	client.HTTPClient = &http.Client{Transport: ft}
-	client.Retries = 40
-	client.RetryBackoff = 100 * time.Microsecond
+	client := netboard.NewClientWithConfig(srv.URL, netboard.Config{
+		HTTPClient:   &http.Client{Transport: ft},
+		Retries:      40,
+		RetryBackoff: 100 * time.Microsecond,
+	})
 
 	remote, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 22, Board: client})
 	if err != nil {

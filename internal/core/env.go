@@ -170,9 +170,9 @@ func (a *Abort) Error() string { return fmt.Sprintf("core: run aborted: %v", a.E
 func (a *Abort) Unwrap() error { return a.Err }
 
 // phase runs one fallible phase over the Env's context and unwinds with
-// *Abort when it fails. All algorithm phase bodies go through this (or
-// Clock.Run at the facade level), so cancellation and player panics
-// surface at the run boundary no matter how deep the recursion is.
+// *Abort when it fails. All algorithm phase bodies go through this, so
+// cancellation and player panics surface at the run boundary no matter
+// how deep the recursion is.
 func (env *Env) phase(players []int, f func(p int)) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
 		panic(&Abort{Err: err})

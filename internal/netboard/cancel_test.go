@@ -24,13 +24,14 @@ func TestBackoffSkippedWhenContextCancelled(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 5
-	c.RetryBackoff = time.Hour // a single un-cut wait would hang the test
+	var got error
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      5,
+		RetryBackoff: time.Hour, // a single un-cut wait would hang the test
+		OnError:      func(err error) { got = err },
+	})
 	var slept int
 	c.sleep = func(time.Duration) { slept++ }
-	var got error
-	c.OnError = func(err error) { got = err }
 
 	b := c.BindContext(ctx)
 	b.PostProbe(0, 0, 1)
@@ -51,11 +52,12 @@ func TestBackoffSkippedWhenContextCancelled(t *testing.T) {
 // context interrupts an in-progress timer wait, so a client configured
 // with a long backoff against a dead server returns promptly.
 func TestBackoffRealTimerCutShort(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listening
-	c.Retries = 3
-	c.RetryBackoff = 5 * time.Second
 	var got error
-	c.OnError = func(err error) { got = err }
+	c := NewClientWithConfig("http://127.0.0.1:1", Config{ // nothing listening
+		Retries:      3,
+		RetryBackoff: 5 * time.Second,
+		OnError:      func(err error) { got = err },
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

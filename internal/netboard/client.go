@@ -24,11 +24,20 @@ import (
 	"tellme/internal/wire"
 )
 
-// Client implements boardclient.Interface against a remote Server.
+// Client implements boardclient.Interface against a remote Server. It
+// is configured once, by NewClientWithConfig (or NewClient for the zero
+// Config); nothing about it is settable afterwards.
 //
 // billboard.Interface is error-free (the model treats the billboard as
-// reliable shared memory), so transport failures are routed to OnError,
-// which defaults to panicking with a *TransportError.
+// reliable shared memory), so transport failures are routed to
+// Config.OnError, which defaults to panicking with a *TransportError.
+// If OnError returns instead of panicking, the client enters degraded
+// mode: the failed call returns the zero value of its type (LookupProbe
+// → (0,false), Postings → nil, ProbeCount → 0, ...), the error is
+// recorded, and Err/Failures report it. Degraded zero values are
+// indistinguishable from an empty board at the call site, so any caller
+// installing a non-panicking OnError MUST check Err before trusting
+// results — a dead transport must not masquerade as an empty billboard.
 //
 // Every mutating request carries a client-generated idempotency key
 // (HeaderRequestID) that is reused verbatim across retries, so a retry
@@ -39,9 +48,6 @@ import (
 // (Votes, ValueVotes, PopularVectors) use the batched wire protocol:
 // one request per batch, and an epoch-tagged per-topic snapshot cache
 // that re-downloads a tally only when the topic actually changed.
-// DisableBatch restores the one-request-per-operation legacy protocol
-// (useful to measure what batching buys; see cmd/benchdiff's netboard
-// suite).
 //
 // The plain Interface methods run uncancellable (context.Background
 // semantics). BindContext returns a view of the client whose every
@@ -52,54 +58,12 @@ import (
 type Client struct {
 	// BaseURL is the server's root, e.g. "http://localhost:7070".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
-	// OnError handles transport/protocol failures after retries are
-	// exhausted; the default panics. If OnError returns instead of
-	// panicking, the client enters degraded mode: the failed call
-	// returns the zero value of its type (LookupProbe → (0,false),
-	// Postings → nil, ProbeCount → 0, ...), the error is recorded, and
-	// Err/Failures report it. Degraded zero values are indistinguishable
-	// from an empty board at the call site, so any caller installing a
-	// non-panicking OnError MUST check Err before trusting results — a
-	// dead transport must not masquerade as an empty billboard.
-	OnError func(error)
-	// Retries is the number of times a failed request is retried with
-	// jittered linear backoff before OnError fires (0 = no retries).
-	// 4xx responses are not retried — they are protocol errors, not
-	// transient failures.
-	Retries int
-	// RetryBackoff is the per-attempt backoff unit (default 50ms);
-	// attempt i waits i·RetryBackoff scaled by a uniform ±50% jitter,
-	// so a fleet of clients that failed together does not retry in
-	// lockstep and re-stampede a recovering server.
-	RetryBackoff time.Duration
-	// JitterSeed seeds the backoff jitter stream (0 = a random seed).
-	// Distinct clients should use distinct seeds (the default); a fixed
-	// seed makes a single client's backoff sequence reproducible.
-	JitterSeed uint64
-	// DisableBatch switches off request batching and the topic
-	// snapshot cache, issuing one legacy request per board operation.
-	DisableBatch bool
-	// Telemetry, when non-nil, records per-endpoint request counts
-	// ("<prefix>.requests.<path>", one per HTTP attempt), request
-	// latency histograms ("<prefix>.latency_ns.<path>") and the
-	// "<prefix>.retries" counter, where <prefix> is TelemetryPrefix.
-	// Nil costs nothing.
-	Telemetry *telemetry.Registry
-	// TelemetryPrefix keys the telemetry instruments (empty =
-	// DefaultTelemetryPrefix). A Cluster sets a per-shard prefix so
-	// every instrument comes out keyed by shard.
-	TelemetryPrefix string
-	// Codec names the request/reply encoding: "json" (also the empty
-	// string, the default) or "binary" (internal/wire's length-prefixed
-	// packed codec). Binary is advisory, not mandatory: when a server
-	// rejects a binary body with a 4xx the request is re-sent as JSON
-	// under the same idempotency key, and a successful fallback pins
-	// the client to JSON from then on (binaryOff) — so a
-	// binary-configured client interoperates with JSON-pinned or
-	// pre-codec servers, it is just slower against them.
-	Codec string
+
+	// cfg is the normalized Config the client was built from, with
+	// HTTPClient and TelemetryPrefix resolved; codec is cfg.Codec's
+	// wire codec.
+	cfg   Config
+	codec wire.Codec
 
 	// sleep stubs the backoff wait for tests. The stub is only invoked
 	// with a live context; a cancelled context skips the wait entirely,
@@ -107,8 +71,8 @@ type Client struct {
 	sleep func(time.Duration)
 
 	// jitter is the lazily seeded backoff jitter stream (see
-	// JitterSeed), guarded by jitterMu: one client may retry from many
-	// player goroutines at once.
+	// Config.JitterSeed), guarded by jitterMu: one client may retry from
+	// many player goroutines at once.
 	jitterMu sync.Mutex
 	jitter   *mrand.Rand
 
@@ -122,11 +86,6 @@ type Client struct {
 	errMu    sync.Mutex
 	firstErr error
 	failures atomic.Int64
-
-	// binaryOff latches when a binary body was rejected with a 4xx and
-	// its JSON resend succeeded: the server does not speak our binary
-	// codec, so stop offering it (see Codec).
-	binaryOff atomic.Bool
 
 	// Connection-accounting instruments (lazily resolved once; nil when
 	// telemetry is off). See traceContext.
@@ -188,8 +147,8 @@ func (e *ProtoError) Error() string {
 }
 
 // NewClient returns a Client for the server at baseURL with the
-// zero-value Config; use NewClientWithConfig to tune retries, failure
-// handling, batching and telemetry in one place.
+// zero-value Config; use NewClientWithConfig to tune the transport,
+// retries, failure handling, codec and telemetry.
 func NewClient(baseURL string) *Client {
 	return NewClientWithConfig(baseURL, Config{})
 }
@@ -227,18 +186,11 @@ func (c *Client) fail(err error) {
 		c.firstErr = terr
 	}
 	c.errMu.Unlock()
-	if c.OnError != nil {
-		c.OnError(terr)
+	if c.cfg.OnError != nil {
+		c.cfg.OnError(terr)
 		return
 	}
 	panic(terr)
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 // backoff waits before retry attempt i (1-based): i·RetryBackoff scaled
@@ -250,13 +202,9 @@ func (c *Client) httpc() *http.Client {
 // cancellation cuts it short, and backoff returns the cancellation
 // cause so the retry loop stops instead of issuing doomed attempts.
 func (c *Client) backoff(ctx context.Context, i int) error {
-	unit := c.RetryBackoff
-	if unit <= 0 {
-		unit = 50 * time.Millisecond
-	}
 	c.jitterMu.Lock()
 	if c.jitter == nil {
-		seed := c.JitterSeed
+		seed := c.cfg.JitterSeed
 		for seed == 0 {
 			seed = mrand.Uint64()
 		}
@@ -264,8 +212,8 @@ func (c *Client) backoff(ctx context.Context, i int) error {
 	}
 	f := 0.5 + c.jitter.Float64()
 	c.jitterMu.Unlock()
-	d := time.Duration(float64(i) * float64(unit) * f)
-	c.Telemetry.Counter(c.telemetryPrefix() + ".retries").Inc()
+	d := time.Duration(float64(i) * float64(c.cfg.RetryBackoff) * f)
+	c.cfg.Telemetry.Counter(c.cfg.TelemetryPrefix + ".retries").Inc()
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -307,24 +255,16 @@ func (c *Client) requestID() string {
 	return c.idPrefix + "-" + strconv.FormatUint(c.idSeq.Add(1), 10)
 }
 
-// telemetryPrefix resolves the instrument key prefix.
-func (c *Client) telemetryPrefix() string {
-	if c.TelemetryPrefix != "" {
-		return c.TelemetryPrefix
-	}
-	return DefaultTelemetryPrefix
-}
-
 // instruments resolves the per-endpoint request counter and latency
 // histogram for one logical call (nil instruments when telemetry is
 // off). The registry lookup happens once per call, not per attempt.
 func (c *Client) instruments(path string) (reqs *telemetry.Counter, lat *telemetry.Histogram) {
-	if c.Telemetry == nil {
+	tel, prefix := c.cfg.Telemetry, c.cfg.TelemetryPrefix
+	if tel == nil {
 		return nil, nil
 	}
-	prefix := c.telemetryPrefix()
-	return c.Telemetry.Counter(prefix + ".requests." + path),
-		c.Telemetry.Histogram(prefix+".latency_ns."+path, telemetry.LatencyBuckets())
+	return tel.Counter(prefix + ".requests." + path),
+		tel.Histogram(prefix+".latency_ns."+path, telemetry.LatencyBuckets())
 }
 
 // connStallThreshold separates "the pool handed over a connection" from
@@ -340,14 +280,14 @@ const connStallThreshold = time.Millisecond
 // connStallThreshold for a connection — the pool-saturation signal a
 // load run watches to size MaxIdleConnsPerHost. No telemetry, no trace.
 func (c *Client) traceContext(ctx context.Context) context.Context {
-	if c.Telemetry == nil {
+	tel, prefix := c.cfg.Telemetry, c.cfg.TelemetryPrefix
+	if tel == nil {
 		return ctx
 	}
 	c.connOnce.Do(func() {
-		prefix := c.telemetryPrefix()
-		c.connDialed = c.Telemetry.Counter(prefix + ".conns.dialed")
-		c.connReused = c.Telemetry.Counter(prefix + ".conns.reused")
-		c.connStalled = c.Telemetry.Counter(prefix + ".conns.stalled")
+		c.connDialed = tel.Counter(prefix + ".conns.dialed")
+		c.connReused = tel.Counter(prefix + ".conns.reused")
+		c.connStalled = tel.Counter(prefix + ".conns.stalled")
 	})
 	var wait time.Time
 	return httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
@@ -365,59 +305,41 @@ func (c *Client) traceContext(ctx context.Context) context.Context {
 	})
 }
 
-// bodyCodec resolves the codec for the next request: the configured
-// one, unless a failed binary attempt has already pinned the client
-// back to JSON (see Codec).
-func (c *Client) bodyCodec() wire.Codec {
-	if c.Codec == wire.Binary.Name() && !c.binaryOff.Load() {
-		return wire.Binary
-	}
-	return wire.JSON
-}
-
 // wireInstruments resolves the per-endpoint wire telemetry — body bytes
 // in/out and encode/decode latency (the zero no-op value when telemetry
 // is off).
 func (c *Client) wireInstruments(path string) wire.Instruments {
-	return wire.NewInstruments(c.Telemetry, c.telemetryPrefix(), path)
+	return wire.NewInstruments(c.cfg.Telemetry, c.cfg.TelemetryPrefix, path)
 }
 
-// post sends a POST and expects 2xx, retrying transient failures. The
-// body is encoded with the client's codec into a pooled buffer. When a
-// server answers a binary body with a 4xx, the same logical request is
-// re-encoded as JSON and resent once without consuming a retry — the
-// fail-safe that keeps a binary-configured client working against a
-// JSON-pinned or pre-codec server (a genuine validation error just
-// fails again one request later, harmlessly: same idempotency key).
-// A successful fallback pins the client to JSON for good.
+// post sends a POST and expects 2xx, retrying transient failures. All
+// attempts carry the same request id, so a retry of a post the server
+// already applied is acknowledged, not re-applied. A 4xx ends the call
+// whatever the codec: it is a protocol error, not a transient failure.
+// Cancelling ctx aborts the in-flight request and the backoff wait.
 //
-// All attempts carry the same request id, so a retry of a post the
-// server already applied is acknowledged, not re-applied. Cancelling
-// ctx aborts the in-flight request and the backoff wait.
+// The body is encoded into a pooled scratch buffer but sent from its
+// own copy: net/http may still read a request body after Do returns
+// (Body "may be closed asynchronously"), so a pooled buffer must not
+// back it.
 func (c *Client) post(ctx context.Context, path string, body wire.Message) {
-	codec := c.bodyCodec()
 	ins := c.wireInstruments(path)
 	bufp := wire.GetBuffer()
-	defer wire.PutBuffer(bufp)
-	encode := func() ([]byte, error) {
-		start := time.Now()
-		data, err := codec.Append((*bufp)[:0], body)
-		ins.EncodeNs.ObserveSince(start)
-		if err == nil {
-			*bufp = data[:0] // keep the grown capacity for reuse/return
-		}
-		return data, err
-	}
-	buf, err := encode()
+	start := time.Now()
+	enc, err := c.codec.Append((*bufp)[:0], body)
+	ins.EncodeNs.ObserveSince(start)
 	if err != nil {
+		wire.PutBuffer(bufp)
 		c.fail(err)
 		return
 	}
+	buf := bytes.Clone(enc)
+	*bufp = enc[:0] // keep the grown capacity for reuse
+	wire.PutBuffer(bufp)
 	id := c.requestID()
 	reqs, lat := c.instruments(path)
-	fellBack := false
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			if cerr := c.backoff(ctx, attempt); cerr != nil {
 				lastErr = fmt.Errorf("POST %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
@@ -429,13 +351,13 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 			c.fail(err)
 			return
 		}
-		req.Header.Set("Content-Type", codec.ContentType())
+		req.Header.Set("Content-Type", c.codec.ContentType())
 		req.Header.Set(HeaderRequestID, id)
 		req.Header.Set(HeaderProto, ProtoVersion)
 		reqs.Inc()
 		ins.BytesOut.Add(int64(len(buf)))
 		start := time.Now()
-		resp, err := c.httpc().Do(req)
+		resp, err := c.cfg.HTTPClient.Do(req)
 		lat.ObserveSince(start)
 		if err != nil {
 			lastErr = err
@@ -452,30 +374,12 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 				lastErr = &ProtoError{Path: path, Got: got}
 				break
 			}
-			if fellBack {
-				// The JSON resend of a rejected binary body succeeded:
-				// the server does not speak binary, stop offering it.
-				c.binaryOff.Store(true)
-			}
 			return
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
 		lastErr = fmt.Errorf("POST %s: %s: %s", path, resp.Status, msg)
 		if code/100 == 4 {
-			if codec == wire.Binary && !fellBack {
-				// The server rejected the binary body (415 from a
-				// JSON-pinned server, 400 from a pre-codec one): resend
-				// as JSON under the same request id, on the house.
-				fellBack = true
-				codec = wire.JSON
-				if buf, err = encode(); err != nil {
-					c.fail(err)
-					return
-				}
-				attempt--
-				continue
-			}
 			break // protocol error; retrying cannot help
 		}
 	}
@@ -484,9 +388,7 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 
 // get fetches a reply into out, retrying transient failures. A
 // binary-configured client advertises the binary codec via Accept and
-// decodes the reply by its Content-Type; servers that ignore Accept
-// (pre-codec) or refuse binary (JSON-pinned) simply answer JSON, which
-// always decodes — GETs need no fallback dance. It reports whether it
+// decodes the reply by its Content-Type. It reports whether it
 // succeeded; on false the client has already failed (and, in degraded
 // mode, out is untouched). Cancelling ctx aborts the in-flight request
 // and the backoff wait.
@@ -500,7 +402,7 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 	bufp := wire.GetBuffer()
 	defer wire.PutBuffer(bufp)
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			if cerr := c.backoff(ctx, attempt); cerr != nil {
 				lastErr = fmt.Errorf("GET %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
@@ -513,12 +415,12 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 			return false
 		}
 		req.Header.Set(HeaderProto, ProtoVersion)
-		if c.bodyCodec() == wire.Binary {
+		if c.codec == wire.Binary {
 			req.Header.Set("Accept", wire.ContentTypeBinary)
 		}
 		reqs.Inc()
 		start := time.Now()
-		resp, err := c.httpc().Do(req)
+		resp, err := c.cfg.HTTPClient.Do(req)
 		lat.ObserveSince(start)
 		if err != nil {
 			lastErr = err
@@ -581,17 +483,11 @@ func (c *Client) postProbe(ctx context.Context, p, o int, val byte) {
 }
 
 // PostProbes implements billboard.Interface: the whole batch travels as
-// one idempotent request (one per-probe request when DisableBatch).
+// one idempotent request.
 func (c *Client) PostProbes(p int, objs []int, grades []byte) { c.postProbes(bg, p, objs, grades) }
 
 func (c *Client) postProbes(ctx context.Context, p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
-		return
-	}
-	if c.DisableBatch {
-		for k, o := range objs {
-			c.postProbe(ctx, p, o, grades[k])
-		}
 		return
 	}
 	gw := make([]byte, len(objs))
@@ -618,19 +514,13 @@ func (c *Client) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
 }
 
 // LookupProbes implements billboard.Interface: one request for the
-// whole batch (one per object when DisableBatch).
+// whole batch.
 func (c *Client) LookupProbes(p int, objs []int, grades []byte, known []bool) {
 	c.lookupProbes(bg, p, objs, grades, known)
 }
 
 func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []byte, known []bool) {
 	if len(objs) == 0 {
-		return
-	}
-	if c.DisableBatch {
-		for k, o := range objs {
-			grades[k], known[k] = c.lookupProbe(ctx, p, o)
-		}
 		return
 	}
 	var sb strings.Builder
@@ -776,15 +666,6 @@ func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
 func (c *Client) Votes(name string) []billboard.Vote { return c.votes(bg, name) }
 
 func (c *Client) votes(ctx context.Context, name string) []billboard.Vote {
-	if c.DisableBatch {
-		var reply voteList
-		c.get(ctx, PathVotes, url.Values{"topic": {name}}, &reply)
-		out := make([]billboard.Vote, len(reply))
-		for i, v := range reply {
-			out[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-		}
-		return out
-	}
 	entry := c.snapshot(ctx, name)
 	if entry == nil {
 		return nil
@@ -836,15 +717,6 @@ func (c *Client) valuePostings(ctx context.Context, name string) []billboard.Val
 func (c *Client) ValueVotes(name string) []billboard.ValueVote { return c.valueVotes(bg, name) }
 
 func (c *Client) valueVotes(ctx context.Context, name string) []billboard.ValueVote {
-	if c.DisableBatch {
-		var reply valueVoteList
-		c.get(ctx, PathValueVotes, url.Values{"topic": {name}}, &reply)
-		out := make([]billboard.ValueVote, len(reply))
-		for i, v := range reply {
-			out[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-		}
-		return out
-	}
 	entry := c.snapshot(ctx, name)
 	if entry == nil {
 		return nil

@@ -1,102 +1,16 @@
 package netboard
 
-// Codec seam tests: the mixed-codec cluster gate (one shard pinned to
-// JSON mid-fleet, under network faults) and the differential fuzz that
-// holds the binary codec to the JSON codec's round-trip semantics.
+// Codec seam tests: the differential fuzz that holds the binary codec
+// to the JSON codec's round-trip semantics, and the binary decoder's
+// normalization fuzz.
 
 import (
-	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"reflect"
 	"testing"
-	"time"
 
-	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
-	"tellme/internal/netboard/faultnet"
-	"tellme/internal/prefs"
 	"tellme/internal/wire"
 )
-
-// TestClusterMixedCodecFaultnetFallback is the mid-drain reality check:
-// a binary-pinned client fleet against a cluster where one shard is
-// still JSON-only (a not-yet-upgraded server), with that shard's
-// network degraded on top. The run must produce byte-identical results,
-// the JSON-only shard's client must trip its sticky fallback, and the
-// binary-capable shards must keep speaking binary.
-func TestClusterMixedCodecFaultnetFallback(t *testing.T) {
-	in := prefs.Identical(32, 64, 0.5, 5)
-	local := runZeroRadius(in, billboard.New(in.N, in.M))
-
-	boards := make([]*billboard.Board, 3)
-	urls := make([]string, 3)
-	for i := range boards {
-		boards[i] = billboard.New(in.N, in.M)
-		opts := []ServerOption{}
-		if i == 1 {
-			opts = append(opts, WithJSONOnly())
-		}
-		srv := httptest.NewServer(NewServer(boards[i], opts...))
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
-	}
-	ft := faultnet.New(nil, 4242)
-	ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.15, 0.1, 0.2
-	ft.MaxDelay = 200 * time.Microsecond
-	u, err := url.Parse(urls[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, err := NewCluster(ClusterConfig{
-		Shards: urls,
-		Client: Config{
-			Codec:        "binary",
-			HTTPClient:   &http.Client{Transport: &hostFaultRouter{degradedHost: u.Host, degraded: ft, clean: http.DefaultTransport}},
-			Retries:      40,
-			RetryBackoff: 100 * time.Microsecond,
-			JitterSeed:   17,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	remote := runZeroRadius(in, cluster)
-	for p := range local {
-		for j := range local[p] {
-			if local[p][j] != remote[p][j] {
-				t.Fatalf("player %d bit %d differs in the mixed-codec cluster", p, j)
-			}
-		}
-	}
-
-	_, clients := cluster.topo()
-	if !clients[1].binaryOff.Load() {
-		t.Fatal("JSON-only shard never tripped the client's sticky JSON fallback")
-	}
-	if clients[0].binaryOff.Load() || clients[2].binaryOff.Load() {
-		t.Fatal("a binary-capable shard lost its binary codec")
-	}
-	if boards[1].ProbeCount() == 0 && boards[1].VectorPostCount() == 0 {
-		t.Fatal("JSON-only shard holds no data; the fallback was never exercised")
-	}
-	ref := billboard.New(in.N, in.M)
-	runZeroRadius(in, ref)
-	var probes int64
-	for _, b := range boards {
-		probes += b.ProbeCount()
-	}
-	if probes != ref.ProbeCount() {
-		t.Fatalf("mixed cluster holds %d probes, in-memory run %d: lost or duplicated", probes, ref.ProbeCount())
-	}
-	if ft.DroppedRequests() == 0 && ft.LostResponses() == 0 && ft.Duplicated() == 0 {
-		t.Fatal("fault schedule injected nothing")
-	}
-	if err := cluster.Err(); err != nil {
-		t.Fatalf("cluster degraded: %v", err)
-	}
-}
 
 // byteGen derives message contents deterministically from fuzz input.
 type byteGen struct {
@@ -248,11 +162,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				func() wire.Message { return &batchLookupsReply{} }},
 			{&postingList{{Player: g.intn(100), Bits: wire.Bits{P: g.partial(g.width())}}},
 				func() wire.Message { return &postingList{} }},
-			{&voteList{}, func() wire.Message { return &voteList{} }},
-			{ptr(g.votes(g.intn(4))), func() wire.Message { return &voteList{} }},
-			{ptr(g.valueVotes(g.intn(4))), func() wire.Message { return &valueVoteList{} }},
 			{&topicSnapshotReply{Gen: uint64(g.byte()), Epoch: uint64(g.byte()), Unchanged: g.intn(2) == 1,
-				Votes: g.votes(g.intn(3)), ValueVotes: g.valueVotes(g.intn(3))},
+				Votes: g.votes(g.intn(4)), ValueVotes: g.valueVotes(g.intn(4))},
 				func() wire.Message { return &topicSnapshotReply{} }},
 			{&topicsReply{Topics: []string{g.text(6), g.text(6)}},
 				func() wire.Message { return &topicsReply{} }},
@@ -273,8 +184,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-func ptr[T any](v T) *T { return &v }
-
 // FuzzBinaryDecode throws arbitrary bytes at the binary decoder of
 // every message type: it may reject, it must never panic or hang, and
 // anything it accepts must normalize in one step — re-encoding the
@@ -292,9 +201,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			func() wire.Message { return &probedObjectsReply{} },
 			func() wire.Message { return &vectorPost{} },
 			func() wire.Message { return &postingList{} },
-			func() wire.Message { return &voteList{} },
 			func() wire.Message { return &valuePostingList{} },
-			func() wire.Message { return &valueVoteList{} },
 			func() wire.Message { return &batchProbesPost{} },
 			func() wire.Message { return &topicSnapshotReply{} },
 			func() wire.Message { return &topicsReply{} },

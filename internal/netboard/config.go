@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tellme/internal/telemetry"
+	"tellme/internal/wire"
 )
 
 // Default client tuning; see Config.
@@ -29,12 +30,11 @@ const (
 	DefaultIdleConnTimeout = 90 * time.Second
 )
 
-// Config consolidates every Client knob — transport, failure handling,
-// retry schedule, batching, telemetry — in one validated struct,
-// replacing the historical pattern of constructing a bare Client and
-// poking exported fields. The zero value is a working configuration
-// (no retries, default transport, batched protocol, panic on terminal
-// failure), matching what NewClient has always produced.
+// Config is the only way to configure a Client: transport, failure
+// handling, retry schedule, codec and telemetry in one validated
+// struct, fixed at construction. The zero value is a working
+// configuration (no retries, pooled transport, JSON codec, panic on
+// terminal failure), which is what NewClient produces.
 type Config struct {
 	// HTTPClient performs the requests; nil builds a pooled client from
 	// the three pool knobs below (PooledHTTPClient). Setting HTTPClient
@@ -53,40 +53,47 @@ type Config struct {
 	// IdleConnTimeout closes pooled connections idle this long. Zero or
 	// negative means DefaultIdleConnTimeout.
 	IdleConnTimeout time.Duration
-	// OnError handles terminal transport/protocol failures; nil means
-	// panic with the *TransportError (see Client.OnError for the
-	// degraded-mode contract a non-panicking handler opts into).
+	// OnError handles terminal transport/protocol failures after
+	// retries are exhausted; nil means panic with the *TransportError.
+	// A handler that returns opts the client into degraded mode (see
+	// Client).
 	OnError func(error)
 	// Retries is how many times a failed request is retried with
-	// jittered linear backoff (negative values are clamped to 0).
+	// jittered linear backoff (negative values are clamped to 0). 4xx
+	// responses are never retried — they are protocol errors, not
+	// transient failures.
 	Retries int
 	// RetryBackoff is the per-attempt backoff unit; zero or negative
-	// means DefaultRetryBackoff.
+	// means DefaultRetryBackoff. Attempt i waits i·RetryBackoff scaled
+	// by a uniform ±50% jitter, so a fleet of clients that failed
+	// together does not retry in lockstep and re-stampede a recovering
+	// server.
 	RetryBackoff time.Duration
 	// JitterSeed seeds the backoff jitter stream (0 = a random seed).
+	// Distinct clients should use distinct seeds (the default); a fixed
+	// seed makes a single client's backoff sequence reproducible.
 	JitterSeed uint64
-	// DisableBatch switches off request batching and the topic
-	// snapshot cache (the legacy one-request-per-operation protocol).
-	DisableBatch bool
-	// Telemetry, when non-nil, receives per-endpoint request counts,
-	// latency histograms and the retry counter, keyed under
-	// TelemetryPrefix.
+	// Telemetry, when non-nil, records per-endpoint request counts
+	// ("<prefix>.requests.<path>", one per HTTP attempt), request
+	// latency histograms ("<prefix>.latency_ns.<path>") and the
+	// "<prefix>.retries" counter, where <prefix> is TelemetryPrefix.
+	// Nil costs nothing.
 	Telemetry *telemetry.Registry
 	// TelemetryPrefix keys the client's instruments; empty means
-	// DefaultTelemetryPrefix.
+	// DefaultTelemetryPrefix. A Cluster sets a per-shard prefix so every
+	// instrument comes out keyed by shard.
 	TelemetryPrefix string
 	// Codec selects the request/reply encoding: "json" (the default,
 	// also the empty string) or "binary" (the length-prefixed packed
-	// codec; see internal/wire). The choice is fail-safe: a server that
-	// rejects binary bodies with 415 flips the client back to JSON for
-	// good, so a binary-configured client keeps working against a
-	// JSON-pinned or older server (see Client.Codec).
+	// codec; see internal/wire). The client uses exactly this codec;
+	// servers accept either.
 	Codec string
 }
 
 // normalized returns cfg with invalid values clamped to the documented
-// defaults. Defaults that the Client already resolves lazily (nil
-// HTTPClient, zero JitterSeed, empty TelemetryPrefix) are left as-is.
+// defaults. Defaults that NewClientWithConfig resolves itself (nil
+// HTTPClient, empty TelemetryPrefix) and the zero JitterSeed are left
+// as-is.
 func (cfg Config) normalized() Config {
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
@@ -130,20 +137,15 @@ func (cfg Config) PooledHTTPClient() *http.Client {
 // primary constructor; NewClient is the zero-config shorthand.
 func NewClientWithConfig(baseURL string, cfg Config) *Client {
 	cfg = cfg.normalized()
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = cfg.PooledHTTPClient()
+	if cfg.HTTPClient == nil {
+		cfg.HTTPClient = cfg.PooledHTTPClient()
 	}
-	return &Client{
-		BaseURL:         baseURL,
-		HTTPClient:      httpc,
-		OnError:         cfg.OnError,
-		Retries:         cfg.Retries,
-		RetryBackoff:    cfg.RetryBackoff,
-		JitterSeed:      cfg.JitterSeed,
-		DisableBatch:    cfg.DisableBatch,
-		Telemetry:       cfg.Telemetry,
-		TelemetryPrefix: cfg.TelemetryPrefix,
-		Codec:           cfg.Codec,
+	if cfg.TelemetryPrefix == "" {
+		cfg.TelemetryPrefix = DefaultTelemetryPrefix
 	}
+	codec := wire.JSON
+	if cfg.Codec == wire.Binary.Name() {
+		codec = wire.Binary
+	}
+	return &Client{BaseURL: baseURL, cfg: cfg, codec: codec}
 }

@@ -41,7 +41,6 @@ func TestDecorrelateDistinct(t *testing.T) {
 // the client's jitter stream.
 func jitterFactors(c *Client, k int) []time.Duration {
 	var out []time.Duration
-	c.RetryBackoff = time.Second
 	c.sleep = func(d time.Duration) { out = append(out, d) }
 	for i := 0; i < k; i++ {
 		if err := c.backoff(context.Background(), 1); err != nil {
@@ -61,13 +60,13 @@ func TestClusterShardJitterDiverges(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		// NewCluster never contacts the shards; fake URLs are fine.
 		Shards: []string{"http://s0", "http://s1", "http://s2", "http://s3"},
-		Client: Config{JitterSeed: seed},
+		Client: Config{JitterSeed: seed, RetryBackoff: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 8
-	standalone := NewClientWithConfig("http://solo", Config{JitterSeed: seed})
+	standalone := NewClientWithConfig("http://solo", Config{JitterSeed: seed, RetryBackoff: time.Second})
 	streams := map[string][]time.Duration{"standalone": jitterFactors(standalone, k)}
 	_, clients := cl.topo()
 	for i, c := range clients {

@@ -8,6 +8,7 @@ package netboard
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
 	"tellme/internal/netboard/faultnet"
+	"tellme/internal/wire"
 )
 
 // postJSON sends a raw JSON POST and returns the status code.
@@ -70,12 +72,29 @@ func TestReadHandlersRequireGET(t *testing.T) {
 	defer srv.Close()
 
 	paths := []string{
-		PathPostings, PathVotes, PathValuePostings, PathValueVotes,
+		PathPostings, PathValuePostings,
 		PathProbedObjects, PathStats, PathBatchLookups, PathTopicSnapshot,
 	}
 	for _, path := range paths {
 		if code := postJSON(t, srv.URL+path+"?topic=t&player=0&objects=0", `{}`); code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: status %d, want 405", path, code)
+		}
+	}
+}
+
+// TestRetiredVoteEndpointsAreGone: tallies travel only in topic
+// snapshots; the old per-operation vote reads answer 404.
+func TestRetiredVoteEndpointsAreGone(t *testing.T) {
+	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
+	defer srv.Close()
+	for _, path := range []string{"/v1/votes", "/v1/value-votes"} {
+		resp, err := http.Get(srv.URL + path + "?topic=t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -110,37 +129,6 @@ func TestBatchProbesParity(t *testing.T) {
 		if gotKnown[k] != wantKnown[k] || gotGrades[k] != wantGrades[k] {
 			t.Fatalf("lookup[%d] = (%d,%v), want (%d,%v)", k, gotGrades[k], gotKnown[k], wantGrades[k], wantKnown[k])
 		}
-	}
-}
-
-func TestBatchEndpointsMatchLegacy(t *testing.T) {
-	// The batched client and the legacy client must observe identical
-	// board state.
-	board, c, done := newPair(t, 4, 32)
-	defer done()
-	legacy := NewClient(c.BaseURL)
-	legacy.DisableBatch = true
-
-	c.PostProbes(1, []int{2, 9}, []byte{1, 0})
-	legacy.PostProbes(1, []int{20, 21}, []byte{0, 1})
-	if board.ProbeCount() != 4 {
-		t.Fatalf("ProbeCount = %d", board.ProbeCount())
-	}
-	for _, cl := range []*Client{c, legacy} {
-		grades := make([]byte, 3)
-		known := make([]bool, 3)
-		cl.LookupProbes(1, []int{2, 21, 30}, grades, known)
-		if !known[0] || grades[0] != 1 || !known[1] || grades[1] != 1 || known[2] {
-			t.Fatalf("DisableBatch=%v lookup mismatch: %v %v", cl.DisableBatch, grades, known)
-		}
-	}
-
-	c.PostValues("t", 0, []uint32{1, 2})
-	c.PostValues("t", 1, []uint32{1, 2})
-	bv := c.ValueVotes("t")
-	lv := legacy.ValueVotes("t")
-	if len(bv) != 1 || len(lv) != 1 || bv[0].Count != lv[0].Count {
-		t.Fatalf("votes differ: batched %+v legacy %+v", bv, lv)
 	}
 }
 
@@ -288,9 +276,8 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 4
-	c.RetryBackoff = time.Millisecond
+	retrying := Config{Retries: 4, RetryBackoff: time.Millisecond}
+	c := NewClientWithConfig(srv.URL, retrying)
 	p, _ := bitvec.PartialFromString("0101")
 	c.Post("t", 1, p)
 
@@ -308,9 +295,7 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	h2.kills.Store(1)
 	srv2 := httptest.NewServer(h2)
 	defer srv2.Close()
-	c2 := NewClient(srv2.URL)
-	c2.Retries = 4
-	c2.RetryBackoff = time.Millisecond
+	c2 := NewClientWithConfig(srv2.URL, retrying)
 	c2.Post("t", 1, p)
 	if got := board2.VectorPostCount(); got != 2 {
 		t.Fatalf("control without dedupe: VectorPostCount = %d, want 2", got)
@@ -325,9 +310,7 @@ func TestIdempotentBatchProbeRetry(t *testing.T) {
 	h.kills.Store(1)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 4
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
 	c.PostProbes(0, []int{1, 2, 3}, []byte{1, 0, 1})
 	if got := board.ProbeCount(); got != 3 {
 		t.Fatalf("ProbeCount = %d, want 3", got)
@@ -338,9 +321,10 @@ func TestClientDegradedModeIsDetectable(t *testing.T) {
 	// With a non-panicking OnError a dead transport yields zero values;
 	// Err/Failures must expose that so the zeros cannot masquerade as
 	// an empty board.
-	c := NewClient("http://127.0.0.1:1") // nothing listening
 	var seen []error
-	c.OnError = func(err error) { seen = append(seen, err) }
+	c := NewClientWithConfig("http://127.0.0.1:1", Config{ // nothing listening
+		OnError: func(err error) { seen = append(seen, err) },
+	})
 
 	if c.Err() != nil {
 		t.Fatal("fresh client already degraded")
@@ -385,14 +369,16 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 	defer srv.Close()
 
 	meter := faultnet.New(nil, 1)
-	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: meter}
-	c.Retries = 3
-	c.RetryBackoff = 10 * time.Millisecond
+	const unit = 10 * time.Millisecond
+	var errs int
+	c := NewClientWithConfig(srv.URL, Config{
+		HTTPClient:   &http.Client{Transport: meter},
+		Retries:      3,
+		RetryBackoff: unit,
+		OnError:      func(error) { errs++ },
+	})
 	var slept []time.Duration
 	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	var errs int
-	c.OnError = func(error) { errs++ }
 
 	c.PostProbe(0, 0, 1)
 	if got := meter.Delivered(); got != 4 {
@@ -407,7 +393,7 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 		t.Fatalf("backoff slept %v, want 3 waits", slept)
 	}
 	for i, d := range slept {
-		base := time.Duration(i+1) * c.RetryBackoff
+		base := time.Duration(i+1) * unit
 		lo, hi := base/2, base+base/2
 		if d < lo || d >= hi {
 			t.Fatalf("backoff attempt %d slept %v, want [%v, %v) (linear in the attempt number, ±50%% jitter)", i+1, d, lo, hi)
@@ -415,28 +401,37 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 	}
 }
 
+// TestNoRetryOn4xxCountsOneAttempt: a 4xx ends the call after one
+// attempt under either codec — a rejected binary body is not resent in
+// another encoding.
 func TestNoRetryOn4xxCountsOneAttempt(t *testing.T) {
 	srv := httptest.NewServer(statusHandler{code: http.StatusBadRequest})
 	defer srv.Close()
-	meter := faultnet.New(nil, 1)
-	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: meter}
-	c.Retries = 5
-	var slept int
-	c.sleep = func(time.Duration) { slept++ }
-	var errs int
-	c.OnError = func(error) { errs++ }
+	for _, codec := range []string{"json", "binary"} {
+		t.Run(codec, func(t *testing.T) {
+			meter := faultnet.New(nil, 1)
+			var errs int
+			c := NewClientWithConfig(srv.URL, Config{
+				HTTPClient: &http.Client{Transport: meter},
+				Retries:    5,
+				OnError:    func(error) { errs++ },
+				Codec:      codec,
+			})
+			var slept int
+			c.sleep = func(time.Duration) { slept++ }
 
-	c.PostProbe(0, 0, 1)
-	c.LookupProbe(0, 0)
-	if got := meter.Delivered(); got != 2 {
-		t.Fatalf("delivered %d attempts for two 4xx calls, want 2", got)
-	}
-	if slept != 0 {
-		t.Fatalf("4xx slept %d times", slept)
-	}
-	if errs != 2 {
-		t.Fatalf("OnError fired %d times", errs)
+			c.PostProbe(0, 0, 1)
+			c.LookupProbe(0, 0)
+			if got := meter.Delivered(); got != 2 {
+				t.Fatalf("delivered %d attempts for two 4xx calls, want 2", got)
+			}
+			if slept != 0 {
+				t.Fatalf("4xx slept %d times", slept)
+			}
+			if errs != 2 {
+				t.Fatalf("OnError fired %d times", errs)
+			}
+		})
 	}
 }
 
@@ -465,9 +460,7 @@ func TestRetriesKeepOneRequestID(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 3
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(0, 0, 1)
 	c.PostProbe(0, 1, 1)
 
@@ -482,5 +475,48 @@ func TestRetriesKeepOneRequestID(t *testing.T) {
 	}
 	if counts[0]+counts[1] != 3 {
 		t.Fatalf("attempt counts %v, want 3 total (one retried once)", counts)
+	}
+}
+
+// replayingTransport acknowledges every request at once but keeps its
+// body's replay function, as a transport does that re-sends a request
+// after the caller's Do returned (a duplicating network, a rewind onto
+// a fresh connection).
+type replayingTransport struct {
+	replays []func() (io.ReadCloser, error)
+}
+
+func (rt *replayingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rt.replays = append(rt.replays, r.GetBody)
+	r.Body.Close()
+	return &http.Response{
+		StatusCode: http.StatusNoContent,
+		Header:     http.Header{HeaderProto: {ProtoVersion}},
+		Body:       http.NoBody,
+		Request:    r,
+	}, nil
+}
+
+// TestPostBodyOutlivesTheCall: a request body read after post returned
+// must still hold that post's bytes, not a later post's encoding in a
+// recycled pooled buffer.
+func TestPostBodyOutlivesTheCall(t *testing.T) {
+	rt := &replayingTransport{}
+	c := NewClientWithConfig("http://board.invalid", Config{HTTPClient: &http.Client{Transport: rt}})
+	p, _ := bitvec.PartialFromString("0101")
+	c.Post("first", 0, p)
+	c.Post("second", 1, p)
+
+	body, err := rt.replays[0]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got vectorPost
+	if err := wire.JSON.Decode(data, &got); err != nil || got.Topic != "first" {
+		t.Fatalf("first post's body replayed as %q (decode err %v), want topic \"first\"", data, err)
 	}
 }

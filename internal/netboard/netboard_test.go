@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
-	"tellme/internal/boardclient"
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/core"
 	"tellme/internal/ints"
 	"tellme/internal/prefs"
@@ -103,10 +103,10 @@ func TestDropTopicAndStats(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, c, done := newPair(t, 4, 8)
-	defer done()
+	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
+	defer srv.Close()
 	var errs []string
-	c.OnError = func(err error) { errs = append(errs, err.Error()) }
+	c := NewClientWithConfig(srv.URL, Config{OnError: func(err error) { errs = append(errs, err.Error()) }})
 	c.PostProbe(99, 0, 1) // player out of range
 	c.PostProbe(0, 99, 1) // object out of range
 	c.PostProbe(0, 0, 7)  // bad grade
@@ -244,9 +244,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 2}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 3
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(1, 2, 1) // would panic without retries
 	if v, ok := c.LookupProbe(1, 2); !ok || v != 1 {
 		t.Fatalf("lookup after retries: %v %v", v, ok)
@@ -257,11 +255,12 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 5
-	c.RetryBackoff = time.Millisecond
 	calls := 0
-	c.OnError = func(error) { calls++ }
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      5,
+		RetryBackoff: time.Millisecond,
+		OnError:      func(error) { calls++ },
+	})
 	start := time.Now()
 	c.PostProbe(99, 0, 1) // 400: must fail once, quickly
 	if calls != 1 {
@@ -277,11 +276,12 @@ func TestClientRetriesExhausted(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 100}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 2
-	c.RetryBackoff = time.Millisecond
 	var got error
-	c.OnError = func(err error) { got = err }
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      2,
+		RetryBackoff: time.Millisecond,
+		OnError:      func(err error) { got = err },
+	})
 	c.PostProbe(0, 0, 1)
 	if got == nil || !strings.Contains(got.Error(), "500") {
 		t.Fatalf("error after exhausted retries: %v", got)

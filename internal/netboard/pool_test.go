@@ -37,12 +37,12 @@ func TestConfigPoolKnobDefaults(t *testing.T) {
 // idle pool of 2 churns connections under fleet fan-in).
 func TestClientUsesPooledTransport(t *testing.T) {
 	c := NewClient("http://example.invalid")
-	if c.HTTPClient == nil || c.HTTPClient == http.DefaultClient {
+	if c.cfg.HTTPClient == nil || c.cfg.HTTPClient == http.DefaultClient {
 		t.Fatal("NewClient left the default http client in place")
 	}
-	tr, ok := c.HTTPClient.Transport.(*http.Transport)
+	tr, ok := c.cfg.HTTPClient.Transport.(*http.Transport)
 	if !ok {
-		t.Fatalf("transport is %T, want *http.Transport", c.HTTPClient.Transport)
+		t.Fatalf("transport is %T, want *http.Transport", c.cfg.HTTPClient.Transport)
 	}
 	if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost {
 		t.Fatalf("MaxIdleConnsPerHost = %d, want %d", tr.MaxIdleConnsPerHost, DefaultMaxIdleConnsPerHost)
@@ -54,7 +54,7 @@ func TestClientUsesPooledTransport(t *testing.T) {
 	// An explicit HTTPClient is the caller's to own — no override.
 	own := &http.Client{}
 	c = NewClientWithConfig("http://example.invalid", Config{HTTPClient: own})
-	if c.HTTPClient != own {
+	if c.cfg.HTTPClient != own {
 		t.Fatal("explicit HTTPClient replaced by the pooled builder")
 	}
 }
@@ -64,12 +64,12 @@ func TestClusterShardsShareOneTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := cl.clients[0].HTTPClient
+	first := cl.clients[0].cfg.HTTPClient
 	if first == nil || first == http.DefaultClient {
 		t.Fatal("shard 0 has no pooled client")
 	}
 	for i, c := range cl.clients {
-		if c.HTTPClient != first {
+		if c.cfg.HTTPClient != first {
 			t.Fatalf("shard %d has its own http client; cluster must share one pool", i)
 		}
 	}

@@ -163,16 +163,16 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 // NewClient exactly.
 func TestConfigNormalizedDefaults(t *testing.T) {
 	c := NewClientWithConfig("http://x", Config{Retries: -3, RetryBackoff: -time.Second})
-	if c.Retries != 0 {
-		t.Fatalf("negative Retries clamped to %d, want 0", c.Retries)
+	if c.cfg.Retries != 0 {
+		t.Fatalf("negative Retries clamped to %d, want 0", c.cfg.Retries)
 	}
-	if c.RetryBackoff != DefaultRetryBackoff {
-		t.Fatalf("non-positive RetryBackoff normalized to %v, want %v", c.RetryBackoff, DefaultRetryBackoff)
+	if c.cfg.RetryBackoff != DefaultRetryBackoff {
+		t.Fatalf("non-positive RetryBackoff normalized to %v, want %v", c.cfg.RetryBackoff, DefaultRetryBackoff)
 	}
 
 	a, b := NewClient("http://x"), NewClientWithConfig("http://x", Config{})
-	if a.BaseURL != b.BaseURL || a.Retries != b.Retries || a.RetryBackoff != b.RetryBackoff ||
-		a.DisableBatch != b.DisableBatch || a.TelemetryPrefix != b.TelemetryPrefix {
-		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a, b)
+	if a.BaseURL != b.BaseURL || a.cfg.Retries != b.cfg.Retries || a.cfg.RetryBackoff != b.cfg.RetryBackoff ||
+		a.cfg.TelemetryPrefix != b.cfg.TelemetryPrefix || a.codec != b.codec {
+		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a.cfg, b.cfg)
 	}
 }

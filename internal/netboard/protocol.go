@@ -4,9 +4,13 @@
 // it, so the unchanged algorithm code runs with players and board in
 // different processes.
 //
-// The wire format is JSON. Vectors travel as their '0'/'1'/'?' string
-// form (debuggable with curl); value vectors as plain arrays. There is
-// no authentication, but the transport is built to survive a faulty
+// Bodies travel in one of two codecs (internal/wire, DESIGN.md §15):
+// JSON, where vectors are '0'/'1'/'?' strings and value vectors plain
+// arrays (debuggable with curl), or the packed binary codec. A client
+// uses the one codec its Config names; the server decodes each request
+// by its Content-Type and encodes the reply per its Accept header, and
+// answers 415 to a binary version it does not speak. There is no
+// authentication, but the transport is built to survive a faulty
 // network (see DESIGN.md §8 for the full wire contract):
 //
 //   - Batching: /v1/batch/probes posts a whole set of probe results in
@@ -19,10 +23,10 @@
 //     sliding window, so a retry of a request whose response was lost is
 //     applied exactly once.
 //   - Failure handling: the Client retries transient failures with
-//     linear backoff and routes terminal errors to OnError, which
-//     defaults to panicking because billboard.Interface is error-free by
-//     design; a non-panicking OnError puts the client in degraded mode
-//     (see Client.Err).
+//     jittered linear backoff and routes terminal errors, 4xx included,
+//     to Config.OnError, which defaults to panicking because
+//     billboard.Interface is error-free by design; a non-panicking
+//     OnError puts the client in degraded mode (see Client.Err).
 package netboard
 
 import "tellme/internal/wire"
@@ -33,10 +37,8 @@ const (
 	PathProbedObjects = "/v1/probed-objects" // GET: all of one player's probe results
 	PathVector        = "/v1/vector"         // POST: post a partial vector
 	PathPostings      = "/v1/postings"       // GET: vector postings of a topic
-	PathVotes         = "/v1/votes"          // GET: tallied vector votes of a topic
 	PathValues        = "/v1/values"         // POST: post a value vector
 	PathValuePostings = "/v1/value-postings" // GET: value postings of a topic
-	PathValueVotes    = "/v1/value-votes"    // GET: tallied value votes of a topic
 	PathDropTopic     = "/v1/drop-topic"     // POST: delete a topic
 	PathStats         = "/v1/stats"          // GET: counters
 	PathBatchProbes   = "/v1/batch/probes"   // POST: post many probe results at once
@@ -127,8 +129,7 @@ type voteJSON struct {
 	Voters []int     `json:"voters"`
 }
 
-// voteList is the PathVotes reply body (and the Votes field of a topic
-// snapshot).
+// voteList is the Votes field of a topic snapshot.
 type voteList []voteJSON
 
 // valuesPost is the POST body for PathValues.
@@ -154,8 +155,7 @@ type valueVoteJSON struct {
 	Voters []int    `json:"voters"`
 }
 
-// valueVoteList is the PathValueVotes reply body (and the ValueVotes
-// field of a topic snapshot).
+// valueVoteList is the ValueVotes field of a topic snapshot.
 type valueVoteList []valueVoteJSON
 
 // dropPost is the POST body for PathDropTopic.

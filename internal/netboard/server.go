@@ -30,10 +30,6 @@ type Server struct {
 	mux    *http.ServeMux
 	dedupe *dedupe
 
-	// jsonOnly pins the server to the JSON codec: binary request bodies
-	// are answered 415 and replies are JSON regardless of Accept. See
-	// WithJSONOnly.
-	jsonOnly bool
 	// wireIns holds the per-endpoint wire instruments (bytes in/out,
 	// encode/decode latency), resolved once at registration; entries are
 	// the zero no-op Instruments when telemetry is off.
@@ -69,16 +65,6 @@ func WithDedupeMaxAge(age time.Duration) ServerOption {
 	return func(s *Server) { s.dedupe.maxAge = age }
 }
 
-// WithJSONOnly pins the server to the JSON codec: binary request
-// bodies are rejected with 415 (which binary-configured clients treat
-// as "fall back to JSON"), and every reply is JSON regardless of the
-// Accept header. This is the operator escape hatch for a mixed-codec
-// fleet — a shard can be pinned while the rest speak binary, and
-// clients keep working against both (see DESIGN.md §15).
-func WithJSONOnly() ServerOption {
-	return func(s *Server) { s.jsonOnly = true }
-}
-
 // WithTelemetry attaches a telemetry registry: per-endpoint request
 // counters ("netboard.server.requests.<path>") and latency histograms
 // ("netboard.server.latency_ns.<path>"), dedupe hit/apply counters,
@@ -112,10 +98,8 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 	s.handle(PathProbedObjects, s.readOnly(s.handleProbedObjects))
 	s.handle(PathVector, s.handleVector)
 	s.handle(PathPostings, s.readOnly(s.handlePostings))
-	s.handle(PathVotes, s.readOnly(s.handleVotes))
 	s.handle(PathValues, s.handleValues)
 	s.handle(PathValuePostings, s.readOnly(s.handleValuePostings))
-	s.handle(PathValueVotes, s.readOnly(s.handleValueVotes))
 	s.handle(PathDropTopic, s.handleDropTopic)
 	s.handle(PathStats, s.readOnly(s.handleStats))
 	s.handle(PathBatchProbes, s.handleBatchProbes)
@@ -205,18 +189,18 @@ func (s *Server) apply(w http.ResponseWriter, r *http.Request, mutate func()) {
 }
 
 // writeReply encodes v per the request's Accept header (JSON unless the
-// client asked for binary and the server is not jsonOnly) and writes it
-// with the matching Content-Type. JSON replies are byte-identical to
-// the pre-codec json.Encoder output.
+// client asked for binary) and writes it with the matching
+// Content-Type. JSON replies are byte-identical to the pre-codec
+// json.Encoder output.
 func (s *Server) writeReply(w http.ResponseWriter, r *http.Request, path string, v wire.Message) {
-	wire.WriteReply(w, r, v, s.jsonOnly, s.wireIns[path])
+	wire.WriteReply(w, r, v, s.wireIns[path])
 }
 
 // decodeBody decodes a request body per its Content-Type — binary
-// bodies through the binary codec (415 when jsonOnly), everything else
-// as JSON — answering 415/400 itself on failure.
+// bodies through the binary codec, everything else as JSON — answering
+// 415/400 itself on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
-	if status, err := wire.DecodeRequest(r, v, s.jsonOnly, s.wireIns[path]); status != 0 {
+	if status, err := wire.DecodeRequest(r, v, s.wireIns[path]); status != 0 {
 		http.Error(w, err.Error(), status)
 		return false
 	}
@@ -409,12 +393,6 @@ func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, r, PathPostings, &out)
 }
 
-func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	out := votesToWire(s.board.Votes(topic))
-	s.writeReply(w, r, PathVotes, &out)
-}
-
 func votesToWire(votes []billboard.Vote) voteList {
 	out := make(voteList, len(votes))
 	for i, v := range votes {
@@ -442,12 +420,6 @@ func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
 		out[i] = valuePostingJSON{Player: p.Player, Vals: p.Vals}
 	}
 	s.writeReply(w, r, PathValuePostings, &out)
-}
-
-func (s *Server) handleValueVotes(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	out := valueVotesToWire(s.board.ValueVotes(topic))
-	s.writeReply(w, r, PathValueVotes, &out)
 }
 
 func valueVotesToWire(votes []billboard.ValueVote) valueVoteList {

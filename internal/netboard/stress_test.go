@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
-	"tellme/internal/boardclient"
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/core"
 	"tellme/internal/ints"
 	"tellme/internal/netboard/faultnet"
@@ -29,11 +29,11 @@ import (
 // faultClient returns a retrying client whose transport injects the
 // given fault schedule.
 func faultClient(url string, ft *faultnet.Transport) *Client {
-	c := NewClient(url)
-	c.HTTPClient = &http.Client{Transport: ft}
-	c.Retries = 40
-	c.RetryBackoff = 100 * time.Microsecond
-	return c
+	return NewClientWithConfig(url, Config{
+		HTTPClient:   &http.Client{Transport: ft},
+		Retries:      40,
+		RetryBackoff: 100 * time.Microsecond,
+	})
 }
 
 func TestFaultScheduleExactlyOnce(t *testing.T) {
@@ -156,8 +156,7 @@ func TestFaultnetCounters(t *testing.T) {
 
 	// No faults: pure request meter.
 	meter := faultnet.New(nil, 1)
-	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: meter}
+	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
 	c.PostProbe(0, 0, 1)
 	c.LookupProbe(0, 0)
 	if meter.Delivered() != 2 || meter.DroppedRequests() != 0 || meter.LostResponses() != 0 || meter.Duplicated() != 0 {
@@ -167,12 +166,13 @@ func TestFaultnetCounters(t *testing.T) {
 	// DropRequest=1: nothing is ever delivered.
 	drop := faultnet.New(nil, 2)
 	drop.DropRequest = 1
-	c2 := NewClient(srv.URL)
-	c2.HTTPClient = &http.Client{Transport: drop}
-	c2.Retries = 2
-	c2.RetryBackoff = time.Microsecond
 	var errs int
-	c2.OnError = func(error) { errs++ }
+	c2 := NewClientWithConfig(srv.URL, Config{
+		HTTPClient:   &http.Client{Transport: drop},
+		Retries:      2,
+		RetryBackoff: time.Microsecond,
+		OnError:      func(error) { errs++ },
+	})
 	c2.PostProbe(0, 1, 1)
 	if drop.Delivered() != 0 || drop.DroppedRequests() != 3 || errs != 1 {
 		t.Fatalf("drop-all: delivered=%d dropped=%d errs=%d", drop.Delivered(), drop.DroppedRequests(), errs)
@@ -184,9 +184,10 @@ func TestFaultnetCounters(t *testing.T) {
 	// DropResponse=1: the server commits, the client never hears back.
 	lost := faultnet.New(nil, 3)
 	lost.DropResponse = 1
-	c3 := NewClient(srv.URL)
-	c3.HTTPClient = &http.Client{Transport: lost}
-	c3.OnError = func(error) {}
+	c3 := NewClientWithConfig(srv.URL, Config{
+		HTTPClient: &http.Client{Transport: lost},
+		OnError:    func(error) {},
+	})
 	c3.PostProbe(0, 2, 1)
 	if lost.LostResponses() != 1 {
 		t.Fatalf("LostResponses = %d", lost.LostResponses())
@@ -196,11 +197,10 @@ func TestFaultnetCounters(t *testing.T) {
 	}
 }
 
-// benchmarkNetboardRun measures one full ZeroRadius simulation against
-// an HTTP billboard and reports the number of HTTP requests it took.
-// The batched/legacy pair quantifies the request reduction from the
-// batch endpoints and the snapshot cache (ISSUE 3 acceptance: ≥10×).
-func benchmarkNetboardRun(b *testing.B, legacy bool) {
+// BenchmarkNetboardRunBatched measures one full ZeroRadius simulation
+// against an HTTP billboard and reports the number of HTTP requests it
+// took.
+func BenchmarkNetboardRunBatched(b *testing.B) {
 	in := prefs.Identical(48, 256, 0.6, 3)
 	var requests int64
 	for i := 0; i < b.N; i++ {
@@ -208,9 +208,7 @@ func benchmarkNetboardRun(b *testing.B, legacy bool) {
 		board := billboard.New(in.N, in.M)
 		srv := httptest.NewServer(NewServer(board))
 		meter := faultnet.New(nil, 1)
-		c := NewClient(srv.URL)
-		c.HTTPClient = &http.Client{Transport: meter}
-		c.DisableBatch = legacy
+		c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
 		e := probe.NewEngine(in, c, rng.NewSource(8))
 		env := core.NewEnv(e, sim.NewRunner(4), rng.NewSource(9), core.DefaultConfig())
 		b.StartTimer()
@@ -222,6 +220,3 @@ func benchmarkNetboardRun(b *testing.B, legacy bool) {
 	}
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 }
-
-func BenchmarkNetboardRunBatched(b *testing.B) { benchmarkNetboardRun(b, false) }
-func BenchmarkNetboardRunLegacy(b *testing.B)  { benchmarkNetboardRun(b, true) }

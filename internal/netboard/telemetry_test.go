@@ -21,13 +21,14 @@ func collectBackoffs(t *testing.T, seed uint64, retries int, unit time.Duration)
 	t.Helper()
 	srv := httptest.NewServer(statusHandler{code: http.StatusInternalServerError})
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = retries
-	c.RetryBackoff = unit
-	c.JitterSeed = seed
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      retries,
+		RetryBackoff: unit,
+		JitterSeed:   seed,
+		OnError:      func(error) {},
+	})
 	var slept []time.Duration
 	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	c.OnError = func(error) {}
 	c.PostProbe(0, 0, 1)
 	return slept
 }
@@ -97,8 +98,7 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	board.SetTelemetry(reg)
 	srv := httptest.NewServer(NewServer(board, WithTelemetry(reg)))
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Telemetry = reg
+	c := NewClientWithConfig(srv.URL, Config{Telemetry: reg})
 
 	c.PostProbe(0, 3, 1)
 	c.PostProbe(1, 5, 0)
@@ -232,12 +232,13 @@ func TestClientRetryCounter(t *testing.T) {
 	srv := httptest.NewServer(statusHandler{code: http.StatusInternalServerError})
 	defer srv.Close()
 	reg := telemetry.New()
-	c := NewClient(srv.URL)
-	c.Telemetry = reg
-	c.Retries = 3
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{
+		Telemetry:    reg,
+		Retries:      3,
+		RetryBackoff: time.Millisecond,
+		OnError:      func(error) {},
+	})
 	c.sleep = func(time.Duration) {}
-	c.OnError = func(error) {}
 	c.PostProbe(0, 0, 1)
 	if got := reg.Snapshot().Counters["netboard.client.retries"]; got != 3 {
 		t.Fatalf("netboard.client.retries = %d, want 3", got)

@@ -12,10 +12,10 @@ const (
 	tagProbedObjectsReply
 	tagVectorPost
 	tagPostingList
-	tagVoteList
+	_ // reserved: the standalone vote-list reply of the retired /v1/votes
 	tagValuesPost
 	tagValuePostingList
-	tagValueVoteList
+	_ // reserved: the standalone value-vote-list reply of the retired /v1/value-votes
 	tagDropPost
 	tagBatchProbesPost
 	tagBatchLookupsReply
@@ -125,8 +125,8 @@ func (l *postingList) DecodeBinary(r *wire.Reader) {
 	}
 }
 
-// appendVoteList / decodeVoteList are shared between the standalone
-// voteList reply and the Votes field of a topic snapshot.
+// appendVoteList / decodeVoteList encode the Votes field of a topic
+// snapshot.
 func appendVoteList(dst []byte, l voteList) []byte {
 	if l == nil {
 		return wire.AppendUint(dst, 0)
@@ -155,12 +155,6 @@ func decodeVoteList(r *wire.Reader) voteList {
 	}
 	return l
 }
-
-func (*voteList) WireTag() byte { return tagVoteList }
-
-func (l *voteList) AppendBinary(dst []byte) []byte { return appendVoteList(dst, *l) }
-
-func (l *voteList) DecodeBinary(r *wire.Reader) { *l = decodeVoteList(r) }
 
 func (*valuesPost) WireTag() byte { return tagValuesPost }
 
@@ -231,12 +225,6 @@ func decodeValueVoteList(r *wire.Reader) valueVoteList {
 	}
 	return l
 }
-
-func (*valueVoteList) WireTag() byte { return tagValueVoteList }
-
-func (l *valueVoteList) AppendBinary(dst []byte) []byte { return appendValueVoteList(dst, *l) }
-
-func (l *valueVoteList) DecodeBinary(r *wire.Reader) { *l = decodeValueVoteList(r) }
 
 func (*dropPost) WireTag() byte { return tagDropPost }
 

@@ -61,7 +61,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/players", func(w http.ResponseWriter, r *http.Request) {
 		var req joinRequest
-		if status, err := wire.DecodeRequest(r, &req, false, joinIns); status != 0 {
+		if status, err := wire.DecodeRequest(r, &req, joinIns); status != 0 {
 			httpError(w, status, fmt.Errorf("bad join body: %w", err))
 			return
 		}
@@ -80,11 +80,11 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			return
 		}
 		wire.WriteReplyStatus(w, r, http.StatusCreated,
-			&joinReply{ID: id, Epoch: e.CompletedEpochs()}, false, joinIns)
+			&joinReply{ID: id, Epoch: e.CompletedEpochs()}, joinIns)
 	})
 	mux.HandleFunc("POST /v1/players/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchJoinRequest
-		if status, err := wire.DecodeRequest(r, &req, false, batchIns); status != 0 {
+		if status, err := wire.DecodeRequest(r, &req, batchIns); status != 0 {
 			httpError(w, status, fmt.Errorf("bad batch join body: %w", err))
 			return
 		}
@@ -107,7 +107,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			return
 		}
 		wire.WriteReplyStatus(w, r, http.StatusCreated,
-			&batchJoinReply{IDs: ids, Epoch: e.CompletedEpochs()}, false, batchIns)
+			&batchJoinReply{IDs: ids, Epoch: e.CompletedEpochs()}, batchIns)
 	})
 	mux.HandleFunc("DELETE /v1/players/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -156,7 +156,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		wire.WriteReply(w, r, &recommendReply{ID: id, Epoch: epoch, Bits: out.String()}, false, recIns)
+		wire.WriteReply(w, r, &recommendReply{ID: id, Epoch: epoch, Bits: out.String()}, recIns)
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		st := statusReply{
@@ -173,7 +173,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			st.Refresh = s.Refresh
 			st.EpochMillis = s.Duration.Milliseconds()
 		}
-		wire.WriteReply(w, r, &st, false, statusIns)
+		wire.WriteReply(w, r, &st, statusIns)
 	})
 	if hc.Telemetry != nil {
 		mux.HandleFunc("GET /debug/telemetry", func(w http.ResponseWriter, r *http.Request) {

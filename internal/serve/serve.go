@@ -481,6 +481,9 @@ func (e *Engine) applyBoundary(plan sim.EpochPlan) *prefs.Instance {
 // usable previous outputs exist (first epoch, or more joiners than
 // incumbents), the incremental Refresh repair otherwise (joiners carry
 // the zero-length marker and adopt from the repaired consensus groups).
+// A joiner that no consensus group could take in comes out of Refresh
+// still zero-length; the epoch then falls back to the full run, as
+// Refresh asks of its caller.
 // Panics from the algorithm stack — cancellation, transport failure,
 // player code — unwind to an error here, mirroring the batch facade.
 func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.EpochPlan) (outs []bitvec.Partial, refreshed bool, err error) {
@@ -519,9 +522,22 @@ func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.Epo
 	}
 	if stale := e.staleFor(plan.Members); stale != nil {
 		red, maxP := core.RefreshBudget(e.cfg.ExpectedDrift)
-		return core.Refresh(env, plan.Members, e.objs, stale, e.cfg.Alpha, red, maxP), true, nil
+		outs := core.Refresh(env, plan.Members, e.objs, stale, e.cfg.Alpha, red, maxP)
+		if e.covers(outs, plan.Members) {
+			return outs, true, nil
+		}
 	}
 	return core.UnknownDFor(env, e.cfg.Alpha, plan.Members, e.objs), false, nil
+}
+
+// covers reports whether every member has a full-length output.
+func (e *Engine) covers(outs []bitvec.Partial, members []int) bool {
+	for _, s := range members {
+		if outs[s].Len() != e.cfg.M {
+			return false
+		}
+	}
+	return true
 }
 
 // staleFor builds Refresh's stale-output slice for the member set, or

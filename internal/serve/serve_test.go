@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,50 @@ func TestSecondEpochRefreshesAndMatches(t *testing.T) {
 			t.Fatalf("player %d drifted across a churn-free refresh: %s → %s",
 				id, w.String(), second.Outputs[id].String())
 		}
+	}
+}
+
+// TestJoinerOutsideEveryConsensusGroupGetsFullRun: when no previous
+// output reaches Refresh's consensus threshold, a joiner has no group
+// to adopt from and Refresh leaves it zero-length. The epoch must fall
+// back to a full run, so every member is still served m bits.
+func TestJoinerOutsideEveryConsensusGroupGetsFullRun(t *testing.T) {
+	const m = 32
+	e := newEngine(t, 16, m)
+	r := rand.New(rand.NewPCG(1, 2))
+	tastes := make([]bitvec.Vector, 6)
+	for i := range tastes {
+		b := make([]byte, m)
+		for j := range b {
+			b[j] = "01"[r.IntN(2)]
+		}
+		tastes[i] = vec(t, string(b))
+		if _, err := e.Join(tastes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.RunEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	joiner, err := e.Join(tastes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	if snap.Epoch != 2 || snap.Refresh {
+		t.Fatalf("epoch %d refresh %v, want 2 and a full run", snap.Epoch, snap.Refresh)
+	}
+	for id, w := range snap.Outputs {
+		if w.Len() != m {
+			t.Fatalf("player %d served %d bits, want %d", id, w.Len(), m)
+		}
+	}
+	out, epoch, err := e.Recommend(context.Background(), joiner)
+	if err != nil || epoch != 2 || out.Len() != m {
+		t.Fatalf("joiner: %d bits at epoch %d (err %v), want %d bits at epoch 2", out.Len(), epoch, err, m)
 	}
 }
 

@@ -130,57 +130,12 @@ func TestPhaseAll(t *testing.T) {
 	}
 }
 
-func TestClockRoundsAreMaxPerPlayer(t *testing.T) {
-	in := prefs.Planted(8, 64, 0.5, 2, 1)
-	b := billboard.New(in.N, in.M)
-	e := probe.NewEngine(in, b, rng.NewSource(1))
-	c := NewClock(NewRunner(4), e)
-	// Phase 1: player p probes p+1 objects → max 8 rounds.
-	c.Run(nil, "uneven", []int{0, 1, 2, 3, 4, 5, 6, 7}, func(p int) {
-		pl := e.Player(p)
-		for o := 0; o <= p; o++ {
-			pl.Probe(o)
-		}
-	})
-	if c.Rounds() != 8 {
-		t.Fatalf("Rounds = %d, want 8", c.Rounds())
-	}
-	// Phase 2: everyone probes 3 → +3.
-	c.Run(nil, "even", []int{0, 1, 2, 3}, func(p int) {
-		pl := e.Player(p)
-		for o := 10; o < 13; o++ {
-			pl.Probe(o)
-		}
-	})
-	if c.Rounds() != 11 {
-		t.Fatalf("Rounds = %d, want 11", c.Rounds())
-	}
-	stats := c.Phases()
-	if len(stats) != 2 || stats[0].Name != "uneven" || stats[0].Rounds != 8 || stats[1].Rounds != 3 {
-		t.Fatalf("Phases = %+v", stats)
-	}
-	if stats[0].Players != 8 || stats[1].Players != 4 {
-		t.Fatalf("player counts = %+v", stats)
-	}
-}
-
-func TestClockZeroProbePhase(t *testing.T) {
-	in := prefs.Planted(4, 16, 0.5, 2, 1)
-	b := billboard.New(in.N, in.M)
-	e := probe.NewEngine(in, b, rng.NewSource(1))
-	c := NewClock(NewRunner(2), e)
-	c.Run(nil, "free", []int{0, 1, 2, 3}, func(p int) {}) // billboard-only phase
-	if c.Rounds() != 0 {
-		t.Fatalf("free phase cost %d rounds", c.Rounds())
-	}
-}
-
 func TestConcurrentPhaseWithProbes(t *testing.T) {
 	in := prefs.Planted(64, 256, 0.5, 8, 2)
 	b := billboard.New(in.N, in.M)
 	e := probe.NewEngine(in, b, rng.NewSource(3))
-	c := NewClock(NewRunner(0), e)
-	c.Run(nil, "all-probe", allPlayers(in.N), func(p int) {
+	snap := e.Snapshot(nil)
+	err := NewRunner(0).Phase(nil, allPlayers(in.N), func(p int) {
 		pl := e.Player(p)
 		for o := 0; o < in.M; o++ {
 			if pl.Probe(o) != in.Grade(p, o) {
@@ -189,8 +144,12 @@ func TestConcurrentPhaseWithProbes(t *testing.T) {
 			}
 		}
 	})
-	if c.Rounds() != int64(in.M) {
-		t.Fatalf("Rounds = %d, want %d", c.Rounds(), in.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The phase's parallel round cost is the largest per-player charge.
+	if rounds := e.MaxDelta(snap); rounds != int64(in.M) {
+		t.Fatalf("rounds = %d, want %d", rounds, in.M)
 	}
 }
 

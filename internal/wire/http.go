@@ -11,8 +11,8 @@ import (
 
 // Media types of the two codecs. The binary media type carries an
 // explicit format version parameter; a server that sees a version it
-// does not implement answers 415 rather than guessing, and the client
-// falls back to JSON (see DESIGN.md §15 for the v=N rules).
+// does not implement answers 415 rather than guessing (see DESIGN.md
+// §15 for the v=N rules).
 const (
 	MediaJSON         = "application/json"
 	MediaBinary       = "application/x-tellme-bin"
@@ -112,18 +112,14 @@ func NewInstruments(reg *telemetry.Registry, prefix, path string) Instruments {
 }
 
 // DecodeRequest reads and decodes a request body per its Content-Type:
-// binary bodies use the binary codec (unless jsonOnly, the 415 pin),
-// everything else decodes as JSON exactly as before the codec layer.
-// On failure it returns the HTTP status to answer (415 or 400) and the
-// error to include; on success status is 0.
-func DecodeRequest(r *http.Request, v Message, jsonOnly bool, ins Instruments) (status int, err error) {
+// binary bodies use the binary codec, everything else decodes as JSON
+// exactly as before the codec layer. On failure it returns the HTTP
+// status to answer (415 or 400) and the error to include; on success
+// status is 0.
+func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err error) {
 	codec := JSON
 	switch ClassifyContentType(r.Header.Get("Content-Type")) {
 	case KindBinary:
-		if jsonOnly {
-			return http.StatusUnsupportedMediaType,
-				fmt.Errorf("binary codec disabled on this server; send %s", MediaJSON)
-		}
 		codec = Binary
 	case KindUnsupported:
 		return http.StatusUnsupportedMediaType,
@@ -147,17 +143,17 @@ func DecodeRequest(r *http.Request, v Message, jsonOnly bool, ins Instruments) (
 }
 
 // WriteReply encodes v per the request's Accept header — binary when
-// the client asked for it (and the server is not jsonOnly), JSON
-// otherwise — stamps Content-Type, and writes the body.
-func WriteReply(w http.ResponseWriter, r *http.Request, v Message, jsonOnly bool, ins Instruments) {
-	WriteReplyStatus(w, r, 0, v, jsonOnly, ins)
+// the client asked for it, JSON otherwise — stamps Content-Type, and
+// writes the body.
+func WriteReply(w http.ResponseWriter, r *http.Request, v Message, ins Instruments) {
+	WriteReplyStatus(w, r, 0, v, ins)
 }
 
 // WriteReplyStatus is WriteReply with an explicit HTTP status code
 // (e.g. 201 for a join); status 0 means the implicit 200.
-func WriteReplyStatus(w http.ResponseWriter, r *http.Request, status int, v Message, jsonOnly bool, ins Instruments) {
+func WriteReplyStatus(w http.ResponseWriter, r *http.Request, status int, v Message, ins Instruments) {
 	codec := JSON
-	if !jsonOnly && AcceptsBinary(r.Header.Get("Accept")) {
+	if AcceptsBinary(r.Header.Get("Accept")) {
 		codec = Binary
 	}
 	buf := GetBuffer()

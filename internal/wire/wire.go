@@ -12,12 +12,12 @@
 // internal/bitvec so a large tally's planes go to the wire near
 // zero-copy (see binary.go for the framing).
 //
-// Negotiation is explicit and fail-safe (DESIGN.md §15): a binary body
-// is labelled Content-Type "application/x-tellme-bin;v=1", a client
-// asks for a binary reply with the same media type in Accept, servers
-// always accept JSON, and a server that does not speak binary answers
-// 415 — which clients treat as "fall back to JSON", so mixed-version
-// and mixed-codec clusters keep working mid-drain.
+// Negotiation is per request (DESIGN.md §15): a binary body is labelled
+// Content-Type "application/x-tellme-bin;v=1", a client asks for a
+// binary reply with the same media type in Accept, and servers accept
+// either codec and reply in the one the request asked for. A binary
+// version the server does not speak is answered 415. A client uses
+// exactly the codec it was configured with; there is no fallback.
 //
 // Both codecs encode into caller-supplied byte slices; GetBuffer and
 // PutBuffer pool sized scratch buffers so the hot request path reuses

@@ -357,8 +357,8 @@ func TestReadAll(t *testing.T) {
 }
 
 // TestDecodeRequestNegotiation drives the server-side helper through
-// the whole negotiation matrix: JSON default, binary body, jsonOnly
-// pin (415), unsupported version (415), malformed body (400).
+// the whole negotiation matrix: JSON default, binary body, unsupported
+// version (415), malformed body (400).
 func TestDecodeRequestNegotiation(t *testing.T) {
 	msg := &testMsg{A: 3, S: "s", Xs: []uint32{7}}
 	jsonBody, _ := JSON.Append(nil, msg)
@@ -368,17 +368,15 @@ func TestDecodeRequestNegotiation(t *testing.T) {
 		name       string
 		ct         string
 		body       []byte
-		jsonOnly   bool
 		wantStatus int
 	}{
-		{"json default", "", jsonBody, false, 0},
-		{"json explicit", MediaJSON, jsonBody, false, 0},
-		{"binary", ContentTypeBinary, binBody, false, 0},
-		{"binary bare", MediaBinary, binBody, false, 0},
-		{"binary vs jsonOnly", ContentTypeBinary, binBody, true, http.StatusUnsupportedMediaType},
-		{"future version", MediaBinary + ";v=9", binBody, false, http.StatusUnsupportedMediaType},
-		{"garbage json", "", []byte("{"), false, http.StatusBadRequest},
-		{"garbage binary", ContentTypeBinary, []byte("nope"), false, http.StatusBadRequest},
+		{"json default", "", jsonBody, 0},
+		{"json explicit", MediaJSON, jsonBody, 0},
+		{"binary", ContentTypeBinary, binBody, 0},
+		{"binary bare", MediaBinary, binBody, 0},
+		{"future version", MediaBinary + ";v=9", binBody, http.StatusUnsupportedMediaType},
+		{"garbage json", "", []byte("{"), http.StatusBadRequest},
+		{"garbage binary", ContentTypeBinary, []byte("nope"), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("POST", "/x", bytes.NewReader(tc.body))
@@ -386,7 +384,7 @@ func TestDecodeRequestNegotiation(t *testing.T) {
 			req.Header.Set("Content-Type", tc.ct)
 		}
 		var v testMsg
-		status, err := DecodeRequest(req, &v, tc.jsonOnly, Instruments{})
+		status, err := DecodeRequest(req, &v, Instruments{})
 		if status != tc.wantStatus {
 			t.Errorf("%s: status %d (err %v), want %d", tc.name, status, err, tc.wantStatus)
 			continue
@@ -398,7 +396,7 @@ func TestDecodeRequestNegotiation(t *testing.T) {
 }
 
 // TestWriteReplyNegotiation checks the Accept side: binary only when
-// asked for and allowed, correct Content-Type, explicit status codes,
+// asked for, correct Content-Type, explicit status codes,
 // and the instruments counting body bytes.
 func TestWriteReplyNegotiation(t *testing.T) {
 	msg := &testMsg{A: 11, S: "reply", Xs: nil}
@@ -406,16 +404,14 @@ func TestWriteReplyNegotiation(t *testing.T) {
 	ins := NewInstruments(reg, "test", "/x")
 
 	cases := []struct {
-		name     string
-		accept   string
-		jsonOnly bool
-		status   int
-		wantCT   string
+		name   string
+		accept string
+		status int
+		wantCT string
 	}{
-		{"default json", "", false, 0, MediaJSON},
-		{"binary", ContentTypeBinary, false, 0, ContentTypeBinary},
-		{"binary vs jsonOnly", ContentTypeBinary, true, 0, MediaJSON},
-		{"created", ContentTypeBinary, false, http.StatusCreated, ContentTypeBinary},
+		{"default json", "", 0, MediaJSON},
+		{"binary", ContentTypeBinary, 0, ContentTypeBinary},
+		{"created", ContentTypeBinary, http.StatusCreated, ContentTypeBinary},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("GET", "/x", nil)
@@ -423,7 +419,7 @@ func TestWriteReplyNegotiation(t *testing.T) {
 			req.Header.Set("Accept", tc.accept)
 		}
 		rec := httptest.NewRecorder()
-		WriteReplyStatus(rec, req, tc.status, msg, tc.jsonOnly, ins)
+		WriteReplyStatus(rec, req, tc.status, msg, ins)
 		wantStatus := tc.status
 		if wantStatus == 0 {
 			wantStatus = http.StatusOK

@@ -148,9 +148,8 @@ type Options struct {
 	BoardURL string
 	// BoardCodec selects the wire encoding for BoardURL targets:
 	// "json" (the default) or "binary" (packed bit-plane frames, see
-	// DESIGN.md §15; falls back to JSON per-request against servers
-	// that don't speak it). Ignored when Board is set or the board is
-	// in-memory.
+	// DESIGN.md §15; billboard servers accept both). Ignored when Board
+	// is set or the board is in-memory.
 	BoardCodec string
 	// Board, if non-nil, is used as the billboard directly and takes
 	// precedence over BoardURL. This is how a pre-configured
