@@ -9,10 +9,16 @@
 
 GO ?= go
 
-.PHONY: build test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
+.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
+
+# The formatting gate: lists every tracked Go file gofmt would change
+# and fails if there is one. It only reads; run gofmt -w to fix.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -75,7 +81,7 @@ loadgen-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-verify: build race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test
+verify: build fmt-check race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test
 
 # Refresh the perf-trajectory snapshots at the repo root.
 # BENCH_1.json: core experiment benchmarks.

@@ -37,7 +37,6 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
-	"tellme/internal/trace"
 )
 
 // Config holds the constants the paper leaves as O(·) knobs. The zero
@@ -113,13 +112,10 @@ type Env struct {
 	// only the goroutine driving the algorithms may run them on one Env.
 	scratch coScratch
 
-	// Trace, when non-nil, receives structured events from each
-	// sub-algorithm invocation (entry parameters and probe consumption).
-	Trace *trace.Log
 	// Telemetry, when non-nil, accumulates per-sub-algorithm cost
-	// counters ("core.<kind>.{calls,probes,ns}") from the same spans
-	// that feed Trace — the registry behind the -telemetry cost
-	// breakdown of cmd/experiments.
+	// counters ("core.<kind>.{calls,probes,ns}"), one span per
+	// invocation — the registry behind the -telemetry cost breakdown of
+	// cmd/experiments.
 	Telemetry *telemetry.Registry
 
 	telOnce  sync.Once
@@ -132,7 +128,7 @@ type Env struct {
 	done <-chan struct{}
 
 	// cur is the innermost sub-algorithm kind entered so far, recorded
-	// by spanPlayers and reported through ActiveKind so an abort can say
+	// by span and reported through ActiveKind so an abort can say
 	// which phase it interrupted. Written only by the coordinator
 	// goroutine (spans start and end between phases, never inside one).
 	cur string
@@ -195,8 +191,7 @@ func (env *Env) checkAborted() {
 }
 
 // ActiveKind returns the innermost sub-algorithm kind entered so far
-// ("" when tracing and telemetry are both disabled or nothing ran); the
-// facade stamps it into RunError.Phase.
+// ("" when nothing ran); the facade stamps it into RunError.Phase.
 func (env *Env) ActiveKind() string { return env.cur }
 
 // Context returns the run's context (nil for an uncancellable run).
@@ -235,9 +230,11 @@ type spanCounters struct {
 	calls, probes, ns *telemetry.Counter
 }
 
-// The span kinds used by the algorithms, indexable without a map.
+// spanKind is a sub-algorithm span kind, indexable without a map.
+type spanKind int
+
 const (
-	spanRefresh = iota
+	spanRefresh spanKind = iota
 	spanSmallRadius
 	spanZeroRadius
 	spanLargeRadius
@@ -253,29 +250,11 @@ var spanKindNames = [nSpanKinds]string{
 	spanUnknownD:    "unknownd",
 }
 
-func spanKindIndex(kind string) int {
-	for i, name := range spanKindNames {
-		if name == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // spanCountersFor returns the cached instruments for kind, resolving
-// all known kinds once on first use. Unknown kinds (none today) fall
-// back to a direct registry lookup.
-func (env *Env) spanCountersFor(kind string) spanCounters {
-	tel := env.Telemetry
-	i := spanKindIndex(kind)
-	if i < 0 {
-		return spanCounters{
-			calls:  tel.Counter("core." + kind + ".calls"),
-			probes: tel.Counter("core." + kind + ".probes"),
-			ns:     tel.Counter("core." + kind + ".ns"),
-		}
-	}
+// all kinds once on first use.
+func (env *Env) spanCountersFor(kind spanKind) spanCounters {
 	env.telOnce.Do(func() {
+		tel := env.Telemetry
 		for k, name := range spanKindNames {
 			env.spanTels[k] = spanCounters{
 				calls:  tel.Counter("core." + name + ".calls"),
@@ -284,65 +263,34 @@ func (env *Env) spanCountersFor(kind string) spanCounters {
 			}
 		}
 	})
-	return env.spanTels[i]
+	return env.spanTels[kind]
 }
 
 // spanNoop is the shared disabled-span closure, so disabled runs do not
 // allocate one closure per sub-algorithm invocation.
 var spanNoop = func() {}
 
-// spanOff reports whether spans are disabled, recording the active kind
-// (for abort reporting) when they are. Hot sub-algorithms call it
-// before span/spanPlayers because the variadic kv boxes its arguments
-// at the call site — a real allocation even when the span itself would
-// be free, and ZeroRadius runs thousands of times per recursion.
-func (env *Env) spanOff(kind string) bool {
-	if env.Trace == nil && env.Telemetry == nil {
-		env.cur = kind
-		return true
-	}
-	return false
-}
-
-// span emits a start event and returns a closure that emits the
-// matching end event with the probes consumed and wall time spent in
-// between. With both Trace and Telemetry nil the span is free.
-func (env *Env) span(kind string, kv ...any) func() {
-	return env.spanPlayers(kind, nil, kv...)
-}
-
-// spanPlayers is span with the probe measurement restricted to the
-// participating players (nil means all). Sub-algorithms that run on a
-// small group pass it so a span costs two O(group) counter sweeps, not
-// two O(n) ones — ZeroRadius runs thousands of times per recursion.
-// Exact because players only probe their own grades, so a span's
-// consumption is entirely attributed to its participants.
-func (env *Env) spanPlayers(kind string, players []int, kv ...any) func() {
-	env.cur = kind
-	enabled := env.Telemetry != nil
-	if env.Trace == nil && !enabled {
+// span records kind as the active sub-algorithm (for abort reporting)
+// and returns a closure that adds the probes the participating players
+// consumed and the wall time spent in between to the kind's telemetry
+// counters. players restricts the probe measurement (nil means all), so
+// a span costs two O(group) counter sweeps, not two O(n) ones —
+// ZeroRadius runs thousands of times per recursion. Exact because
+// players only probe their own grades, so a span's consumption is
+// entirely attributed to its participants. With Telemetry nil the span
+// is free: no counter sweep and no allocation.
+func (env *Env) span(kind spanKind, players []int) func() {
+	env.cur = spanKindNames[kind]
+	if env.Telemetry == nil {
 		return spanNoop
 	}
+	sc := env.spanCountersFor(kind)
+	sc.calls.Inc()
 	before := env.chargedSum(players)
-	var sc spanCounters
-	var start time.Time
-	if enabled {
-		sc = env.spanCountersFor(kind)
-		sc.calls.Inc()
-		start = time.Now()
-	}
-	if env.Trace != nil {
-		env.Trace.Event(kind+".start", kv...)
-	}
+	start := time.Now()
 	return func() {
-		probes := env.chargedSum(players) - before
-		if env.Trace != nil {
-			env.Trace.Event(kind+".end", "probes", probes)
-		}
-		if enabled {
-			sc.probes.Add(probes)
-			sc.ns.Add(time.Since(start).Nanoseconds())
-		}
+		sc.probes.Add(env.chargedSum(players) - before)
+		sc.ns.Add(time.Since(start).Nanoseconds())
 	}
 }
 

@@ -48,9 +48,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		panic(fmt.Sprintf("core: LargeRadius alpha %v out of (0,1]", alpha))
 	}
 	env.count(CountLargeRadius)
-	if !env.spanOff("largeradius") {
-		defer env.spanPlayers("largeradius", players, "players", len(players), "objs", len(objs), "alpha", alpha, "d", d)()
-	}
+	defer env.span(spanLargeRadius, players)()
 	tag := env.freshTag("lr")
 	coin := env.Public.Stream(tag, 0)
 	n := len(players)

@@ -58,9 +58,7 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	if maxPatches < 1 {
 		maxPatches = len(objs)
 	}
-	if !env.spanOff("refresh") {
-		defer env.spanPlayers("refresh", players, "players", len(players), "objs", len(objs), "redundancy", redundancy)()
-	}
+	defer env.span(spanRefresh, players)()
 	tag := env.freshTag("rf")
 	coin := env.Public.Stream(tag, 0)
 

@@ -73,9 +73,7 @@ func smallRadiusPos(env *Env, players []int, objs []int, alpha float64, d, k int
 		return rows
 	}
 	env.count(CountSmallRadius)
-	if !env.spanOff("smallradius") {
-		defer env.spanPlayers("smallradius", players, "players", len(players), "objs", len(objs), "alpha", alpha, "d", d)()
-	}
+	defer env.span(spanSmallRadius, players)()
 	if k <= 0 {
 		k = env.confidenceK()
 	}
@@ -328,4 +326,3 @@ func valsToVector(vals []uint32) bitvec.Vector {
 	}
 	return v
 }
-

@@ -35,9 +35,7 @@ func UnknownD(env *Env, alpha float64) []bitvec.Partial {
 // currently-admitted slots. The returned slice is indexed by player id
 // (length env.N); entries outside the subset are zero-valued.
 func UnknownDFor(env *Env, alpha float64, players, objs []int) []bitvec.Partial {
-	if !env.spanOff("unknownd") {
-		defer env.spanPlayers("unknownd", players, "alpha", alpha)()
-	}
+	defer env.span(spanUnknownD, players)()
 	ds := CandidateDs(len(objs))
 	perD := make([][]bitvec.Partial, len(ds))
 	for i, d := range ds {

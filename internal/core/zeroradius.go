@@ -142,9 +142,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 		panic(fmt.Sprintf("core: ZeroRadius alpha %v out of (0,1]", alpha))
 	}
 	env.count(CountZeroRadius)
-	if !env.spanOff("zeroradius") {
-		defer env.spanPlayers("zeroradius", players, "players", len(players), "objs", space.Len(), "alpha", alpha)()
-	}
+	defer env.span(spanZeroRadius, players)()
 	tag := env.freshTag("zr")
 	threshold := env.leafThreshold(alpha)
 

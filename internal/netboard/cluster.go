@@ -334,7 +334,9 @@ func (cl *Cluster) forEachProbe(ctx context.Context, p int, fn func(o int, grade
 }
 
 // ProbeCount implements billboard.Interface: the sum over shards.
-func (cl *Cluster) ProbeCount() int64 { return cl.sumStats(bg, func(s statsReply) int64 { return s.ProbeCount }) }
+func (cl *Cluster) ProbeCount() int64 {
+	return cl.sumStats(bg, func(s statsReply) int64 { return s.ProbeCount })
+}
 
 // ClearProbes removes player p's probe results for objs, each object
 // routed to its owner shard (mirrors billboard.Board.ClearProbes and

@@ -197,25 +197,50 @@ func TestFaultnetCounters(t *testing.T) {
 	}
 }
 
+// zeroRadiusOverMeter sets up one full ZeroRadius simulation on the
+// 48×256 instance DESIGN.md §8 quotes, against an HTTP billboard whose
+// client transport counts delivered requests. run executes the
+// simulation and returns that count; setup and stop stay outside it so
+// the benchmark times the simulation alone.
+func zeroRadiusOverMeter() (run func() int64, stop func()) {
+	in := prefs.Identical(48, 256, 0.6, 3)
+	board := billboard.New(in.N, in.M)
+	srv := httptest.NewServer(NewServer(board))
+	meter := faultnet.New(nil, 1)
+	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
+	e := probe.NewEngine(in, c, rng.NewSource(8))
+	env := core.NewEnv(e, sim.NewRunner(4), rng.NewSource(9), core.DefaultConfig())
+	return func() int64 {
+		core.ZeroRadiusBits(env, ints.Iota(in.N), ints.Iota(in.M), 0.5)
+		return meter.Delivered()
+	}, srv.Close
+}
+
+// TestZeroRadiusRequestCount pins the batched protocol's request count
+// for one full ZeroRadius run: a protocol change that adds or saves a
+// round trip shows up here, not only in BenchmarkNetboardRunBatched's
+// requests/op.
+func TestZeroRadiusRequestCount(t *testing.T) {
+	run, stop := zeroRadiusOverMeter()
+	defer stop()
+	if got := run(); got != 205 {
+		t.Fatalf("ZeroRadius took %d HTTP requests, want 205", got)
+	}
+}
+
 // BenchmarkNetboardRunBatched measures one full ZeroRadius simulation
 // against an HTTP billboard and reports the number of HTTP requests it
 // took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
-	in := prefs.Identical(48, 256, 0.6, 3)
 	var requests int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		board := billboard.New(in.N, in.M)
-		srv := httptest.NewServer(NewServer(board))
-		meter := faultnet.New(nil, 1)
-		c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
-		e := probe.NewEngine(in, c, rng.NewSource(8))
-		env := core.NewEnv(e, sim.NewRunner(4), rng.NewSource(9), core.DefaultConfig())
+		run, stop := zeroRadiusOverMeter()
 		b.StartTimer()
-		core.ZeroRadiusBits(env, ints.Iota(in.N), ints.Iota(in.M), 0.5)
+		n := run()
 		b.StopTimer()
-		requests += meter.Delivered()
-		srv.Close()
+		requests += n
+		stop()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")

@@ -10,7 +10,7 @@ import (
 )
 
 // reportJSON is the serialized shape of a Report (outputs as
-// '0'/'1'/'?' strings; trace events flattened to their string form).
+// '0'/'1'/'?' strings).
 type reportJSON struct {
 	Algorithm   string            `json:"algorithm"`
 	Outputs     []string          `json:"outputs"`
@@ -20,7 +20,6 @@ type reportJSON struct {
 	DurationNS  int64             `json:"durationNs"`
 	Communities []CommunityReport `json:"communities,omitempty"`
 	SubRuns     map[string]int64  `json:"subAlgorithmRuns,omitempty"`
-	Trace       []string          `json:"trace,omitempty"`
 }
 
 // SaveReport writes a run report as JSON, suitable for archiving next
@@ -42,20 +41,17 @@ func SaveReport(w io.Writer, rep *Report) error {
 	for p, o := range rep.Outputs {
 		doc.Outputs[p] = o.String()
 	}
-	for _, e := range rep.TraceEvents {
-		doc.Trace = append(doc.Trace, e.String())
-	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }
 
 // LoadReport reads a report written by SaveReport. The Algorithm field
-// round-trips as its display name only, and trace events as rendered
-// strings; outputs and all quantitative fields round-trip exactly.
-func LoadReport(r io.Reader) (*Report, []string, error) {
+// round-trips as its display name only; outputs and all quantitative
+// fields round-trip exactly.
+func LoadReport(r io.Reader) (*Report, error) {
 	var doc reportJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("tellme: %w", err)
+		return nil, fmt.Errorf("tellme: %w", err)
 	}
 	rep := &Report{
 		MaxProbes:        doc.MaxProbes,
@@ -69,9 +65,9 @@ func LoadReport(r io.Reader) (*Report, []string, error) {
 	for p, s := range doc.Outputs {
 		v, err := bitvec.PartialFromString(s)
 		if err != nil {
-			return nil, nil, fmt.Errorf("tellme: output %d: %w", p, err)
+			return nil, fmt.Errorf("tellme: output %d: %w", p, err)
 		}
 		rep.Outputs[p] = v
 	}
-	return rep, doc.Trace, nil
+	return rep, nil
 }

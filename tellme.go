@@ -48,7 +48,6 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
-	"tellme/internal/trace"
 	"tellme/internal/wire"
 )
 
@@ -157,10 +156,6 @@ type Options struct {
 	// fault-injecting transport) or any other boardclient.Interface
 	// implementation is injected into a run.
 	Board boardclient.Interface
-	// TraceCapacity, if positive, enables structured tracing: the run
-	// retains up to this many sub-algorithm span events, returned in
-	// Report.TraceEvents. Tracing never changes algorithm behavior.
-	TraceCapacity int
 	// Telemetry, if non-nil, receives runtime counters from the whole
 	// stack during the run: billboard cache hits and posts (when Run
 	// creates the in-memory board), probe charges per policy,
@@ -204,9 +199,6 @@ func (e *RunError) Unwrap() error { return e.Cause }
 // Timeout reports whether the run died to a blown deadline.
 func (e *RunError) Timeout() bool { return errors.Is(e.Cause, context.DeadlineExceeded) }
 
-// TraceEvent is one recorded observability event; see Options.TraceCapacity.
-type TraceEvent = trace.Event
-
 // PhaseInfo reports anytime progress.
 type PhaseInfo struct {
 	Phase     int
@@ -241,9 +233,6 @@ type Report struct {
 	// SubAlgorithmRuns counts nested invocations of each sub-algorithm
 	// (ZeroRadius, SmallRadius, LargeRadius, Coalesce) during the run.
 	SubAlgorithmRuns map[string]int64
-	// TraceEvents holds the retained span events when tracing was
-	// enabled via Options.TraceCapacity (nil otherwise).
-	TraceEvents []TraceEvent
 }
 
 // CommunityReport measures output quality over one planted community.
@@ -361,9 +350,6 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	runner := sim.NewRunner(opt.Parallelism)
 	env := core.NewEnv(engine, runner, src.Child("public", 0), cfg)
 	env.Telemetry = opt.Telemetry
-	if opt.TraceCapacity > 0 {
-		env.Trace = trace.New(opt.TraceCapacity)
-	}
 
 	start := time.Now()
 	outputs, runErr := execute(env, in, opt, cfg)
@@ -380,9 +366,6 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 		SubAlgorithmRuns: env.RunCounts(),
 	}
 	_, rep.CompletedEpochs = env.Checkpoint()
-	if env.Trace != nil {
-		rep.TraceEvents = env.Trace.Events()
-	}
 	if fullOutputs(outputs, in.M) {
 		rep.Communities = gradeCommunities(in, outputs)
 	}
@@ -538,6 +521,12 @@ type RefreshOptions struct {
 // member instead of a fresh polylog run — the incremental-repair
 // extension measured in experiments E17/E20. Players whose stale output
 // is not shared by an α fraction keep it unchanged.
+//
+// Each stale[p] is either a previous output of length in.M or the
+// zero-value Partial (length 0), which marks a joiner with no previous
+// output: the joiner adopts the repaired consensus that looks closest
+// to its own taste, or keeps the empty output when no consensus forms.
+// Any other length is a validation error.
 func RunRefresh(in *Instance, stale []Partial, opt RefreshOptions) (*Report, error) {
 	return RunRefreshContext(context.Background(), in, stale, opt)
 }
@@ -550,6 +539,11 @@ func RunRefreshContext(ctx context.Context, in *Instance, stale []Partial, opt R
 	}
 	if len(stale) != in.N {
 		return nil, fmt.Errorf("tellme: %d stale outputs for %d players", len(stale), in.N)
+	}
+	for p, o := range stale {
+		if n := o.Len(); n != in.M && n != 0 {
+			return nil, fmt.Errorf("tellme: stale output of player %d has %d coordinates, want %d (or 0 for a joiner)", p, n, in.M)
+		}
 	}
 	if opt.Alpha <= 0 || opt.Alpha > 1 {
 		return nil, fmt.Errorf("tellme: alpha %v out of (0,1]", opt.Alpha)

@@ -1,7 +1,12 @@
 package tellme
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
+
+	"tellme/internal/bitvec"
 )
 
 func TestRunAutoOnPlanted(t *testing.T) {
@@ -197,46 +202,6 @@ func TestMultiCommunityInstanceReports(t *testing.T) {
 	}
 }
 
-func TestRunTracing(t *testing.T) {
-	in := PlantedInstance(128, 128, 0.5, 16, 30)
-	rep, err := Run(in, Options{
-		Algorithm:     AlgoLarge,
-		Alpha:         0.5,
-		D:             16,
-		Seed:          31,
-		TraceCapacity: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.TraceEvents) == 0 {
-		t.Fatal("tracing enabled but no events recorded")
-	}
-	kinds := map[string]int{}
-	for _, e := range rep.TraceEvents {
-		kinds[e.Kind]++
-	}
-	if kinds["largeradius.start"] != 1 || kinds["largeradius.end"] != 1 {
-		t.Fatalf("largeradius spans: %v", kinds)
-	}
-	if kinds["zeroradius.start"] == 0 || kinds["smallradius.start"] == 0 {
-		t.Fatalf("nested spans missing: %v", kinds)
-	}
-	// tracing must not change results
-	plain, err := Run(in, Options{Algorithm: AlgoLarge, Alpha: 0.5, D: 16, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < in.N; p++ {
-		if !plain.Outputs[p].Equal(rep.Outputs[p]) {
-			t.Fatalf("tracing changed outputs at player %d", p)
-		}
-	}
-	if plain.TraceEvents != nil {
-		t.Fatal("trace events present without tracing")
-	}
-}
-
 func TestRunBaselineValidation(t *testing.T) {
 	in := PlantedInstance(16, 16, 0.5, 2, 60)
 	if _, err := RunBaseline(nil, BaselineOptions{Baseline: BaselineSolo}); err == nil {
@@ -329,5 +294,45 @@ func TestRunRefreshEndToEnd(t *testing.T) {
 	}
 	if _, err := RunRefresh(in2, first.Outputs, RefreshOptions{Alpha: 0}); err == nil {
 		t.Fatal("alpha 0 accepted")
+	}
+}
+
+// TestRunRefreshStaleLengths feeds RunRefresh one malformed stale
+// output. A full-length entry is a returning player and a zero-length
+// one a joiner; any other length is a validation error naming the
+// player, never a player crash reported as a *RunError.
+func TestRunRefreshStaleLengths(t *testing.T) {
+	in := IdenticalInstance(64, 64, 0.5, 95)
+	first, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := in.Communities[0].Members[0]
+	for _, length := range []int{0, 32, 65, 128} {
+		t.Run(fmt.Sprint(length), func(t *testing.T) {
+			stale := append([]Partial(nil), first.Outputs...)
+			stale[member] = Partial{}
+			if length > 0 {
+				stale[member] = bitvec.NewPartial(length)
+			}
+			rep, err := RunRefresh(in, stale, RefreshOptions{Alpha: 0.5, Seed: 98})
+			if length == 0 {
+				// The joiner adopts its community's repaired consensus.
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out := rep.Outputs[member]; out.Len() != in.M || in.Err(member, out) != 0 {
+					t.Fatalf("joiner output %v, want its community's vector", out)
+				}
+				return
+			}
+			var runErr *RunError
+			if err == nil || errors.As(err, &runErr) || rep != nil {
+				t.Fatalf("got report %v, error %v; want a plain validation error and no report", rep != nil, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("player %d", member)) {
+				t.Fatalf("error %q does not name player %d", err, member)
+			}
+		})
 	}
 }
