@@ -27,9 +27,13 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The netboard fault-injection stress on its own (it also runs as part
-# of `race`); useful when iterating on the wire protocol.
+# of `race`); useful when iterating on the wire protocol. It includes
+# the deferred-post tests: post batches applied exactly once, a flush
+# over the body cap split into several requests, a failed barrier flush
+# surfacing as a RunError, a cancelled networked run leaving no topics,
+# and the pinned request counts.
 stress-net:
-	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit' ./internal/netboard/
+	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport' ./internal/netboard/ .
 
 # The sharded-cluster gate on its own (also part of `race`): the
 # consistent-hash ring invariants, the cluster-vs-single-board identity

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,4 +311,128 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if rep == nil || rep.Outputs != nil {
 		t.Fatalf("want partial report without outputs, got %+v", rep)
 	}
+}
+
+// cancelOnFirstRequest cancels the run's context as the first request
+// goes out and then hands that request on, so the transport sees a
+// cancelled context and sends nothing.
+type cancelOnFirstRequest struct {
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func (c *cancelOnFirstRequest) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.once.Do(c.cancel)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestCancelMidZeroRadiusOverNetboard is the networked twin of
+// TestCancelMidZeroRadiusLeavesBoardConsistent. Over a netboard.Client
+// the posts of ZeroRadius's first phase wait for its barrier; the run
+// is cancelled as that barrier's flush goes out. No post of the aborted
+// phase may reach the server, so it is left with no topics, and a rerun
+// against it reproduces the fresh-board outputs.
+func TestCancelMidZeroRadiusOverNetboard(t *testing.T) {
+	in := IdenticalInstance(32, 64, 0.5, 13)
+	opt := Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 14}
+	want, err := Run(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared := billboard.New(in.N, in.M)
+	srv := httptest.NewServer(netboard.NewServer(shared))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	aopt := opt
+	aopt.Board = netboard.NewClientWithConfig(srv.URL, netboard.Config{
+		HTTPClient: &http.Client{Transport: &cancelOnFirstRequest{cancel: cancel}},
+	})
+	_, err = RunContext(ctx, in, aopt)
+	var rerr *RunError
+	if !errors.As(err, &rerr) || rerr.Phase != "zeroradius" {
+		t.Fatalf("err = %T %v, want *RunError in zeroradius", err, err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err chain hides the cancellation: %v", err)
+	}
+	if n := shared.TopicCount(); n != 0 {
+		t.Fatalf("%d topics left on the server after an aborted run", n)
+	}
+
+	ropt := opt
+	ropt.BoardURL = srv.URL
+	got, err := Run(in, ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < in.N; p++ {
+		if !want.Outputs[p].Equal(got.Outputs[p]) {
+			t.Fatalf("player %d output differs after running on the aborted run's server", p)
+		}
+	}
+}
+
+// TestBarrierFlushFailureIsRunError: a shard that refuses every post
+// batch fails the first phase barrier's flush for good. Run returns a
+// *RunError naming the phase, with the shard client's
+// *netboard.TransportError in the chain. In degraded mode (a
+// non-panicking OnError) the run finishes and the failure is in Err.
+func TestBarrierFlushFailureIsRunError(t *testing.T) {
+	in := IdenticalInstance(32, 64, 0.5, 9)
+	cluster := func(t *testing.T, onError func(error)) *netboard.Cluster {
+		var urls []string
+		for i := 0; i < 2; i++ {
+			h := netboard.NewServer(billboard.New(in.N, in.M))
+			var handler http.Handler = h
+			if i == 1 {
+				handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == netboard.PathPostBatch {
+						http.Error(w, "shard down", http.StatusServiceUnavailable)
+						return
+					}
+					h.ServeHTTP(w, r)
+				})
+			}
+			srv := httptest.NewServer(handler)
+			t.Cleanup(srv.Close)
+			urls = append(urls, srv.URL)
+		}
+		cl, err := netboard.NewCluster(netboard.ClusterConfig{Shards: urls, Client: netboard.Config{
+			Retries: 2, RetryBackoff: time.Millisecond, OnError: onError,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	opt := Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 10}
+
+	t.Run("panicking", func(t *testing.T) {
+		o := opt
+		o.Board = cluster(t, nil)
+		_, err := Run(in, o)
+		var rerr *RunError
+		if !errors.As(err, &rerr) || rerr.Phase != "zeroradius" {
+			t.Fatalf("err = %T %v, want *RunError in zeroradius", err, err)
+		}
+		var terr *netboard.TransportError
+		if !errors.As(err, &terr) {
+			t.Fatalf("err chain has no *netboard.TransportError: %v", err)
+		}
+	})
+	t.Run("degraded", func(t *testing.T) {
+		var failures atomic.Int64 // OnError runs on the shards' goroutines
+		cl := cluster(t, func(error) { failures.Add(1) })
+		o := opt
+		o.Board = cl
+		if _, err := Run(in, o); err != nil {
+			t.Fatalf("degraded run returned %v, want the failure recorded instead", err)
+		}
+		var terr *netboard.TransportError
+		if err := cl.Err(); !errors.As(err, &terr) || failures.Load() == 0 {
+			t.Fatalf("Err() = %v after %d OnError calls, want the flush's *netboard.TransportError", err, failures.Load())
+		}
+	})
 }

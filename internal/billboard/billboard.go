@@ -147,7 +147,10 @@ type Board struct {
 // Both sides are bucketed by floor-log2 size class: bucket c holds
 // entries of size [2^c, 2^(c+1)), so a request of min elements is
 // satisfied by any entry in bucket ceil-log2(min) or above, found in
-// O(#buckets). Plain LIFO with a shallow scan was tried first and
+// O(#buckets). When min is not a power of two, bucket floor-log2(min)
+// may hold entries that fit too — an exact-fit array retired by a
+// topic of the same size lands there — so its most recent entries are
+// checked first. Plain LIFO with a shallow scan was tried first and
 // missed ~2/3 of requests once big and tiny blocks interleaved.
 type valPool struct {
 	mu      sync.Mutex
@@ -162,13 +165,45 @@ const (
 	valPoolMaxArrayEl = 1 << 17 // ~4 MiB of ValuePosting array storage
 )
 
-// sizeClass returns the bucket whose every entry has size ≥ n (for
-// taking); put uses bits.Len(n)-1 so entries land where that holds.
+// valPoolClass returns the bucket whose every entry has size ≥ n (for
+// taking); put files an entry of size n under bits.Len(n)-1 so entries
+// land where that holds.
 func valPoolClass(n int) int {
 	if n <= 1 {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
+}
+
+// valPoolFitScan is how many of the most recent entries of bucket
+// floor-log2(min) a take checks for one of size ≥ min.
+const valPoolFitScan = 8
+
+// poolTake removes and returns an entry of size ≥ min from buckets, or
+// nil. size is the entry's usable size (length for blocks, capacity
+// for arrays). Caller holds the pool lock.
+func poolTake[T any](buckets *[32][][]T, min int, size func([]T) int) []T {
+	lo := valPoolClass(min)
+	if c := bits.Len(uint(min)) - 1; c >= 0 && c < lo {
+		bucket := buckets[c]
+		for i := len(bucket) - 1; i >= 0 && i >= len(bucket)-valPoolFitScan; i-- {
+			if e := bucket[i]; size(e) >= min {
+				last := len(bucket) - 1
+				bucket[i], bucket[last] = bucket[last], nil
+				buckets[c] = bucket[:last]
+				return e
+			}
+		}
+	}
+	for c := lo; c < len(buckets); c++ {
+		if bucket := buckets[c]; len(bucket) > 0 {
+			e := bucket[len(bucket)-1]
+			bucket[len(bucket)-1] = nil
+			buckets[c] = bucket[:len(bucket)-1]
+			return e
+		}
+	}
+	return nil
 }
 
 // NextBlock implements arena.BlockSource for the topics' value slabs:
@@ -177,15 +212,9 @@ func valPoolClass(n int) int {
 func (p *valPool) NextBlock(min int) []uint32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for c := valPoolClass(min); c < len(p.blocks); c++ {
-		if bucket := p.blocks[c]; len(bucket) > 0 {
-			blk := bucket[len(bucket)-1]
-			p.blocks[c] = bucket[:len(bucket)-1]
-			p.blockEl -= len(blk)
-			return blk
-		}
-	}
-	return nil
+	blk := poolTake(&p.blocks, min, func(b []uint32) int { return len(b) })
+	p.blockEl -= len(blk)
+	return blk
 }
 
 // takeArray returns a retired posting array with capacity ≥ min
@@ -193,15 +222,9 @@ func (p *valPool) NextBlock(min int) []uint32 {
 func (p *valPool) takeArray(min int) []ValuePosting {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for c := valPoolClass(min); c < len(p.arrays); c++ {
-		if bucket := p.arrays[c]; len(bucket) > 0 {
-			arr := bucket[len(bucket)-1]
-			p.arrays[c] = bucket[:len(bucket)-1]
-			p.arrayEl -= cap(arr)
-			return arr[:0]
-		}
-	}
-	return nil
+	arr := poolTake(&p.arrays, min, func(a []ValuePosting) int { return cap(a) })
+	p.arrayEl -= cap(arr)
+	return arr
 }
 
 // put retires a topic's value storage into the pool, dropping whatever
@@ -224,6 +247,18 @@ func (p *valPool) put(blocks [][]uint32, arr []ValuePosting) {
 		p.arrays[c] = append(p.arrays[c], arr[:0])
 		p.arrayEl += cap(arr)
 	}
+}
+
+// growValues moves t's value postings into an array with capacity of
+// at least need, taken from the pool when one fits. Caller holds t.mu.
+func (b *Board) growValues(t *topic, need int) {
+	nv := b.valPool.takeArray(need)
+	if nv == nil {
+		nv = make([]ValuePosting, 0, need)
+	}
+	nv = nv[:len(t.values)]
+	copy(nv, t.values)
+	t.values = nv
 }
 
 // boardTelemetry holds the board's resolved instruments. All fields are
@@ -646,9 +681,7 @@ func (b *Board) HintPosts(name string, vectors, values int) {
 		t.postings = np
 	}
 	if need := len(t.values) + values; need > cap(t.values) {
-		nv := make([]ValuePosting, len(t.values), need)
-		copy(nv, t.values)
-		t.values = nv
+		b.growValues(t, need)
 	}
 	t.mu.Unlock()
 }
@@ -922,13 +955,7 @@ func (b *Board) PostValuesBatchRef(r TopicRef, players []int, rows [][]uint32) {
 	t := r.t
 	t.mu.Lock()
 	if need := len(t.values) + n; need > cap(t.values) {
-		nv := b.valPool.takeArray(need)
-		if nv == nil {
-			nv = make([]ValuePosting, 0, need)
-		}
-		nv = nv[:len(t.values)]
-		copy(nv, t.values)
-		t.values = nv
+		b.growValues(t, need)
 	}
 	total := 0
 	for _, row := range rows {
@@ -959,7 +986,9 @@ func (b *Board) postValuesTo(t *topic, player int, vals []uint32) bool {
 		return false
 	}
 	if len(t.values) == cap(t.values) {
-		t.values = growPostings(t.values)
+		// growPostings' sizing, but from the pool: the per-post path
+		// (the billboard server's) must recycle too.
+		b.growValues(t, max(16, 4*cap(t.values)))
 	}
 	t.values = append(t.values, ValuePosting{Player: player, Vals: t.valSlab.Copy(vals)})
 	t.epoch++

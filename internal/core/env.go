@@ -104,6 +104,10 @@ type Env struct {
 	N, M int
 	Cfg  Config
 
+	// flusher is Board when Board holds posts until a flush (see
+	// phase); nil otherwise.
+	flusher postFlusher
+
 	topicSeq atomic.Int64
 	counters [nCounters]atomic.Int64
 
@@ -169,10 +173,36 @@ func (a *Abort) Unwrap() error { return a.Err }
 // *Abort when it fails. All algorithm phase bodies go through this, so
 // cancellation and player panics surface at the run boundary no matter
 // how deep the recursion is.
+//
+// The barrier is also where a deferred board view (boardclient.Defer)
+// sends the phase's posts. A flush that fails for good panics with the
+// transport's error here, on the coordinator goroutine; after a failed
+// phase the flush is quiet, like dropQuietly, so the abort keeps its
+// own cause.
 func (env *Env) phase(players []int, f func(p int)) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
+		env.flushQuietly()
 		panic(&Abort{Err: err})
 	}
+	if env.flusher != nil {
+		env.flusher.Flush()
+	}
+}
+
+// postFlusher is implemented by a board view that holds posts until
+// Flush sends them (boardclient.Defer).
+type postFlusher interface {
+	Flush()
+}
+
+// flushQuietly sends the deferred posts, swallowing any failure (see
+// dropQuietly).
+func (env *Env) flushQuietly() {
+	if env.flusher == nil {
+		return
+	}
+	defer func() { _ = recover() }()
+	env.flusher.Flush()
 }
 
 // checkAborted unwinds with *Abort if the run's context is done. The
@@ -358,6 +388,7 @@ func NewEnv(e *probe.Engine, runner sim.PhaseRunner, public rng.Source, cfg Conf
 		M:      e.Instance().M,
 		Cfg:    cfg,
 	}
+	env.flusher, _ = env.Board.(postFlusher)
 	// The engine's context (probe.WithContext) is the run's context: the
 	// coordinator loops observe the same cancellation the players do.
 	if ctx := e.Context(); ctx != nil && ctx.Done() != nil {

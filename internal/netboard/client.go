@@ -106,6 +106,7 @@ type topicCacheEntry struct {
 
 var _ boardclient.Interface = (*Client)(nil)
 var _ boardclient.ContextBinder = (*Client)(nil)
+var _ boardclient.Batcher = (*Client)(nil)
 
 // TransportError is a terminal transport/protocol failure: retries were
 // exhausted (or cut short by cancellation) for one logical request. It
@@ -490,7 +491,12 @@ func (c *Client) postProbes(ctx context.Context, p int, objs []int, grades []byt
 	if len(objs) == 0 {
 		return
 	}
-	gw := make([]byte, len(objs))
+	c.post(ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: gradeString(grades)})
+}
+
+// gradeString is grades in the '0'/'1' wire alphabet of a probe batch.
+func gradeString(grades []byte) string {
+	gw := make([]byte, len(grades))
 	for k, g := range grades {
 		if g != 0 {
 			gw[k] = '1'
@@ -498,7 +504,36 @@ func (c *Client) postProbes(ctx context.Context, p int, objs []int, grades []byt
 			gw[k] = '0'
 		}
 	}
-	c.post(ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: string(gw)})
+	return string(gw)
+}
+
+// PostBatch implements boardclient.Batcher: the posts travel in order
+// as one idempotent request.
+func (c *Client) PostBatch(posts []boardclient.Post) { c.postBatch(bg, posts) }
+
+func (c *Client) postBatch(ctx context.Context, posts []boardclient.Post) {
+	if len(posts) == 0 {
+		return
+	}
+	msg := postBatch{Posts: make([]batchPost, len(posts))}
+	for i := range posts {
+		msg.Posts[i] = wirePost(&posts[i])
+	}
+	c.post(ctx, PathPostBatch, &msg)
+}
+
+// wirePost is p in the body shape of its per-call endpoint.
+func wirePost(p *boardclient.Post) batchPost {
+	switch p.Kind {
+	case boardclient.ProbePost:
+		return batchPost{Probe: &probePost{Player: p.Player, Object: p.Object, Value: p.Grade}}
+	case boardclient.ProbesPost:
+		return batchPost{Probes: &batchProbesPost{Player: p.Player, Objects: p.Objs, Grades: gradeString(p.Grades)}}
+	case boardclient.ValuesPost:
+		return batchPost{Values: &valuesPost{Topic: p.Topic, Player: p.Player, Vals: p.Vals}}
+	default:
+		return batchPost{Vector: &vectorPost{Topic: p.Topic, Player: p.Player, Bits: wire.Bits{P: p.Vec}}}
+	}
 }
 
 // LookupProbe implements billboard.Interface.
@@ -531,17 +566,19 @@ func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []b
 		sb.WriteString(strconv.Itoa(o))
 	}
 	var reply batchLookupsReply
-	if !c.get(ctx, PathBatchLookups, url.Values{
+	ok := c.get(ctx, PathBatchLookups, url.Values{
 		"player":  {strconv.Itoa(p)},
 		"objects": {sb.String()},
-	}, &reply) {
-		for k := range objs {
-			grades[k], known[k] = 0, false // degraded: nothing known
-		}
-		return
-	}
-	if len(reply.Grades) != len(objs) {
+	}, &reply)
+	if ok && len(reply.Grades) != len(objs) {
+		ok = false
 		c.fail(fmt.Errorf("batch lookup: %d grades for %d objects", len(reply.Grades), len(objs)))
+	}
+	if !ok {
+		// Degraded: nothing is known. The caller's slices may hold
+		// answers from an earlier call, which must not survive.
+		clear(grades[:len(objs)])
+		clear(known[:len(objs)])
 		return
 	}
 	for k := range objs {
@@ -835,6 +872,7 @@ type boundClient struct {
 
 var _ boardclient.Interface = (*boundClient)(nil)
 var _ boardclient.ContextBinder = (*boundClient)(nil)
+var _ boardclient.Batcher = (*boundClient)(nil)
 
 // BindContext rebinds to a different context, still sharing the client.
 func (b *boundClient) BindContext(ctx context.Context) boardclient.Interface {
@@ -845,7 +883,8 @@ func (b *boundClient) PostProbe(p, o int, val byte) { b.c.postProbe(b.ctx, p, o,
 func (b *boundClient) PostProbes(p int, objs []int, grades []byte) {
 	b.c.postProbes(b.ctx, p, objs, grades)
 }
-func (b *boundClient) LookupProbe(p, o int) (byte, bool) { return b.c.lookupProbe(b.ctx, p, o) }
+func (b *boundClient) PostBatch(posts []boardclient.Post) { b.c.postBatch(b.ctx, posts) }
+func (b *boundClient) LookupProbe(p, o int) (byte, bool)  { return b.c.lookupProbe(b.ctx, p, o) }
 func (b *boundClient) LookupProbes(p int, objs []int, grades []byte, known []bool) {
 	b.c.lookupProbes(b.ctx, p, objs, grades, known)
 }

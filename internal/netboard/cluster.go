@@ -68,6 +68,7 @@ type Cluster struct {
 
 var _ boardclient.Interface = (*Cluster)(nil)
 var _ boardclient.ContextBinder = (*Cluster)(nil)
+var _ boardclient.Batcher = (*Cluster)(nil)
 
 // NewCluster builds a Cluster from cfg (see ClusterConfig for the
 // validated defaults). The shard servers are not contacted.
@@ -251,15 +252,20 @@ func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []b
 	byShard := shardSplit(ring, objs)
 	shards := shardList(byShard)
 	scatter(len(shards), func(k int) {
-		idx := byShard[shards[k]]
-		subObjs := make([]int, len(idx))
-		subGrades := make([]byte, len(idx))
-		for j, i := range idx {
-			subObjs[j] = objs[i]
-			subGrades[j] = grades[i]
-		}
+		subObjs, subGrades := pickProbes(objs, grades, byShard[shards[k]])
 		clients[shards[k]].postProbes(ctx, p, subObjs, subGrades)
 	})
+}
+
+// pickProbes returns the probe results at batch indices idx as fresh
+// slices.
+func pickProbes(objs []int, grades []byte, idx []int) ([]int, []byte) {
+	subObjs := make([]int, len(idx))
+	subGrades := make([]byte, len(idx))
+	for j, i := range idx {
+		subObjs[j], subGrades[j] = objs[i], grades[i]
+	}
+	return subObjs, subGrades
 }
 
 // LookupProbes implements billboard.Interface: split by shard, looked
@@ -357,6 +363,43 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 			sub[j] = objs[i]
 		}
 		clients[shards[k]].clearProbes(bg, p, sub)
+	})
+}
+
+// PostBatch implements boardclient.Batcher: the batch is split by
+// owning shard — probe results by object, topic posts by topic — with
+// post order kept within each shard, and every touched shard gets its
+// part as one request, concurrently.
+func (cl *Cluster) PostBatch(posts []boardclient.Post) { cl.postBatch(bg, posts) }
+
+func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
+	if len(posts) == 0 {
+		return
+	}
+	ring, clients := cl.topo()
+	byShard := make(map[int][]boardclient.Post)
+	for _, p := range posts {
+		switch p.Kind {
+		case boardclient.ProbePost:
+			s := ring.Owner(objKey(p.Object))
+			byShard[s] = append(byShard[s], p)
+		case boardclient.ProbesPost:
+			split := shardSplit(ring, p.Objs)
+			for s, idx := range split {
+				sub := p
+				if len(split) > 1 {
+					sub.Objs, sub.Grades = pickProbes(p.Objs, p.Grades, idx)
+				}
+				byShard[s] = append(byShard[s], sub)
+			}
+		default:
+			s := ring.Owner(p.Topic)
+			byShard[s] = append(byShard[s], p)
+		}
+	}
+	shards := shardList(byShard)
+	scatter(len(shards), func(k int) {
+		clients[shards[k]].postBatch(ctx, byShard[shards[k]])
 	})
 }
 
@@ -522,6 +565,7 @@ type boundCluster struct {
 
 var _ boardclient.Interface = (*boundCluster)(nil)
 var _ boardclient.ContextBinder = (*boundCluster)(nil)
+var _ boardclient.Batcher = (*boundCluster)(nil)
 
 // BindContext rebinds to a different context, still sharing the cluster.
 func (b *boundCluster) BindContext(ctx context.Context) boardclient.Interface {
@@ -532,7 +576,8 @@ func (b *boundCluster) PostProbe(p, o int, val byte) { b.cl.postProbe(b.ctx, p, 
 func (b *boundCluster) PostProbes(p int, objs []int, grades []byte) {
 	b.cl.postProbes(b.ctx, p, objs, grades)
 }
-func (b *boundCluster) LookupProbe(p, o int) (byte, bool) { return b.cl.lookupProbe(b.ctx, p, o) }
+func (b *boundCluster) PostBatch(posts []boardclient.Post) { b.cl.postBatch(b.ctx, posts) }
+func (b *boundCluster) LookupProbe(p, o int) (byte, bool)  { return b.cl.lookupProbe(b.ctx, p, o) }
 func (b *boundCluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
 	b.cl.lookupProbes(b.ctx, p, objs, grades, known)
 }

@@ -177,9 +177,14 @@ func TestClusterFaultnetExactlyOnce(t *testing.T) {
 // TestClusterFaultnetZeroRadius is the end-to-end acceptance check: a
 // full Zero Radius run over a cluster with one heavily degraded shard
 // produces byte-identical outputs to the in-memory run — faults change
-// timing, never results.
+// timing, never results. Posts travel once per phase, so the degraded
+// shard sees one post request per ZeroRadius level plus its share of
+// topic reads and drops; 256 players over 256 objects give five levels
+// and 31 topics, enough requests for the schedule to fire whichever
+// topics the shard happens to own (the hash ring is keyed by the
+// servers' random ports).
 func TestClusterFaultnetZeroRadius(t *testing.T) {
-	in := prefs.Identical(32, 64, 0.5, 5)
+	in := prefs.Identical(256, 256, 0.5, 5)
 	local := runZeroRadius(in, billboard.New(in.N, in.M))
 
 	boards, cluster, ft := degradedFleet(t, in.N, in.M, 0.2, 0.15, 0.25)
@@ -197,11 +202,17 @@ func TestClusterFaultnetZeroRadius(t *testing.T) {
 	}
 	ref := billboard.New(in.N, in.M)
 	runZeroRadius(in, ref)
-	var probes int64
+	var probes, posts int64
 	for _, b := range boards {
 		probes += b.ProbeCount()
+		posts += b.VectorPostCount()
 	}
 	if probes != ref.ProbeCount() {
 		t.Fatalf("cluster probe results %d, in-memory run %d: posts lost or duplicated", probes, ref.ProbeCount())
+	}
+	// Value posts are appends, not first-post-wins like probe results:
+	// a batch of them applied twice shows up only here.
+	if posts != ref.VectorPostCount() {
+		t.Fatalf("cluster topic postings %d, in-memory run %d: posts lost or duplicated", posts, ref.VectorPostCount())
 	}
 }

@@ -118,6 +118,28 @@ func (g *byteGen) valueVotes(n int) valueVoteList {
 	return l
 }
 
+// postBatch returns a batch of n posts of generated kinds, or a nil
+// list for n == 0 half of the time.
+func (g *byteGen) postBatch(n int) *postBatch {
+	if n == 0 && g.intn(2) == 0 {
+		return &postBatch{}
+	}
+	b := &postBatch{Posts: make([]batchPost, n)}
+	for i := range b.Posts {
+		switch g.intn(4) {
+		case 0:
+			b.Posts[i].Probe = &probePost{Player: g.intn(1 << 12), Object: g.intn(1 << 12), Value: g.byte() % 2}
+		case 1:
+			b.Posts[i].Probes = &batchProbesPost{Player: g.intn(1 << 12), Objects: g.voters(), Grades: g.bits(g.intn(8))}
+		case 2:
+			b.Posts[i].Values = &valuesPost{Topic: g.text(12), Player: g.intn(1 << 12), Vals: g.vals()}
+		default:
+			b.Posts[i].Vector = &vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}}
+		}
+	}
+	return b
+}
+
 // roundTrip encodes msg with the codec and decodes it into fresh.
 func roundTrip(t *testing.T, c wire.Codec, msg, fresh wire.Message) wire.Message {
 	t.Helper()
@@ -173,6 +195,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				func() wire.Message { return &dropIfPost{} }},
 			{&statsReply{ProbeCount: int64(g.byte()), VectorPostCount: int64(g.byte()), TopicCount: g.intn(100), N: g.intn(1 << 12), M: g.intn(1 << 12)},
 				func() wire.Message { return &statsReply{} }},
+			{g.postBatch(g.intn(5)),
+				func() wire.Message { return &postBatch{} }},
 		}
 		for _, m := range msgs {
 			viaJSON := roundTrip(t, wire.JSON, m.msg, m.fresh())
@@ -206,6 +230,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			func() wire.Message { return &topicSnapshotReply{} },
 			func() wire.Message { return &topicsReply{} },
 			func() wire.Message { return &statsReply{} },
+			func() wire.Message { return &postBatch{} },
 		} {
 			v := fresh()
 			if err := wire.Binary.Decode(data, v); err != nil {

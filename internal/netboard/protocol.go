@@ -14,10 +14,12 @@
 // network (see DESIGN.md §8 for the full wire contract):
 //
 //   - Batching: /v1/batch/probes posts a whole set of probe results in
-//     one request, /v1/batch/lookups reads one, and /v1/topic-snapshot
-//     returns a topic's vote tallies stamped with the board's
-//     (generation, epoch) pair so clients re-download tallies only when
-//     the topic actually changed.
+//     one request, /v1/batch/posts posts an ordered list of posts of
+//     every kind (a deferred view's phase, see boardclient.Defer),
+//     /v1/batch/lookups reads a set of probe results, and
+//     /v1/topic-snapshot returns a topic's vote tallies stamped with the
+//     board's (generation, epoch) pair so clients re-download tallies
+//     only when the topic actually changed.
 //   - Idempotency: every mutating request carries a client-generated
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is
@@ -43,6 +45,7 @@ const (
 	PathStats         = "/v1/stats"          // GET: counters
 	PathBatchProbes   = "/v1/batch/probes"   // POST: post many probe results at once
 	PathBatchLookups  = "/v1/batch/lookups"  // GET: look up many probe results at once
+	PathPostBatch     = "/v1/batch/posts"    // POST: apply an ordered list of posts of any kind
 	PathTopicSnapshot = "/v1/topic-snapshot" // GET: epoch-tagged vote tallies of a topic
 	PathTopics        = "/v1/topics"         // GET: names of all live topics (drain enumeration)
 
@@ -170,6 +173,33 @@ type batchProbesPost struct {
 	Player  int    `json:"player"`
 	Objects []int  `json:"objects"`
 	Grades  string `json:"grades"`
+}
+
+// postBatch is the POST body for PathPostBatch: posts applied in
+// order, all or none (the server checks every post before applying
+// any), under the request's one idempotency key.
+type postBatch struct {
+	Posts []batchPost `json:"posts"`
+}
+
+// batchPost is one post of a postBatch, in the body shape of its
+// per-call endpoint. Exactly one field is set.
+type batchPost struct {
+	Probe  *probePost       `json:"probe,omitempty"`
+	Probes *batchProbesPost `json:"probes,omitempty"`
+	Values *valuesPost      `json:"values,omitempty"`
+	Vector *vectorPost      `json:"vector,omitempty"`
+}
+
+// kinds counts the fields set; a well-formed post has one.
+func (p *batchPost) kinds() int {
+	n := 0
+	for _, set := range [...]bool{p.Probe != nil, p.Probes != nil, p.Values != nil, p.Vector != nil} {
+		if set {
+			n++
+		}
+	}
+	return n
 }
 
 // batchLookupsReply answers PathBatchLookups

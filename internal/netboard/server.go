@@ -1,6 +1,7 @@
 package netboard
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -104,6 +105,7 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 	s.handle(PathStats, s.readOnly(s.handleStats))
 	s.handle(PathBatchProbes, s.handleBatchProbes)
 	s.handle(PathBatchLookups, s.readOnly(s.handleBatchLookups))
+	s.handle(PathPostBatch, s.handlePostBatch)
 	s.handle(PathTopicSnapshot, s.readOnly(s.handleTopicSnapshot))
 	s.handle(PathTopics, s.readOnly(s.handleTopics))
 	s.handle(PathClearProbes, s.handleClearProbes)
@@ -232,29 +234,113 @@ func (s *Server) playerParam(w http.ResponseWriter, r *http.Request) (int, bool)
 // an empty name is always a malformed client.
 func topicParam(w http.ResponseWriter, topic string) bool {
 	if topic == "" {
-		http.Error(w, "empty topic", http.StatusBadRequest)
+		http.Error(w, errEmptyTopic.Error(), http.StatusBadRequest)
 		return false
 	}
 	return true
 }
 
 func (s *Server) validPlayer(w http.ResponseWriter, player int) bool {
-	if player < 0 || player >= s.board.N() {
-		http.Error(w, "invalid player", http.StatusBadRequest)
+	if err := s.checkPlayer(player); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
 	return true
 }
 
-func (s *Server) validPlayerObject(w http.ResponseWriter, player, object int) bool {
-	if !s.validPlayer(w, player) {
-		return false
+var (
+	errInvalidPlayer = errors.New("invalid player")
+	errInvalidObject = errors.New("invalid object")
+	errGrade         = errors.New("grade must be 0 or 1")
+	errEmptyTopic    = errors.New("empty topic")
+)
+
+func (s *Server) checkPlayer(player int) error {
+	if player < 0 || player >= s.board.N() {
+		return errInvalidPlayer
 	}
+	return nil
+}
+
+func (s *Server) checkObject(object int) error {
 	if object < 0 || object >= s.board.M() {
-		http.Error(w, "invalid object", http.StatusBadRequest)
-		return false
+		return errInvalidObject
 	}
-	return true
+	return nil
+}
+
+// The post mutations below check one post against the board and
+// return the function that applies it. The per-call endpoints and
+// /v1/batch/posts share them, so a post is valid on one exactly when
+// it is valid on the other.
+
+func (s *Server) probeMutation(req *probePost) (func(), error) {
+	if err := s.checkPlayer(req.Player); err != nil {
+		return nil, err
+	}
+	if err := s.checkObject(req.Object); err != nil {
+		return nil, err
+	}
+	if req.Value > 1 {
+		return nil, errGrade
+	}
+	return func() { s.board.PostProbe(req.Player, req.Object, req.Value) }, nil
+}
+
+func (s *Server) probesMutation(req *batchProbesPost) (func(), error) {
+	if err := s.checkPlayer(req.Player); err != nil {
+		return nil, err
+	}
+	if len(req.Grades) != len(req.Objects) {
+		return nil, fmt.Errorf("%d grades for %d objects", len(req.Grades), len(req.Objects))
+	}
+	grades := make([]byte, len(req.Objects))
+	for k, o := range req.Objects {
+		if err := s.checkObject(o); err != nil {
+			return nil, err
+		}
+		switch req.Grades[k] {
+		case '0':
+		case '1':
+			grades[k] = 1
+		default:
+			return nil, errGrade
+		}
+	}
+	return func() { s.board.PostProbes(req.Player, req.Objects, grades) }, nil
+}
+
+func (s *Server) valuesMutation(req *valuesPost) (func(), error) {
+	if req.Topic == "" {
+		return nil, errEmptyTopic
+	}
+	if err := s.checkPlayer(req.Player); err != nil {
+		return nil, err
+	}
+	return func() { s.board.PostValues(req.Topic, req.Player, req.Vals) }, nil
+}
+
+// vectorMutation needs no check of the vector itself: the JSON form
+// rejects malformed '0'/'1'/'?' strings in Bits.UnmarshalJSON, and the
+// binary form clamps planes to the invariant in PartialFromPlanes.
+func (s *Server) vectorMutation(req *vectorPost) (func(), error) {
+	if req.Topic == "" {
+		return nil, errEmptyTopic
+	}
+	if err := s.checkPlayer(req.Player); err != nil {
+		return nil, err
+	}
+	return func() { s.board.Post(req.Topic, req.Player, req.Bits.P) }, nil
+}
+
+// applyPost answers 400 when check failed and otherwise applies the
+// checked mutation through the idempotency window.
+func (s *Server) applyPost(w http.ResponseWriter, r *http.Request, mutate func(), err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.apply(w, r, mutate)
 }
 
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
@@ -264,14 +350,8 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		if !s.decodeBody(w, r, PathProbe, &req) {
 			return
 		}
-		if !s.validPlayerObject(w, req.Player, req.Object) {
-			return
-		}
-		if req.Value > 1 {
-			http.Error(w, "grade must be 0 or 1", http.StatusBadRequest)
-			return
-		}
-		s.apply(w, r, func() { s.board.PostProbe(req.Player, req.Object, req.Value) })
+		m, err := s.probeMutation(&req)
+		s.applyPost(w, r, m, err)
 	case http.MethodGet:
 		p, ok := s.playerParam(w, r)
 		if !ok {
@@ -294,30 +374,44 @@ func (s *Server) handleBatchProbes(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, PathBatchProbes, &req) {
 		return
 	}
-	if !s.validPlayer(w, req.Player) {
+	m, err := s.probesMutation(&req)
+	s.applyPost(w, r, m, err)
+}
+
+// handlePostBatch applies a deferred view's batch: every post is
+// checked before any is applied, so one bad post answers 400 and
+// leaves the board untouched, and the posts then apply in order under
+// the request's one id — a retried or duplicated batch applies once.
+func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
+	var req postBatch
+	if !s.readBody(w, r, PathPostBatch, &req) {
 		return
 	}
-	if len(req.Grades) != len(req.Objects) {
-		http.Error(w, fmt.Sprintf("%d grades for %d objects", len(req.Grades), len(req.Objects)), http.StatusBadRequest)
-		return
-	}
-	grades := make([]byte, len(req.Objects))
-	for k, o := range req.Objects {
-		if o < 0 || o >= s.board.M() {
-			http.Error(w, "invalid object", http.StatusBadRequest)
-			return
-		}
-		switch req.Grades[k] {
-		case '0':
-			grades[k] = 0
-		case '1':
-			grades[k] = 1
+	muts := make([]func(), len(req.Posts))
+	for i := range req.Posts {
+		var err error
+		switch p := &req.Posts[i]; {
+		case p.kinds() != 1:
+			err = errors.New("want exactly one of probe, probes, values, vector")
+		case p.Probe != nil:
+			muts[i], err = s.probeMutation(p.Probe)
+		case p.Probes != nil:
+			muts[i], err = s.probesMutation(p.Probes)
+		case p.Values != nil:
+			muts[i], err = s.valuesMutation(p.Values)
 		default:
-			http.Error(w, "grade must be 0 or 1", http.StatusBadRequest)
+			muts[i], err = s.vectorMutation(p.Vector)
+		}
+		if err != nil {
+			http.Error(w, fmt.Sprintf("post %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
 	}
-	s.apply(w, r, func() { s.board.PostProbes(req.Player, req.Objects, grades) })
+	s.apply(w, r, func() {
+		for _, m := range muts {
+			m()
+		}
+	})
 }
 
 func (s *Server) handleBatchLookups(w http.ResponseWriter, r *http.Request) {
@@ -374,13 +468,8 @@ func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, PathVector, &req) {
 		return
 	}
-	if !topicParam(w, req.Topic) || !s.validPlayer(w, req.Player) {
-		return
-	}
-	// Vector validation happened at decode time: the JSON form rejects
-	// malformed '0'/'1'/'?' strings in Bits.UnmarshalJSON, the binary
-	// form clamps planes to the invariant in PartialFromPlanes.
-	s.apply(w, r, func() { s.board.Post(req.Topic, req.Player, req.Bits.P) })
+	m, err := s.vectorMutation(&req)
+	s.applyPost(w, r, m, err)
 }
 
 func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
@@ -406,10 +495,8 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, PathValues, &req) {
 		return
 	}
-	if !topicParam(w, req.Topic) || !s.validPlayer(w, req.Player) {
-		return
-	}
-	s.apply(w, r, func() { s.board.PostValues(req.Topic, req.Player, req.Vals) })
+	m, err := s.valuesMutation(&req)
+	s.applyPost(w, r, m, err)
 }
 
 func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
@@ -479,8 +566,8 @@ func (s *Server) handleClearProbes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, o := range req.Objects {
-		if o < 0 || o >= s.board.M() {
-			http.Error(w, "invalid object", http.StatusBadRequest)
+		if err := s.checkObject(o); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}

@@ -197,34 +197,95 @@ func TestFaultnetCounters(t *testing.T) {
 	}
 }
 
-// zeroRadiusOverMeter sets up one full ZeroRadius simulation on the
-// 48×256 instance DESIGN.md §8 quotes, against an HTTP billboard whose
-// client transport counts delivered requests. run executes the
-// simulation and returns that count; setup and stop stay outside it so
-// the benchmark times the simulation alone.
-func zeroRadiusOverMeter() (run func() int64, stop func()) {
-	in := prefs.Identical(48, 256, 0.6, 3)
-	board := billboard.New(in.N, in.M)
+// meteredRun is one simulation whose HTTP request count is pinned.
+type meteredRun struct {
+	name string
+	in   *prefs.Instance
+	// run executes the simulation on env and renders its outputs.
+	run func(env *core.Env) string
+}
+
+// zeroRadiusRow is ZeroRadius on the 48×256 instance DESIGN.md §8
+// quotes.
+var zeroRadiusRow = meteredRun{
+	name: "zeroradius",
+	in:   prefs.Identical(48, 256, 0.6, 3),
+	run: func(env *core.Env) string {
+		return fmt.Sprint(core.ZeroRadiusBits(env, ints.Iota(env.N), ints.Iota(env.M), 0.5))
+	},
+}
+
+// solveRow is Run(AlgoAuto) — core.UnknownD — on the instance of the
+// benchmark's solve-net workload, PlantedInstance(16, 16, 0.5, 2, 1).
+var solveRow = meteredRun{
+	name: "solve",
+	in:   prefs.Planted(16, 16, 0.5, 2, 1),
+	run: func(env *core.Env) string {
+		return fmt.Sprint(core.UnknownD(env, 0.5))
+	},
+}
+
+// newMeteredEnv builds the Env a facade run with Seed 1 builds over b.
+func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int) *core.Env {
+	src := rng.NewSource(1)
+	e := probe.NewEngine(in, b, src.Child("engine", 0))
+	return core.NewEnv(e, sim.NewRunner(parallelism), src.Child("public", 0), core.DefaultConfig())
+}
+
+// overMeter sets up rc against an HTTP billboard whose one client
+// counts delivered requests. run executes the simulation and returns
+// its outputs and that count; setup and stop stay outside it so the
+// benchmark times the simulation alone.
+func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (string, int64), stop func()) {
+	board = billboard.New(rc.in.N, rc.in.M)
 	srv := httptest.NewServer(NewServer(board))
 	meter := faultnet.New(nil, 1)
-	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
-	e := probe.NewEngine(in, c, rng.NewSource(8))
-	env := core.NewEnv(e, sim.NewRunner(4), rng.NewSource(9), core.DefaultConfig())
-	return func() int64 {
-		core.ZeroRadiusBits(env, ints.Iota(in.N), ints.Iota(in.M), 0.5)
-		return meter.Delivered()
+	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})
+	env := newMeteredEnv(rc.in, c, parallelism)
+	return board, func() (string, int64) {
+		out := rc.run(env)
+		return out, meter.Delivered()
 	}, srv.Close
 }
 
-// TestZeroRadiusRequestCount pins the batched protocol's request count
-// for one full ZeroRadius run: a protocol change that adds or saves a
-// round trip shows up here, not only in BenchmarkNetboardRunBatched's
-// requests/op.
+// TestZeroRadiusRequestCount pins the request count of full runs over
+// one netboard.Client: a protocol change that adds or saves a round
+// trip shows up here, not only in BenchmarkNetboardRunBatched's
+// requests/op. Posts wait for the phase barrier (boardclient.Defer), so
+// a run costs one post request per phase plus its reads and drops
+// (DESIGN.md §8). The count is the same under both codecs and at any
+// parallelism; the outputs and the server's counters equal the
+// in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
-	run, stop := zeroRadiusOverMeter()
-	defer stop()
-	if got := run(); got != 205 {
-		t.Fatalf("ZeroRadius took %d HTTP requests, want 205", got)
+	for _, tc := range []struct {
+		rc   meteredRun
+		want int64
+	}{
+		{zeroRadiusRow, 16},
+		{solveRow, 652},
+	} {
+		local := billboard.New(tc.rc.in.N, tc.rc.in.M)
+		wantOut := tc.rc.run(newMeteredEnv(tc.rc.in, local, 4))
+		for _, codec := range []string{"json", "binary"} {
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/par%d", tc.rc.name, codec, par), func(t *testing.T) {
+					board, run, stop := overMeter(tc.rc, codec, par)
+					defer stop()
+					out, got := run()
+					if got != tc.want {
+						t.Errorf("%d HTTP requests, want %d", got, tc.want)
+					}
+					if out != wantOut {
+						t.Error("outputs differ from the in-process run")
+					}
+					if board.ProbeCount() != local.ProbeCount() || board.VectorPostCount() != local.VectorPostCount() || board.TopicCount() != local.TopicCount() {
+						t.Errorf("server probes/posts/topics %d/%d/%d, in-process %d/%d/%d",
+							board.ProbeCount(), board.VectorPostCount(), board.TopicCount(),
+							local.ProbeCount(), local.VectorPostCount(), local.TopicCount())
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -235,9 +296,9 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 	var requests int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		run, stop := zeroRadiusOverMeter()
+		_, run, stop := overMeter(zeroRadiusRow, "", 4)
 		b.StartTimer()
-		n := run()
+		_, n := run()
 		b.StopTimer()
 		requests += n
 		stop()

@@ -25,6 +25,7 @@ const (
 	tagQuiesceReply
 	tagDropIfPost
 	tagStatsReply
+	tagPostBatch
 )
 
 // Every message reads its fields back in AppendBinary order; the
@@ -345,6 +346,67 @@ func (s *statsReply) DecodeBinary(r *wire.Reader) {
 	s.TopicCount = r.Int()
 	s.N = r.Int()
 	s.M = r.Int()
+}
+
+func (*postBatch) WireTag() byte { return tagPostBatch }
+
+// AppendBinary writes each post as its per-call message's tag and
+// payload; a post with no field set travels as tag 0, which the server
+// rejects.
+func (b *postBatch) AppendBinary(dst []byte) []byte {
+	if b.Posts == nil {
+		return wire.AppendUint(dst, 0)
+	}
+	dst = wire.AppendUint(dst, uint64(len(b.Posts))+1)
+	for _, p := range b.Posts {
+		var m wire.Message
+		switch {
+		case p.Probe != nil:
+			m = p.Probe
+		case p.Probes != nil:
+			m = p.Probes
+		case p.Values != nil:
+			m = p.Values
+		case p.Vector != nil:
+			m = p.Vector
+		default:
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, m.WireTag())
+		dst = m.AppendBinary(dst)
+	}
+	return dst
+}
+
+func (b *postBatch) DecodeBinary(r *wire.Reader) {
+	b.Posts = nil
+	n := r.Uint()
+	if n == 0 {
+		return
+	}
+	b.Posts = make([]batchPost, 0, sliceCap(n-1, 1))
+	for i := uint64(0); i < n-1 && r.Err() == nil; i++ {
+		var p batchPost
+		switch tag := r.Byte(); tag {
+		case 0:
+		case tagProbePost:
+			p.Probe = new(probePost)
+			p.Probe.DecodeBinary(r)
+		case tagBatchProbesPost:
+			p.Probes = new(batchProbesPost)
+			p.Probes.DecodeBinary(r)
+		case tagValuesPost:
+			p.Values = new(valuesPost)
+			p.Values.DecodeBinary(r)
+		case tagVectorPost:
+			p.Vector = new(vectorPost)
+			p.Vector.DecodeBinary(r)
+		default:
+			r.Fail("bad post tag 0x%02x", tag)
+		}
+		b.Posts = append(b.Posts, p)
+	}
 }
 
 // sliceCap bounds a pre-allocation by what the payload could possibly

@@ -157,6 +157,10 @@ func NewEngine(inst *prefs.Instance, board boardclient.Interface, src rng.Source
 	if e.ctx != nil {
 		e.board = boardclient.BindContext(e.ctx, e.board)
 	}
+	// A board whose posts are round trips holds them until the phase
+	// barrier (core.Env flushes there) or the next read, and sends each
+	// phase's posts as one request per shard.
+	e.board = boardclient.Defer(e.board)
 	if e.telemetry != nil {
 		// Registered after all options so the policy label is final.
 		e.telemetry.CounterFunc("probe.charged."+e.policy.String(), e.TotalCharged)
@@ -242,7 +246,9 @@ func (e *Engine) MaxDelta(prev []int64) int64 {
 }
 
 // Board returns the billboard the engine posts to. When the engine was
-// built with WithContext this is the context-bound view.
+// built with WithContext this is the context-bound view, and when that
+// board is a boardclient.Batcher it is the deferred view over it (see
+// boardclient.Defer): its posts wait for a Flush.
 func (e *Engine) Board() boardclient.Interface { return e.board }
 
 // Context returns the context the engine was built with, or nil for an

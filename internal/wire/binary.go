@@ -126,7 +126,10 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-func (r *Reader) fail(format string, args ...any) {
+// Fail sets the sticky error unless one is already set. Message
+// decoders call it on a value no encoder writes, such as an unknown
+// tag.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("wire: "+format, args...)
 		r.data = nil
@@ -140,7 +143,7 @@ func (r *Reader) Uint() uint64 {
 	}
 	x, n := binary.Uvarint(r.data)
 	if n <= 0 {
-		r.fail("truncated uvarint")
+		r.Fail("truncated uvarint")
 		return 0
 	}
 	r.data = r.data[n:]
@@ -151,7 +154,7 @@ func (r *Reader) Uint() uint64 {
 func (r *Reader) Int() int {
 	x := r.Uint()
 	if x > math.MaxInt32 && uint64(int(x)) != x {
-		r.fail("integer %d overflows int", x)
+		r.Fail("integer %d overflows int", x)
 		return 0
 	}
 	return int(x)
@@ -163,7 +166,7 @@ func (r *Reader) Byte() byte {
 		return 0
 	}
 	if len(r.data) < 1 {
-		r.fail("truncated byte")
+		r.Fail("truncated byte")
 		return 0
 	}
 	b := r.data[0]
@@ -180,7 +183,7 @@ func (r *Reader) Float() float64 {
 		return 0
 	}
 	if len(r.data) < 8 {
-		r.fail("truncated float64")
+		r.Fail("truncated float64")
 		return 0
 	}
 	bits := binary.LittleEndian.Uint64(r.data)
@@ -195,7 +198,7 @@ func (r *Reader) String() string {
 		return ""
 	}
 	if n > uint64(len(r.data)) {
-		r.fail("string length %d exceeds %d remaining bytes", n, len(r.data))
+		r.Fail("string length %d exceeds %d remaining bytes", n, len(r.data))
 		return ""
 	}
 	s := string(r.data[:n])
@@ -213,7 +216,7 @@ func (r *Reader) count(elemSize int) (int, bool) {
 	}
 	n := c - 1
 	if n > uint64(len(r.data))/uint64(elemSize) && elemSize > 0 {
-		r.fail("count %d exceeds %d remaining bytes", n, len(r.data))
+		r.Fail("count %d exceeds %d remaining bytes", n, len(r.data))
 		return 0, false
 	}
 	return int(n), true
@@ -253,7 +256,7 @@ func (r *Reader) words(n int) []uint64 {
 		return nil
 	}
 	if uint64(n)*8 > uint64(len(r.data)) {
-		r.fail("%d plane words exceed %d remaining bytes", n, len(r.data))
+		r.Fail("%d plane words exceed %d remaining bytes", n, len(r.data))
 		return nil
 	}
 	ws := make([]uint64, n)

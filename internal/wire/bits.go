@@ -58,7 +58,7 @@ func (r *Reader) BitsString() string {
 	case 1:
 		return r.String()
 	default:
-		r.fail("bad bits-string flag %d", flag)
+		r.Fail("bad bits-string flag %d", flag)
 		return ""
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -111,11 +112,20 @@ func NewInstruments(reg *telemetry.Registry, prefix, path string) Instruments {
 	}
 }
 
+// MaxBodyBytes caps a request body: DecodeRequest reads at most this
+// many bytes and answers 413 beyond it, so no client can make a server
+// buffer an unbounded body. It is far above the largest body an in-repo
+// client sends (a 1,024-player batch join; a deferred board view keeps
+// every post batch under half of it).
+const MaxBodyBytes = 8 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+
 // DecodeRequest reads and decodes a request body per its Content-Type:
 // binary bodies use the binary codec, everything else decodes as JSON
 // exactly as before the codec layer. On failure it returns the HTTP
-// status to answer (415 or 400) and the error to include; on success
-// status is 0.
+// status to answer (415, 413 or 400) and the error to include; on
+// success status is 0.
 func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err error) {
 	codec := JSON
 	switch ClassifyContentType(r.Header.Get("Content-Type")) {
@@ -125,12 +135,18 @@ func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err
 		return http.StatusUnsupportedMediaType,
 			fmt.Errorf("unsupported %s version (server speaks %s)", MediaBinary, ContentTypeBinary)
 	}
+	if r.ContentLength > MaxBodyBytes {
+		return http.StatusRequestEntityTooLarge, errBodyTooLarge
+	}
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	data, err := ReadAll(*buf, r.Body)
+	data, err := ReadAll(*buf, io.LimitReader(r.Body, MaxBodyBytes+1))
 	*buf = data[:0]
 	if err != nil {
 		return http.StatusBadRequest, fmt.Errorf("read body: %v", err)
+	}
+	if len(data) > MaxBodyBytes {
+		return http.StatusRequestEntityTooLarge, errBodyTooLarge
 	}
 	ins.BytesIn.Add(int64(len(data)))
 	start := time.Now()
