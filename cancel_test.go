@@ -52,74 +52,107 @@ func TestRunOptionsValidation(t *testing.T) {
 	}
 }
 
-// panicBoard panics on the victim player's first probe post and counts
-// which other players got their posts through.
+// panicBoard panics on one probe post — the victim player's first, or
+// with last > 0 the run's last-th — and counts the probe posts made and
+// which other players got theirs through.
 type panicBoard struct {
 	boardclient.Interface
 	victim int
+	last   int64
+	calls  atomic.Int64
 
 	mu     sync.Mutex
 	posted map[int]bool
 }
 
-func (b *panicBoard) PostProbe(p, o int, val byte) {
-	if p == b.victim {
+func (b *panicBoard) post(p int) {
+	if n := b.calls.Add(1); (b.last == 0 && p == b.victim) || n == b.last {
 		panic("player exploded")
 	}
 	b.mu.Lock()
 	b.posted[p] = true
 	b.mu.Unlock()
+}
+
+func (b *panicBoard) PostProbe(p, o int, val byte) {
+	b.post(p)
 	b.Interface.PostProbe(p, o, val)
 }
 
 func (b *panicBoard) PostProbes(p int, objs []int, grades []byte) {
-	if p == b.victim {
-		panic("player exploded")
-	}
-	b.mu.Lock()
-	b.posted[p] = true
-	b.mu.Unlock()
+	b.post(p)
 	b.Interface.PostProbes(p, objs, grades)
 }
 
+// TestPlayerPanicBecomesRunError checks that a player panic aborts the
+// run with a *RunError whose Phase is the sub-algorithm running when it
+// happened: the innermost one, not the last one entered.
 func TestPlayerPanicBecomesRunError(t *testing.T) {
-	in := IdenticalInstance(32, 64, 0.5, 9)
-	pb := &panicBoard{
-		Interface: billboard.New(in.N, in.M),
-		posted:    map[int]bool{},
-	}
-	rep, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 10, Board: pb})
-	if err == nil {
-		t.Fatal("panicking player produced no error")
-	}
-	var rerr *RunError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("err = %T %v, want *RunError", err, err)
-	}
-	if rerr.Phase != "zeroradius" {
-		t.Fatalf("Phase = %q, want zeroradius", rerr.Phase)
-	}
-	var perr *sim.PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("cause = %T %v, want *sim.PanicError in chain", rerr.Cause, rerr.Cause)
-	}
-	if perr.Value != "player exploded" {
-		t.Fatalf("panic value = %v", perr.Value)
-	}
-	if rep == nil || rep.Outputs != nil {
-		t.Fatalf("want partial report without outputs, got %+v", rep)
-	}
-	// The barrier still completed: the other workers kept claiming
-	// players after the panic, so everyone but the victim posted.
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	for p := 0; p < in.N; p++ {
-		if p == pb.victim {
-			continue
-		}
-		if !pb.posted[p] {
-			t.Fatalf("player %d never posted: barrier abandoned after panic", p)
-		}
+	small := PlantedInstance(16, 16, 0.5, 2, 1)
+	for _, tc := range []struct {
+		name string
+		in   *Instance
+		opt  Options
+		// last panics on the run's last probe post, not on the
+		// victim's first.
+		last bool
+		want string
+	}{
+		{"zero", IdenticalInstance(32, 64, 0.5, 9), Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 10}, false, "zeroradius"},
+		{"small", small, Options{Algorithm: AlgoSmall, Alpha: 0.5, D: 2, Seed: 1}, true, "smallradius"},
+		{"auto", small, Options{Algorithm: AlgoAuto, Alpha: 0.5, Seed: 1}, true, "unknownd"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pb := &panicBoard{Interface: billboard.New(tc.in.N, tc.in.M), posted: map[int]bool{}}
+			if tc.last {
+				count := &panicBoard{Interface: billboard.New(tc.in.N, tc.in.M), victim: -1, last: -1, posted: map[int]bool{}}
+				opt := tc.opt
+				opt.Board = count
+				if _, err := Run(tc.in, opt); err != nil {
+					t.Fatal(err)
+				}
+				pb.last = count.calls.Load()
+			}
+			opt := tc.opt
+			opt.Board = pb
+			rep, err := Run(tc.in, opt)
+			if err == nil {
+				t.Fatal("panicking player produced no error")
+			}
+			var rerr *RunError
+			if !errors.As(err, &rerr) {
+				t.Fatalf("err = %T %v, want *RunError", err, err)
+			}
+			if rerr.Phase != tc.want {
+				t.Fatalf("Phase = %q, want %s", rerr.Phase, tc.want)
+			}
+			var perr *sim.PanicError
+			if !errors.As(err, &perr) {
+				t.Fatalf("cause = %T %v, want *sim.PanicError in chain", rerr.Cause, rerr.Cause)
+			}
+			if perr.Value != "player exploded" {
+				t.Fatalf("panic value = %v", perr.Value)
+			}
+			if rep == nil || rep.Outputs != nil {
+				t.Fatalf("want partial report without outputs, got %+v", rep)
+			}
+			if tc.last {
+				return
+			}
+			// The barrier still completed: the other workers kept
+			// claiming players after the panic, so everyone but the
+			// victim posted.
+			pb.mu.Lock()
+			defer pb.mu.Unlock()
+			for p := 0; p < tc.in.N; p++ {
+				if p == pb.victim {
+					continue
+				}
+				if !pb.posted[p] {
+					t.Fatalf("player %d never posted: barrier abandoned after panic", p)
+				}
+			}
+		})
 	}
 }
 

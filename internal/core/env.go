@@ -131,10 +131,11 @@ type Env struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// cur is the innermost sub-algorithm kind entered so far, recorded
-	// by span and reported through ActiveKind so an abort can say
-	// which phase it interrupted. Written only by the coordinator
-	// goroutine (spans start and end between phases, never inside one).
+	// cur is the innermost sub-algorithm kind running, set by span and
+	// restored to the enclosing kind when the span ends, and reported
+	// through ActiveKind so an abort can say which phase it
+	// interrupted. Written only by the coordinator goroutine (spans
+	// start and end between phases, never inside one).
 	cur string
 
 	// ckOuts/ckEpochs are the last completed-epoch checkpoint: the
@@ -220,8 +221,8 @@ func (env *Env) checkAborted() {
 	}
 }
 
-// ActiveKind returns the innermost sub-algorithm kind entered so far
-// ("" when nothing ran); the facade stamps it into RunError.Phase.
+// ActiveKind returns the innermost sub-algorithm kind running ("" when
+// none is); the facade stamps it into RunError.Phase.
 func (env *Env) ActiveKind() string { return env.cur }
 
 // Context returns the run's context (nil for an uncancellable run).
@@ -282,7 +283,7 @@ var spanKindNames = [nSpanKinds]string{
 
 // spanCountersFor returns the cached instruments for kind, resolving
 // all kinds once on first use.
-func (env *Env) spanCountersFor(kind spanKind) spanCounters {
+func (env *Env) spanCountersFor(kind spanKind) *spanCounters {
 	env.telOnce.Do(func() {
 		tel := env.Telemetry
 		for k, name := range spanKindNames {
@@ -293,34 +294,60 @@ func (env *Env) spanCountersFor(kind spanKind) spanCounters {
 			}
 		}
 	})
-	return env.spanTels[kind]
+	return &env.spanTels[kind]
 }
 
-// spanNoop is the shared disabled-span closure, so disabled runs do not
-// allocate one closure per sub-algorithm invocation.
-var spanNoop = func() {}
+// spanEnd closes a span (see span). It is a value, not a closure, so
+// a span costs no allocation.
+type spanEnd struct {
+	env     *Env
+	prev    string
+	tel     *spanCounters // nil with Telemetry nil
+	players []int
+	before  int64
+	start   time.Time
+}
 
 // span records kind as the active sub-algorithm (for abort reporting)
-// and returns a closure that adds the probes the participating players
-// consumed and the wall time spent in between to the kind's telemetry
-// counters. players restricts the probe measurement (nil means all), so
-// a span costs two O(group) counter sweeps, not two O(n) ones —
-// ZeroRadius runs thousands of times per recursion. Exact because
-// players only probe their own grades, so a span's consumption is
-// entirely attributed to its participants. With Telemetry nil the span
-// is free: no counter sweep and no allocation.
-func (env *Env) span(kind spanKind, players []int) func() {
+// until the returned spanEnd's end restores the enclosing kind. With
+// Telemetry set, the span adds calls to the kind's call counter now,
+// and at its end the probes the participating players consumed and
+// the wall time spent in between. A fused call (several independent
+// instances sharing their phases) is one span of as many calls as
+// instances, over the union of their players. players restricts the
+// probe measurement (nil means all), so a span costs two O(group)
+// counter sweeps, not two O(n) ones. Exact because players only probe
+// their own grades, so a span's consumption is entirely attributed to
+// its participants. With Telemetry nil the span is free: no counter
+// sweep and no allocation.
+func (env *Env) span(kind spanKind, players []int, calls int) spanEnd {
+	s := spanEnd{env: env, prev: env.cur}
 	env.cur = spanKindNames[kind]
 	if env.Telemetry == nil {
-		return spanNoop
+		return s
 	}
-	sc := env.spanCountersFor(kind)
-	sc.calls.Inc()
-	before := env.chargedSum(players)
-	start := time.Now()
-	return func() {
-		sc.probes.Add(env.chargedSum(players) - before)
-		sc.ns.Add(time.Since(start).Nanoseconds())
+	s.tel = env.spanCountersFor(kind)
+	s.tel.calls.Add(int64(calls))
+	s.players = players
+	s.before = env.chargedSum(players)
+	s.start = time.Now()
+	return s
+}
+
+// end closes the span; callers defer it. A span an abort unwinds keeps
+// its kind active, so the facade reports the kind the abort
+// interrupted, not the outermost one.
+func (s spanEnd) end() {
+	rec := recover()
+	if rec == nil {
+		s.env.cur = s.prev
+	}
+	if s.tel != nil {
+		s.tel.probes.Add(s.env.chargedSum(s.players) - s.before)
+		s.tel.ns.Add(time.Since(s.start).Nanoseconds())
+	}
+	if rec != nil {
+		panic(rec)
 	}
 }
 

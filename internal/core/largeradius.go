@@ -48,7 +48,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		panic(fmt.Sprintf("core: LargeRadius alpha %v out of (0,1]", alpha))
 	}
 	env.count(CountLargeRadius)
-	defer env.span(spanLargeRadius, players)()
+	defer env.span(spanLargeRadius, players, 1).end()
 	tag := env.freshTag("lr")
 	coin := env.Public.Stream(tag, 0)
 	n := len(players)
@@ -118,21 +118,25 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	}()
 
 	// Step 2: Small Radius per group, with frequency parameter α/2 and
-	// confidence parameter K = Θ(log n); players post their outputs.
-	k := env.confidenceK()
-	hinter, _ := env.Board.(postHinter)
+	// confidence parameter K = Θ(log n), every group in one fused call;
+	// players post their outputs.
+	srs := make([]srJob, 0, groupCount)
+	srGroup := make([]int, 0, groupCount)
 	for g := 0; g < groupCount; g++ {
-		env.checkAborted()
-		if len(groupPlayers[g]) == 0 || len(groupObjs[g]) == 0 {
-			continue
+		if len(groupPlayers[g]) > 0 && len(groupObjs[g]) > 0 {
+			srs = append(srs, srJob{players: groupPlayers[g], objs: groupObjs[g]})
+			srGroup = append(srGroup, g)
 		}
-		sr := smallRadiusPos(env, groupPlayers[g], groupObjs[g], alpha/2, lambda, k)
+	}
+	smallRadiusJobs(env, srs, alpha/2, lambda, env.confidenceK())
+	hinter, _ := env.Board.(postHinter)
+	for j, g := range srGroup {
 		topic := fmt.Sprintf("%s/g%d", tag, g)
 		if hinter != nil {
 			hinter.HintPosts(topic, len(groupPlayers[g]), 0)
 		}
 		for i, p := range groupPlayers[g] {
-			env.Board.Post(topic, p, bitvec.PartialOf(sr[i]))
+			env.Board.Post(topic, p, bitvec.PartialOf(srs[j].rows[i]))
 		}
 	}
 
@@ -176,16 +180,15 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	choice := zeroRadiusFlat(env, players, space, alpha)
 
 	// Stitch each player's chosen candidates into a full output vector.
-	// posOf was (re)filled for the full player set by the ZeroRadius
-	// call above, so it maps into choice's packed rows. The outputs
-	// escape to the caller, so their planes are heap-allocated — but as
-	// two backing arrays for all players rather than two per player.
-	posOf := sc.posOf
+	// The outputs escape to the caller, so their planes are
+	// heap-allocated — but as two backing arrays for all players rather
+	// than two per player.
+	fu := sc.fuse(env.N, players)
 	wd := bitvec.WordsFor(len(objs))
 	valB := make([]uint64, len(players)*wd)
 	knownB := make([]uint64, len(players)*wd)
 	env.phase(players, func(p int) {
-		i := posOf[p]
+		i := fu.index(p)
 		row := choice[i*groupCount : (i+1)*groupCount]
 		w := bitvec.WrapPartial(len(objs), valB[i*wd:(i+1)*wd:(i+1)*wd], knownB[i*wd:(i+1)*wd:(i+1)*wd])
 		for g := 0; g < groupCount; g++ {

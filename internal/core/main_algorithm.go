@@ -75,7 +75,7 @@ func MainFor(env *Env, alpha float64, d int, players, objs []int) []bitvec.Parti
 	}
 	switch DispatchRegime(env.N, d) {
 	case RegimeZero:
-		zr := zeroRadiusBitsFlat(env, players, objs, alpha)
+		zr := zeroRadiusFlat(env, players, BinarySpace{Objs: objs}, alpha)
 		for i, p := range players {
 			out[p] = bitvec.PartialOf(valsToVector(zr[i*len(objs) : (i+1)*len(objs)]))
 		}

@@ -58,7 +58,7 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	if maxPatches < 1 {
 		maxPatches = len(objs)
 	}
-	defer env.span(spanRefresh, players)()
+	defer env.span(spanRefresh, players, 1).end()
 	tag := env.freshTag("rf")
 	coin := env.Public.Stream(tag, 0)
 

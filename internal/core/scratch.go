@@ -24,17 +24,12 @@ type coScratch struct {
 	nodes    arena.Slab[zrNode]
 	nodePtrs arena.Slab[*zrNode]
 	lists    arena.Slab[[]int]
-	u32Lists arena.Slab[[]uint32]
 	vecs     arena.Slab[bitvec.Vector]
 	partials arena.Slab[bitvec.Partial]
 
-	// posOf maps a player id to its index in the players slice of the
-	// positional algorithm call currently running phases (see fillPos).
-	// Persistent rather than arena-backed: it is refilled, never
-	// cleared, so entries for players outside the current call are
-	// stale — and never read, because phases only ever run the call's
-	// own participants.
-	posOf []int
+	// pack is popularOutputs' packing buffer, reused from call to call,
+	// so the arena holds only the few rows that survive the vote.
+	pack []uint64
 }
 
 // coMark is a position across all of coScratch's slabs.
@@ -43,7 +38,6 @@ type coMark struct {
 	nodes    arena.Pos
 	nodePtrs arena.Pos
 	lists    arena.Pos
-	u32Lists arena.Pos
 	vecs     arena.Pos
 	partials arena.Pos
 }
@@ -54,7 +48,6 @@ func (s *coScratch) mark() coMark {
 		nodes:    s.nodes.Mark(),
 		nodePtrs: s.nodePtrs.Mark(),
 		lists:    s.lists.Mark(),
-		u32Lists: s.u32Lists.Mark(),
 		vecs:     s.vecs.Mark(),
 		partials: s.partials.Mark(),
 	}
@@ -65,27 +58,68 @@ func (s *coScratch) release(m coMark) {
 	s.nodes.Release(m.nodes)
 	s.nodePtrs.Release(m.nodePtrs)
 	s.lists.Release(m.lists)
-	s.u32Lists.Release(m.u32Lists)
 	s.vecs.Release(m.vecs)
 	s.partials.Release(m.partials)
 }
 
-// fillPos refills posOf for a call over players whose ids are < n and
-// returns it. Refilling is idempotent for nested calls over the same
-// players slice (SmallRadius's phases stay valid across the ZeroRadius
-// calls it makes per partition part), and an outer algorithm that runs
-// phases after a nested call over *different* players (LargeRadius
-// after its per-group SmallRadius runs) must refill before those
-// phases — its Step 4 ZeroRadius over the full player set does exactly
-// that.
-func (s *coScratch) fillPos(n int, players []int) []int {
-	if len(s.posOf) < n {
-		s.posOf = make([]int, n)
+// fusedSet indexes the players of a fused call: several independent
+// jobs (sub-algorithm instances over their own player lists) whose
+// phases run together, one phase per step for all of them. players
+// lists every player of some job once, in first-appearance order. The
+// player players[u] belongs to the jobs job[off[u]:off[u+1]], in job
+// order, at the positions pos[off[u]:off[u+1]] of those jobs' player
+// lists.
+type fusedSet struct {
+	players       []int
+	at            []int // at[p] is u+1 for p = players[u], 0 for players in no job
+	off, job, pos []int
+}
+
+// index returns u with players[u] = p.
+func (f *fusedSet) index(p int) int { return f.at[p] - 1 }
+
+// jobsOf returns the jobs of player p, in job order, and p's position
+// in each.
+func (f *fusedSet) jobsOf(p int) (job, pos []int) {
+	u := f.index(p)
+	return f.job[f.off[u]:f.off[u+1]], f.pos[f.off[u]:f.off[u+1]]
+}
+
+// fuse builds the fusedSet of the given jobs' player lists, whose ids
+// are < n, on the arena.
+func (s *coScratch) fuse(n int, lists ...[]int) fusedSet {
+	total := 0
+	for _, ps := range lists {
+		total += len(ps)
 	}
-	for i, p := range players {
-		s.posOf[p] = i
+	f := fusedSet{players: s.a.Ints(total)[:0], at: s.a.Ints(n)}
+	for _, ps := range lists {
+		for _, p := range ps {
+			if f.at[p] == 0 {
+				f.players = append(f.players, p)
+				f.at[p] = len(f.players)
+			}
+		}
 	}
-	return s.posOf
+	f.off = s.a.Ints(len(f.players) + 1)
+	for _, ps := range lists {
+		for _, p := range ps {
+			f.off[f.at[p]]++
+		}
+	}
+	for u := 1; u < len(f.off); u++ {
+		f.off[u] += f.off[u-1]
+	}
+	next := s.a.CopyInts(f.off[:len(f.players)])
+	f.job, f.pos = s.a.Ints(total), s.a.Ints(total)
+	for j, ps := range lists {
+		for i, p := range ps {
+			u := f.index(p)
+			f.job[next[u]], f.pos[next[u]] = j, i
+			next[u]++
+		}
+	}
+	return f
 }
 
 // iota fills an arena-backed slice with [0, n).

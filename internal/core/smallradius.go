@@ -52,126 +52,190 @@ func SmallRadius(env *Env, players []int, objs []int, alpha float64, d, k int) [
 }
 
 // smallRadiusPos is SmallRadius with positional output: row i is the
-// output of players[i], and nothing is sized by env.N. LargeRadius runs
-// one SmallRadius per object group over that group's (usually small)
-// player set, so the env.N-wide wrapper arrays would dominate its
-// allocations.
+// output of players[i], and nothing is sized by env.N. It is the
+// one-job case of smallRadiusJobs.
 func smallRadiusPos(env *Env, players []int, objs []int, alpha float64, d, k int) []bitvec.Vector {
 	if len(players) == 0 || len(objs) == 0 {
 		return nil
 	}
+	jobs := []srJob{{players: players, objs: objs}}
+	smallRadiusJobs(env, jobs, alpha, d, k)
+	return jobs[0].rows
+}
+
+// srJob is one SmallRadius instance of a fused call: nonempty players
+// over the nonempty object coordinates objs. smallRadiusJobs leaves
+// players[i]'s output vector (coordinate j is real object objs[j]) at
+// rows[i]; the other fields are its working state.
+type srJob struct {
+	players, objs []int
+	rows          []bitvec.Vector
+
+	// parts holds every iteration's nonempty parts, in (iteration,
+	// part) order; iterVecs[t][i] is u^t(players[i]), the stitched
+	// vector of iteration t, and cands[i*k+t] its Step-2 candidate.
+	parts    []srPart
+	iterVecs [][]bitvec.Vector
+	cands    []bitvec.Partial
+}
+
+// srPart is one part of an iteration's object partition.
+type srPart struct {
+	iter  int
+	local []int            // the part's coordinates (indices into objs)
+	space BinarySpace      // the real objects at those coordinates
+	ui    []bitvec.Partial // U_i: the part's popular ZeroRadius outputs
+}
+
+// smallRadiusJobs runs independent SmallRadius instances that share
+// alpha, d and k in lockstep: one fused ZeroRadius call for every
+// job's k iterations × s parts, then one Step-1c phase and one Step-2
+// phase over the union of the jobs' players, each player walking its
+// jobs in job order and, within a job, the parts in (iteration, part)
+// order. Nothing one job computes is read by another, and tags are
+// minted in the order one-job calls would mint them, so noise-free
+// outputs equal those of one call per job. Noisy ones do not: noise is
+// drawn in each player's probe order, and here a player's probes for
+// different parts interleave.
+func smallRadiusJobs(env *Env, jobs []srJob, alpha float64, d, k int) {
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("core: SmallRadius alpha %v out of (0,1]", alpha))
 	}
+	sc := &env.scratch
+	defer sc.release(sc.mark())
+	sets := make([]zrSet, len(jobs))
 	if d == 0 {
 		// Degenerate case: Zero Radius already solves it exactly.
-		zr := zeroRadiusBitsFlat(env, players, objs, alpha)
-		rows := make([]bitvec.Vector, len(players))
-		for i := range rows {
-			rows[i] = valsToVector(zr[i*len(objs) : (i+1)*len(objs)])
+		for j, jb := range jobs {
+			sets[j] = zrSet{players: jb.players, jobs: []zrJob{{space: BinarySpace{Objs: jb.objs}, alpha: alpha}}}
+			sets[j].jobs[0].plan(env, sc.iota(len(jb.players)))
 		}
-		return rows
+		zeroRadiusJobs(env, sets)
+		for j := range jobs {
+			jb, w, zr := &jobs[j], len(jobs[j].objs), sets[j].jobs[0].out
+			jb.rows = make([]bitvec.Vector, len(jb.players))
+			for i := range jb.rows {
+				jb.rows[i] = valsToVector(zr[i*w : (i+1)*w])
+			}
+		}
+		return
 	}
-	env.count(CountSmallRadius)
-	defer env.span(spanSmallRadius, players)()
 	if k <= 0 {
 		k = env.confidenceK()
 	}
-	tag := env.freshTag("sr")
-	coin := env.Public.Stream(tag, 0)
-	s := smallRadiusS(env.Cfg, d, len(objs))
-	// Threshold for U_i: vectors output by ≥ alpha·|players|/5 players.
-	uThreshold := int(math.Ceil(alpha * float64(len(players)) / 5))
-	if uThreshold < 1 {
-		uThreshold = 1
+	lists := sc.lists.Make(len(jobs))
+	for j := range jobs {
+		lists[j] = jobs[j].players
 	}
+	fu := sc.fuse(env.N, lists...)
+	defer env.span(spanSmallRadius, fu.players, len(jobs)).end()
 
-	sc := &env.scratch
-	defer sc.release(sc.mark())
-	posOf := sc.fillPos(env.N, players)
-	local := sc.iota(len(objs)) // local coordinate ids 0..len-1
-
-	// iterVecs[t][i] is u^t(players[i]), the stitched vector of
-	// iteration t. All k iterations' rows are arena-allocated up front
-	// so the per-iteration partition scratch below can be released LIFO
-	// at the end of each iteration without tearing down vectors Step 2
-	// still reads.
-	wdO := bitvec.WordsFor(len(objs))
-	iterVecs := make([][]bitvec.Vector, k)
-	for t := range iterVecs {
-		uT := sc.vecs.Make(len(players))
-		backing := sc.a.Words(len(players) * wdO)
-		for i := range players {
-			uT[i] = bitvec.Wrap(len(objs), backing[i*wdO:(i+1)*wdO])
+	// Step 1a, per job and iteration: a random partition of the (local)
+	// object coordinates, with a ZeroRadius job per nonempty part. A
+	// job's sr tag is minted before its parts' zr tags, as a call per
+	// job and per part would mint them.
+	for j := range jobs {
+		jb := &jobs[j]
+		env.count(CountSmallRadius)
+		coin := env.Public.Stream(env.freshTag("sr"), 0)
+		s := smallRadiusS(env.Cfg, d, len(jb.objs))
+		local := sc.iota(len(jb.objs)) // local coordinate ids 0..len-1
+		pos := sc.iota(len(jb.players))
+		wd := bitvec.WordsFor(len(jb.objs))
+		zrs := make([]zrJob, 0, k*s)
+		jb.parts = make([]srPart, 0, k*s)
+		jb.iterVecs = make([][]bitvec.Vector, k)
+		for t := range jb.iterVecs {
+			uT := sc.vecs.Make(len(jb.players))
+			backing := sc.a.Words(len(jb.players) * wd)
+			for i := range uT {
+				uT[i] = bitvec.Wrap(len(jb.objs), backing[i*wd:(i+1)*wd])
+			}
+			jb.iterVecs[t] = uT
+			for _, partLocal := range assignPartsArena(sc, coin, local, s) {
+				if len(partLocal) == 0 {
+					continue
+				}
+				partObjs := sc.a.Ints(len(partLocal))
+				for q, lc := range partLocal {
+					partObjs[q] = jb.objs[lc]
+				}
+				jb.parts = append(jb.parts, srPart{iter: t, local: partLocal, space: BinarySpace{Objs: partObjs}})
+				// jb.parts never grows past its capacity, so the job
+				// can use the part's space in place.
+				zrs = append(zrs, zrJob{space: &jb.parts[len(jb.parts)-1].space, alpha: alpha / 5})
+				zrs[len(zrs)-1].plan(env, pos)
+			}
 		}
-		iterVecs[t] = uT
+		sets[j] = zrSet{players: jb.players, jobs: zrs}
 	}
 
-	for t := 0; t < k; t++ {
-		env.checkAborted()
-		mt := sc.mark()
-		// Step 1a: random partition of the (local) object coordinates.
-		parts := assignPartsArena(sc, coin, local, s)
-		uT := iterVecs[t]
-
-		for _, partLocal := range parts {
-			if len(partLocal) == 0 {
-				continue
-			}
-
-			// Step 1b: Zero Radius on this part with parameter alpha/5.
-			partObjs := sc.a.Ints(len(partLocal))
-			for j, lc := range partLocal {
-				partObjs[j] = objs[lc]
-			}
-			zr := zeroRadiusBitsFlat(env, players, partObjs, alpha/5)
-			ui := popularOutputs(sc, zr, len(players), len(partObjs), uThreshold)
-			if len(ui) == 0 {
+	// Step 1b: Zero Radius on every part with parameter alpha/5, then
+	// U_i, the part's vectors output by ≥ alpha·|players|/5 players.
+	zeroRadiusJobs(env, sets)
+	for j := range jobs {
+		jb := &jobs[j]
+		uThreshold := max(1, int(math.Ceil(alpha*float64(len(jb.players))/5)))
+		for q := range jb.parts {
+			pt := &jb.parts[q]
+			zr := sets[j].jobs[q].out
+			pt.ui = popularOutputs(sc, zr, len(jb.players), len(pt.local), uThreshold)
+			if len(pt.ui) == 0 {
 				// Premise failed: no vector is popular enough. Use every
 				// distinct output so players can still stitch something.
-				ui = popularOutputs(sc, zr, len(players), len(partObjs), 1)
+				pt.ui = popularOutputs(sc, zr, len(jb.players), len(pt.local), 1)
 			}
+		}
+	}
 
-			// Step 1c: every player adopts the closest popular vector,
-			// scattering its set bits into the stitched row word-by-word.
-			env.phase(players, func(p int) {
-				pl := env.Engine.Player(p)
-				win := ui[SelectPartial(pl, partObjs, ui, d)]
-				uw := uT[posOf[p]].Words()
+	// Step 1c: every player adopts each part's closest popular vector,
+	// scattering its set bits into the stitched row word-by-word.
+	env.phase(fu.players, func(p int) {
+		pl := env.Engine.Player(p)
+		js, is := fu.jobsOf(p)
+		for m, j := range js {
+			jb, i := &jobs[j], is[m]
+			for q := range jb.parts {
+				pt := &jb.parts[q]
+				win := pt.ui[SelectPartial(pl, pt.space.Objs, pt.ui, d)]
+				uw := jb.iterVecs[pt.iter][i].Words()
 				wv, _ := win.Planes() // fully known: val bits are the vector
 				for w, x := range wv {
 					for ; x != 0; x &= x - 1 {
-						lc := partLocal[w<<6|bits.TrailingZeros64(x)]
+						lc := pt.local[w<<6|bits.TrailingZeros64(x)]
 						uw[lc>>6] |= uint64(1) << (uint(lc) & 63)
 					}
 				}
-			})
+			}
 		}
-		sc.release(mt)
-	}
+	})
 
 	// Step 2: each player selects among its k stitched vectors with
 	// distance bound 5d. The candidates are zero-copy fully-known views
 	// over the stitched rows (content-identical to PartialOf, so the
 	// probe sequence is unchanged), built before the phase so its bodies
 	// never touch the coordinator arena.
-	knownAll := sc.a.Words(wdO)
-	bitvec.FillOnes(len(objs), knownAll)
-	candsAll := sc.partials.Make(len(players) * k)
-	for i := range players {
-		for t := 0; t < k; t++ {
-			candsAll[i*k+t] = bitvec.WrapPartial(len(objs), iterVecs[t][i].Words(), knownAll)
+	for j := range jobs {
+		jb := &jobs[j]
+		knownAll := sc.a.Words(bitvec.WordsFor(len(jb.objs)))
+		bitvec.FillOnes(len(jb.objs), knownAll)
+		jb.cands = sc.partials.Make(len(jb.players) * k)
+		for i := range jb.players {
+			for t := 0; t < k; t++ {
+				jb.cands[i*k+t] = bitvec.WrapPartial(len(jb.objs), jb.iterVecs[t][i].Words(), knownAll)
+			}
 		}
+		jb.rows = make([]bitvec.Vector, len(jb.players))
 	}
-	rows := make([]bitvec.Vector, len(players))
-	env.phase(players, func(p int) {
-		i := posOf[p]
+	env.phase(fu.players, func(p int) {
 		pl := env.Engine.Player(p)
-		cands := candsAll[i*k:][:k]
-		win := SelectPartial(pl, objs, cands, 5*d)
-		rows[i] = iterVecs[win][i].Clone()
+		js, is := fu.jobsOf(p)
+		for m, j := range js {
+			jb, i := &jobs[j], is[m]
+			win := SelectPartial(pl, jb.objs, jb.cands[i*k:][:k], 5*d)
+			jb.rows[i] = jb.iterVecs[win][i].Clone()
+		}
 	})
-	return rows
 }
 
 // popularOutputs tallies the n packed width-wide ZeroRadius output rows
@@ -179,7 +243,7 @@ func smallRadiusPos(env *Env, players []int, objs []int, alpha float64, d, k int
 // at least minVotes supporters as fully-known Partials, deterministically
 // ordered (vote count desc, then lexicographic).
 //
-// Rows are compared in place, so only distinct vectors are
+// Rows are compared in place, so only surviving vectors are
 // materialized — and those live on the coordinator arena (one shared
 // known-ones plane, one value plane per survivor), so the result must
 // be consumed before the enclosing region is released. Callers treat
@@ -189,17 +253,20 @@ func popularOutputs(sc *coScratch, zr []uint32, n, width, minVotes int) []bitvec
 	if n == 0 {
 		return nil
 	}
-	// Rows are packed once into arena-backed bit planes and everything
-	// below — the uniform fast path, grouping, ordering, and the value
-	// planes of the returned Partials themselves — works on the packed
-	// words. Packing normalizes values exactly like valsToVector
+	// Rows are packed once into bit planes and everything below — the
+	// uniform fast path, grouping, ordering, and the value planes of the
+	// returned Partials themselves — works on the packed words. Packing normalizes values exactly like valsToVector
 	// (nonzero → 1), so row equality and order match the old
 	// per-element path bit for bit; but the compare and hash loops now
 	// touch ⌈width/64⌉ words instead of width elements, and the FNV
 	// multiply chain — one serially dependent multiply per *element*
 	// before, the profile's hottest line here — runs once per word.
 	wd := bitvec.WordsFor(width)
-	packed := sc.a.Words(n * wd) // zeroed by Make
+	if cap(sc.pack) < n*wd {
+		sc.pack = make([]uint64, n*wd)
+	}
+	packed := sc.pack[:n*wd]
+	clear(packed)
 	for i := 0; i < n; i++ {
 		row := zr[i*width : (i+1)*width]
 		w := packed[i*wd : (i+1)*wd]
@@ -228,11 +295,7 @@ func popularOutputs(sc *coScratch, zr []uint32, n, width, minVotes int) []bitvec
 		if n < minVotes {
 			return nil
 		}
-		out := sc.partials.Make(1)
-		known := sc.a.Words(wd)
-		bitvec.FillOnes(width, known)
-		out[0] = bitvec.WrapPartial(width, row0, known)
-		return out
+		return survivors(sc, packed, width, []int{0})
 	}
 
 	// Groups carry only a representative row index until the very end:
@@ -285,11 +348,25 @@ func popularOutputs(sc *coScratch, zr []uint32, n, width, minVotes int) []bitvec
 			}
 		}
 	}
-	out := sc.partials.Make(len(keep))
+	reps := make([]int, len(keep))
+	for i, g := range keep {
+		reps[i] = g.rep
+	}
+	return survivors(sc, packed, width, reps)
+}
+
+// survivors copies the packed rows reps to the arena as fully-known
+// Partials, in order.
+func survivors(sc *coScratch, packed []uint64, width int, reps []int) []bitvec.Partial {
+	wd := bitvec.WordsFor(width)
+	out := sc.partials.Make(len(reps))
 	known := sc.a.Words(wd)
 	bitvec.FillOnes(width, known)
-	for i, g := range keep {
-		out[i] = bitvec.WrapPartial(width, packed[g.rep*wd:(g.rep+1)*wd:(g.rep+1)*wd], known)
+	vals := sc.a.Words(len(reps) * wd)
+	for i, rep := range reps {
+		v := vals[i*wd : (i+1)*wd : (i+1)*wd]
+		copy(v, packed[rep*wd:(rep+1)*wd])
+		out[i] = bitvec.WrapPartial(width, v, known)
 	}
 	return out
 }

@@ -66,12 +66,11 @@ func (s BinarySpace) ProbeMany(pl *probe.Player, js []int, dst []uint32) {
 // billboard topic is precomputed so the per-player phase bodies never
 // format strings.
 type zrNode struct {
-	id          int
 	depth       int
 	topic       string
 	ref         billboard.TopicRef // resolved for the node's posting level
-	players     []int
-	objs        []int // abstract object ids
+	pos         []int              // the node's players, as positions in its job's player list
+	objs        []int              // abstract object ids
 	cands       [][]uint32
 	left, right *zrNode
 }
@@ -130,51 +129,85 @@ func ZeroRadius(env *Env, players []int, space ObjectSpace, alpha float64) [][]u
 
 // zeroRadiusFlat is ZeroRadius with positional, packed output: the
 // returned slice holds players[i]'s value vector at
-// [i*width, (i+1)*width), width = space.Len(). One heap allocation
-// total, nothing sized by env.N — the recursive callers (SmallRadius
-// runs one ZeroRadius per partition part per iteration, usually over a
-// small player group) use it directly.
+// [i*width, (i+1)*width), width = space.Len(). It is the one-job case
+// of zeroRadiusJobs.
 func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) []uint32 {
 	if len(players) == 0 {
 		return nil
 	}
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("core: ZeroRadius alpha %v out of (0,1]", alpha))
-	}
-	env.count(CountZeroRadius)
-	defer env.span(spanZeroRadius, players)()
-	tag := env.freshTag("zr")
-	threshold := env.leafThreshold(alpha)
-
-	// All per-call working memory — tree nodes, shuffled halves, posting
-	// scratch — comes from the coordinator arena and is recycled on
-	// return; only the returned out rows are heap-allocated. The release
-	// defer is registered before the abort-cleanup defer below, so on an
-	// abort the cleanup still reads live node topics first (LIFO).
 	sc := &env.scratch
 	defer sc.release(sc.mark())
+	sets := []zrSet{{players: players, jobs: []zrJob{{space: space, alpha: alpha}}}}
+	sets[0].jobs[0].plan(env, sc.iota(len(players)))
+	zeroRadiusJobs(env, sets)
+	return sets[0].jobs[0].out
+}
 
-	// Build the recursion tree with public coins.
+// zrSet is a list of ZeroRadius jobs over the same players, such as
+// the parts of one SmallRadius call.
+type zrSet struct {
+	players []int
+	jobs    []zrJob
+}
+
+// zrJob is one ZeroRadius instance of a fused call: its set's players
+// over space, with frequency parameter alpha. plan builds its recursion
+// tree and zeroRadiusJobs runs it, leaving players[i]'s output value
+// vector at out[i*width : (i+1)*width], width = space.Len().
+type zrJob struct {
+	space ObjectSpace
+	alpha float64
+	batch BatchObjectSpace // space, if it probes in batches
+
+	byLevel [][]*zrNode
+	out     []uint32
+	deep    *zrDeep // nil for a one-level job (the root is a leaf)
+}
+
+// zrDeep is the per-player state of a job of more than one level:
+// nodeAt[i] is players[i]'s node at the level running, childAt[i] the
+// node it completed last (so an internal node knows which child the
+// player came from), and rows[i] the vector it posts at the level
+// running.
+type zrDeep struct {
+	nodeAt, childAt []*zrNode
+	rows            [][]uint32
+}
+
+// plan mints the job's topic tag and builds its recursion tree with
+// the tag's public coin over the root positions pos (0..n-1 for the
+// set's n players, read only), on the coordinator arena of the
+// caller's region. A fused caller plans its jobs in the order it would
+// have called ZeroRadius one job at a time, so every topic name and
+// coin is the same as in that order.
+func (jb *zrJob) plan(env *Env, pos []int) {
+	if jb.alpha <= 0 || jb.alpha > 1 {
+		panic(fmt.Sprintf("core: ZeroRadius alpha %v out of (0,1]", jb.alpha))
+	}
+	env.count(CountZeroRadius)
+	tag := env.freshTag("zr")
+	threshold := env.leafThreshold(jb.alpha)
+	sc := &env.scratch
 	coin := env.Public.Stream(tag, 0)
+	jb.batch, _ = jb.space.(BatchObjectSpace)
 	nextID := 0
-	objs := sc.iota(space.Len())
 	var build func(ps, os []int, depth int) *zrNode
-	var byLevel [][]*zrNode
 	build = func(ps, os []int, depth int) *zrNode {
 		nd := &sc.nodes.Make(1)[0]
-		nd.id = nextID
 		nd.depth = depth
-		var tb [32]byte
-		tbuf := append(tb[:0], tag...)
-		tbuf = append(tbuf, '/')
-		nd.topic = string(strconv.AppendInt(tbuf, int64(nextID), 10))
-		nd.players = ps
+		if depth > 0 { // the root is never posted
+			var tb [32]byte
+			tbuf := append(tb[:0], tag...)
+			tbuf = append(tbuf, '/')
+			nd.topic = string(strconv.AppendInt(tbuf, int64(nextID), 10))
+		}
+		nd.pos = ps
 		nd.objs = os
 		nextID++
-		for len(byLevel) <= depth {
-			byLevel = append(byLevel, nil)
+		for len(jb.byLevel) <= depth {
+			jb.byLevel = append(jb.byLevel, nil)
 		}
-		byLevel[depth] = append(byLevel[depth], nd)
+		jb.byLevel[depth] = append(jb.byLevel[depth], nd)
 		if min(len(ps), len(os)) >= threshold {
 			pa, pb := splitHalfArena(sc, coin, ps)
 			oa, ob := splitHalfArena(sc, coin, os)
@@ -183,43 +216,95 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 		}
 		return nd
 	}
-	root := build(sc.a.CopyInts(players), objs, 0)
+	// Nodes hold positions in players, which index the job's per-player
+	// rows directly. A shuffle's swaps depend only on the length, so the
+	// coin splits positions exactly as it would split the ids.
+	build(pos, sc.iota(jb.space.Len()), 0)
+}
+
+// node returns the node of players[i] at level, nil if it has none.
+func (jb *zrJob) node(i, level int) *zrNode {
+	switch {
+	case level >= len(jb.byLevel):
+		return nil
+	case len(jb.byLevel) == 1:
+		return jb.byLevel[0][0]
+	}
+	if nd := jb.deep.nodeAt[i]; nd != nil && nd.depth == level {
+		return nd
+	}
+	return nil
+}
+
+// zeroRadiusJobs runs planned, independent ZeroRadius jobs in
+// lockstep: level by level from the bottom of the deepest tree, one
+// phase per level over the union of the players with a node at that
+// level, each player walking its jobs in order (set by set, job by
+// job). Jobs share no topics, so running them side by side computes
+// what running them one after another would, in as many phases as the
+// deepest job alone.
+//
+// The root level is not posted: nothing reads it (a node's topic is
+// read only by its parent's level), so the root topic is never
+// resolved, hinted or dropped.
+func zeroRadiusJobs(env *Env, sets []zrSet) {
+	sc := &env.scratch
+	defer sc.release(sc.mark())
+	lists := sc.lists.Make(len(sets))
+	width, depth, calls := 0, 0, 0
+	for s := range sets {
+		lists[s] = sets[s].players
+		for j := range sets[s].jobs {
+			width += len(sets[s].players) * sets[s].jobs[j].space.Len()
+			depth = max(depth, len(sets[s].jobs[j].byLevel))
+		}
+		calls += len(sets[s].jobs)
+	}
+	fu := sc.fuse(env.N, lists...)
+	defer env.span(spanZeroRadius, fu.players, calls).end()
+
+	// The outputs outlive the call, so they are one heap allocation.
+	// Every row a phase body writes is handed out before the phase
+	// starts, so phase bodies never allocate.
+	flat := make([]uint32, width)
+	for s := range sets {
+		n := len(sets[s].players)
+		for j := range sets[s].jobs {
+			jb := &sets[s].jobs[j]
+			w := jb.space.Len()
+			jb.out, flat = flat[:n*w:n*w], flat[n*w:]
+			if len(jb.byLevel) > 1 {
+				jb.deep = &zrDeep{
+					nodeAt:  sc.nodePtrs.Make(n),
+					childAt: sc.nodePtrs.Make(n),
+					rows:    make([][]uint32, n), // on the heap, as the rows are
+				}
+			}
+		}
+	}
 
 	// Abort-path cleanup: topic tags are deterministic (freshTag is a
 	// plain sequence number — load-bearing for public-coin streams), so
 	// a run aborted mid-level would leave partial postings that a later
-	// run on the same shared board would read as its own. Drop every
-	// node topic quietly before letting the abort continue; on the
-	// normal path topics are dropped level-by-level below and re-drops
-	// are no-ops.
+	// run on the same shared board would read as its own. Only the
+	// running level and the one below it can hold postings (levels are
+	// dropped once their parents ran, and the root is never posted);
+	// drop them quietly before letting the abort continue.
+	level := depth
 	defer func() {
 		if rec := recover(); rec != nil {
-			for _, level := range byLevel {
-				for _, nd := range level {
-					env.dropQuietly(nd.topic)
+			for s := range sets {
+				for _, jb := range sets[s].jobs {
+					for l := max(level, 1); l <= level+1 && l < len(jb.byLevel); l++ {
+						for _, nd := range jb.byLevel[l] {
+							env.dropQuietly(nd.topic)
+						}
+					}
 				}
 			}
 			panic(rec)
 		}
 	}()
-
-	// childAt[i] tracks the node players[i] most recently completed, so
-	// an internal node knows which child the player came from; posOf
-	// maps the player id back to i inside phase bodies. The returned
-	// flat output is the sole heap allocation (it outlives the call, so
-	// it must not be arena-backed); the per-player posting scratch rows
-	// are arena-backed and handed out here, before any phase runs, so
-	// phase bodies only ever write into pre-published rows.
-	posOf := sc.fillPos(env.N, players)
-	childAt := sc.nodePtrs.Make(len(players))
-	nodeAt := sc.nodePtrs.Make(len(players))
-	scratch := sc.u32Lists.Make(len(players))
-	width := space.Len()
-	flat := make([]uint32, len(players)*width)
-	scratchBacking := sc.a.U32s(len(players) * width)
-	for i := range players {
-		scratch[i] = scratchBacking[i*width : (i+1)*width]
-	}
 
 	// Process levels bottom-up. At each level, leaves probe everything
 	// they own and post; internal nodes adopt the sibling half's popular
@@ -231,112 +316,185 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 	// per player — the distributed "scan the billboard" step costs no
 	// probes, and recomputing it n times per level would dominate
 	// simulation time.
-	phasePlayers := sc.a.Ints(len(players))[:0]
-	batchSpace, batched := space.(BatchObjectSpace)
+	phasePlayers := sc.a.Ints(len(fu.players))
+	seen := sc.a.Ints(len(fu.players)) // seen[u] == level+1: players[u] is in the phase
 	hinter, _ := env.Board.(postHinter)
 	refBoard, _ := env.Board.(refPoster)
 	batcher, _ := env.Board.(batchPoster)
-	for level := len(byLevel) - 1; level >= 0; level-- {
+	for level = depth - 1; level >= 0; level-- {
 		env.checkAborted()
-		phasePlayers = phasePlayers[:0]
-		for _, nd := range byLevel[level] {
-			for _, p := range nd.players {
-				nodeAt[posOf[p]] = nd
-			}
-			phasePlayers = append(phasePlayers, nd.players...)
-			if hinter != nil && batcher == nil && len(nd.players) > 0 {
-				// Every player of the node posts exactly one value
-				// vector to its topic in the phase below. (The batched
-				// path presizes exactly on its own.)
-				hinter.HintPosts(nd.topic, 0, len(nd.players))
-			}
-			if refBoard != nil {
-				nd.ref = refBoard.TopicRef(nd.topic)
-			} else if batcher != nil {
-				nd.ref = batcher.TopicRef(nd.topic)
-			}
-			if !nd.leaf() {
-				for _, child := range [2]*zrNode{nd.left, nd.right} {
-					child.cands = popularValueCands(env, child.topic, child, alpha)
+		lm := sc.mark()
+		// The level's posting rows live on the heap for the level only:
+		// on the arena, or referenced from it, a wide level of many jobs
+		// would stay allocated for the rest of the run.
+		size := 0
+		for s := range sets {
+			for _, jb := range sets[s].jobs {
+				if level > 0 && level < len(jb.byLevel) {
+					for _, nd := range jb.byLevel[level] {
+						size += len(nd.pos) * len(nd.objs)
+					}
 				}
 			}
 		}
+		backing := make([]uint32, size)
+		phasePlayers = phasePlayers[:0]
+		for s := range sets {
+			set := &sets[s]
+			for j := range set.jobs {
+				jb := &set.jobs[j]
+				if level >= len(jb.byLevel) {
+					continue
+				}
+				for _, nd := range jb.byLevel[level] {
+					for _, i := range nd.pos {
+						if jb.deep != nil {
+							jb.deep.nodeAt[i] = nd
+						}
+						p := set.players[i]
+						if u := fu.index(p); seen[u] != level+1 {
+							seen[u] = level + 1
+							phasePlayers = append(phasePlayers, p)
+						}
+					}
+					if level > 0 {
+						for _, i := range nd.pos {
+							jb.deep.rows[i], backing = backing[:len(nd.objs):len(nd.objs)], backing[len(nd.objs):]
+						}
+						if hinter != nil && batcher == nil && len(nd.pos) > 0 {
+							// Every player of the node posts exactly
+							// one value vector to its topic in the
+							// phase below. (The batched path presizes
+							// exactly on its own.)
+							hinter.HintPosts(nd.topic, 0, len(nd.pos))
+						}
+						if refBoard != nil {
+							nd.ref = refBoard.TopicRef(nd.topic)
+						} else if batcher != nil {
+							nd.ref = batcher.TopicRef(nd.topic)
+						}
+					}
+					if !nd.leaf() {
+						for _, child := range [2]*zrNode{nd.left, nd.right} {
+							child.cands = popularValueCands(env, child.topic, child, jb.alpha)
+						}
+					}
+				}
+			}
+		}
+		post := batcher == nil
 		env.phase(phasePlayers, func(p int) {
-			i := posOf[p]
-			nd := nodeAt[i]
 			pl := env.Engine.Player(p)
-			row := flat[i*width : (i+1)*width]
-			if nd.leaf() {
-				// Step 1: probe every object of the node. Leaf probes
-				// have no sequential dependency, so a batch-capable
-				// space ships them (and their billboard postings) in
-				// one batched call.
-				vals := scratch[i][:len(nd.objs)]
-				if batched {
-					batchSpace.ProbeMany(pl, nd.objs, vals)
-				} else {
-					for j, obj := range nd.objs {
-						vals[j] = space.Probe(pl, obj)
+			ss, is := fu.jobsOf(p)
+			for m, s := range ss {
+				for j := range sets[s].jobs {
+					jb := &sets[s].jobs[j]
+					if nd := jb.node(is[m], level); nd != nil {
+						jb.step(env, pl, is[m], nd, post, refBoard)
 					}
-				}
-				for j, obj := range nd.objs {
-					row[obj] = vals[j]
-				}
-				if batcher == nil {
-					if refBoard != nil {
-						refBoard.PostValuesRef(nd.ref, p, vals)
-					} else {
-						env.Board.PostValues(nd.topic, p, vals)
-					}
-				}
-				childAt[i] = nd
-				return
-			}
-			// Step 4: adopt the sibling half's output for its objects.
-			mine := childAt[i]
-			sib := nd.left
-			if sib == mine {
-				sib = nd.right
-			}
-			adoptSibling(pl, space, row, sib, sib.cands)
-			childAt[i] = nd
-			// Post the combined vector for this node.
-			vals := scratch[i][:len(nd.objs)]
-			for j, obj := range nd.objs {
-				vals[j] = row[obj]
-			}
-			if batcher == nil {
-				if refBoard != nil {
-					refBoard.PostValuesRef(nd.ref, p, vals)
-				} else {
-					env.Board.PostValues(nd.topic, p, vals)
 				}
 			}
 		})
-		if batcher != nil {
-			// Ship every node's posting burst now that the phase barrier
-			// has passed; per-topic posting order (nd.players order) is
-			// exactly what the per-player path produced.
-			for _, nd := range byLevel[level] {
-				if len(nd.players) == 0 {
-					continue
+		for s := range sets {
+			set := &sets[s]
+			for _, jb := range set.jobs {
+				if level > 0 && level < len(jb.byLevel) && batcher != nil {
+					// Ship every node's posting burst now that the
+					// phase barrier has passed; per-topic posting order
+					// (the node's player order) is exactly what the
+					// per-player path produced.
+					for _, nd := range jb.byLevel[level] {
+						ids := sc.a.Ints(len(nd.pos))
+						rows := make([][]uint32, len(nd.pos)) // not on the arena: see backing
+						for k, i := range nd.pos {
+							ids[k], rows[k] = set.players[i], jb.deep.rows[i]
+						}
+						batcher.PostValuesBatchRef(nd.ref, ids, rows)
+					}
 				}
-				rows := sc.u32Lists.Make(len(nd.players))
-				for j, p := range nd.players {
-					rows[j] = scratch[posOf[p]][:len(nd.objs)]
+				// Completed child topics are no longer read; free them.
+				if level+1 < len(jb.byLevel) {
+					for _, nd := range jb.byLevel[level+1] {
+						env.Board.DropTopic(nd.topic)
+					}
 				}
-				batcher.PostValuesBatchRef(nd.ref, nd.players, rows)
 			}
 		}
-		// Completed child topics are no longer read; free them.
-		if level+1 < len(byLevel) {
-			for _, nd := range byLevel[level+1] {
-				env.Board.DropTopic(nd.topic)
-			}
+		sc.release(lm)
+	}
+}
+
+// step is players[i]'s work at node nd of its level: a leaf probes
+// every object of the node (Fig. 2, Step 1), an internal node adopts
+// the sibling half's output for its objects (Step 4). Below the root
+// the node's vector goes to the player's posting row, which the player
+// posts when post is set and the caller ships after the barrier
+// otherwise. The root, whose objects are the row's own coordinates in
+// order, writes the output row and posts nothing.
+func (jb *zrJob) step(env *Env, pl *probe.Player, i int, nd *zrNode, post bool, refBoard refPoster) {
+	w := jb.space.Len()
+	row := jb.out[i*w : (i+1)*w]
+	if nd.depth == 0 {
+		if nd.leaf() {
+			jb.probeAll(pl, nd.objs, row)
+		} else {
+			jb.adopt(pl, i, nd, row)
+		}
+		return
+	}
+	vals := jb.deep.rows[i]
+	if nd.leaf() {
+		jb.probeAll(pl, nd.objs, vals)
+		for j, obj := range nd.objs {
+			row[obj] = vals[j]
+		}
+	} else {
+		jb.adopt(pl, i, nd, row)
+		for j, obj := range nd.objs {
+			vals[j] = row[obj]
 		}
 	}
-	env.Board.DropTopic(root.topic)
-	return flat
+	jb.deep.childAt[i] = nd
+	if !post {
+		return
+	}
+	if refBoard != nil {
+		refBoard.PostValuesRef(nd.ref, pl.ID(), vals)
+	} else {
+		env.Board.PostValues(nd.topic, pl.ID(), vals)
+	}
+}
+
+// probeAll probes objs into dst (dst[k] for objs[k]). Leaf probes have
+// no sequential dependency, so a batch-capable space ships them (and
+// their billboard postings) in one batched call.
+func (jb *zrJob) probeAll(pl *probe.Player, objs []int, dst []uint32) {
+	if jb.batch != nil {
+		jb.batch.ProbeMany(pl, objs, dst)
+		return
+	}
+	for k, obj := range objs {
+		dst[k] = jb.space.Probe(pl, obj)
+	}
+}
+
+// adopt performs Fig. 2's Step 4 for players[i] at internal node nd:
+// Select with distance bound 0 over the popular vectors of the half
+// the player did not complete, written into row at that half's
+// objects.
+func (jb *zrJob) adopt(pl *probe.Player, i int, nd *zrNode, row []uint32) {
+	sib := nd.left
+	if sib == jb.deep.childAt[i] {
+		sib = nd.right
+	}
+	if len(sib.cands) == 0 {
+		return // sibling posted nothing (empty node); leave zeros
+	}
+	probeVal := func(t int) uint32 { return jb.space.Probe(pl, sib.objs[t]) }
+	win := sib.cands[selectValuesScratch(pl.Arena(), probeVal, sib.cands, 0)]
+	for j, obj := range sib.objs {
+		row[obj] = win[j]
+	}
 }
 
 // popularValueCands tallies a node's posted vectors and returns those
@@ -345,7 +503,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 // premise-violated case Theorem 3.1 does not cover).
 func popularValueCands(env *Env, topic string, nd *zrNode, alpha float64) [][]uint32 {
 	votes := env.Board.ValueVotes(topic)
-	need := int(math.Ceil(alpha * env.Cfg.VoteFrac * float64(len(nd.players))))
+	need := int(math.Ceil(alpha * env.Cfg.VoteFrac * float64(len(nd.pos))))
 	if need < 1 {
 		need = 1
 	}
@@ -363,28 +521,8 @@ func popularValueCands(env *Env, topic string, nd *zrNode, alpha float64) [][]ui
 	return cands
 }
 
-// adoptSibling performs Fig. 2's Step 4 for one player: run Select with
-// distance bound 0 over the sibling's popular vectors and write the
-// winner into dst at the sibling's object positions.
-func adoptSibling(pl *probe.Player, space ObjectSpace, dst []uint32, sib *zrNode, cands [][]uint32) {
-	if len(cands) == 0 {
-		return // sibling posted nothing (empty node); leave zeros
-	}
-	probeVal := func(t int) uint32 { return space.Probe(pl, sib.objs[t]) }
-	win := cands[selectValuesScratch(pl.Arena(), probeVal, cands, 0)]
-	for j, obj := range sib.objs {
-		dst[obj] = win[j]
-	}
-}
-
 // ZeroRadiusBits runs ZeroRadius over real binary objects and returns
 // each participating player's output as a bit slice aligned with objs.
 func ZeroRadiusBits(env *Env, players []int, objs []int, alpha float64) [][]uint32 {
 	return ZeroRadius(env, players, BinarySpace{Objs: objs}, alpha)
-}
-
-// zeroRadiusBitsFlat is ZeroRadiusBits with zeroRadiusFlat's packed
-// positional output (players[i]'s bits at [i*len(objs), (i+1)*len(objs))).
-func zeroRadiusBitsFlat(env *Env, players []int, objs []int, alpha float64) []uint32 {
-	return zeroRadiusFlat(env, players, BinarySpace{Objs: objs}, alpha)
 }

@@ -7,6 +7,7 @@ package netboard
 // Run under -race (make verify does).
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -225,55 +226,79 @@ var solveRow = meteredRun{
 	},
 }
 
-// newMeteredEnv builds the Env a facade run with Seed 1 builds over b.
-func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int) *core.Env {
+// phaseCounter is a sim.PhaseRunner that counts the phases it runs:
+// a networked run sends its held posts once per phase.
+type phaseCounter struct {
+	sim.PhaseRunner
+	n int64 // phases are started by the one coordinator goroutine
+}
+
+func (c *phaseCounter) Phase(ctx context.Context, players []int, f func(p int)) error {
+	c.n++
+	return c.PhaseRunner.Phase(ctx, players, f)
+}
+
+func (c *phaseCounter) PhaseAll(ctx context.Context, n int, f func(p int)) error {
+	c.n++
+	return c.PhaseRunner.PhaseAll(ctx, n, f)
+}
+
+// newMeteredEnv builds the Env a facade run with Seed 1 builds over b,
+// with a runner that counts its phases.
+func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int) (*core.Env, *phaseCounter) {
 	src := rng.NewSource(1)
 	e := probe.NewEngine(in, b, src.Child("engine", 0))
-	return core.NewEnv(e, sim.NewRunner(parallelism), src.Child("public", 0), core.DefaultConfig())
+	pc := &phaseCounter{PhaseRunner: sim.NewRunner(parallelism)}
+	return core.NewEnv(e, pc, src.Child("public", 0), core.DefaultConfig()), pc
 }
 
 // overMeter sets up rc against an HTTP billboard whose one client
 // counts delivered requests. run executes the simulation and returns
-// its outputs and that count; setup and stop stay outside it so the
-// benchmark times the simulation alone.
-func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (string, int64), stop func()) {
+// its outputs, that count and the phases it ran; setup and stop stay
+// outside it so the benchmark times the simulation alone.
+func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (out string, requests, phases int64), stop func()) {
 	board = billboard.New(rc.in.N, rc.in.M)
 	srv := httptest.NewServer(NewServer(board))
 	meter := faultnet.New(nil, 1)
 	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})
-	env := newMeteredEnv(rc.in, c, parallelism)
-	return board, func() (string, int64) {
+	env, pc := newMeteredEnv(rc.in, c, parallelism)
+	return board, func() (string, int64, int64) {
 		out := rc.run(env)
-		return out, meter.Delivered()
+		return out, meter.Delivered(), pc.n
 	}, srv.Close
 }
 
-// TestZeroRadiusRequestCount pins the request count of full runs over
-// one netboard.Client: a protocol change that adds or saves a round
-// trip shows up here, not only in BenchmarkNetboardRunBatched's
-// requests/op. Posts wait for the phase barrier (boardclient.Defer), so
-// a run costs one post request per phase plus its reads and drops
-// (DESIGN.md §8). The count is the same under both codecs and at any
-// parallelism; the outputs and the server's counters equal the
-// in-process run's.
+// TestZeroRadiusRequestCount pins the request and phase counts of full
+// runs over one netboard.Client: a protocol or schedule change that
+// adds or saves a round trip shows up here, not only in the requests/op
+// of BenchmarkNetboardRunBatched. Posts wait for the phase barrier
+// (boardclient.Defer), so a run costs one post request per phase that
+// posts, plus its reads and drops (DESIGN.md §8); sibling
+// sub-algorithm calls share their phases (DESIGN.md §3). The counts
+// are the same under both codecs and at any parallelism; the outputs
+// and the server's counters equal the in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
 	for _, tc := range []struct {
-		rc   meteredRun
-		want int64
+		rc               meteredRun
+		requests, phases int64
 	}{
-		{zeroRadiusRow, 16},
-		{solveRow, 652},
+		{zeroRadiusRow, 14, 3},
+		{solveRow, 44, 24},
 	} {
 		local := billboard.New(tc.rc.in.N, tc.rc.in.M)
-		wantOut := tc.rc.run(newMeteredEnv(tc.rc.in, local, 4))
+		localEnv, localPhases := newMeteredEnv(tc.rc.in, local, 4)
+		wantOut := tc.rc.run(localEnv)
+		if localPhases.n != tc.phases {
+			t.Errorf("%s: %d phases in process, want %d", tc.rc.name, localPhases.n, tc.phases)
+		}
 		for _, codec := range []string{"json", "binary"} {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/par%d", tc.rc.name, codec, par), func(t *testing.T) {
 					board, run, stop := overMeter(tc.rc, codec, par)
 					defer stop()
-					out, got := run()
-					if got != tc.want {
-						t.Errorf("%d HTTP requests, want %d", got, tc.want)
+					out, requests, phases := run()
+					if requests != tc.requests || phases != tc.phases {
+						t.Errorf("%d HTTP requests in %d phases, want %d in %d", requests, phases, tc.requests, tc.phases)
 					}
 					if out != wantOut {
 						t.Error("outputs differ from the in-process run")
@@ -289,20 +314,26 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 	}
 }
 
-// BenchmarkNetboardRunBatched measures one full ZeroRadius simulation
-// against an HTTP billboard and reports the number of HTTP requests it
-// took.
+// BenchmarkNetboardRunBatched measures both TestZeroRadiusRequestCount
+// runs against an HTTP billboard and reports the HTTP requests and the
+// phases each took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
-	var requests int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		_, run, stop := overMeter(zeroRadiusRow, "", 4)
-		b.StartTimer()
-		_, n := run()
-		b.StopTimer()
-		requests += n
-		stop()
-		b.StartTimer()
+	for _, rc := range []meteredRun{zeroRadiusRow, solveRow} {
+		b.Run(rc.name, func(b *testing.B) {
+			var requests, phases int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				_, run, stop := overMeter(rc, "", 4)
+				b.StartTimer()
+				_, r, p := run()
+				b.StopTimer()
+				requests += r
+				phases += p
+				stop()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
+			b.ReportMetric(float64(phases)/float64(b.N), "phases/op")
+		})
 	}
-	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 }
