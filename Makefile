@@ -28,13 +28,16 @@ race:
 
 # The netboard fault-injection stress on its own (it also runs as part
 # of `race`); useful when iterating on the wire protocol. It includes
-# the deferred-post tests: post batches applied exactly once, a flush
-# over the body cap split into several requests, a failed barrier flush
-# surfacing as a RunError, a cancelled networked run leaving no topics,
-# and the pinned request and phase counts (14 requests in 3 phases for
-# ZeroRadius 48×256, 44 in 24 for the solve-net solve).
+# the deferred-post tests: the deferred view's own tests (one probe run
+# per player per flush, reads after concurrent posts), post batches
+# applied exactly once, a flush over the body cap split into several
+# requests, a failed barrier flush surfacing as a RunError, a cancelled
+# networked run leaving no topics, and the pinned request, phase and
+# batch-entry counts (14 requests in 3 phases and 144 entries for
+# ZeroRadius 48×256; 44 in 24 and 312 entries in 18 post batches for
+# the solve-net solve).
 stress-net:
-	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport' ./internal/netboard/ .
+	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 
 # The sharded-cluster gate on its own (also part of `race`): the
 # consistent-hash ring invariants, the cluster-vs-single-board identity

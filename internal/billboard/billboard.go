@@ -60,9 +60,10 @@ type Interface interface {
 	// ascending object order, without allocating.
 	ForEachProbe(p int, fn func(o int, grade byte))
 	// PostProbes records a batch of probe results for player p:
-	// grades[k] is p's grade for objs[k]. Objects within one call must
-	// be distinct. Equivalent to calling PostProbe per pair, but a
-	// remote implementation ships the whole batch in one round trip.
+	// grades[k] is p's grade for objs[k]. An object may repeat within
+	// one call, as when a player re-probes it; its first grade stands.
+	// Equivalent to calling PostProbe per pair, in order, but a remote
+	// implementation ships the whole batch in one round trip.
 	PostProbes(p int, objs []int, grades []byte)
 	// LookupProbes looks up p's posted grades for objs, filling
 	// grades[k] and known[k] per object (grades[k] is meaningful only

@@ -13,10 +13,8 @@ import (
 type PostKind uint8
 
 const (
-	// ProbePost is PostProbe(Player, Object, Grade).
-	ProbePost PostKind = iota
 	// ProbesPost is PostProbes(Player, Objs, Grades).
-	ProbesPost
+	ProbesPost PostKind = iota
 	// ValuesPost is PostValues(Topic, Player, Vals).
 	ValuesPost
 	// VectorPost is Post(Topic, Player, Vec); PostVector lifts its
@@ -29,11 +27,8 @@ const (
 type Post struct {
 	Kind   PostKind
 	Player int
-	// Object and Grade are a ProbePost's result.
-	Object int
-	Grade  byte
 	// Objs and Grades are a ProbesPost's results: Grades[k] is the
-	// grade for Objs[k].
+	// grade for Objs[k]. An object may repeat; its first grade stands.
 	Objs   []int
 	Grades []byte
 	// Topic names the topic of a ValuesPost or a VectorPost.
@@ -79,8 +74,10 @@ const flushBytes = wire.MaxBodyBytes / 2
 // which keeps that true at any parallelism. Err and Failures report b's
 // record without flushing: a held post has not failed yet.
 //
-// Posts are copied, so callers may reuse their slices at once. A batch
-// that grows past flushBytes is sent early; see flushBytes.
+// Posts are copied, so callers may reuse their slices at once. A
+// player's PostProbe and PostProbes calls since the last flush are held
+// as one ProbesPost, in call order. A batch that grows past flushBytes
+// is sent early; see flushBytes.
 //
 // A post that fails for good is reported by the flush that sends it:
 // the flush panics with b's error, or in degraded mode b records it.
@@ -89,7 +86,7 @@ func Defer(b Interface) Interface {
 	if !ok {
 		return b
 	}
-	return &deferred{b: b, batch: bt}
+	return &deferred{b: b, batch: bt, runs: make(map[int]int)}
 }
 
 type deferred struct {
@@ -103,17 +100,51 @@ type deferred struct {
 
 	mu      sync.Mutex
 	pending []Post
-	size    int // sizeBound total of pending
+	size    int         // sizeBound total of pending
+	runs    map[int]int // player → index in pending of its probe run
 }
 
-// add holds one post, sending the held batch first when the post would
-// take it past flushBytes.
+// add holds one value or vector post, sending the held batch first
+// when the post would take it past flushBytes.
 func (d *deferred) add(p Post) {
 	n := p.sizeBound()
 	for {
 		d.mu.Lock()
 		if d.size == 0 || d.size+n <= flushBytes {
 			d.pending = append(d.pending, p)
+			d.size += n
+			d.mu.Unlock()
+			return
+		}
+		d.mu.Unlock()
+		d.Flush()
+	}
+}
+
+// addProbes appends player p's probe results to p's run, the one
+// ProbesPost that holds all of p's probes since the last flush in call
+// order, opening it with p's first. A run that would take the held
+// batch past flushBytes sends the batch first, and p's next probes
+// open a new run. Only the run's place among the other posts differs
+// from call order, and no read can tell: probe posts of different
+// players, and probe and topic posts, touch disjoint board state.
+func (d *deferred) addProbes(p int, objs []int, grades []byte) {
+	for {
+		d.mu.Lock()
+		i, open := d.runs[p]
+		n := (&Post{Objs: objs}).sizeBound()
+		if open {
+			n -= (&Post{}).sizeBound() // the run already counts its own part
+		}
+		if d.size == 0 || d.size+n <= flushBytes {
+			if !open {
+				i = len(d.pending)
+				d.runs[p] = i
+				d.pending = append(d.pending, Post{Kind: ProbesPost, Player: p})
+			}
+			run := &d.pending[i]
+			run.Objs = append(run.Objs, objs...)
+			run.Grades = append(run.Grades, grades...)
 			d.size += n
 			d.mu.Unlock()
 			return
@@ -131,6 +162,7 @@ func (d *deferred) Flush() {
 	d.mu.Lock()
 	posts := d.pending
 	d.pending, d.size = nil, 0
+	clear(d.runs)
 	d.mu.Unlock()
 	if len(posts) > 0 {
 		d.batch.PostBatch(posts)
@@ -138,15 +170,14 @@ func (d *deferred) Flush() {
 }
 
 func (d *deferred) PostProbe(p, o int, val byte) {
-	d.add(Post{Kind: ProbePost, Player: p, Object: o, Grade: val})
+	d.addProbes(p, []int{o}, []byte{val})
 }
 
 func (d *deferred) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
-	d.add(Post{Kind: ProbesPost, Player: p,
-		Objs: append([]int(nil), objs...), Grades: append([]byte(nil), grades...)})
+	d.addProbes(p, objs, grades)
 }
 
 func (d *deferred) PostValues(name string, player int, vals []uint32) {

@@ -1,6 +1,7 @@
 package boardclient
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -23,8 +24,6 @@ func (b *batchBoard) PostBatch(posts []Post) {
 	b.mu.Unlock()
 	for _, p := range posts {
 		switch p.Kind {
-		case ProbePost:
-			b.Board.PostProbe(p.Player, p.Object, p.Grade)
 		case ProbesPost:
 			b.Board.PostProbes(p.Player, p.Objs, p.Grades)
 		case ValuesPost:
@@ -68,7 +67,7 @@ func TestDeferHoldsPostsUntilFlush(t *testing.T) {
 	if bb.batchCount() != 1 || len(bb.batches[0]) != 5 {
 		t.Fatalf("flush sent %d batches, want one of 5 posts", bb.batchCount())
 	}
-	for i, want := range []PostKind{ProbePost, ProbesPost, ValuesPost, VectorPost, VectorPost} {
+	for i, want := range []PostKind{ProbesPost, ProbesPost, ValuesPost, VectorPost, VectorPost} {
 		if got := bb.batches[0][i].Kind; got != want {
 			t.Fatalf("post %d has kind %d, want %d: order not kept", i, got, want)
 		}
@@ -82,6 +81,79 @@ func TestDeferHoldsPostsUntilFlush(t *testing.T) {
 	v.(interface{ Flush() }).Flush()
 	if bb.batchCount() != 1 {
 		t.Fatal("an empty flush sent a batch")
+	}
+}
+
+// TestDeferHoldsOneProbeRunPerPlayer: a player's probe posts since the
+// last flush go out as one entry, its objects and grades in call
+// order, wherever other players' and topic posts fall between them;
+// an object the player probed twice reads back its first grade.
+func TestDeferHoldsOneProbeRunPerPlayer(t *testing.T) {
+	bb := &batchBoard{Board: billboard.New(2, 8)}
+	v := Defer(bb)
+	v.PostProbe(0, 5, 1)
+	v.PostValues("v", 1, []uint32{3})
+	v.PostProbes(1, []int{2, 3}, []byte{0, 1})
+	v.PostProbe(0, 1, 0)
+	v.PostVector("t", 0, bitvec.New(2))
+	v.PostProbes(0, []int{5, 6}, []byte{0, 1})
+	v.PostProbe(1, 4, 1)
+	v.(interface{ Flush() }).Flush()
+
+	want := []Post{
+		{Kind: ProbesPost, Player: 0, Objs: []int{5, 1, 5, 6}, Grades: []byte{1, 0, 0, 1}},
+		{Kind: ValuesPost, Player: 1, Topic: "v", Vals: []uint32{3}},
+		{Kind: ProbesPost, Player: 1, Objs: []int{2, 3, 4}, Grades: []byte{0, 1, 1}},
+		{Kind: VectorPost, Player: 0, Topic: "t", Vec: bitvec.PartialOf(bitvec.New(2))},
+	}
+	if bb.batchCount() != 1 {
+		t.Fatalf("flush sent %d batches, want 1", bb.batchCount())
+	}
+	if got := bb.batches[0]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("flush sent\n%v\nwant\n%v", got, want)
+	}
+	if g, ok := bb.Board.LookupProbe(0, 5); !ok || g != 1 {
+		t.Fatalf("re-probed object reads back (%d, %v), want its first grade 1", g, ok)
+	}
+}
+
+// TestDeferHoldsOneRunPerPlayerUnderConcurrency: players posting at
+// once, with no read between, each get one entry in the flush holding
+// every one of their probes once, in call order (run under -race).
+func TestDeferHoldsOneRunPerPlayerUnderConcurrency(t *testing.T) {
+	const players, probes = 8, 200
+	bb := &batchBoard{Board: billboard.New(players, probes)}
+	v := Defer(bb)
+	var wg sync.WaitGroup
+	for p := 0; p < players; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for o := 0; o < probes; o += 2 {
+				v.PostProbe(p, o, 1)
+				v.PostProbes(p, []int{o + 1}, []byte{0})
+			}
+		}(p)
+	}
+	wg.Wait()
+	v.(interface{ Flush() }).Flush()
+	if bb.batchCount() != 1 || len(bb.batches[0]) != players {
+		t.Fatalf("%d batches, the first of %d entries; want one entry per player in one batch", bb.batchCount(), len(bb.batches[0]))
+	}
+	seen := make([]bool, players)
+	for _, post := range bb.batches[0] {
+		if post.Kind != ProbesPost || seen[post.Player] || len(post.Objs) != probes {
+			t.Fatalf("entry of kind %d for player %d with %d objects; want one run of %d per player", post.Kind, post.Player, len(post.Objs), probes)
+		}
+		seen[post.Player] = true
+		for k, o := range post.Objs {
+			if o != k || post.Grades[k] != byte(1-k%2) {
+				t.Fatalf("player %d's run holds (%d, %d) at %d, want its probes in call order", post.Player, o, post.Grades[k], k)
+			}
+		}
+	}
+	if got := bb.Board.ProbeCount(); got != players*probes {
+		t.Fatalf("%d probes on the board, want %d", got, players*probes)
 	}
 }
 
@@ -114,32 +186,48 @@ func TestDeferReadsFlushFirst(t *testing.T) {
 }
 
 // TestDeferSendsEarlyPastBound: a held batch that would grow past
-// flushBytes goes out before the post that would take it there.
+// flushBytes goes out before the post that would take it there, and a
+// player's probe run that would grow past it goes out as several runs.
 func TestDeferSendsEarlyPastBound(t *testing.T) {
-	bb := &batchBoard{Board: billboard.New(2, 2)}
-	v := Defer(bb)
 	vals := make([]uint32, 64<<10)
-	const posts = 16
-	for i := 0; i < posts; i++ {
-		v.PostValues("v", 0, vals)
-	}
-	v.(interface{ Flush() }).Flush()
-	if bb.batchCount() < 2 {
-		t.Fatalf("%d batches for %d posts of %d bytes' bound; want the batch sent early", bb.batchCount(), posts, (&Post{Vals: vals}).sizeBound())
-	}
-	sent := 0
-	for _, batch := range bb.batches {
-		size := 0
-		for i := range batch {
-			size += batch[i].sizeBound()
-		}
-		if size > flushBytes {
-			t.Fatalf("a batch of %d bytes' bound, over flushBytes %d", size, flushBytes)
-		}
-		sent += len(batch)
-	}
-	if sent != posts || len(bb.Board.ValuePostings("v")) != posts {
-		t.Fatalf("%d posts sent, %d on the board, want %d", sent, len(bb.Board.ValuePostings("v")), posts)
+	const probes = flushBytes/12 + 1 // one run's bound passes flushBytes
+	for _, tc := range []struct {
+		name  string
+		calls int
+		post  func(v Interface, i int)
+		// applied counts the calls the board shows.
+		applied func(b *billboard.Board) int
+	}{
+		{"value vectors", 16,
+			func(v Interface, _ int) { v.PostValues("v", 0, vals) },
+			func(b *billboard.Board) int { return len(b.ValuePostings("v")) }},
+		{"probe run", probes,
+			func(v Interface, i int) { v.PostProbe(0, i, byte(i&1)) },
+			func(b *billboard.Board) int { return int(b.ProbeCount()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bb := &batchBoard{Board: billboard.New(1, probes)}
+			v := Defer(bb)
+			for i := 0; i < tc.calls; i++ {
+				tc.post(v, i)
+			}
+			v.(interface{ Flush() }).Flush()
+			if bb.batchCount() < 2 {
+				t.Fatalf("%d batches for %d calls; want the batch sent early", bb.batchCount(), tc.calls)
+			}
+			for _, batch := range bb.batches {
+				size := 0
+				for i := range batch {
+					size += batch[i].sizeBound()
+				}
+				if size > flushBytes {
+					t.Fatalf("a batch of %d bytes' bound, over flushBytes %d", size, flushBytes)
+				}
+			}
+			if got := tc.applied(bb.Board); got != tc.calls {
+				t.Fatalf("%d of %d calls on the board", got, tc.calls)
+			}
+		})
 	}
 }
 

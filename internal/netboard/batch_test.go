@@ -22,14 +22,18 @@ import (
 )
 
 // mixedPosts is a batch of every post kind, with topics and probe
-// objects spread so a multi-shard cluster splits it.
+// objects spread so a multi-shard cluster splits it. Each player's
+// second probe set repeats an object of its own and one of the first
+// set, with the other grade: a deferred view's run does that when its
+// player probes an object again, and the first grade must stand.
 func mixedPosts() []boardclient.Post {
 	vec, _ := bitvec.PartialFromString("01?1")
 	var posts []boardclient.Post
 	for p := 0; p < 4; p++ {
+		g := byte(p & 1)
 		posts = append(posts,
-			boardclient.Post{Kind: boardclient.ProbePost, Player: p, Object: p, Grade: byte(p & 1)},
-			boardclient.Post{Kind: boardclient.ProbesPost, Player: p, Objs: []int{8, 9, 10, 11, 12, 13}, Grades: []byte{1, 0, 1, 1, 0, 0}},
+			boardclient.Post{Kind: boardclient.ProbesPost, Player: p, Objs: []int{p}, Grades: []byte{g}},
+			boardclient.Post{Kind: boardclient.ProbesPost, Player: p, Objs: []int{8, 9, 10, 11, 12, 13, 9, p}, Grades: []byte{1, 0, 1, 1, 0, 0, 1, 1 - g}},
 			boardclient.Post{Kind: boardclient.ValuesPost, Topic: fmt.Sprintf("v%d", p%3), Player: p, Vals: []uint32{uint32(p), 7}},
 			boardclient.Post{Kind: boardclient.VectorPost, Topic: fmt.Sprintf("t%d", p%2), Player: p, Vec: vec},
 		)
@@ -41,8 +45,6 @@ func mixedPosts() []boardclient.Post {
 func postOneByOne(b billboard.Interface, posts []boardclient.Post) {
 	for _, p := range posts {
 		switch p.Kind {
-		case boardclient.ProbePost:
-			b.PostProbe(p.Player, p.Object, p.Grade)
 		case boardclient.ProbesPost:
 			b.PostProbes(p.Player, p.Objs, p.Grades)
 		case boardclient.ValuesPost:
@@ -146,14 +148,15 @@ func TestPostBatchIsAllOrNothing(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	good := `{"probe":{"player":0,"object":1,"value":1}},{"values":{"topic":"v","player":1,"vals":[3]}}`
+	good := `{"probes":{"player":0,"objects":[1],"grades":"1"}},{"values":{"topic":"v","player":1,"vals":[3]}}`
 	for name, bad := range map[string]string{
 		"player out of range": `{"vector":{"topic":"t","player":99,"bits":"01"}}`,
 		"object out of range": `{"probes":{"player":0,"objects":[99],"grades":"1"}}`,
-		"bad grade":           `{"probe":{"player":0,"object":2,"value":7}}`,
+		"bad grade":           `{"probes":{"player":0,"objects":[2],"grades":"7"}}`,
 		"empty topic":         `{"values":{"topic":"","player":0,"vals":[1]}}`,
 		"no kind":             `{}`,
-		"two kinds":           `{"probe":{"player":0,"object":2,"value":1},"values":{"topic":"v","player":0,"vals":[1]}}`,
+		"single-probe entry":  `{"probe":{"player":0,"object":2,"value":1}}`,
+		"two kinds":           `{"probes":{"player":0,"objects":[2],"grades":"1"},"values":{"topic":"v","player":0,"vals":[1]}}`,
 	} {
 		body := `{"posts":[` + good + `,` + bad + `]}`
 		if code := postJSON(t, srv.URL+PathPostBatch, body); code != http.StatusBadRequest {
@@ -175,7 +178,7 @@ func TestPostBatchAppliesOncePerRequestID(t *testing.T) {
 	defer srv.Close()
 	data, err := wire.JSON.Append(nil, &postBatch{Posts: []batchPost{
 		wirePost(&boardclient.Post{Kind: boardclient.ValuesPost, Topic: "v", Player: 1, Vals: []uint32{4}}),
-		wirePost(&boardclient.Post{Kind: boardclient.ProbePost, Player: 2, Object: 3, Grade: 1}),
+		wirePost(&boardclient.Post{Kind: boardclient.ProbesPost, Player: 2, Objs: []int{3}, Grades: []byte{1}}),
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -525,8 +525,6 @@ func (c *Client) postBatch(ctx context.Context, posts []boardclient.Post) {
 // wirePost is p in the body shape of its per-call endpoint.
 func wirePost(p *boardclient.Post) batchPost {
 	switch p.Kind {
-	case boardclient.ProbePost:
-		return batchPost{Probe: &probePost{Player: p.Player, Object: p.Object, Value: p.Grade}}
 	case boardclient.ProbesPost:
 		return batchPost{Probes: &batchProbesPost{Player: p.Player, Objects: p.Objs, Grades: gradeString(p.Grades)}}
 	case boardclient.ValuesPost:

@@ -159,11 +159,6 @@ func (cl *Cluster) Shards() []string {
 	return append([]string(nil), ring.names...)
 }
 
-// objKey is the ring key of object o. Probes route by object (not by
-// player): one object's column lives whole on one shard, and a
-// player's probe batch splits across shards.
-func objKey(o int) string { return "o/" + strconv.Itoa(o) }
-
 // topicClient resolves the shard owning topic name.
 func (cl *Cluster) topicClient(name string) *Client {
 	ring, clients := cl.topo()
@@ -205,7 +200,7 @@ func (cl *Cluster) PostProbe(p, o int, val byte) { cl.postProbe(bg, p, o, val) }
 
 func (cl *Cluster) postProbe(ctx context.Context, p, o int, val byte) {
 	ring, clients := cl.topo()
-	clients[ring.Owner(objKey(o))].postProbe(ctx, p, o, val)
+	clients[ring.ObjectOwner(o)].postProbe(ctx, p, o, val)
 }
 
 // LookupProbe implements billboard.Interface.
@@ -213,30 +208,43 @@ func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return cl.lookupProbe(bg
 
 func (cl *Cluster) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
 	ring, clients := cl.topo()
-	return clients[ring.Owner(objKey(o))].lookupProbe(ctx, p, o)
+	return clients[ring.ObjectOwner(o)].lookupProbe(ctx, p, o)
 }
 
 // shardSplit partitions a batch's positions by owning shard:
-// byShard[s] lists the batch indices owned by shard s, in batch order.
-// Only shards with at least one index appear.
-func shardSplit(ring *Ring, objs []int) map[int][]int {
-	byShard := make(map[int][]int)
+// split[s] lists the batch indices owned by shard s, in batch order,
+// and is empty when s owns none.
+func shardSplit(ring *Ring, objs []int) [][]int {
+	n, shards := len(objs), ring.Shards()
+	// One array holds each position's owner, each shard's count and
+	// then the lists, which are filled without growing.
+	buf := make([]int, 2*n+shards)
+	owners, counts, lists := buf[:n], buf[n:n+shards], buf[n+shards:]
 	for k, o := range objs {
-		s := ring.Owner(objKey(o))
-		byShard[s] = append(byShard[s], k)
+		owners[k] = ring.ObjectOwner(o)
+		counts[owners[k]]++
 	}
-	return byShard
+	split := make([][]int, shards)
+	for s, c := range counts {
+		split[s], lists = lists[:0:c], lists[c:]
+	}
+	for k, s := range owners {
+		split[s] = append(split[s], k)
+	}
+	return split
 }
 
-// shardList returns the shard indices of byShard in ascending order —
-// the deterministic dispatch/merge order of a split batch.
-func shardList[T any](byShard map[int]T) []int {
-	out := make([]int, 0, len(byShard))
-	for s := range byShard {
-		out = append(out, s)
+// touched returns the shards that split gives anything to, in
+// ascending order: the deterministic dispatch and merge order of a
+// split batch.
+func touched[T any](split [][]T) []int {
+	var shards []int
+	for s, part := range split {
+		if len(part) > 0 {
+			shards = append(shards, s)
+		}
 	}
-	sort.Ints(out)
-	return out
+	return shards
 }
 
 // PostProbes implements billboard.Interface: the batch is split by
@@ -249,10 +257,10 @@ func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []b
 		return
 	}
 	ring, clients := cl.topo()
-	byShard := shardSplit(ring, objs)
-	shards := shardList(byShard)
+	split := shardSplit(ring, objs)
+	shards := touched(split)
 	scatter(len(shards), func(k int) {
-		subObjs, subGrades := pickProbes(objs, grades, byShard[shards[k]])
+		subObjs, subGrades := pickProbes(objs, grades, split[shards[k]])
 		clients[shards[k]].postProbes(ctx, p, subObjs, subGrades)
 	})
 }
@@ -280,10 +288,10 @@ func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades [
 		return
 	}
 	ring, clients := cl.topo()
-	byShard := shardSplit(ring, objs)
-	shards := shardList(byShard)
+	split := shardSplit(ring, objs)
+	shards := touched(split)
 	scatter(len(shards), func(k int) {
-		idx := byShard[shards[k]]
+		idx := split[shards[k]]
 		subObjs := make([]int, len(idx))
 		for j, i := range idx {
 			subObjs[j] = objs[i]
@@ -354,10 +362,10 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 		return
 	}
 	ring, clients := cl.topo()
-	byShard := shardSplit(ring, objs)
-	shards := shardList(byShard)
+	split := shardSplit(ring, objs)
+	shards := touched(split)
 	scatter(len(shards), func(k int) {
-		idx := byShard[shards[k]]
+		idx := split[shards[k]]
 		sub := make([]int, len(idx))
 		for j, i := range idx {
 			sub[j] = objs[i]
@@ -369,7 +377,8 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 // PostBatch implements boardclient.Batcher: the batch is split by
 // owning shard — probe results by object, topic posts by topic — with
 // post order kept within each shard, and every touched shard gets its
-// part as one request, concurrently.
+// part as one request, concurrently. A probe set goes whole to a shard
+// that owns all its objects.
 func (cl *Cluster) PostBatch(posts []boardclient.Post) { cl.postBatch(bg, posts) }
 
 func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
@@ -377,27 +386,25 @@ func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
 		return
 	}
 	ring, clients := cl.topo()
-	byShard := make(map[int][]boardclient.Post)
+	byShard := make([][]boardclient.Post, len(clients))
 	for _, p := range posts {
-		switch p.Kind {
-		case boardclient.ProbePost:
-			s := ring.Owner(objKey(p.Object))
-			byShard[s] = append(byShard[s], p)
-		case boardclient.ProbesPost:
-			split := shardSplit(ring, p.Objs)
-			for s, idx := range split {
-				sub := p
-				if len(split) > 1 {
-					sub.Objs, sub.Grades = pickProbes(p.Objs, p.Grades, idx)
-				}
-				byShard[s] = append(byShard[s], sub)
-			}
-		default:
+		if p.Kind != boardclient.ProbesPost {
 			s := ring.Owner(p.Topic)
 			byShard[s] = append(byShard[s], p)
+			continue
+		}
+		for s, idx := range shardSplit(ring, p.Objs) {
+			if len(idx) == 0 {
+				continue
+			}
+			sub := p
+			if len(idx) < len(p.Objs) {
+				sub.Objs, sub.Grades = pickProbes(p.Objs, p.Grades, idx)
+			}
+			byShard[s] = append(byShard[s], sub)
 		}
 	}
-	shards := shardList(byShard)
+	shards := touched(byShard)
 	scatter(len(shards), func(k int) {
 		clients[shards[k]].postBatch(ctx, byShard[shards[k]])
 	})
@@ -771,7 +778,7 @@ func (cl *Cluster) drainMoved(ctx context.Context, donor *Client, donorIdx int, 
 	n := donor.stats(ctx).N
 	for p := 0; p < n; p++ {
 		moved += cl.moveProbes(ctx, donor, donorIdx, newRing, newClients, p, func(o int) bool {
-			return oldRing.Owner(objKey(o)) == donorIdx
+			return oldRing.ObjectOwner(o) == donorIdx
 		})
 	}
 	return moved
@@ -842,19 +849,19 @@ func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
 // results moved.
 func (cl *Cluster) moveProbes(ctx context.Context, donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
 	pairs := donor.probedPairs(ctx, p)
-	byDest := make(map[int][]objGrade)
+	byDest := make([][]objGrade, newRing.Shards())
 	for _, og := range pairs {
 		if !owned(og.Object) {
 			continue
 		}
-		dest := newRing.Owner(objKey(og.Object))
+		dest := newRing.ObjectOwner(og.Object)
 		if dest == donorIdx {
 			continue
 		}
 		byDest[dest] = append(byDest[dest], og)
 	}
 	var moved []int
-	for _, dest := range shardList(byDest) {
+	for _, dest := range touched(byDest) {
 		group := byDest[dest]
 		objs := make([]int, len(group))
 		grades := make([]byte, len(group))

@@ -126,12 +126,10 @@ func (g *byteGen) postBatch(n int) *postBatch {
 	}
 	b := &postBatch{Posts: make([]batchPost, n)}
 	for i := range b.Posts {
-		switch g.intn(4) {
+		switch g.intn(3) {
 		case 0:
-			b.Posts[i].Probe = &probePost{Player: g.intn(1 << 12), Object: g.intn(1 << 12), Value: g.byte() % 2}
-		case 1:
 			b.Posts[i].Probes = &batchProbesPost{Player: g.intn(1 << 12), Objects: g.voters(), Grades: g.bits(g.intn(8))}
-		case 2:
+		case 1:
 			b.Posts[i].Values = &valuesPost{Topic: g.text(12), Player: g.intn(1 << 12), Vals: g.vals()}
 		default:
 			b.Posts[i].Vector = &vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}}

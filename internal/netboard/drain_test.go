@@ -102,7 +102,7 @@ func TestRemoveShardLateCommitSurvivesDrain(t *testing.T) {
 		}
 	}
 	for o := 0; ; o++ {
-		if ring.Owner(objKey(o)) == 1 {
+		if ring.ObjectOwner(o) == 1 {
 			lateObj = o
 			break
 		}

@@ -168,7 +168,9 @@ type dropPost struct {
 
 // batchProbesPost is the POST body for PathBatchProbes: grades[k] (a
 // '0'/'1' character, same alphabet as the vector wire form) is the
-// player's grade for objects[k]. Objects must be distinct and in range.
+// player's grade for objects[k]. Objects must be in range. One may
+// repeat, as in a deferred view's run when its player probed an object
+// again; the first grade for it stands, as with repeated PostProbe.
 type batchProbesPost struct {
 	Player  int    `json:"player"`
 	Objects []int  `json:"objects"`
@@ -183,9 +185,9 @@ type postBatch struct {
 }
 
 // batchPost is one post of a postBatch, in the body shape of its
-// per-call endpoint. Exactly one field is set.
+// per-call endpoint. Exactly one field is set. A single probe result
+// travels as a one-object Probes.
 type batchPost struct {
-	Probe  *probePost       `json:"probe,omitempty"`
 	Probes *batchProbesPost `json:"probes,omitempty"`
 	Values *valuesPost      `json:"values,omitempty"`
 	Vector *vectorPost      `json:"vector,omitempty"`
@@ -194,7 +196,7 @@ type batchPost struct {
 // kinds counts the fields set; a well-formed post has one.
 func (p *batchPost) kinds() int {
 	n := 0
-	for _, set := range [...]bool{p.Probe != nil, p.Probes != nil, p.Values != nil, p.Vector != nil} {
+	for _, set := range [...]bool{p.Probes != nil, p.Values != nil, p.Vector != nil} {
 		if set {
 			n++
 		}

@@ -81,6 +81,29 @@ func (r *Ring) Owner(key string) int {
 	return r.ownerOfHash(mix64(h.Sum64()))
 }
 
+// ObjectOwner returns the index of the shard owning probe object o:
+// the owner of the ring key "o/<o>". It hashes that key from a stack
+// buffer, so routing an object allocates nothing. Probes route by
+// object, not by player: one object's column lives whole on one shard,
+// and a player's probe batch splits across shards.
+func (r *Ring) ObjectOwner(o int) int {
+	var buf [24]byte // "o/" and a signed 64-bit decimal
+	key := strconv.AppendInt(append(buf[:0], "o/"...), int64(o), 10)
+	h := uint64(fnvOffset64)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return r.ownerOfHash(mix64(h))
+}
+
+// The FNV-1a parameters of hash/fnv's New64a, for ObjectOwner's
+// allocation-free hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // mix64 is the splitmix64 finalizer. Raw FNV-1a is too linear for ring
 // positions: keys differing only in a trailing ordinal hash to values
 // whose differences are small multiples of the FNV prime, so one

@@ -13,7 +13,7 @@ func ringKeys(n int) []string {
 	for i := 0; len(keys) < n; i++ {
 		keys = append(keys, "zr/phase"+strconv.Itoa(i%7)+"/t"+strconv.Itoa(i))
 		if len(keys) < n {
-			keys = append(keys, objKey(i))
+			keys = append(keys, "o/"+strconv.Itoa(i))
 		}
 	}
 	return keys
@@ -116,5 +116,22 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 	fair := float64(len(keys)) / float64(len(grown))
 	if f := float64(moved); f > 2*fair || f < fair/2 {
 		t.Fatalf("added shard took %d keys, want within 2x of fair share %.0f", moved, fair)
+	}
+}
+
+// TestRingObjectOwnerIsOwnerOfObjectKey: ObjectOwner routes every
+// object exactly as Owner routes its ring key "o/<object>", on rings
+// of 1–16 shards, and allocates nothing.
+func TestRingObjectOwnerIsOwnerOfObjectKey(t *testing.T) {
+	for shards := 1; shards <= 16; shards++ {
+		r := newRing(ringShards(shards), 0)
+		for o := 0; o < 1<<17; o++ {
+			if got, want := r.ObjectOwner(o), r.Owner("o/"+strconv.Itoa(o)); got != want {
+				t.Fatalf("%d shards: object %d routed to shard %d, its key's owner is %d", shards, o, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r.ObjectOwner(1<<17 - 1) }); allocs != 0 {
+			t.Fatalf("%d shards: ObjectOwner made %.0f allocations, want 0", shards, allocs)
+		}
 	}
 }

@@ -272,7 +272,8 @@ func (s *Server) checkObject(object int) error {
 // The post mutations below check one post against the board and
 // return the function that applies it. The per-call endpoints and
 // /v1/batch/posts share them, so a post is valid on one exactly when
-// it is valid on the other.
+// it is valid on the other; a batch carries a single probe result as
+// a one-object probe set.
 
 func (s *Server) probeMutation(req *probePost) (func(), error) {
 	if err := s.checkPlayer(req.Player); err != nil {
@@ -392,9 +393,7 @@ func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
 		var err error
 		switch p := &req.Posts[i]; {
 		case p.kinds() != 1:
-			err = errors.New("want exactly one of probe, probes, values, vector")
-		case p.Probe != nil:
-			muts[i], err = s.probeMutation(p.Probe)
+			err = errors.New("want exactly one of probes, values, vector")
 		case p.Probes != nil:
 			muts[i], err = s.probesMutation(p.Probes)
 		case p.Values != nil:

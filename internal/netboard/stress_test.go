@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,19 +253,39 @@ func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int)
 	return core.NewEnv(e, pc, src.Child("public", 0), core.DefaultConfig()), pc
 }
 
+// entryCounter is a Client that counts the post batches its PostBatch
+// receives and the posts in them, the batch entries. The Client's
+// BindContext would return a view that bypasses it, but
+// newMeteredEnv's engine binds no context.
+type entryCounter struct {
+	*Client
+	batches, entries atomic.Int64
+}
+
+func (c *entryCounter) PostBatch(posts []boardclient.Post) {
+	c.batches.Add(1)
+	c.entries.Add(int64(len(posts)))
+	c.Client.PostBatch(posts)
+}
+
+// runCost is what a metered run sent and how many phases it ran.
+type runCost struct {
+	requests, phases, batches, entries int64
+}
+
 // overMeter sets up rc against an HTTP billboard whose one client
-// counts delivered requests. run executes the simulation and returns
-// its outputs, that count and the phases it ran; setup and stop stay
+// counts delivered requests and post-batch entries. run executes the
+// simulation and returns its outputs and cost; setup and stop stay
 // outside it so the benchmark times the simulation alone.
-func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (out string, requests, phases int64), stop func()) {
+func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (string, runCost), stop func()) {
 	board = billboard.New(rc.in.N, rc.in.M)
 	srv := httptest.NewServer(NewServer(board))
 	meter := faultnet.New(nil, 1)
-	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})
+	c := &entryCounter{Client: NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})}
 	env, pc := newMeteredEnv(rc.in, c, parallelism)
-	return board, func() (string, int64, int64) {
+	return board, func() (string, runCost) {
 		out := rc.run(env)
-		return out, meter.Delivered(), pc.n
+		return out, runCost{meter.Delivered(), pc.n, c.batches.Load(), c.entries.Load()}
 	}, srv.Close
 }
 
@@ -274,31 +295,35 @@ func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.B
 // of BenchmarkNetboardRunBatched. Posts wait for the phase barrier
 // (boardclient.Defer), so a run costs one post request per phase that
 // posts, plus its reads and drops (DESIGN.md §8); sibling
-// sub-algorithm calls share their phases (DESIGN.md §3). The counts
-// are the same under both codecs and at any parallelism; the outputs
-// and the server's counters equal the in-process run's.
+// sub-algorithm calls share their phases (DESIGN.md §3). It also pins
+// the post batches and their entries: a flush holds one probe run per
+// player that probed, plus its topic posts. The counts are the same
+// under both codecs and at any parallelism; the outputs and the
+// server's counters equal the in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
 	for _, tc := range []struct {
-		rc               meteredRun
-		requests, phases int64
+		rc   meteredRun
+		want runCost
 	}{
-		{zeroRadiusRow, 14, 3},
-		{solveRow, 44, 24},
+		{zeroRadiusRow, runCost{requests: 14, phases: 3, batches: 2, entries: 144}},
+		{solveRow, runCost{requests: 44, phases: 24, batches: 18, entries: 312}},
 	} {
 		local := billboard.New(tc.rc.in.N, tc.rc.in.M)
 		localEnv, localPhases := newMeteredEnv(tc.rc.in, local, 4)
 		wantOut := tc.rc.run(localEnv)
-		if localPhases.n != tc.phases {
-			t.Errorf("%s: %d phases in process, want %d", tc.rc.name, localPhases.n, tc.phases)
+		if localPhases.n != tc.want.phases {
+			t.Errorf("%s: %d phases in process, want %d", tc.rc.name, localPhases.n, tc.want.phases)
 		}
 		for _, codec := range []string{"json", "binary"} {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/par%d", tc.rc.name, codec, par), func(t *testing.T) {
 					board, run, stop := overMeter(tc.rc, codec, par)
 					defer stop()
-					out, requests, phases := run()
-					if requests != tc.requests || phases != tc.phases {
-						t.Errorf("%d HTTP requests in %d phases, want %d in %d", requests, phases, tc.requests, tc.phases)
+					out, cost := run()
+					if cost != tc.want {
+						t.Errorf("%d HTTP requests in %d phases, %d post batches of %d entries; want %d in %d, %d of %d",
+							cost.requests, cost.phases, cost.batches, cost.entries,
+							tc.want.requests, tc.want.phases, tc.want.batches, tc.want.entries)
 					}
 					if out != wantOut {
 						t.Error("outputs differ from the in-process run")
@@ -315,25 +340,27 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 }
 
 // BenchmarkNetboardRunBatched measures both TestZeroRadiusRequestCount
-// runs against an HTTP billboard and reports the HTTP requests and the
-// phases each took.
+// runs against an HTTP billboard and reports the HTTP requests, the
+// phases and the post-batch entries each took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
 	for _, rc := range []meteredRun{zeroRadiusRow, solveRow} {
 		b.Run(rc.name, func(b *testing.B) {
-			var requests, phases int64
+			var total runCost
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				_, run, stop := overMeter(rc, "", 4)
 				b.StartTimer()
-				_, r, p := run()
+				_, cost := run()
 				b.StopTimer()
-				requests += r
-				phases += p
+				total.requests += cost.requests
+				total.phases += cost.phases
+				total.entries += cost.entries
 				stop()
 				b.StartTimer()
 			}
-			b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
-			b.ReportMetric(float64(phases)/float64(b.N), "phases/op")
+			b.ReportMetric(float64(total.requests)/float64(b.N), "requests/op")
+			b.ReportMetric(float64(total.phases)/float64(b.N), "phases/op")
+			b.ReportMetric(float64(total.entries)/float64(b.N), "entries/op")
 		})
 	}
 }

@@ -361,8 +361,6 @@ func (b *postBatch) AppendBinary(dst []byte) []byte {
 	for _, p := range b.Posts {
 		var m wire.Message
 		switch {
-		case p.Probe != nil:
-			m = p.Probe
 		case p.Probes != nil:
 			m = p.Probes
 		case p.Values != nil:
@@ -390,9 +388,6 @@ func (b *postBatch) DecodeBinary(r *wire.Reader) {
 		var p batchPost
 		switch tag := r.Byte(); tag {
 		case 0:
-		case tagProbePost:
-			p.Probe = new(probePost)
-			p.Probe.DecodeBinary(r)
 		case tagBatchProbesPost:
 			p.Probes = new(batchProbesPost)
 			p.Probes.DecodeBinary(r)
