@@ -41,7 +41,8 @@ stress-net:
 
 # The sharded-cluster gate on its own (also part of `race`): the
 # consistent-hash ring invariants, the cluster-vs-single-board identity
-# oracles, resharding drains, and the multi-shard fault-injection
+# oracles, resharding drains (including a drain under a non-panicking
+# OnError, which must fail loudly), and the multi-shard fault-injection
 # stress — one shard's network degraded while concurrent players post —
 # proving zero lost and zero double-applied posts under -race
 # (internal/netboard/cluster_stress_test.go).
@@ -65,10 +66,12 @@ race-telemetry:
 
 # The cancellation gate on its own (also part of `race`): phase workers
 # cancelled mid-phase, player panics surfacing as errors with the
-# barrier intact, a dead networked billboard hitting its deadline, and
-# an aborted run leaving the shared board consistent.
+# barrier intact, a dead networked billboard hitting its deadline, an
+# aborted run leaving the shared board consistent, every operation of a
+# netboard Client or Cluster view bound to a cancelled context sending
+# nothing, and bound views sharing their board's state.
 race-cancel:
-	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled' . ./internal/sim/ ./internal/netboard/
+	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled|BindContext' . ./internal/sim/ ./internal/netboard/
 
 # The load-generator smoke (also part of `race` via the package tests):
 # a 10k-player in-process fleet plus a 2-shard loopback cluster run,

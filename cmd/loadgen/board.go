@@ -45,25 +45,20 @@ func resolveTarget(spec string, localShards, players, m int, codec string, reg *
 		}
 		return spawnLocalShards(localShards, players, m, codec, reg)
 	}
-	switch {
-	case spec == "":
+	if spec == "" {
 		mem := billboard.New(players, m)
 		mem.SetTelemetry(reg)
 		return &boardTarget{board: mem, kind: "inproc", shards: 1}, nil
-	case strings.Contains(spec, ","):
-		shards := strings.Split(spec, ",")
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: shards,
-			Client: netboard.Config{Telemetry: reg, Retries: 2, Codec: codec},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: board %q: %w", spec, err)
-		}
-		return &boardTarget{board: cluster, kind: fmt.Sprintf("cluster(%d)", len(shards)), shards: len(shards)}, nil
-	default:
-		c := netboard.NewClientWithConfig(spec, netboard.Config{Telemetry: reg, Retries: 2, Codec: codec})
-		return &boardTarget{board: c, kind: "server", shards: 1}, nil
 	}
+	board, err := netboard.FromSpec(spec, netboard.Config{Telemetry: reg, Retries: 2, Codec: codec})
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: board %q: %w", spec, err)
+	}
+	if cluster, ok := board.(*netboard.Cluster); ok {
+		n := len(cluster.Shards())
+		return &boardTarget{board: board, kind: fmt.Sprintf("cluster(%d)", n), shards: n}, nil
+	}
+	return &boardTarget{board: board, kind: "server", shards: 1}, nil
 }
 
 // spawnLocalShards starts n loopback netboard servers and returns a

@@ -142,21 +142,14 @@ func main() {
 // same resolution the batch facade's Options.BoardURL performs.
 func resolveBoard(spec string, capacity, m int, codec string, reg *telemetry.Registry) (boardclient.Interface, error) {
 	spec = strings.TrimSpace(spec)
-	switch {
-	case spec == "":
+	if spec == "" {
 		mem := billboard.New(capacity, m)
 		mem.SetTelemetry(reg)
 		return mem, nil
-	case strings.Contains(spec, ","):
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: strings.Split(spec, ","),
-			Client: netboard.Config{Telemetry: reg, Codec: codec},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tellmed: board %q: %w", spec, err)
-		}
-		return cluster, nil
-	default:
-		return netboard.NewClientWithConfig(spec, netboard.Config{Telemetry: reg, Codec: codec}), nil
 	}
+	b, err := netboard.FromSpec(spec, netboard.Config{Telemetry: reg, Codec: codec})
+	if err != nil {
+		return nil, fmt.Errorf("tellmed: board %q: %w", spec, err)
+	}
+	return b, nil
 }

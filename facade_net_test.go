@@ -52,6 +52,42 @@ func TestRunAgainstRemoteBoard(t *testing.T) {
 	}
 }
 
+// TestRunBoardURLTrimsShardURLs checks that BoardURL's shard URLs are
+// trimmed: a spec with spaces around its URLs addresses the same
+// cluster as the bare one, and the run reproduces its outputs.
+func TestRunBoardURLTrimsShardURLs(t *testing.T) {
+	in := IdenticalInstance(32, 32, 0.5, 5)
+	run := func(spec func(u0, u1 string) string) *Report {
+		t.Helper()
+		var urls [2]string
+		for i := range urls {
+			srv := httptest.NewServer(netboard.NewServer(billboard.New(in.N, in.M)))
+			t.Cleanup(srv.Close)
+			urls[i] = srv.URL
+		}
+		rep, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 6, BoardURL: spec(urls[0], urls[1])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := run(func(u0, u1 string) string { return u0 + "," + u1 })
+	for _, spec := range []func(u0, u1 string) string{
+		func(u0, u1 string) string { return u0 + ", " + u1 },
+		func(u0, u1 string) string { return " " + u0 + " ,\t" + u1 + " " },
+	} {
+		got := run(spec)
+		for p := range want.Outputs {
+			if !got.Outputs[p].Equal(want.Outputs[p]) {
+				t.Fatalf("spec %q: player %d output differs from the untrimmed spec's", spec("u0", "u1"), p)
+			}
+		}
+		if got.MaxProbes != want.MaxProbes {
+			t.Fatalf("spec %q: max probes %d, want %d", spec("u0", "u1"), got.MaxProbes, want.MaxProbes)
+		}
+	}
+}
+
 func TestRunRejectsUnknownCodec(t *testing.T) {
 	in := IdenticalInstance(8, 8, 0.5, 21)
 	if _, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 1, BoardURL: "http://localhost:1", BoardCodec: "gob"}); err == nil {

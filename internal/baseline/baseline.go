@@ -44,9 +44,10 @@ func Solo(e *probe.Engine, runner *sim.Runner) []bitvec.Partial {
 
 // probeTallier is the optional fast path for the per-object grade tally
 // the baselines share: the in-memory Board computes it word-parallel
-// over its packed probe planes. Boards reached through a wrapper (e.g.
-// boardclient.BindContext) or a network client don't expose it and fall
-// back to the per-probe walk.
+// over its packed probe planes. A wrapper that embeds
+// boardclient.Interface, or a network client, doesn't expose it and
+// falls back to the per-probe walk; boardclient.BindContext returns the
+// in-memory Board itself, so a bound run keeps the fast path.
 type probeTallier interface {
 	ProbeTally(ones, total []int) ([]int, []int)
 }

@@ -49,16 +49,30 @@ import (
 // one request per batch, and an epoch-tagged per-topic snapshot cache
 // that re-downloads a tally only when the topic actually changed.
 //
-// The plain Interface methods run uncancellable (context.Background
-// semantics). BindContext returns a view of the client whose every
-// request — including retry backoff sleeps — aborts when the bound
-// context is cancelled; the probe engine binds the run context this
-// way, so a deadline cuts through in-flight HTTP calls instead of
-// waiting out the full retry schedule.
+// A client carries the context its requests run under. The one
+// NewClientWithConfig returns runs uncancellable (context.Background).
+// BindContext returns a view of the client — a *Client sharing all of
+// its state — whose every request, including retry backoff sleeps,
+// aborts when the bound context is cancelled; the probe engine binds
+// the run context this way, so a deadline cuts through in-flight HTTP
+// calls instead of waiting out the full retry schedule.
 type Client struct {
 	// BaseURL is the server's root, e.g. "http://localhost:7070".
 	BaseURL string
 
+	// ctx governs every request sent through this client or view; never
+	// nil.
+	ctx context.Context
+	// strict is set only on a reshard drain's views: a terminal failure
+	// panics whatever OnError says, so the drain aborts instead of
+	// carrying on with degraded zero values.
+	strict bool
+
+	*clientState
+}
+
+// clientState is everything a client shares with its views.
+type clientState struct {
 	// cfg is the normalized Config the client was built from, with
 	// HTTPClient and TelemetryPrefix resolved; codec is cfg.Codec's
 	// wire codec.
@@ -157,12 +171,23 @@ func NewClient(baseURL string) *Client {
 // BindContext implements boardclient.ContextBinder: the returned view
 // shares all state with c (request ids, snapshot cache, degraded-mode
 // record) but runs every request under ctx — in-flight HTTP calls are
-// aborted and backoff sleeps return early when ctx is cancelled.
+// aborted and backoff sleeps return early when ctx is cancelled. An
+// unbound client given a nil or never-done context returns itself.
 func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Done() == nil && c.ctx.Done() == nil {
 		return c
 	}
-	return &boundClient{c: c, ctx: ctx}
+	return c.view(ctx, c.strict)
+}
+
+// view returns a view of c under ctx; see Client.strict for strict.
+func (c *Client) view(ctx context.Context, strict bool) *Client {
+	v := *c
+	v.ctx, v.strict = ctx, strict
+	return &v
 }
 
 // Err returns the first transport/protocol error the client swallowed
@@ -187,7 +212,7 @@ func (c *Client) fail(err error) {
 		c.firstErr = terr
 	}
 	c.errMu.Unlock()
-	if c.cfg.OnError != nil {
+	if c.cfg.OnError != nil && !c.strict {
 		c.cfg.OnError(terr)
 		return
 	}
@@ -472,26 +497,18 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 	return false
 }
 
-// bg is the context of the plain Interface methods: uncancellable, the
-// pre-context behavior.
-var bg = context.Background()
-
 // PostProbe implements billboard.Interface.
-func (c *Client) PostProbe(p, o int, val byte) { c.postProbe(bg, p, o, val) }
-
-func (c *Client) postProbe(ctx context.Context, p, o int, val byte) {
-	c.post(ctx, PathProbe, &probePost{Player: p, Object: o, Value: val})
+func (c *Client) PostProbe(p, o int, val byte) {
+	c.post(c.ctx, PathProbe, &probePost{Player: p, Object: o, Value: val})
 }
 
 // PostProbes implements billboard.Interface: the whole batch travels as
 // one idempotent request.
-func (c *Client) PostProbes(p int, objs []int, grades []byte) { c.postProbes(bg, p, objs, grades) }
-
-func (c *Client) postProbes(ctx context.Context, p int, objs []int, grades []byte) {
+func (c *Client) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
-	c.post(ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: gradeString(grades)})
+	c.post(c.ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: gradeString(grades)})
 }
 
 // gradeString is grades in the '0'/'1' wire alphabet of a probe batch.
@@ -509,9 +526,7 @@ func gradeString(grades []byte) string {
 
 // PostBatch implements boardclient.Batcher: the posts travel in order
 // as one idempotent request.
-func (c *Client) PostBatch(posts []boardclient.Post) { c.postBatch(bg, posts) }
-
-func (c *Client) postBatch(ctx context.Context, posts []boardclient.Post) {
+func (c *Client) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
 	}
@@ -519,7 +534,7 @@ func (c *Client) postBatch(ctx context.Context, posts []boardclient.Post) {
 	for i := range posts {
 		msg.Posts[i] = wirePost(&posts[i])
 	}
-	c.post(ctx, PathPostBatch, &msg)
+	c.post(c.ctx, PathPostBatch, &msg)
 }
 
 // wirePost is p in the body shape of its per-call endpoint.
@@ -535,11 +550,9 @@ func wirePost(p *boardclient.Post) batchPost {
 }
 
 // LookupProbe implements billboard.Interface.
-func (c *Client) LookupProbe(p, o int) (byte, bool) { return c.lookupProbe(bg, p, o) }
-
-func (c *Client) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
+func (c *Client) LookupProbe(p, o int) (byte, bool) {
 	var reply probeReply
-	c.get(ctx, PathProbe, url.Values{
+	c.get(c.ctx, PathProbe, url.Values{
 		"player": {strconv.Itoa(p)},
 		"object": {strconv.Itoa(o)},
 	}, &reply)
@@ -549,10 +562,6 @@ func (c *Client) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
 // LookupProbes implements billboard.Interface: one request for the
 // whole batch.
 func (c *Client) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	c.lookupProbes(bg, p, objs, grades, known)
-}
-
-func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []byte, known []bool) {
 	if len(objs) == 0 {
 		return
 	}
@@ -564,7 +573,7 @@ func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []b
 		sb.WriteString(strconv.Itoa(o))
 	}
 	var reply batchLookupsReply
-	ok := c.get(ctx, PathBatchLookups, url.Values{
+	ok := c.get(c.ctx, PathBatchLookups, url.Values{
 		"player":  {strconv.Itoa(p)},
 		"objects": {sb.String()},
 	}, &reply)
@@ -592,10 +601,8 @@ func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []b
 }
 
 // ProbedObjects implements billboard.Interface.
-func (c *Client) ProbedObjects(p int) map[int]byte { return c.probedObjects(bg, p) }
-
-func (c *Client) probedObjects(ctx context.Context, p int) map[int]byte {
-	pairs := c.probedPairs(ctx, p)
+func (c *Client) ProbedObjects(p int) map[int]byte {
+	pairs := c.probedPairs(p)
 	out := make(map[int]byte, len(pairs))
 	for _, og := range pairs {
 		out[og.Object] = og.Grade
@@ -606,46 +613,38 @@ func (c *Client) probedObjects(ctx context.Context, p int) map[int]byte {
 // probedPairs fetches p's probe results as ordered (object, grade)
 // pairs — the server's order, ascending by object for a Board-backed
 // server. The Cluster merges these per-shard lists.
-func (c *Client) probedPairs(ctx context.Context, p int) []objGrade {
+func (c *Client) probedPairs(p int) []objGrade {
 	var reply probedObjectsReply
-	c.get(ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
+	c.get(c.ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
 	return reply.Objects
 }
 
 // ForEachProbe implements billboard.Interface. It fetches the player's
 // probe results once and iterates them in the server's order (ascending
 // object order for a billboard.Board-backed server).
-func (c *Client) ForEachProbe(p int, fn func(o int, grade byte)) { c.forEachProbe(bg, p, fn) }
-
-func (c *Client) forEachProbe(ctx context.Context, p int, fn func(o int, grade byte)) {
-	var reply probedObjectsReply
-	c.get(ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
-	for _, og := range reply.Objects {
+func (c *Client) ForEachProbe(p int, fn func(o int, grade byte)) {
+	for _, og := range c.probedPairs(p) {
 		fn(og.Object, og.Grade)
 	}
 }
 
 // ProbeCount implements billboard.Interface.
-func (c *Client) ProbeCount() int64 { return c.stats(bg).ProbeCount }
+func (c *Client) ProbeCount() int64 { return c.stats().ProbeCount }
 
 // Post implements billboard.Interface.
-func (c *Client) Post(name string, player int, v bitvec.Partial) { c.postTopic(bg, name, player, v) }
-
-func (c *Client) postTopic(ctx context.Context, name string, player int, v bitvec.Partial) {
-	c.post(ctx, PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
+func (c *Client) Post(name string, player int, v bitvec.Partial) {
+	c.post(c.ctx, PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
 }
 
 // PostVector implements billboard.Interface.
 func (c *Client) PostVector(name string, player int, v bitvec.Vector) {
-	c.postTopic(bg, name, player, bitvec.PartialOf(v))
+	c.Post(name, player, bitvec.PartialOf(v))
 }
 
 // Postings implements billboard.Interface.
-func (c *Client) Postings(name string) []billboard.Posting { return c.postings(bg, name) }
-
-func (c *Client) postings(ctx context.Context, name string) []billboard.Posting {
+func (c *Client) Postings(name string) []billboard.Posting {
 	var reply postingList
-	c.get(ctx, PathPostings, url.Values{"topic": {name}}, &reply)
+	c.get(c.ctx, PathPostings, url.Values{"topic": {name}}, &reply)
 	out := make([]billboard.Posting, len(reply))
 	for i, p := range reply {
 		out[i] = billboard.Posting{Player: p.Player, Vec: p.Bits.P}
@@ -653,32 +652,24 @@ func (c *Client) postings(ctx context.Context, name string) []billboard.Posting 
 	return out
 }
 
-// snapshot returns the topic's tallies through the epoch-tagged
-// snapshot cache: one GET when the cached (gen, epoch) stamp is stale,
-// zero decode work when the server answers "unchanged". The returned
-// entry is shared and immutable, matching the billboard.Interface
-// contract for Votes/ValueVotes. Returns nil in degraded mode.
-func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
-	c.cacheMu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[string]*topicCacheEntry)
-	}
-	cached := c.cache[name]
-	c.cacheMu.Unlock()
-
-	q := url.Values{"topic": {name}}
-	if cached != nil {
-		q.Set("gen", strconv.FormatUint(cached.gen, 10))
-		q.Set("epoch", strconv.FormatUint(cached.epoch, 10))
+// fetchSnapshot is the one topic-snapshot read: the server's (gen,
+// epoch) stamp of the topic and, unless it still equals (sinceGen,
+// sinceEpoch), the decoded tallies. No topic generation is 0, so a zero
+// stamp always fetches. Returns nil in degraded mode.
+func (c *Client) fetchSnapshot(name string, sinceGen, sinceEpoch uint64) (entry *topicCacheEntry, unchanged bool) {
+	q := url.Values{
+		"topic": {name},
+		"gen":   {strconv.FormatUint(sinceGen, 10)},
+		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
 	}
 	var reply topicSnapshotReply
-	if !c.get(ctx, PathTopicSnapshot, q, &reply) {
-		return nil // degraded; c.fail already fired
+	if !c.get(c.ctx, PathTopicSnapshot, q, &reply) {
+		return nil, false // degraded; c.fail already fired
 	}
-	if reply.Unchanged && cached != nil {
-		return cached
+	entry = &topicCacheEntry{gen: reply.Gen, epoch: reply.Epoch}
+	if reply.Unchanged {
+		return entry, true
 	}
-	entry := &topicCacheEntry{gen: reply.Gen, epoch: reply.Epoch}
 	entry.votes = make([]billboard.Vote, len(reply.Votes))
 	for i, v := range reply.Votes {
 		entry.votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
@@ -686,6 +677,33 @@ func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
 	entry.valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
 	for i, v := range reply.ValueVotes {
 		entry.valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
+	}
+	return entry, false
+}
+
+// snapshot returns the topic's tallies through the epoch-tagged
+// snapshot cache: one GET when the cached (gen, epoch) stamp is stale,
+// zero decode work when the server answers "unchanged". The returned
+// entry is shared and immutable, matching the billboard.Interface
+// contract for Votes/ValueVotes. Returns nil in degraded mode.
+func (c *Client) snapshot(name string) *topicCacheEntry {
+	c.cacheMu.Lock()
+	if c.cache == nil {
+		c.cache = make(map[string]*topicCacheEntry)
+	}
+	cached := c.cache[name]
+	c.cacheMu.Unlock()
+
+	var gen, epoch uint64
+	if cached != nil {
+		gen, epoch = cached.gen, cached.epoch
+	}
+	entry, unchanged := c.fetchSnapshot(name, gen, epoch)
+	if entry == nil {
+		return nil
+	}
+	if unchanged && cached != nil {
+		return cached
 	}
 	c.cacheMu.Lock()
 	// Last writer wins; concurrent fetchers decoded the same stamp or a
@@ -698,24 +716,17 @@ func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
 // Votes implements billboard.Interface. The result is the shared,
 // immutable snapshot-cache entry (same contract as the in-memory
 // board's epoch-cached tallies).
-func (c *Client) Votes(name string) []billboard.Vote { return c.votes(bg, name) }
-
-func (c *Client) votes(ctx context.Context, name string) []billboard.Vote {
-	entry := c.snapshot(ctx, name)
-	if entry == nil {
-		return nil
+func (c *Client) Votes(name string) []billboard.Vote {
+	if entry := c.snapshot(name); entry != nil {
+		return entry.votes
 	}
-	return entry.votes
+	return nil
 }
 
 // PopularVectors implements billboard.Interface.
 func (c *Client) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return c.popularVectors(bg, name, minVotes)
-}
-
-func (c *Client) popularVectors(ctx context.Context, name string, minVotes int) []bitvec.Partial {
 	var out []bitvec.Partial
-	for _, v := range c.votes(ctx, name) {
+	for _, v := range c.Votes(name) {
 		if v.Count >= minVotes {
 			out = append(out, v.Vec)
 		}
@@ -725,21 +736,13 @@ func (c *Client) popularVectors(ctx context.Context, name string, minVotes int) 
 
 // PostValues implements billboard.Interface.
 func (c *Client) PostValues(name string, player int, vals []uint32) {
-	c.postValues(bg, name, player, vals)
-}
-
-func (c *Client) postValues(ctx context.Context, name string, player int, vals []uint32) {
-	c.post(ctx, PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
+	c.post(c.ctx, PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
 }
 
 // ValuePostings implements billboard.Interface.
 func (c *Client) ValuePostings(name string) []billboard.ValuePosting {
-	return c.valuePostings(bg, name)
-}
-
-func (c *Client) valuePostings(ctx context.Context, name string) []billboard.ValuePosting {
 	var reply valuePostingList
-	c.get(ctx, PathValuePostings, url.Values{"topic": {name}}, &reply)
+	c.get(c.ctx, PathValuePostings, url.Values{"topic": {name}}, &reply)
 	out := make([]billboard.ValuePosting, len(reply))
 	for i, p := range reply {
 		out[i] = billboard.ValuePosting{Player: p.Player, Vals: p.Vals}
@@ -749,79 +752,63 @@ func (c *Client) valuePostings(ctx context.Context, name string) []billboard.Val
 
 // ValueVotes implements billboard.Interface. Like Votes, the result is
 // the shared immutable snapshot-cache entry.
-func (c *Client) ValueVotes(name string) []billboard.ValueVote { return c.valueVotes(bg, name) }
-
-func (c *Client) valueVotes(ctx context.Context, name string) []billboard.ValueVote {
-	entry := c.snapshot(ctx, name)
-	if entry == nil {
-		return nil
+func (c *Client) ValueVotes(name string) []billboard.ValueVote {
+	if entry := c.snapshot(name); entry != nil {
+		return entry.valVotes
 	}
-	return entry.valVotes
+	return nil
 }
 
 // DropTopic implements billboard.Interface.
-func (c *Client) DropTopic(name string) { c.dropTopic(bg, name) }
+func (c *Client) DropTopic(name string) { c.drop(name, PathDropTopic, &dropPost{Topic: name}) }
 
-func (c *Client) dropTopic(ctx context.Context, name string) {
-	c.post(ctx, PathDropTopic, &dropPost{Topic: name})
+// dropTopicIf asks the server to drop the topic only if its posting
+// counts still match (nVec vector postings, nVal value postings). The
+// outcome is not reported — a deduplicated retry could not reproduce it
+// — so callers verify by re-reading the topic.
+func (c *Client) dropTopicIf(name string, nVec, nVal int) {
+	c.drop(name, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
+}
+
+// drop sends a drop of topic name and evicts its snapshot-cache entry.
+func (c *Client) drop(name, path string, body wire.Message) {
+	c.post(c.ctx, path, body)
 	c.cacheMu.Lock()
 	delete(c.cache, name)
 	c.cacheMu.Unlock()
 }
 
 // TopicCount implements billboard.Interface.
-func (c *Client) TopicCount() int { return c.stats(bg).TopicCount }
+func (c *Client) TopicCount() int { return c.stats().TopicCount }
 
 // VectorPostCount implements billboard.Interface.
-func (c *Client) VectorPostCount() int64 { return c.stats(bg).VectorPostCount }
+func (c *Client) VectorPostCount() int64 { return c.stats().VectorPostCount }
 
-func (c *Client) stats(ctx context.Context) statsReply {
+func (c *Client) stats() statsReply {
 	var reply statsReply
-	c.get(ctx, PathStats, nil, &reply)
+	c.get(c.ctx, PathStats, nil, &reply)
 	return reply
 }
 
 // TopicSnapshot implements boardclient.Interface: the raw epoch-tagged
 // tally read behind the batched protocol, bypassing the client's own
 // snapshot cache (the caller manages its stamps — this is what a
-// Cluster drain replays from, and what a caller layering its own cache
-// uses). Votes/ValueVotes go through the cache instead.
+// caller layering its own cache uses). Votes/ValueVotes go through the
+// cache instead.
 func (c *Client) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return c.topicSnapshot(bg, name, sinceGen, sinceEpoch)
-}
-
-func (c *Client) topicSnapshot(ctx context.Context, name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	q := url.Values{
-		"topic": {name},
-		"gen":   {strconv.FormatUint(sinceGen, 10)},
-		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
+	entry, unchanged := c.fetchSnapshot(name, sinceGen, sinceEpoch)
+	if entry == nil {
+		return 0, 0, false, nil, nil
 	}
-	var reply topicSnapshotReply
-	if !c.get(ctx, PathTopicSnapshot, q, &reply) {
-		return 0, 0, false, nil, nil // degraded; c.fail already fired
-	}
-	if reply.Unchanged {
-		return reply.Gen, reply.Epoch, true, nil, nil
-	}
-	votes = make([]billboard.Vote, len(reply.Votes))
-	for i, v := range reply.Votes {
-		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-	}
-	valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
-	for i, v := range reply.ValueVotes {
-		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-	}
-	return reply.Gen, reply.Epoch, false, votes, valVotes
+	return entry.gen, entry.epoch, unchanged, entry.votes, entry.valVotes
 }
 
 // Topics returns the names of all live topics on the server, sorted.
 // It is the drain-path enumeration (mirrors billboard.Board.Topics) and
 // is not part of boardclient.Interface.
-func (c *Client) Topics() []string { return c.topics(bg) }
-
-func (c *Client) topics(ctx context.Context) []string {
+func (c *Client) Topics() []string {
 	var reply topicsReply
-	c.get(ctx, PathTopics, nil, &reply)
+	c.get(c.ctx, PathTopics, nil, &reply)
 	return reply.Topics
 }
 
@@ -829,95 +816,17 @@ func (c *Client) topics(ctx context.Context) []string {
 // (mirrors billboard.Board.ClearProbes; see there for the quiescence
 // requirement). It is the second half of the cluster probe-migration
 // step and is not part of boardclient.Interface.
-func (c *Client) ClearProbes(p int, objs []int) { c.clearProbes(bg, p, objs) }
-
-func (c *Client) clearProbes(ctx context.Context, p int, objs []int) {
+func (c *Client) ClearProbes(p int, objs []int) {
 	if len(objs) == 0 {
 		return
 	}
-	c.post(ctx, PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
+	c.post(c.ctx, PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
 }
 
 // Quiesce blocks until every mutation the server has started applying
 // has finished — the drain-path barrier before snapshotting a donor.
 // Not part of boardclient.Interface.
-func (c *Client) Quiesce() { c.quiesce(bg) }
-
-func (c *Client) quiesce(ctx context.Context) {
+func (c *Client) Quiesce() {
 	var reply quiesceReply
-	c.get(ctx, PathQuiesce, nil, &reply)
+	c.get(c.ctx, PathQuiesce, nil, &reply)
 }
-
-// dropTopicIf asks the server to drop the topic only if its posting
-// counts still match (nVec vector postings, nVal value postings). The
-// outcome is not reported — a deduplicated retry could not reproduce it
-// — so callers verify by re-reading the topic.
-func (c *Client) dropTopicIf(ctx context.Context, name string, nVec, nVal int) {
-	c.post(ctx, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
-	c.cacheMu.Lock()
-	delete(c.cache, name)
-	c.cacheMu.Unlock()
-}
-
-// boundClient is the context-bound view of a Client: every operation
-// forwards to the shared client with the bound context. It cannot embed
-// *Client — the embedded methods would run with the background context —
-// so it forwards all 18 Interface methods explicitly.
-type boundClient struct {
-	c   *Client
-	ctx context.Context
-}
-
-var _ boardclient.Interface = (*boundClient)(nil)
-var _ boardclient.ContextBinder = (*boundClient)(nil)
-var _ boardclient.Batcher = (*boundClient)(nil)
-
-// BindContext rebinds to a different context, still sharing the client.
-func (b *boundClient) BindContext(ctx context.Context) boardclient.Interface {
-	return b.c.BindContext(ctx)
-}
-
-func (b *boundClient) PostProbe(p, o int, val byte) { b.c.postProbe(b.ctx, p, o, val) }
-func (b *boundClient) PostProbes(p int, objs []int, grades []byte) {
-	b.c.postProbes(b.ctx, p, objs, grades)
-}
-func (b *boundClient) PostBatch(posts []boardclient.Post) { b.c.postBatch(b.ctx, posts) }
-func (b *boundClient) LookupProbe(p, o int) (byte, bool)  { return b.c.lookupProbe(b.ctx, p, o) }
-func (b *boundClient) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	b.c.lookupProbes(b.ctx, p, objs, grades, known)
-}
-func (b *boundClient) ProbedObjects(p int) map[int]byte { return b.c.probedObjects(b.ctx, p) }
-func (b *boundClient) ForEachProbe(p int, fn func(o int, grade byte)) {
-	b.c.forEachProbe(b.ctx, p, fn)
-}
-func (b *boundClient) ProbeCount() int64 { return b.c.stats(b.ctx).ProbeCount }
-func (b *boundClient) Post(name string, player int, v bitvec.Partial) {
-	b.c.postTopic(b.ctx, name, player, v)
-}
-func (b *boundClient) PostVector(name string, player int, v bitvec.Vector) {
-	b.c.postTopic(b.ctx, name, player, bitvec.PartialOf(v))
-}
-func (b *boundClient) Postings(name string) []billboard.Posting { return b.c.postings(b.ctx, name) }
-func (b *boundClient) Votes(name string) []billboard.Vote       { return b.c.votes(b.ctx, name) }
-func (b *boundClient) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return b.c.popularVectors(b.ctx, name, minVotes)
-}
-func (b *boundClient) PostValues(name string, player int, vals []uint32) {
-	b.c.postValues(b.ctx, name, player, vals)
-}
-func (b *boundClient) ValuePostings(name string) []billboard.ValuePosting {
-	return b.c.valuePostings(b.ctx, name)
-}
-func (b *boundClient) ValueVotes(name string) []billboard.ValueVote {
-	return b.c.valueVotes(b.ctx, name)
-}
-func (b *boundClient) DropTopic(name string) { b.c.dropTopic(b.ctx, name) }
-func (b *boundClient) TopicCount() int       { return b.c.stats(b.ctx).TopicCount }
-func (b *boundClient) VectorPostCount() int64 {
-	return b.c.stats(b.ctx).VectorPostCount
-}
-func (b *boundClient) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return b.c.topicSnapshot(b.ctx, name, sinceGen, sinceEpoch)
-}
-func (b *boundClient) Err() error      { return b.c.Err() }
-func (b *boundClient) Failures() int64 { return b.c.Failures() }

@@ -53,9 +53,22 @@ type ClusterConfig struct {
 // panics on several shards at once re-panics the lowest-indexed
 // shard's value, deterministically.
 //
+// Like a Client, a Cluster carries the context its requests run under:
+// NewCluster's runs uncancellable, and BindContext returns a view that
+// sends every shard request under the bound context.
+//
 // AddShard/RemoveShard reshard a quiescent cluster in place; see their
 // docs for the (static-topology) contract.
 type Cluster struct {
+	// ctx governs every shard request sent through this cluster or
+	// view; never nil.
+	ctx context.Context
+
+	*clusterState
+}
+
+// clusterState is everything a cluster shares with its views.
+type clusterState struct {
 	cfg ClusterConfig
 
 	// topoMu guards the (ring, clients) pair, swapped atomically by a
@@ -86,7 +99,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		seen[u] = true
 	}
-	cl := &Cluster{cfg: cfg}
+	cl := &Cluster{ctx: context.Background(), clusterState: &clusterState{cfg: cfg}}
 	if cl.cfg.Client.HTTPClient == nil {
 		// Resolve the pooled client ONCE and share it across shards (and
 		// any shards added later): per-host pool limits apply per shard
@@ -159,10 +172,20 @@ func (cl *Cluster) Shards() []string {
 	return append([]string(nil), ring.names...)
 }
 
+// on returns the client to send a shard request through: the shard
+// client itself when cl is unbound, else a view of it under cl's
+// context.
+func (cl *Cluster) on(c *Client) *Client {
+	if cl.ctx.Done() == nil {
+		return c
+	}
+	return c.view(cl.ctx, false)
+}
+
 // topicClient resolves the shard owning topic name.
 func (cl *Cluster) topicClient(name string) *Client {
 	ring, clients := cl.topo()
-	return clients[ring.Owner(name)]
+	return cl.on(clients[ring.Owner(name)])
 }
 
 // scatter runs fn(k) for k in 0..n-1 concurrently and waits for all of
@@ -195,21 +218,17 @@ func scatter(n int, fn func(k int)) {
 
 // ── Probe operations (routed by object) ──────────────────────────────
 
-// PostProbe implements billboard.Interface.
-func (cl *Cluster) PostProbe(p, o int, val byte) { cl.postProbe(bg, p, o, val) }
-
-func (cl *Cluster) postProbe(ctx context.Context, p, o int, val byte) {
+// objectClient resolves the shard owning object o's probe column.
+func (cl *Cluster) objectClient(o int) *Client {
 	ring, clients := cl.topo()
-	clients[ring.ObjectOwner(o)].postProbe(ctx, p, o, val)
+	return cl.on(clients[ring.ObjectOwner(o)])
 }
+
+// PostProbe implements billboard.Interface.
+func (cl *Cluster) PostProbe(p, o int, val byte) { cl.objectClient(o).PostProbe(p, o, val) }
 
 // LookupProbe implements billboard.Interface.
-func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return cl.lookupProbe(bg, p, o) }
-
-func (cl *Cluster) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
-	ring, clients := cl.topo()
-	return clients[ring.ObjectOwner(o)].lookupProbe(ctx, p, o)
-}
+func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return cl.objectClient(o).LookupProbe(p, o) }
 
 // shardSplit partitions a batch's positions by owning shard:
 // split[s] lists the batch indices owned by shard s, in batch order,
@@ -250,40 +269,7 @@ func touched[T any](split [][]T) []int {
 // PostProbes implements billboard.Interface: the batch is split by
 // owning shard and the per-shard sub-batches are posted concurrently,
 // each as one idempotent request.
-func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) { cl.postProbes(bg, p, objs, grades) }
-
-func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []byte) {
-	if len(objs) == 0 {
-		return
-	}
-	ring, clients := cl.topo()
-	split := shardSplit(ring, objs)
-	shards := touched(split)
-	scatter(len(shards), func(k int) {
-		subObjs, subGrades := pickProbes(objs, grades, split[shards[k]])
-		clients[shards[k]].postProbes(ctx, p, subObjs, subGrades)
-	})
-}
-
-// pickProbes returns the probe results at batch indices idx as fresh
-// slices.
-func pickProbes(objs []int, grades []byte, idx []int) ([]int, []byte) {
-	subObjs := make([]int, len(idx))
-	subGrades := make([]byte, len(idx))
-	for j, i := range idx {
-		subObjs[j], subGrades[j] = objs[i], grades[i]
-	}
-	return subObjs, subGrades
-}
-
-// LookupProbes implements billboard.Interface: split by shard, looked
-// up concurrently, and each answer written back at its original batch
-// index — the merged result is independent of shard completion order.
-func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	cl.lookupProbes(bg, p, objs, grades, known)
-}
-
-func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades []byte, known []bool) {
+func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
@@ -292,48 +278,57 @@ func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades [
 	shards := touched(split)
 	scatter(len(shards), func(k int) {
 		idx := split[shards[k]]
-		subObjs := make([]int, len(idx))
-		for j, i := range idx {
-			subObjs[j] = objs[i]
-		}
+		cl.on(clients[shards[k]]).PostProbes(p, pick(objs, idx), pick(grades, idx))
+	})
+}
+
+// pick returns the elements of xs at batch indices idx as a fresh
+// slice.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
+}
+
+// LookupProbes implements billboard.Interface: split by shard, looked
+// up concurrently, and each answer written back at its original batch
+// index — the merged result is independent of shard completion order.
+func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
+	if len(objs) == 0 {
+		return
+	}
+	ring, clients := cl.topo()
+	split := shardSplit(ring, objs)
+	shards := touched(split)
+	scatter(len(shards), func(k int) {
+		idx := split[shards[k]]
 		subGrades := make([]byte, len(idx))
 		subKnown := make([]bool, len(idx))
-		clients[shards[k]].lookupProbes(ctx, p, subObjs, subGrades, subKnown)
+		cl.on(clients[shards[k]]).LookupProbes(p, pick(objs, idx), subGrades, subKnown)
 		for j, i := range idx {
 			grades[i], known[i] = subGrades[j], subKnown[j]
 		}
 	})
 }
 
-// ProbedObjects implements billboard.Interface. Objects are
-// partitioned across shards, so the per-shard maps are disjoint.
-func (cl *Cluster) ProbedObjects(p int) map[int]byte { return cl.probedObjects(bg, p) }
-
-func (cl *Cluster) probedObjects(ctx context.Context, p int) map[int]byte {
+// ProbedObjects implements billboard.Interface: ForEachProbe's results
+// as a map.
+func (cl *Cluster) ProbedObjects(p int) map[int]byte {
 	out := make(map[int]byte)
-	var mu sync.Mutex
-	_, clients := cl.topo()
-	scatter(len(clients), func(k int) {
-		m := clients[k].probedObjects(ctx, p)
-		mu.Lock()
-		for o, g := range m {
-			out[o] = g
-		}
-		mu.Unlock()
-	})
+	cl.ForEachProbe(p, func(o int, g byte) { out[o] = g })
 	return out
 }
 
 // ForEachProbe implements billboard.Interface: the per-shard ascending
 // (object, grade) streams are fetched concurrently and merged into one
 // ascending iteration, matching the in-memory board's order exactly.
-func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) { cl.forEachProbe(bg, p, fn) }
-
-func (cl *Cluster) forEachProbe(ctx context.Context, p int, fn func(o int, grade byte)) {
+func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) {
 	_, clients := cl.topo()
 	perShard := make([][]objGrade, len(clients))
 	scatter(len(clients), func(k int) {
-		perShard[k] = clients[k].probedPairs(ctx, p)
+		perShard[k] = cl.on(clients[k]).probedPairs(p)
 	})
 	var all []objGrade
 	for _, pairs := range perShard {
@@ -349,7 +344,7 @@ func (cl *Cluster) forEachProbe(ctx context.Context, p int, fn func(o int, grade
 
 // ProbeCount implements billboard.Interface: the sum over shards.
 func (cl *Cluster) ProbeCount() int64 {
-	return cl.sumStats(bg, func(s statsReply) int64 { return s.ProbeCount })
+	return cl.sumStats(func(s statsReply) int64 { return s.ProbeCount })
 }
 
 // ClearProbes removes player p's probe results for objs, each object
@@ -365,12 +360,7 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 	split := shardSplit(ring, objs)
 	shards := touched(split)
 	scatter(len(shards), func(k int) {
-		idx := split[shards[k]]
-		sub := make([]int, len(idx))
-		for j, i := range idx {
-			sub[j] = objs[i]
-		}
-		clients[shards[k]].clearProbes(bg, p, sub)
+		cl.on(clients[shards[k]]).ClearProbes(p, pick(objs, split[shards[k]]))
 	})
 }
 
@@ -379,9 +369,7 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 // post order kept within each shard, and every touched shard gets its
 // part as one request, concurrently. A probe set goes whole to a shard
 // that owns all its objects.
-func (cl *Cluster) PostBatch(posts []boardclient.Post) { cl.postBatch(bg, posts) }
-
-func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
+func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
 	}
@@ -399,14 +387,14 @@ func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
 			}
 			sub := p
 			if len(idx) < len(p.Objs) {
-				sub.Objs, sub.Grades = pickProbes(p.Objs, p.Grades, idx)
+				sub.Objs, sub.Grades = pick(p.Objs, idx), pick(p.Grades, idx)
 			}
 			byShard[s] = append(byShard[s], sub)
 		}
 	}
 	shards := touched(byShard)
 	scatter(len(shards), func(k int) {
-		clients[shards[k]].postBatch(ctx, byShard[shards[k]])
+		cl.on(clients[shards[k]]).PostBatch(byShard[shards[k]])
 	})
 }
 
@@ -414,99 +402,67 @@ func (cl *Cluster) postBatch(ctx context.Context, posts []boardclient.Post) {
 
 // Post implements billboard.Interface.
 func (cl *Cluster) Post(name string, player int, v bitvec.Partial) {
-	cl.postTopic(bg, name, player, v)
-}
-
-func (cl *Cluster) postTopic(ctx context.Context, name string, player int, v bitvec.Partial) {
-	cl.topicClient(name).postTopic(ctx, name, player, v)
+	cl.topicClient(name).Post(name, player, v)
 }
 
 // PostVector implements billboard.Interface.
 func (cl *Cluster) PostVector(name string, player int, v bitvec.Vector) {
-	cl.postTopic(bg, name, player, bitvec.PartialOf(v))
+	cl.topicClient(name).Post(name, player, bitvec.PartialOf(v))
 }
 
 // Postings implements billboard.Interface.
-func (cl *Cluster) Postings(name string) []billboard.Posting { return cl.postings(bg, name) }
-
-func (cl *Cluster) postings(ctx context.Context, name string) []billboard.Posting {
-	return cl.topicClient(name).postings(ctx, name)
+func (cl *Cluster) Postings(name string) []billboard.Posting {
+	return cl.topicClient(name).Postings(name)
 }
 
 // Votes implements billboard.Interface.
-func (cl *Cluster) Votes(name string) []billboard.Vote { return cl.votes(bg, name) }
-
-func (cl *Cluster) votes(ctx context.Context, name string) []billboard.Vote {
-	return cl.topicClient(name).votes(ctx, name)
-}
+func (cl *Cluster) Votes(name string) []billboard.Vote { return cl.topicClient(name).Votes(name) }
 
 // PopularVectors implements billboard.Interface.
 func (cl *Cluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return cl.popularVectors(bg, name, minVotes)
-}
-
-func (cl *Cluster) popularVectors(ctx context.Context, name string, minVotes int) []bitvec.Partial {
-	return cl.topicClient(name).popularVectors(ctx, name, minVotes)
+	return cl.topicClient(name).PopularVectors(name, minVotes)
 }
 
 // PostValues implements billboard.Interface.
 func (cl *Cluster) PostValues(name string, player int, vals []uint32) {
-	cl.postValues(bg, name, player, vals)
-}
-
-func (cl *Cluster) postValues(ctx context.Context, name string, player int, vals []uint32) {
-	cl.topicClient(name).postValues(ctx, name, player, vals)
+	cl.topicClient(name).PostValues(name, player, vals)
 }
 
 // ValuePostings implements billboard.Interface.
 func (cl *Cluster) ValuePostings(name string) []billboard.ValuePosting {
-	return cl.valuePostings(bg, name)
-}
-
-func (cl *Cluster) valuePostings(ctx context.Context, name string) []billboard.ValuePosting {
-	return cl.topicClient(name).valuePostings(ctx, name)
+	return cl.topicClient(name).ValuePostings(name)
 }
 
 // ValueVotes implements billboard.Interface.
-func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote { return cl.valueVotes(bg, name) }
-
-func (cl *Cluster) valueVotes(ctx context.Context, name string) []billboard.ValueVote {
-	return cl.topicClient(name).valueVotes(ctx, name)
+func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote {
+	return cl.topicClient(name).ValueVotes(name)
 }
 
 // DropTopic implements billboard.Interface.
-func (cl *Cluster) DropTopic(name string) { cl.dropTopic(bg, name) }
-
-func (cl *Cluster) dropTopic(ctx context.Context, name string) {
-	cl.topicClient(name).dropTopic(ctx, name)
-}
+func (cl *Cluster) DropTopic(name string) { cl.topicClient(name).DropTopic(name) }
 
 // TopicSnapshot implements boardclient.Interface.
 func (cl *Cluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return cl.topicSnapshot(bg, name, sinceGen, sinceEpoch)
-}
-
-func (cl *Cluster) topicSnapshot(ctx context.Context, name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return cl.topicClient(name).topicSnapshot(ctx, name, sinceGen, sinceEpoch)
+	return cl.topicClient(name).TopicSnapshot(name, sinceGen, sinceEpoch)
 }
 
 // TopicCount implements billboard.Interface: the sum over shards
 // (topics are partitioned, so no topic is counted twice).
 func (cl *Cluster) TopicCount() int {
-	return int(cl.sumStats(bg, func(s statsReply) int64 { return int64(s.TopicCount) }))
+	return int(cl.sumStats(func(s statsReply) int64 { return int64(s.TopicCount) }))
 }
 
 // VectorPostCount implements billboard.Interface: the sum over shards.
 func (cl *Cluster) VectorPostCount() int64 {
-	return cl.sumStats(bg, func(s statsReply) int64 { return s.VectorPostCount })
+	return cl.sumStats(func(s statsReply) int64 { return s.VectorPostCount })
 }
 
 // sumStats fetches all shards' stats concurrently and sums field.
-func (cl *Cluster) sumStats(ctx context.Context, field func(statsReply) int64) int64 {
+func (cl *Cluster) sumStats(field func(statsReply) int64) int64 {
 	_, clients := cl.topo()
 	per := make([]int64, len(clients))
 	scatter(len(clients), func(k int) {
-		per[k] = field(clients[k].stats(ctx))
+		per[k] = field(cl.on(clients[k]).stats())
 	})
 	var total int64
 	for _, v := range per {
@@ -522,7 +478,7 @@ func (cl *Cluster) sumStats(ctx context.Context, field func(statsReply) int64) i
 func (cl *Cluster) Quiesce() {
 	_, clients := cl.topo()
 	scatter(len(clients), func(k int) {
-		clients[k].Quiesce()
+		cl.on(clients[k]).Quiesce()
 	})
 }
 
@@ -555,80 +511,17 @@ func (cl *Cluster) Failures() int64 {
 // ── Context binding ──────────────────────────────────────────────────
 
 // BindContext implements boardclient.ContextBinder: the returned view
-// shares all state with cl but every shard request runs under ctx.
+// shares all state with cl but every shard request runs under ctx. An
+// unbound cluster given a nil or never-done context returns itself.
 func (cl *Cluster) BindContext(ctx context.Context) boardclient.Interface {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Done() == nil && cl.ctx.Done() == nil {
 		return cl
 	}
-	return &boundCluster{cl: cl, ctx: ctx}
+	return &Cluster{ctx: ctx, clusterState: cl.clusterState}
 }
-
-// boundCluster is the context-bound view of a Cluster, mirroring
-// boundClient: it forwards every operation with the bound context.
-type boundCluster struct {
-	cl  *Cluster
-	ctx context.Context
-}
-
-var _ boardclient.Interface = (*boundCluster)(nil)
-var _ boardclient.ContextBinder = (*boundCluster)(nil)
-var _ boardclient.Batcher = (*boundCluster)(nil)
-
-// BindContext rebinds to a different context, still sharing the cluster.
-func (b *boundCluster) BindContext(ctx context.Context) boardclient.Interface {
-	return b.cl.BindContext(ctx)
-}
-
-func (b *boundCluster) PostProbe(p, o int, val byte) { b.cl.postProbe(b.ctx, p, o, val) }
-func (b *boundCluster) PostProbes(p int, objs []int, grades []byte) {
-	b.cl.postProbes(b.ctx, p, objs, grades)
-}
-func (b *boundCluster) PostBatch(posts []boardclient.Post) { b.cl.postBatch(b.ctx, posts) }
-func (b *boundCluster) LookupProbe(p, o int) (byte, bool)  { return b.cl.lookupProbe(b.ctx, p, o) }
-func (b *boundCluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	b.cl.lookupProbes(b.ctx, p, objs, grades, known)
-}
-func (b *boundCluster) ProbedObjects(p int) map[int]byte { return b.cl.probedObjects(b.ctx, p) }
-func (b *boundCluster) ForEachProbe(p int, fn func(o int, grade byte)) {
-	b.cl.forEachProbe(b.ctx, p, fn)
-}
-func (b *boundCluster) ProbeCount() int64 {
-	return b.cl.sumStats(b.ctx, func(s statsReply) int64 { return s.ProbeCount })
-}
-func (b *boundCluster) Post(name string, player int, v bitvec.Partial) {
-	b.cl.postTopic(b.ctx, name, player, v)
-}
-func (b *boundCluster) PostVector(name string, player int, v bitvec.Vector) {
-	b.cl.postTopic(b.ctx, name, player, bitvec.PartialOf(v))
-}
-func (b *boundCluster) Postings(name string) []billboard.Posting {
-	return b.cl.postings(b.ctx, name)
-}
-func (b *boundCluster) Votes(name string) []billboard.Vote { return b.cl.votes(b.ctx, name) }
-func (b *boundCluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return b.cl.popularVectors(b.ctx, name, minVotes)
-}
-func (b *boundCluster) PostValues(name string, player int, vals []uint32) {
-	b.cl.postValues(b.ctx, name, player, vals)
-}
-func (b *boundCluster) ValuePostings(name string) []billboard.ValuePosting {
-	return b.cl.valuePostings(b.ctx, name)
-}
-func (b *boundCluster) ValueVotes(name string) []billboard.ValueVote {
-	return b.cl.valueVotes(b.ctx, name)
-}
-func (b *boundCluster) DropTopic(name string) { b.cl.dropTopic(b.ctx, name) }
-func (b *boundCluster) TopicCount() int {
-	return int(b.cl.sumStats(b.ctx, func(s statsReply) int64 { return int64(s.TopicCount) }))
-}
-func (b *boundCluster) VectorPostCount() int64 {
-	return b.cl.sumStats(b.ctx, func(s statsReply) int64 { return s.VectorPostCount })
-}
-func (b *boundCluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return b.cl.topicSnapshot(b.ctx, name, sinceGen, sinceEpoch)
-}
-func (b *boundCluster) Err() error      { return b.cl.Err() }
-func (b *boundCluster) Failures() int64 { return b.cl.Failures() }
 
 // ── Static-topology resharding ───────────────────────────────────────
 
@@ -645,9 +538,12 @@ func (b *boundCluster) Failures() int64 { return b.cl.Failures() }
 // traffic through this or any other process (the consistent-hash ring
 // is a pure function of the cluster spec, so *other* processes keep
 // routing by the old spec until they are restarted with the new one —
-// this is the PR's static-topology contract, not a live migration).
-// Transport failures abort the drain and are returned as errors (the
-// per-shard OnError is not consulted).
+// this is the static-topology contract, not a live migration).
+//
+// Every drain request runs under ctx. A terminal transport failure
+// aborts the drain and is returned, wrapping its *TransportError, with
+// the topology unchanged. OnError is not consulted, so the drain never
+// takes a degraded zero value for an empty donor.
 func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 	cl.topoMu.RLock()
 	oldRing, oldClients := cl.ring, cl.clients
@@ -667,11 +563,13 @@ func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 	// Existing shard indices are unchanged by an append, so a key moved
 	// iff its new owner differs from its old one — and then the new
 	// owner is the added shard.
+	dests := drainViews(ctx, newClients)
+	donors := dests[:len(oldClients)]
 	err := captureTransport(func() {
-		converge(ctx, oldClients, func() int {
+		converge(donors, func() int {
 			moved := 0
-			for donorIdx, donor := range oldClients {
-				moved += cl.drainMoved(ctx, donor, donorIdx, oldRing, newRing, newClients)
+			for donorIdx, donor := range donors {
+				moved += drainMoved(donor, donorIdx, oldRing, newRing, dests)
 			}
 			return moved
 		})
@@ -687,8 +585,9 @@ func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 
 // RemoveShard shrinks a *quiescent* cluster by one shard server,
 // draining everything it owns onto the shards that own those keys in
-// the shrunken ring (same copy-then-drop replay as AddShard, same
-// static-topology contract). The last shard cannot be removed.
+// the shrunken ring (the copy-then-drop replay, static-topology
+// contract and failure handling of AddShard). The last shard cannot be
+// removed.
 func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
 	cl.topoMu.RLock()
 	oldRing, oldClients := cl.ring, cl.clients
@@ -719,10 +618,11 @@ func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
 
 	// Every key the donor owned moves; keys on other shards stay put
 	// (removing a shard's points leaves all other points in place).
-	donor := oldClients[donorIdx]
+	donor := oldClients[donorIdx].view(ctx, true)
+	dests := drainViews(ctx, newClients)
 	err := captureTransport(func() {
-		converge(ctx, []*Client{donor}, func() int {
-			return cl.drainAll(ctx, donor, newRing, newClients)
+		converge([]*Client{donor}, func() int {
+			return drainAll(donor, newRing, dests)
 		})
 	})
 	if err != nil {
@@ -741,6 +641,17 @@ func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
 // passes (move everything, verify nothing is left) is the norm.
 const maxDrainPasses = 16
 
+// drainViews returns strict views of clients under ctx: a drain's
+// terminal failure panics into captureTransport even when OnError is
+// set.
+func drainViews(ctx context.Context, clients []*Client) []*Client {
+	views := make([]*Client, len(clients))
+	for i, c := range clients {
+		views[i] = c.view(ctx, true)
+	}
+	return views
+}
+
 // converge closes the copy-then-drop window: before each pass it
 // quiesces the donors — a post the network delivered but whose response
 // was lost is applied and visible before the pass snapshots anything —
@@ -748,12 +659,12 @@ const maxDrainPasses = 16
 // network duplicate that commits on a donor *after* a snapshot (the
 // conditional drop refuses to erase it) is picked up by the next pass
 // instead of being silently lost.
-func converge(ctx context.Context, donors []*Client, pass func() int) {
+func converge(donors []*Client, pass func() int) {
 	for i := 0; ; i++ {
 		if i == maxDrainPasses {
 			panic(&TransportError{Err: fmt.Errorf("drain did not converge after %d passes: new postings keep arriving on the donor (cluster is not quiescent)", maxDrainPasses)})
 		}
-		scatter(len(donors), func(k int) { donors[k].quiesce(ctx) })
+		scatter(len(donors), func(k int) { donors[k].Quiesce() })
 		if pass() == 0 {
 			return
 		}
@@ -763,21 +674,21 @@ func converge(ctx context.Context, donors []*Client, pass func() int) {
 // drainMoved moves the donor's keys whose owner changed between
 // oldRing and newRing (shard indices aligned) to their new owners,
 // returning how many postings and probe results it moved.
-func (cl *Cluster) drainMoved(ctx context.Context, donor *Client, donorIdx int, oldRing, newRing *Ring, newClients []*Client) int {
+func drainMoved(donor *Client, donorIdx int, oldRing, newRing *Ring, newClients []*Client) int {
 	moved := 0
-	for _, topic := range donor.topics(ctx) {
+	for _, topic := range donor.Topics() {
 		if oldRing.Owner(topic) != donorIdx {
 			// Not this donor's key (possible only if the cluster was fed
 			// through a differently-specced client); leave it alone.
 			continue
 		}
 		if dest := newRing.Owner(topic); dest != donorIdx {
-			moved += moveTopic(ctx, donor, newClients[dest], topic)
+			moved += moveTopic(donor, newClients[dest], topic)
 		}
 	}
-	n := donor.stats(ctx).N
+	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += cl.moveProbes(ctx, donor, donorIdx, newRing, newClients, p, func(o int) bool {
+		moved += moveProbes(donor, donorIdx, newRing, newClients, p, func(o int) bool {
 			return oldRing.ObjectOwner(o) == donorIdx
 		})
 	}
@@ -786,14 +697,14 @@ func (cl *Cluster) drainMoved(ctx context.Context, donor *Client, donorIdx int, 
 
 // drainAll moves everything the donor holds to its owner in newRing
 // (the donor is not in newRing), returning how much it moved.
-func (cl *Cluster) drainAll(ctx context.Context, donor *Client, newRing *Ring, newClients []*Client) int {
+func drainAll(donor *Client, newRing *Ring, newClients []*Client) int {
 	moved := 0
-	for _, topic := range donor.topics(ctx) {
-		moved += moveTopic(ctx, donor, newClients[newRing.Owner(topic)], topic)
+	for _, topic := range donor.Topics() {
+		moved += moveTopic(donor, newClients[newRing.Owner(topic)], topic)
 	}
-	n := donor.stats(ctx).N
+	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += cl.moveProbes(ctx, donor, -1, newRing, newClients, p, func(int) bool { return true })
+		moved += moveProbes(donor, -1, newRing, newClients, p, func(int) bool { return true })
 	}
 	return moved
 }
@@ -806,14 +717,14 @@ func (cl *Cluster) drainAll(ctx context.Context, donor *Client, newRing *Ring, n
 // drop refuses, and the loop replays just the delta (donor postings are
 // append-ordered) and tries again. Returns the number of postings
 // replayed.
-func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
+func moveTopic(donor, dest *Client, topic string) int {
 	replayedVec, replayedVal, moved := 0, 0, 0
 	for attempt := 0; ; attempt++ {
 		if attempt == maxDrainPasses {
 			panic(&TransportError{Err: fmt.Errorf("drain of topic %q did not converge after %d attempts", topic, maxDrainPasses)})
 		}
-		posts := donor.postings(ctx, topic)
-		vals := donor.valuePostings(ctx, topic)
+		posts := donor.Postings(topic)
+		vals := donor.ValuePostings(topic)
 		if len(posts) == 0 && len(vals) == 0 {
 			// Dropped (this loop's previous attempt succeeded) or the
 			// topic never existed.
@@ -825,17 +736,17 @@ func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
 			replayedVec, replayedVal = 0, 0
 		}
 		for _, p := range posts[replayedVec:] {
-			dest.postTopic(ctx, topic, p.Player, p.Vec)
+			dest.Post(topic, p.Player, p.Vec)
 		}
 		for _, vp := range vals[replayedVal:] {
-			dest.postValues(ctx, topic, vp.Player, vp.Vals)
+			dest.PostValues(topic, vp.Player, vp.Vals)
 		}
 		moved += len(posts) - replayedVec + len(vals) - replayedVal
 		replayedVec, replayedVal = len(posts), len(vals)
 		// The acknowledgement carries no outcome (a deduplicated retry
 		// could not reproduce it); the re-read at the top of the loop
 		// verifies the drop took.
-		donor.dropTopicIf(ctx, topic, replayedVec, replayedVal)
+		donor.dropTopicIf(topic, replayedVec, replayedVal)
 	}
 }
 
@@ -847,8 +758,8 @@ func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
 // straggler lands after the snapshot survives on the donor for the next
 // converge pass instead of being erased unmoved. Returns the number of
 // results moved.
-func (cl *Cluster) moveProbes(ctx context.Context, donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
-	pairs := donor.probedPairs(ctx, p)
+func moveProbes(donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
+	pairs := donor.probedPairs(p)
 	byDest := make([][]objGrade, newRing.Shards())
 	for _, og := range pairs {
 		if !owned(og.Object) {
@@ -869,10 +780,10 @@ func (cl *Cluster) moveProbes(ctx context.Context, donor *Client, donorIdx int, 
 			objs[j] = og.Object
 			grades[j] = og.Grade
 		}
-		newClients[dest].postProbes(ctx, p, objs, grades)
+		newClients[dest].PostProbes(p, objs, grades)
 		moved = append(moved, objs...)
 	}
-	donor.clearProbes(ctx, p, moved)
+	donor.ClearProbes(p, moved)
 	return len(moved)
 }
 

@@ -3,6 +3,7 @@ package netboard
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"tellme/internal/billboard"
@@ -301,6 +302,58 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if err := cl.AddShard(context.Background(), "http://a"); err == nil {
 		t.Fatal("adding a duplicate shard succeeded")
+	}
+}
+
+// TestFromSpec pins the one board-spec parser: one URL is a Client, a
+// comma-separated list is a Cluster, every URL is trimmed, and an empty
+// or non-absolute URL is rejected when the board is built.
+func TestFromSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []string // the client's BaseURL, or the cluster's shards; nil: an error
+	}{
+		{"http://a:1", []string{"http://a:1"}},
+		{" https://a:1\t", []string{"https://a:1"}},
+		{"http://a:1,http://b:2", []string{"http://a:1", "http://b:2"}},
+		{"http://a:1, http://b:2", []string{"http://a:1", "http://b:2"}},
+		{" http://a:1 ,\thttp://b:2 ,http://c:3 ", []string{"http://a:1", "http://b:2", "http://c:3"}},
+		{"", nil},
+		{" ", nil},
+		{"http://a:1,", nil},
+		{",http://a:1", nil},
+		{"http://a:1, ,http://b:2", nil},
+		{"localhost:7070", nil},
+		{"/v1/probe", nil},
+		{"ftp://a:1", nil},
+		{"http://a b:1", nil},
+		{"http://a:1,http:// a:1", nil},
+		{"http://a:1, http://a:1", nil},
+	} {
+		b, err := FromSpec(tc.spec, Config{})
+		var got []string
+		switch b := b.(type) {
+		case *Client:
+			got = []string{b.BaseURL}
+		case *Cluster:
+			got = b.Shards()
+		}
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("FromSpec(%q) = %T %v, want an error", tc.spec, b, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("FromSpec(%q): %v", tc.spec, err)
+			continue
+		}
+		if _, isCluster := b.(*Cluster); isCluster != (len(tc.want) > 1) {
+			t.Errorf("FromSpec(%q) built a %T", tc.spec, b)
+		}
+		if strings.Join(got, "|") != strings.Join(tc.want, "|") {
+			t.Errorf("FromSpec(%q) addresses %q, want %q", tc.spec, got, tc.want)
+		}
 	}
 }
 

@@ -1,9 +1,14 @@
 package netboard
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
+	"tellme/internal/boardclient"
 	"tellme/internal/telemetry"
 	"tellme/internal/wire"
 )
@@ -147,5 +152,28 @@ func NewClientWithConfig(baseURL string, cfg Config) *Client {
 	if cfg.Codec == wire.Binary.Name() {
 		codec = wire.Binary
 	}
-	return &Client{BaseURL: baseURL, cfg: cfg, codec: codec}
+	return &Client{BaseURL: baseURL, ctx: context.Background(), clientState: &clientState{cfg: cfg, codec: codec}}
+}
+
+// FromSpec builds the board a spec names: one base URL is a *Client,
+// and a comma-separated list of base URLs is a *Cluster whose shards
+// share cfg. Each URL is trimmed of surrounding space, and one that is
+// empty or not an absolute http(s) URL is an error. An in-process
+// board has no spec: that case is the caller's.
+func FromSpec(spec string, cfg Config) (boardclient.Interface, error) {
+	urls := strings.Split(spec, ",")
+	for i, u := range urls {
+		urls[i] = strings.TrimSpace(u)
+		if pu, err := url.Parse(urls[i]); err != nil || pu.Host == "" || (pu.Scheme != "http" && pu.Scheme != "https") {
+			return nil, fmt.Errorf("netboard: board spec %q: %q is not an absolute http(s) URL", spec, urls[i])
+		}
+	}
+	if len(urls) == 1 {
+		return NewClientWithConfig(urls[0], cfg), nil
+	}
+	cl, err := NewCluster(ClusterConfig{Shards: urls, Client: cfg})
+	if err != nil {
+		return nil, err
+	}
+	return cl, nil
 }

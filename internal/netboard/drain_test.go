@@ -9,11 +9,13 @@ package netboard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,5 +259,91 @@ func TestRemoveShardFaultnetMidDrain(t *testing.T) {
 	}
 	if ft.LostResponses() == 0 && ft.DroppedRequests() == 0 {
 		t.Fatal("fault injection never fired; the test exercised nothing")
+	}
+}
+
+// TestClusterReshardFailsUnderOnError pins that a drain fails loudly
+// even when Config.OnError is set: a terminal transport failure must
+// abort AddShard/RemoveShard with its *TransportError, leave the
+// topology and every board untouched, and never reach OnError — a
+// drain that took degraded zero values for an empty donor would drop
+// topics whose replay had failed, or retire a shard with its data.
+func TestClusterReshardFailsUnderOnError(t *testing.T) {
+	const n, m = 8, 64
+	for _, tc := range []struct {
+		name string
+		// reshard breaks the cluster's surroundings and runs the drain.
+		reshard func(cl *Cluster, servers []*httptest.Server) error
+	}{
+		{"AddShard onto a shard answering 503", func(cl *Cluster, _ []*httptest.Server) error {
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			}))
+			defer bad.Close()
+			return cl.AddShard(context.Background(), bad.URL)
+		}},
+		{"RemoveShard of a shard whose server is down", func(cl *Cluster, servers []*httptest.Server) error {
+			servers[1].Close()
+			return cl.RemoveShard(context.Background(), servers[1].URL)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			boards := []*billboard.Board{billboard.New(n, m), billboard.New(n, m)}
+			servers := make([]*httptest.Server, len(boards))
+			urls := make([]string, len(boards))
+			for i, b := range boards {
+				servers[i] = httptest.NewServer(NewServer(b))
+				t.Cleanup(servers[i].Close)
+				urls[i] = servers[i].URL
+			}
+			var onErrors atomic.Int64
+			cl, err := NewCluster(ClusterConfig{Shards: urls, Client: Config{OnError: func(error) { onErrors.Add(1) }}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ {
+				name := fmt.Sprintf("fail/t%d", i)
+				v := bitvec.New(8)
+				v.Set(i%8, 1)
+				cl.PostVector(name, i%n, v)
+				cl.PostValues(name, (i+1)%n, []uint32{uint32(i)})
+			}
+			for p := 0; p < n; p++ {
+				objs, grades := make([]int, m), make([]byte, m)
+				for o := range objs {
+					objs[o], grades[o] = o, byte((p+o)%2)
+				}
+				cl.PostProbes(p, objs, grades)
+			}
+			state := func() []string {
+				out := make([]string, len(boards))
+				for i, b := range boards {
+					s := fmt.Sprintf("probes=%d", b.ProbeCount())
+					for _, name := range b.Topics() {
+						s += fmt.Sprintf(" %s:%d/%d", name, len(b.Postings(name)), len(b.ValuePostings(name)))
+					}
+					out[i] = s
+				}
+				return out
+			}
+			wantShards, wantState := cl.Shards(), state()
+
+			err = tc.reshard(cl, servers)
+			var terr *TransportError
+			if !errors.As(err, &terr) {
+				t.Errorf("reshard returned %v, want an error wrapping *TransportError", err)
+			}
+			if got := cl.Shards(); fmt.Sprint(got) != fmt.Sprint(wantShards) {
+				t.Errorf("shards after a failed drain = %v, want %v", got, wantShards)
+			}
+			for i, got := range state() {
+				if got != wantState[i] {
+					t.Errorf("board %d after a failed drain:\n got %s\nwant %s", i, got, wantState[i])
+				}
+			}
+			if got := onErrors.Load(); got != 0 {
+				t.Errorf("the drain called OnError %d times, want 0", got)
+			}
+		})
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"tellme/internal/billboard"
@@ -141,7 +140,8 @@ type Options struct {
 	// of an in-memory board: one base URL addresses a single server
 	// (cmd/billboard), and a comma-separated list of base URLs
 	// addresses a sharded cluster (cmd/billboard -shards), routed by
-	// consistent hashing (see DESIGN.md §12). The simulation is
+	// consistent hashing (see DESIGN.md §12). netboard.FromSpec parses
+	// the spec, ignoring space around each URL. The simulation is
 	// deterministic either way; probe posts and vote reads travel over
 	// the batched wire protocol (see DESIGN.md §8).
 	BoardURL string
@@ -317,17 +317,12 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	switch {
 	case opt.Board != nil:
 		board = opt.Board
-	case strings.Contains(opt.BoardURL, ","):
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: strings.Split(opt.BoardURL, ","),
-			Client: netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec},
-		})
+	case opt.BoardURL != "":
+		b, err := netboard.FromSpec(opt.BoardURL, netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec})
 		if err != nil {
 			return nil, fmt.Errorf("tellme: board url %q: %w", opt.BoardURL, err)
 		}
-		board = cluster
-	case opt.BoardURL != "":
-		board = netboard.NewClientWithConfig(opt.BoardURL, netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec})
+		board = b
 	default:
 		mem := billboard.New(in.N, in.M)
 		mem.SetTelemetry(opt.Telemetry)
