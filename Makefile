@@ -66,12 +66,14 @@ race-telemetry:
 
 # The cancellation gate on its own (also part of `race`): phase workers
 # cancelled mid-phase, player panics surfacing as errors with the
-# barrier intact, a dead networked billboard hitting its deadline, an
-# aborted run leaving the shared board consistent, every operation of a
-# netboard Client or Cluster view bound to a cancelled context sending
-# nothing, and bound views sharing their board's state.
+# barrier intact, a dead networked billboard hitting its deadline (the
+# abort's cleanup drops included), runs and tellmed epochs cancelled at
+# each of their requests in turn leaving no topic on the servers,
+# every operation of a netboard Client or Cluster view bound to a
+# cancelled context sending nothing, and bound views sharing their
+# board's state.
 race-cancel:
-	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled|BindContext' . ./internal/sim/ ./internal/netboard/
+	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled|BindContext' . ./internal/sim/ ./internal/netboard/ ./internal/serve/
 
 # The load-generator smoke (also part of `race` via the package tests):
 # a 10k-player in-process fleet plus a 2-shard loopback cluster run,

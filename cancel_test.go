@@ -3,6 +3,7 @@ package tellme
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -159,39 +160,54 @@ func TestPlayerPanicBecomesRunError(t *testing.T) {
 func TestDeadRemoteBoardHitsDeadline(t *testing.T) {
 	// A netboard client whose every request vanishes (faultnet drop
 	// probability 1) must not spin in retry backoff forever: the run's
-	// deadline cancels in-flight requests and backoff waits, and the
-	// whole run returns a *RunError well within a small multiple of the
-	// deadline.
+	// deadline cancels in-flight requests and backoff waits, the
+	// aborted run's cleanup drops share one budget of their own, and
+	// the whole run returns a *RunError well within a small multiple of
+	// the deadline. LargeRadius and Auto nest their abort sites
+	// (ZeroRadius inside SmallRadius inside LargeRadius).
 	in := IdenticalInstance(16, 16, 0.5, 11)
-	ft := faultnet.New(nil, 7)
-	ft.DropRequest = 1.0
-	client := netboard.NewClientWithConfig("http://127.0.0.1:0", netboard.Config{
-		HTTPClient:   &http.Client{Transport: ft},
-		Retries:      1000,
-		RetryBackoff: 50 * time.Millisecond,
-	})
+	for _, tc := range []struct {
+		algo Algorithm
+		d    int
+	}{
+		{AlgoZero, 0},
+		{AlgoLarge, 4},
+		{AlgoAuto, 0},
+	} {
+		t.Run(tc.algo.String(), func(t *testing.T) {
+			ft := faultnet.New(nil, 7)
+			ft.DropRequest = 1.0
+			client := netboard.NewClientWithConfig("http://127.0.0.1:0", netboard.Config{
+				HTTPClient:   &http.Client{Transport: ft},
+				Retries:      1000,
+				RetryBackoff: 50 * time.Millisecond,
+			})
 
-	const deadline = 100 * time.Millisecond
-	start := time.Now()
-	rep, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 12, Board: client, Timeout: deadline})
-	elapsed := time.Since(start)
+			const deadline = 100 * time.Millisecond
+			start := time.Now()
+			rep, err := Run(in, Options{Algorithm: tc.algo, Alpha: 0.5, D: tc.d, Seed: 12, Board: client, Timeout: deadline})
+			elapsed := time.Since(start)
 
-	var rerr *RunError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("err = %T %v, want *RunError", err, err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err chain hides the deadline: %v", err)
-	}
-	if !rerr.Timeout() {
-		t.Fatal("RunError.Timeout() = false for a blown deadline")
-	}
-	if rep == nil {
-		t.Fatal("no partial report")
-	}
-	// ~2× deadline is the spec; allow generous CI slack on top.
-	if elapsed > 10*deadline {
-		t.Fatalf("run took %v against a %v deadline", elapsed, deadline)
+			var rerr *RunError
+			if !errors.As(err, &rerr) {
+				t.Fatalf("err = %T %v, want *RunError", err, err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err chain hides the deadline: %v", err)
+			}
+			if !rerr.Timeout() {
+				t.Fatal("RunError.Timeout() = false for a blown deadline")
+			}
+			if rep == nil {
+				t.Fatal("no partial report")
+			}
+			// The deadline plus the abort-drop budget is the spec; allow
+			// generous CI slack on top.
+			if elapsed > 10*deadline {
+				t.Fatalf("run took %v against a %v deadline", elapsed, deadline)
+			}
+			t.Logf("returned after %v", elapsed)
+		})
 	}
 }
 
@@ -346,63 +362,114 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// cancelOnFirstRequest cancels the run's context as the first request
+// cancelAtRequest cancels the run's context as the run's k-th request
 // goes out and then hands that request on, so the transport sees a
-// cancelled context and sends nothing.
-type cancelOnFirstRequest struct {
+// cancelled context and sends nothing. A request that reaches it with
+// a live context completes on the server before the client sees its
+// answer, even when the run is cancelled meanwhile: a flush already on
+// the wire when its run is cancelled may still be applied after the
+// abort's drops, the limit DESIGN.md §10 records, so this transport
+// cancels no request in flight.
+type cancelAtRequest struct {
 	cancel context.CancelFunc
-	once   sync.Once
+	k      int64
+	n      atomic.Int64
 }
 
-func (c *cancelOnFirstRequest) RoundTrip(r *http.Request) (*http.Response, error) {
-	c.once.Do(c.cancel)
+func (c *cancelAtRequest) RoundTrip(r *http.Request) (*http.Response, error) {
+	if c.n.Add(1) == c.k {
+		c.cancel()
+	}
+	if r.Context().Err() == nil {
+		r = r.WithContext(context.WithoutCancel(r.Context()))
+	}
 	return http.DefaultTransport.RoundTrip(r)
 }
 
 // TestCancelMidZeroRadiusOverNetboard is the networked twin of
-// TestCancelMidZeroRadiusLeavesBoardConsistent. Over a netboard.Client
-// the posts of ZeroRadius's first phase wait for its barrier; the run
-// is cancelled as that barrier's flush goes out. No post of the aborted
-// phase may reach the server, so it is left with no topics, and a rerun
-// against it reproduces the fresh-board outputs.
+// TestCancelMidZeroRadiusLeavesBoardConsistent. It cancels a run over
+// a netboard.Client, and over a 2-shard netboard.Cluster, at each of
+// its requests in turn, until one run completes. The rows are
+// ZeroRadius and the benchmark's solve-net solve. After each abort no
+// server holds a topic, and a rerun against the same servers
+// reproduces the fresh-board outputs.
 func TestCancelMidZeroRadiusOverNetboard(t *testing.T) {
-	in := IdenticalInstance(32, 64, 0.5, 13)
-	opt := Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 14}
-	want, err := Run(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shared := billboard.New(in.N, in.M)
-	srv := httptest.NewServer(netboard.NewServer(shared))
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	aopt := opt
-	aopt.Board = netboard.NewClientWithConfig(srv.URL, netboard.Config{
-		HTTPClient: &http.Client{Transport: &cancelOnFirstRequest{cancel: cancel}},
-	})
-	_, err = RunContext(ctx, in, aopt)
-	var rerr *RunError
-	if !errors.As(err, &rerr) || rerr.Phase != "zeroradius" {
-		t.Fatalf("err = %T %v, want *RunError in zeroradius", err, err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err chain hides the cancellation: %v", err)
-	}
-	if n := shared.TopicCount(); n != 0 {
-		t.Fatalf("%d topics left on the server after an aborted run", n)
-	}
-
-	ropt := opt
-	ropt.BoardURL = srv.URL
-	got, err := Run(in, ropt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < in.N; p++ {
-		if !want.Outputs[p].Equal(got.Outputs[p]) {
-			t.Fatalf("player %d output differs after running on the aborted run's server", p)
+	for _, tc := range []struct {
+		name  string
+		in    *Instance
+		opt   Options
+		phase string // every abort's RunError.Phase; "" when it varies
+	}{
+		{"zeroradius", IdenticalInstance(32, 64, 0.5, 13), Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 14}, "zeroradius"},
+		{"solve-net", PlantedInstance(16, 16, 0.5, 2, 1), Options{Algorithm: AlgoAuto, Alpha: 0.5, Seed: 1}, ""},
+	} {
+		want, err := Run(tc.in, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(t *testing.T, got *Report) {
+			t.Helper()
+			for p := 0; p < tc.in.N; p++ {
+				if !want.Outputs[p].Equal(got.Outputs[p]) {
+					t.Fatalf("player %d output differs from the fresh-board run", p)
+				}
+			}
+		}
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
+				boards := make([]*billboard.Board, shards)
+				urls := make([]string, shards)
+				for i := range boards {
+					boards[i] = billboard.New(tc.in.N, tc.in.M)
+					srv := httptest.NewServer(netboard.NewServer(boards[i]))
+					t.Cleanup(srv.Close)
+					urls[i] = srv.URL
+				}
+				spec := strings.Join(urls, ",")
+				aborts := 0
+				for k := int64(1); ; k++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					board, err := netboard.FromSpec(spec, netboard.Config{
+						HTTPClient: &http.Client{Transport: &cancelAtRequest{cancel: cancel, k: k}},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					aopt := tc.opt
+					aopt.Board = board
+					got, err := RunContext(ctx, tc.in, aopt)
+					cancel()
+					if err == nil {
+						// The k-th request came after the run's last one.
+						same(t, got)
+						break
+					}
+					aborts++
+					var rerr *RunError
+					if !errors.As(err, &rerr) || (tc.phase != "" && rerr.Phase != tc.phase) {
+						t.Fatalf("request %d: err = %T %v, want *RunError in %q", k, err, err, tc.phase)
+					}
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("request %d: err chain hides the cancellation: %v", k, err)
+					}
+					for i, b := range boards {
+						if n := b.TopicCount(); n != 0 {
+							t.Fatalf("request %d: %d topics left on shard %d after an aborted run", k, n, i)
+						}
+					}
+					ropt := tc.opt
+					ropt.BoardURL = spec
+					got, err = Run(tc.in, ropt)
+					if err != nil {
+						t.Fatalf("request %d: rerun: %v", k, err)
+					}
+					same(t, got)
+				}
+				if aborts == 0 {
+					t.Fatal("no run was aborted")
+				}
+				t.Logf("%d aborted runs", aborts)
+			})
 		}
 	}
 }

@@ -107,6 +107,9 @@ type Env struct {
 	// flusher is Board when Board holds posts until a flush (see
 	// phase); nil otherwise.
 	flusher postFlusher
+	// dropBy is the deadline all of the run's abort-path drops share
+	// (see dropQuietly), zero until the first abort site runs.
+	dropBy time.Time
 
 	topicSeq atomic.Int64
 	counters [nCounters]atomic.Int64
@@ -152,11 +155,12 @@ type Env struct {
 // Abort is the panic payload the Env helpers use to unwind a cancelled
 // or failed run out of the recursive algorithms: the algorithms return
 // values, not errors, so a mid-recursion failure has no error path and
-// unwinds instead. The facade (package tellme) recovers it at the run
-// boundary and converts it into a *RunError; code between the two — the
-// algorithm bodies — only needs panic-safety, which they have by
-// construction (the billboard cleanup is handled by the abort-cleanup
-// defers in the topic-owning algorithms).
+// unwinds instead. The run's owner (the facade in package tellme, or a
+// serving epoch) recovers it at the run boundary and maps it with
+// AbortCause; code between the two — the algorithm bodies — only needs
+// panic-safety, which they have by construction (the billboard cleanup
+// is handled by the abort-cleanup defers in the topic-owning
+// algorithms).
 type Abort struct {
 	// Err is the underlying failure: a cancellation cause such as
 	// context.DeadlineExceeded, a *sim.PanicError from player code, or a
@@ -170,6 +174,24 @@ func (a *Abort) Error() string { return fmt.Sprintf("core: run aborted: %v", a.E
 // Unwrap exposes the failure to errors.Is/As.
 func (a *Abort) Unwrap() error { return a.Err }
 
+// AbortCause maps a value recovered from an aborted run to the failure
+// behind it: an *Abort to its Err, a *probe.Canceled (a cancellation
+// observed outside a phase body, by coordinator code probing directly)
+// to its Cause, any other error to itself, and anything else to a
+// *sim.PanicError.
+func AbortCause(rec any) error {
+	switch v := rec.(type) {
+	case *Abort:
+		return v.Err
+	case *probe.Canceled:
+		return v.Cause
+	case error:
+		return v
+	default:
+		return &sim.PanicError{Value: rec}
+	}
+}
+
 // phase runs one fallible phase over the Env's context and unwinds with
 // *Abort when it fails. All algorithm phase bodies go through this, so
 // cancellation and player panics surface at the run boundary no matter
@@ -178,8 +200,7 @@ func (a *Abort) Unwrap() error { return a.Err }
 // The barrier is also where a deferred board view (boardclient.Defer)
 // sends the phase's posts. A flush that fails for good panics with the
 // transport's error here, on the coordinator goroutine; after a failed
-// phase the flush is quiet, like dropQuietly, so the abort keeps its
-// own cause.
+// phase the flush is quiet, so the abort keeps its own cause.
 func (env *Env) phase(players []int, f func(p int)) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
 		env.flushQuietly()
@@ -197,13 +218,19 @@ type postFlusher interface {
 }
 
 // flushQuietly sends the deferred posts, swallowing any failure (see
-// dropQuietly).
+// quietly).
 func (env *Env) flushQuietly() {
-	if env.flusher == nil {
-		return
+	if env.flusher != nil {
+		quietly(env.flusher.Flush)
 	}
+}
+
+// quietly runs f, swallowing any panic: the abort-path cleanups use it,
+// where the transport may be the very thing that died, and a cleanup
+// panic must not mask the original abort cause.
+func quietly(f func()) {
 	defer func() { _ = recover() }()
-	env.flusher.Flush()
+	f()
 }
 
 // checkAborted unwinds with *Abort if the run's context is done. The
@@ -246,12 +273,34 @@ func (env *Env) Checkpoint() ([]bitvec.Partial, int) {
 	return env.ckOuts, env.ckEpochs
 }
 
-// dropQuietly removes a topic, swallowing any failure: it runs on the
-// abort path, where the transport may be the very thing that died, and
-// a cleanup panic must not mask the original abort cause.
-func (env *Env) dropQuietly(name string) {
-	defer func() { _ = recover() }()
-	env.Board.DropTopic(name)
+// abortDropBudget bounds the abort-path drops of one run: all of its
+// abort sites drop by the same deadline, this long after the first
+// one starts, so a dead board delays an abort by at most this much.
+const abortDropBudget = 250 * time.Millisecond
+
+// dropQuietly removes the named topics of an aborting run (see Abort):
+// topic tags are deterministic (freshTag is a plain sequence number,
+// load-bearing for the public-coin streams), so a topic an aborted run
+// leaves behind would be read by the next run on the same board as its
+// own. The drops go to the engine's unbound board under a context
+// detached from the run's cancellation, so a cancelled or timed-out
+// run still cleans up, with the run's one abort-drop deadline
+// (abortDropBudget). Each drop is quiet: a failed one does not stop
+// the others or mask the abort.
+func (env *Env) dropQuietly(names ...string) {
+	if env.dropBy.IsZero() {
+		env.dropBy = time.Now().Add(abortDropBudget)
+	}
+	parent := context.Background()
+	if env.ctx != nil {
+		parent = context.WithoutCancel(env.ctx)
+	}
+	ctx, cancel := context.WithDeadline(parent, env.dropBy)
+	defer cancel()
+	b := boardclient.BindContext(ctx, env.Engine.UnboundBoard())
+	for _, name := range names {
+		quietly(func() { b.DropTopic(name) })
+	}
 }
 
 // spanCounters are one span kind's pre-resolved instruments. Spans run

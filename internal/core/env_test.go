@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"tellme/internal/prefs"
+	"tellme/internal/probe"
+	"tellme/internal/sim"
 )
 
 // TestSpanWithoutTelemetryIsFree checks that a span on an Env without
@@ -30,5 +35,31 @@ func TestSpanWithoutTelemetryIsFree(t *testing.T) {
 	}
 	if got := env.ActiveKind(); got != "" {
 		t.Fatalf("ActiveKind = %q after every span ended, want none", got)
+	}
+}
+
+// TestAbortCause checks the one mapping from a value recovered at a
+// run boundary to the run's error.
+func TestAbortCause(t *testing.T) {
+	boom := errors.New("boom")
+	perr := &sim.PanicError{Value: "player exploded"}
+	for _, tc := range []struct {
+		name string
+		rec  any
+		want error
+	}{
+		{"abort", &Abort{Err: context.DeadlineExceeded}, context.DeadlineExceeded},
+		{"abort of a player panic", &Abort{Err: perr}, perr},
+		{"canceled", &probe.Canceled{Cause: context.Canceled}, context.Canceled},
+		{"error", boom, boom},
+		{"panic error", perr, perr},
+		{"string", "player exploded", &sim.PanicError{Value: "player exploded"}},
+		{"int", 42, &sim.PanicError{Value: 42}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := AbortCause(tc.rec); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("AbortCause(%#v) = %#v, want %#v", tc.rec, got, tc.want)
+			}
+		})
 	}
 }

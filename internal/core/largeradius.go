@@ -104,15 +104,16 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		coalD = cap
 	}
 
-	// Abort-path cleanup: Step 2 posts to deterministic per-group topics
-	// that Step 3 normally drops; an abort between the two would leave
-	// them for the next run on a shared board to misread. Re-drops of
-	// already-dropped topics are no-ops.
+	// Abort-path cleanup (see dropQuietly): Step 2 posts to per-group
+	// topics that Step 3 drops. Re-drops of already-dropped topics are
+	// no-ops.
 	defer func() {
 		if rec := recover(); rec != nil {
-			for g := 0; g < groupCount; g++ {
-				env.dropQuietly(fmt.Sprintf("%s/g%d", tag, g))
+			names := make([]string, groupCount)
+			for g := range names {
+				names[g] = fmt.Sprintf("%s/g%d", tag, g)
 			}
+			env.dropQuietly(names...)
 			panic(rec)
 		}
 	}()

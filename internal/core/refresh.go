@@ -66,9 +66,23 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	// an abort mid-repair reports them instead of a half-patched mix.
 	env.saveCheckpoint(stale, 0)
 
+	// Abort-path cleanup (see dropQuietly): the stale topic and the
+	// patch topics up to the running group's.
+	staleTopic := tag + "/stale"
+	groupID := 0
+	defer func() {
+		if rec := recover(); rec != nil {
+			names := []string{staleTopic}
+			for g := 0; g <= groupID; g++ {
+				names = append(names, tag+"/patches/"+strconv.Itoa(g))
+			}
+			env.dropQuietly(names...)
+			panic(rec)
+		}
+	}()
+
 	// Step 1: identify consensus groups from the (public) stale outputs.
 	// Joiners have nothing to post and do not dilute the threshold.
-	staleTopic := tag + "/stale"
 	posters := 0
 	for _, p := range players {
 		out[p] = stale[p].Clone() // default: keep stale
@@ -85,19 +99,6 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	votes := env.Board.Votes(staleTopic)
 	env.Board.DropTopic(staleTopic)
 
-	// Abort-path cleanup: the stale topic and any in-flight patch topic
-	// use deterministic tags; drop them quietly so an aborted repair does
-	// not leak postings into the next run on a shared board.
-	groupID := 0
-	defer func() {
-		if rec := recover(); rec != nil {
-			env.dropQuietly(staleTopic)
-			for g := 0; g <= groupID; g++ {
-				env.dropQuietly(tag + "/patches/" + strconv.Itoa(g))
-			}
-			panic(rec)
-		}
-	}()
 	var repaired []bitvec.Partial
 	for _, v := range votes {
 		if v.Count < need {

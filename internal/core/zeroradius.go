@@ -283,25 +283,23 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 		}
 	}
 
-	// Abort-path cleanup: topic tags are deterministic (freshTag is a
-	// plain sequence number — load-bearing for public-coin streams), so
-	// a run aborted mid-level would leave partial postings that a later
-	// run on the same shared board would read as its own. Only the
-	// running level and the one below it can hold postings (levels are
-	// dropped once their parents ran, and the root is never posted);
-	// drop them quietly before letting the abort continue.
+	// Abort-path cleanup (see dropQuietly): only the running level and
+	// the one below it can hold postings (levels are dropped once their
+	// parents ran, and the root is never posted).
 	level := depth
 	defer func() {
 		if rec := recover(); rec != nil {
+			var names []string
 			for s := range sets {
 				for _, jb := range sets[s].jobs {
 					for l := max(level, 1); l <= level+1 && l < len(jb.byLevel); l++ {
 						for _, nd := range jb.byLevel[l] {
-							env.dropQuietly(nd.topic)
+							names = append(names, nd.topic)
 						}
 					}
 				}
 			}
+			env.dropQuietly(names...)
 			panic(rec)
 		}
 	}()

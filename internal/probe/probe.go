@@ -79,11 +79,12 @@ type NoiseFunc func(player, object int, truth byte, r *rng.Rand) byte
 
 // Engine mediates all probes against one instance.
 type Engine struct {
-	inst   *prefs.Instance
-	board  boardclient.Interface
-	policy Policy
-	noise  NoiseFunc
-	hook   func(player int)
+	inst    *prefs.Instance
+	board   boardclient.Interface
+	unbound boardclient.Interface // board before binding; see UnboundBoard
+	policy  Policy
+	noise   NoiseFunc
+	hook    func(player int)
 
 	charged []atomic.Int64 // per-player charged probes
 	invoked []atomic.Int64 // per-player Probe invocations
@@ -148,6 +149,7 @@ func NewEngine(inst *prefs.Instance, board boardclient.Interface, src rng.Source
 	e := &Engine{
 		inst:    inst,
 		board:   board,
+		unbound: board,
 		charged: make([]atomic.Int64, inst.N),
 		invoked: make([]atomic.Int64, inst.N),
 	}
@@ -250,6 +252,12 @@ func (e *Engine) MaxDelta(prev []int64) int64 {
 // board is a boardclient.Batcher it is the deferred view over it (see
 // boardclient.Defer): its posts wait for a Flush.
 func (e *Engine) Board() boardclient.Interface { return e.board }
+
+// UnboundBoard returns the board NewEngine was given, before
+// WithContext bound it and Defer wrapped it: its calls still go out
+// after the engine's context is done, and none of them waits for a
+// Flush. core.Env drops an aborted run's topics on it.
+func (e *Engine) UnboundBoard() boardclient.Interface { return e.unbound }
 
 // Context returns the context the engine was built with, or nil for an
 // uncancellable engine. core.NewEnv reads it so the coordinator loops

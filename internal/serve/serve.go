@@ -210,6 +210,14 @@ func New(cfg Config) (*Engine, error) {
 // Board returns the billboard the engine serves from.
 func (e *Engine) Board() boardclient.Interface { return e.board }
 
+// probeClearer is the admin surface for releasing a player's probe
+// storage, implemented by billboard.Board, netboard.Client and
+// netboard.Cluster (it is deliberately not part of the algorithm-facing
+// boardclient.Interface).
+type probeClearer interface {
+	ClearProbes(p int, objs []int)
+}
+
 // Join registers a player by its preference vector and returns the
 // external id recommendations are requested under. The player
 // participates from the next epoch boundary on; Recommend blocks (up to
@@ -493,27 +501,22 @@ func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.Epo
 		epCtx, cancel = context.WithTimeout(ctx, e.cfg.EpochTimeout)
 		defer cancel()
 	}
-	// Track every topic the epoch posts so its scratch can be dropped
-	// afterwards — success or abort — keeping the long-lived board from
-	// accumulating phase topics (and keeping later epochs, whose
-	// deterministic topic tags restart from #1, from colliding with a
-	// leaked one).
-	tb := &trackingBoard{Interface: boardclient.BindContext(epCtx, e.board)}
-	defer tb.cleanup(e.board)
-
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs, refreshed = nil, false
-			err = recoveredErr(rec)
+			err = core.AbortCause(rec)
 		}
 	}()
 
+	// The algorithms drop their own topics, on success and, through
+	// their abort-path cleanups, on abort, so the long-lived board keeps
+	// no epoch's scratch (DESIGN.md §13).
 	epoch := int(plan.Epoch)
 	var popts []probe.Option
 	if epCtx.Done() != nil {
 		popts = append(popts, probe.WithContext(epCtx))
 	}
-	engine := probe.NewEngine(inst, tb, e.src.Child("engine", epoch), popts...)
+	engine := probe.NewEngine(inst, e.board, e.src.Child("engine", epoch), popts...)
 	env := core.NewEnv(engine, e.runner, e.src.Child("public", epoch), e.coreCfg)
 	env.Telemetry = e.cfg.Telemetry
 
@@ -608,20 +611,5 @@ func (e *Engine) Run(ctx context.Context, every time.Duration) error {
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Logf != nil {
 		e.cfg.Logf(format, args...)
-	}
-}
-
-// recoveredErr maps a recovered algorithm panic to an error, mirroring
-// the batch facade's asRunError.
-func recoveredErr(rec any) error {
-	switch v := rec.(type) {
-	case *core.Abort:
-		return v.Err
-	case *probe.Canceled:
-		return v.Cause
-	case error:
-		return v
-	default:
-		return &sim.PanicError{Value: rec}
 	}
 }

@@ -464,20 +464,7 @@ func asRunError(rec any, env *core.Env, opt Options) error {
 	if phase == "" {
 		phase = opt.Algorithm.String()
 	}
-	var cause error
-	switch v := rec.(type) {
-	case *core.Abort:
-		cause = v.Err
-	case *probe.Canceled:
-		// A cancellation observed outside a phase body (coordinator
-		// code probing directly) reaches here unwrapped.
-		cause = v.Cause
-	case error:
-		cause = v
-	default:
-		cause = &sim.PanicError{Value: rec}
-	}
-	return &RunError{Phase: phase, Cause: cause}
+	return &RunError{Phase: phase, Cause: core.AbortCause(rec)}
 }
 
 // Evaluate measures output quality over an arbitrary player set — the
