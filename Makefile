@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
+.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-core bench-core-ab bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,13 @@ race:
 # The netboard fault-injection stress on its own (it also runs as part
 # of `race`); useful when iterating on the wire protocol. It includes
 # the deferred-post tests: the deferred view's own tests (one probe run
-# per player per flush, reads after concurrent posts), post batches
-# applied exactly once, a flush over the body cap split into several
-# requests, a failed barrier flush surfacing as a RunError, a cancelled
-# networked run leaving no topics, and the pinned request, phase and
-# batch-entry counts (14 requests in 3 phases and 144 entries for
-# ZeroRadius 48×256; 44 in 24 and 312 entries in 18 post batches for
-# the solve-net solve).
+# per player per flush, held drops, reads after concurrent posts), post
+# batches applied exactly once, a flush over the body cap split into
+# several requests, a failed barrier flush surfacing as a RunError, a
+# cancelled networked run leaving no topics, and the pinned request,
+# phase and batch-entry counts (9 requests in 3 phases and 150 entries
+# in 3 post batches for ZeroRadius 48×256; 33 in 24 and 325 entries in
+# 20 post batches for the solve-net solve).
 stress-net:
 	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 
@@ -107,18 +107,6 @@ bench:
 # the batching cut (DESIGN.md §8).
 bench-net:
 	$(GO) run ./cmd/benchdiff -suite netboard -count 3
-
-# BENCH_3.json: telemetry overhead — E1/E8 with the registry disabled
-# (nil, the zero-cost path) vs enabled; enabled stays within ~2%.
-bench-telemetry:
-	$(GO) run ./cmd/benchdiff -suite telemetry -count 5 -interleave
-
-# BENCH_4.json: context-threading overhead — the same E1/E8 benchmarks
-# after ctx plumbing reached every layer, compared against the
-# pre-context BENCH_3 baseline; the nil/Background fast path must keep
-# them within ~2%.
-bench-cancel:
-	$(GO) run ./cmd/benchdiff -suite cancel -count 5 -interleave -baseline BENCH_3.json
 
 # BENCH_5.json: the bit-plane tally engine and arena scratch reuse —
 # E1/E8 end to end plus the billboard tally microbenchmarks, compared

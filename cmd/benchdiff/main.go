@@ -53,15 +53,6 @@ var suites = map[string]struct {
 	// The networked-billboard throughput suite: full Zero Radius runs
 	// over HTTP, reporting requests/op.
 	"netboard": {pkg: "./internal/netboard", bench: "NetboardRun|HTTP", out: "BENCH_2.json"},
-	// The telemetry-overhead suite: E1/E8 with telemetry disabled (the
-	// plain benchmarks — nil registry on the hot path) and enabled (the
-	// *Telemetry variants); enabled must stay within ~2% of disabled.
-	"telemetry": {pkg: ".", bench: "E1ZeroRadius|E8Main", out: "BENCH_3.json"},
-	// The context-threading suite: the same E1/E8 benchmarks after ctx
-	// plumbing reached every layer. Run with -baseline BENCH_3.json to
-	// prove the nil/Background fast path keeps the hot loops within ~2%
-	// of the pre-context numbers.
-	"cancel": {pkg: ".", bench: "E1ZeroRadius|E8Main", out: "BENCH_4.json"},
 	// The core-engine suite: E1/E8 end to end plus the billboard tally
 	// microbenchmarks behind them. Run with -baseline BENCH_4.json to
 	// track the bit-plane/arena rewrite; `make bench-core` adds
@@ -113,7 +104,7 @@ func main() {
 		suite    = flag.String("suite", "", "named preset (experiments, netboard); sets -pkg/-bench/-out unless overridden")
 		input    = flag.String("input", "", "parse this saved benchmark log instead of running go test")
 		baseline = flag.String("baseline", "", "prior benchdiff JSON or raw benchmark log to compare against")
-		inter    = flag.Bool("interleave", false, "run go test -count times with -count=1 instead of once with -count=N: each benchmark's samples then spread across the whole wall-clock window, so slow machine drift hits every benchmark equally (use when benchmarks are compared against each other, as in the telemetry suite)")
+		inter    = flag.Bool("interleave", false, "run go test -count times with -count=1 instead of once with -count=N: each benchmark's samples then spread across the whole wall-clock window, so slow machine drift hits every benchmark equally (use when benchmarks are compared against each other, as in the core suite)")
 		failPct  = flag.Float64("fail-regress", 0, "exit nonzero when any benchmark present in the baseline is more than this percent slower (ns/op) than the baseline; 0 disables the gate")
 		failRe   = flag.String("fail-bench", "", "restrict the -fail-regress gate to benchmarks matching this regexp; wall-clock numbers in a saved baseline were recorded under that machine's speed, so gate only the benchmarks whose budget has headroom for drift (or use -ref, which is drift-immune)")
 		ref      = flag.String("ref", "", "git rev to benchmark as the baseline in the same wall-clock window: the rev is checked out into a temporary worktree and its runs alternate with the current tree's, so the comparison (and -fail-regress) is immune to machine-speed drift; implies -interleave and overrides -baseline")
@@ -122,7 +113,7 @@ func main() {
 	if *suite != "" {
 		preset, ok := suites[*suite]
 		if !ok {
-			fatal(fmt.Errorf("unknown suite %q (have: experiments, netboard, telemetry, cancel, core, wire)", *suite))
+			fatal(fmt.Errorf("unknown suite %q (have: experiments, netboard, core, wire)", *suite))
 		}
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

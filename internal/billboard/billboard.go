@@ -925,10 +925,10 @@ func (b *Board) PostValues(name string, player int, vals []uint32) {
 
 // TopicRef is a resolved handle to a live topic, letting a phase that
 // posts once per player skip the registry lookup PostValues does on
-// every call. A ref is only meaningful while its topic is live:
-// posting through it after DropTopic lands in the dropped topic's
-// orphaned storage, invisible to readers — refs must not outlive the
-// phase they were resolved for.
+// every post (see PostValuesBatchRef). A ref is only meaningful while
+// its topic is live: posting through it after DropTopic lands in the
+// dropped topic's orphaned storage, invisible to readers — refs must
+// not outlive the phase they were resolved for.
 type TopicRef struct{ t *topic }
 
 // TopicRef resolves (creating if needed) the named topic to a handle.
@@ -936,13 +936,8 @@ func (b *Board) TopicRef(name string) TopicRef {
 	return TopicRef{t: b.topicFor(name)}
 }
 
-// PostValuesRef is PostValues through a resolved handle.
-func (b *Board) PostValuesRef(r TopicRef, player int, vals []uint32) {
-	b.postValuesTo(r.t, player, vals)
-}
-
 // PostValuesBatchRef publishes one value vector per player — rows[i]
-// by players[i] — under the topic, equivalent to calling PostValuesRef
+// by players[i] — under the topic, equivalent to calling PostValues
 // for each pair in order but with a single lock acquisition and one
 // slab carve covering every copy. Nothing may read the topic between
 // the individual posts being batched (the phase-barrier discipline
@@ -977,9 +972,8 @@ func (b *Board) PostValuesBatchRef(r TopicRef, players []int, rows [][]uint32) {
 }
 
 // postValuesTo appends one value posting under t. It reports false
-// without posting when t is a retired handle: the name-based caller
-// re-resolves, while ref-based callers treat the post as expired with
-// the ref (it would have been invisible to readers either way).
+// without posting when t is a retired handle, and PostValues then
+// re-resolves the name.
 func (b *Board) postValuesTo(t *topic, player int, vals []uint32) bool {
 	t.mu.Lock()
 	if t.retired {

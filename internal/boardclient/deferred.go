@@ -20,9 +20,11 @@ const (
 	// VectorPost is Post(Topic, Player, Vec); PostVector lifts its
 	// vector to a Partial first.
 	VectorPost
+	// DropPost is DropTopic(Topic).
+	DropPost
 )
 
-// Post is one posting call held as data, so a remote board can send
+// Post is one board mutation held as data, so a remote board can send
 // many of them in one request. Only the fields of its Kind are set.
 type Post struct {
 	Kind   PostKind
@@ -31,7 +33,8 @@ type Post struct {
 	// grade for Objs[k]. An object may repeat; its first grade stands.
 	Objs   []int
 	Grades []byte
-	// Topic names the topic of a ValuesPost or a VectorPost.
+	// Topic names the topic of a ValuesPost, a VectorPost or a
+	// DropPost.
 	Topic string
 	Vals  []uint32
 	Vec   bitvec.Partial
@@ -67,12 +70,13 @@ const flushBytes = wire.MaxBodyBytes / 2
 // This is the phase contract of the paper's round-synchronous model
 // made into fewer round trips: no player reads what another posted in
 // the same phase, so a phase's posts may travel together at its
-// barrier. Every call
-// through the view that is not a post — reads, DropTopic, the counters,
+// barrier. A DropTopic is held the same way, in order with the posts,
+// so the drop of a topic nothing reads any more travels with them.
+// Every other call through the view — reads, the counters,
 // TopicSnapshot — flushes first and then goes straight to b, so a read
-// always sees every post made before it. Flushes run one at a time,
-// which keeps that true at any parallelism. Err and Failures report b's
-// record without flushing: a held post has not failed yet.
+// always sees every post and drop made before it. Flushes run one at a
+// time, which keeps that true at any parallelism. Err and Failures
+// report b's record without flushing: a held post has not failed yet.
 //
 // Posts are copied, so callers may reuse their slices at once. A
 // player's PostProbe and PostProbes calls since the last flush are held
@@ -104,8 +108,8 @@ type deferred struct {
 	runs    map[int]int // player → index in pending of its probe run
 }
 
-// add holds one value or vector post, sending the held batch first
-// when the post would take it past flushBytes.
+// add holds one value, vector or drop post, sending the held batch
+// first when the post would take it past flushBytes.
 func (d *deferred) add(p Post) {
 	n := p.sizeBound()
 	for {
@@ -243,8 +247,7 @@ func (d *deferred) ValueVotes(name string) []billboard.ValueVote {
 }
 
 func (d *deferred) DropTopic(name string) {
-	d.Flush()
-	d.b.DropTopic(name)
+	d.add(Post{Kind: DropPost, Topic: name})
 }
 
 func (d *deferred) TopicCount() int {

@@ -30,6 +30,8 @@ func (b *batchBoard) PostBatch(posts []Post) {
 			b.Board.PostValues(p.Topic, p.Player, p.Vals)
 		case VectorPost:
 			b.Board.Post(p.Topic, p.Player, p.Vec)
+		case DropPost:
+			b.Board.DropTopic(p.Topic)
 		}
 	}
 }
@@ -56,6 +58,7 @@ func TestDeferHoldsPostsUntilFlush(t *testing.T) {
 	v.PostProbes(1, objs, grades)
 	v.PostValues("v", 2, vals)
 	v.PostVector("t", 3, bitvec.New(3))
+	v.DropTopic("t")
 	v.Post("t", 0, vec)
 	// The caller's slices are the view's no longer.
 	objs[0], grades[0], vals[0] = 7, 0, 99
@@ -64,13 +67,16 @@ func TestDeferHoldsPostsUntilFlush(t *testing.T) {
 		t.Fatalf("posts reached the board before a flush: %d batches", bb.batchCount())
 	}
 	v.(interface{ Flush() }).Flush()
-	if bb.batchCount() != 1 || len(bb.batches[0]) != 5 {
-		t.Fatalf("flush sent %d batches, want one of 5 posts", bb.batchCount())
+	if bb.batchCount() != 1 || len(bb.batches[0]) != 6 {
+		t.Fatalf("flush sent %d batches, want one of 6 posts", bb.batchCount())
 	}
-	for i, want := range []PostKind{ProbesPost, ProbesPost, ValuesPost, VectorPost, VectorPost} {
+	for i, want := range []PostKind{ProbesPost, ProbesPost, ValuesPost, VectorPost, DropPost, VectorPost} {
 		if got := bb.batches[0][i].Kind; got != want {
 			t.Fatalf("post %d has kind %d, want %d: order not kept", i, got, want)
 		}
+	}
+	if got := bb.Board.Postings("t"); len(got) != 1 || got[0].Player != 0 {
+		t.Fatalf("topic t holds %v, want only the post made after its drop", got)
 	}
 	if g, ok := bb.Board.LookupProbe(1, 2); !ok || g != 1 {
 		t.Fatalf("probe set posted as (%d, %v), want the grades at post time", g, ok)
@@ -169,7 +175,6 @@ func TestDeferReadsFlushFirst(t *testing.T) {
 		"PopularVectors":  func(v Interface) { v.PopularVectors("t", 1) },
 		"ValuePostings":   func(v Interface) { v.ValuePostings("t") },
 		"ValueVotes":      func(v Interface) { v.ValueVotes("t") },
-		"DropTopic":       func(v Interface) { v.DropTopic("t") },
 		"TopicCount":      func(v Interface) { v.TopicCount() },
 		"VectorPostCount": func(v Interface) { v.VectorPostCount() },
 		"TopicSnapshot":   func(v Interface) { v.TopicSnapshot("t", 0, 0) },

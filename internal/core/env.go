@@ -198,13 +198,22 @@ func AbortCause(rec any) error {
 // how deep the recursion is.
 //
 // The barrier is also where a deferred board view (boardclient.Defer)
-// sends the phase's posts. A flush that fails for good panics with the
+// sends the phase's posts. drops names topics that nothing reads after
+// the phase: they are dropped once the barrier has passed, so on a
+// deferred view the drops travel in the same flush as the phase's
+// posts. (Not before the phase: a phase body may still hold a topic's
+// value tallies, whose memory the in-memory board reuses once the
+// topic is dropped.) A flush that fails for good panics with the
 // transport's error here, on the coordinator goroutine; after a failed
-// phase the flush is quiet, so the abort keeps its own cause.
-func (env *Env) phase(players []int, f func(p int)) {
+// phase the flush is quiet, so the abort keeps its own cause, and the
+// drops are left to the caller's abort cleanup.
+func (env *Env) phase(players []int, f func(p int), drops ...string) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
 		env.flushQuietly()
 		panic(&Abort{Err: err})
+	}
+	for _, name := range drops {
+		env.Board.DropTopic(name)
 	}
 	if env.flusher != nil {
 		env.flusher.Flush()
@@ -285,8 +294,8 @@ const abortDropBudget = 250 * time.Millisecond
 // own. The drops go to the engine's unbound board under a context
 // detached from the run's cancellation, so a cancelled or timed-out
 // run still cleans up, with the run's one abort-drop deadline
-// (abortDropBudget). Each drop is quiet: a failed one does not stop
-// the others or mask the abort.
+// (abortDropBudget). A remote board takes them all as one post batch
+// per shard. The drops are quiet: a failure does not mask the abort.
 func (env *Env) dropQuietly(names ...string) {
 	if env.dropBy.IsZero() {
 		env.dropBy = time.Now().Add(abortDropBudget)
@@ -297,10 +306,15 @@ func (env *Env) dropQuietly(names ...string) {
 	}
 	ctx, cancel := context.WithDeadline(parent, env.dropBy)
 	defer cancel()
-	b := boardclient.BindContext(ctx, env.Engine.UnboundBoard())
-	for _, name := range names {
-		quietly(func() { b.DropTopic(name) })
-	}
+	b := boardclient.Defer(boardclient.BindContext(ctx, env.Engine.UnboundBoard()))
+	quietly(func() {
+		for _, name := range names {
+			b.DropTopic(name)
+		}
+		if f, ok := b.(postFlusher); ok {
+			f.Flush()
+		}
+	})
 }
 
 // spanCounters are one span kind's pre-resolved instruments. Spans run
@@ -386,11 +400,13 @@ func (env *Env) span(kind spanKind, players []int, calls int) spanEnd {
 // end closes the span; callers defer it. A span an abort unwinds keeps
 // its kind active, so the facade reports the kind the abort
 // interrupted, not the outermost one.
+//
+// The outermost span ends the run, so it also flushes a deferred board
+// view: a drop can still be held there (a Refresh in which no group
+// forms holds its stale topic's), and a run never returns with one. A
+// flush that fails unwinds like an abort, with the kind still active.
 func (s spanEnd) end() {
 	rec := recover()
-	if rec == nil {
-		s.env.cur = s.prev
-	}
 	if s.tel != nil {
 		s.tel.probes.Add(s.env.chargedSum(s.players) - s.before)
 		s.tel.ns.Add(time.Since(s.start).Nanoseconds())
@@ -398,6 +414,10 @@ func (s spanEnd) end() {
 	if rec != nil {
 		panic(rec)
 	}
+	if s.prev == "" && s.env.flusher != nil {
+		s.env.flusher.Flush()
+	}
+	s.env.cur = s.prev
 }
 
 func (env *Env) chargedSum(players []int) int64 {

@@ -29,6 +29,15 @@ func (s *VirtualSpace) Probe(pl *probe.Player, j int) uint32 {
 	return uint32(SelectPartial(pl, s.GroupObjs[j], s.Cands[j], s.Bound))
 }
 
+// postHinter is optionally implemented by boards that can presize a
+// topic's posting storage ahead of a known burst of posts (see
+// billboard.Board.HintPosts). Purely a capacity hint — postings and
+// tallies are unchanged — so remote or wrapped boards that don't
+// implement it just grow on demand.
+type postHinter interface {
+	HintPosts(name string, vectors, values int)
+}
+
 // LargeRadius implements Algorithm Large Radius (Fig. 5) for the given
 // players over the object coordinate set objs, with known alpha and
 // distance bound d (intended for d = Ω(log n); the main dispatcher sends
@@ -105,15 +114,15 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	}
 
 	// Abort-path cleanup (see dropQuietly): Step 2 posts to per-group
-	// topics that Step 3 drops. Re-drops of already-dropped topics are
-	// no-ops.
+	// topics that are dropped after Step 3. Re-drops of already-dropped
+	// topics are no-ops.
+	topics := make([]string, groupCount)
+	for g := range topics {
+		topics[g] = fmt.Sprintf("%s/g%d", tag, g)
+	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			names := make([]string, groupCount)
-			for g := range names {
-				names[g] = fmt.Sprintf("%s/g%d", tag, g)
-			}
-			env.dropQuietly(names...)
+			env.dropQuietly(topics...)
 			panic(rec)
 		}
 	}()
@@ -132,12 +141,11 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	smallRadiusJobs(env, srs, alpha/2, lambda, env.confidenceK())
 	hinter, _ := env.Board.(postHinter)
 	for j, g := range srGroup {
-		topic := fmt.Sprintf("%s/g%d", tag, g)
 		if hinter != nil {
-			hinter.HintPosts(topic, len(groupPlayers[g]), 0)
+			hinter.HintPosts(topics[g], len(groupPlayers[g]), 0)
 		}
 		for i, p := range groupPlayers[g] {
-			env.Board.Post(topic, p, bitvec.PartialOf(srs[j].rows[i]))
+			env.Board.Post(topics[g], p, bitvec.PartialOf(srs[j].rows[i]))
 		}
 	}
 
@@ -145,9 +153,8 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	// candidates (worst-case pairwise spread of typical outputs is
 	// 11λ = 5λ + λ + 5λ; coalD above uses the realized ≈2λ scale).
 	cands := make([][]bitvec.Partial, groupCount)
-	for g := 0; g < groupCount; g++ {
+	for g, topic := range topics {
 		env.checkAborted()
-		topic := fmt.Sprintf("%s/g%d", tag, g)
 		postings := env.Board.Postings(topic)
 		vecs := make([]bitvec.Partial, len(postings))
 		for i, po := range postings {
@@ -169,6 +176,11 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 			b = []bitvec.Partial{bitvec.NewPartial(len(groupObjs[g]))}
 		}
 		cands[g] = b
+	}
+	// The group topics hold vector postings, which outlive a drop, so
+	// they are dropped after the loop: a deferred board sends the drops
+	// with Step 4's first barrier, not one by one with the loop's reads.
+	for _, topic := range topics {
 		env.Board.DropTopic(topic)
 	}
 

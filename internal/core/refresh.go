@@ -58,7 +58,6 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	if maxPatches < 1 {
 		maxPatches = len(objs)
 	}
-	defer env.span(spanRefresh, players, 1).end()
 	tag := env.freshTag("rf")
 	coin := env.Public.Stream(tag, 0)
 
@@ -67,7 +66,9 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	env.saveCheckpoint(stale, 0)
 
 	// Abort-path cleanup (see dropQuietly): the stale topic and the
-	// patch topics up to the running group's.
+	// patch topics up to the running group's. It is deferred before the
+	// span, so it also covers the span end's flush, which may hold the
+	// stale topic's drop.
 	staleTopic := tag + "/stale"
 	groupID := 0
 	defer func() {
@@ -80,6 +81,7 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 			panic(rec)
 		}
 	}()
+	defer env.span(spanRefresh, players, 1).end()
 
 	// Step 1: identify consensus groups from the (public) stale outputs.
 	// Joiners have nothing to post and do not dilute the threshold.
@@ -201,14 +203,14 @@ func refreshGroup(env *Env, coin *rng.Rand, objs []int, holders []int,
 		patches = patches[:maxPatches]
 	}
 
-	// Phase 2: every holder self-verifies each patch coordinate.
+	// Phase 2: every holder self-verifies each patch coordinate. Nothing
+	// reads the patches topic any more, so the phase drops it.
 	env.phase(holders, func(p int) {
 		pl := env.Engine.Player(p)
 		for _, pa := range patches {
 			out[p].SetBit(pa.lc, pl.Probe(objs[pa.lc]))
 		}
-	})
-	env.Board.DropTopic(topic)
+	}, topic)
 
 	repaired := consensus.Clone()
 	for _, pa := range patches {

@@ -26,6 +26,7 @@ type coScratch struct {
 	lists    arena.Slab[[]int]
 	vecs     arena.Slab[bitvec.Vector]
 	partials arena.Slab[bitvec.Partial]
+	names    arena.Slab[string]
 
 	// pack is popularOutputs' packing buffer, reused from call to call,
 	// so the arena holds only the few rows that survive the vote.
@@ -40,6 +41,7 @@ type coMark struct {
 	lists    arena.Pos
 	vecs     arena.Pos
 	partials arena.Pos
+	names    arena.Pos
 }
 
 func (s *coScratch) mark() coMark {
@@ -50,6 +52,7 @@ func (s *coScratch) mark() coMark {
 		lists:    s.lists.Mark(),
 		vecs:     s.vecs.Mark(),
 		partials: s.partials.Mark(),
+		names:    s.names.Mark(),
 	}
 }
 
@@ -60,6 +63,7 @@ func (s *coScratch) release(m coMark) {
 	s.lists.Release(m.lists)
 	s.vecs.Release(m.vecs)
 	s.partials.Release(m.partials)
+	s.names.Release(m.names)
 }
 
 // fusedSet indexes the players of a fused call: several independent

@@ -68,7 +68,7 @@ func (s BinarySpace) ProbeMany(pl *probe.Player, js []int, dst []uint32) {
 type zrNode struct {
 	depth       int
 	topic       string
-	ref         billboard.TopicRef // resolved for the node's posting level
+	ref         billboard.TopicRef // resolved for the node's posting level on a batchPoster
 	pos         []int              // the node's players, as positions in its job's player list
 	objs        []int              // abstract object ids
 	cands       [][]uint32
@@ -76,23 +76,6 @@ type zrNode struct {
 }
 
 func (nd *zrNode) leaf() bool { return nd.left == nil }
-
-// postHinter is optionally implemented by boards that can presize a
-// topic's posting storage ahead of a known burst of posts (see
-// billboard.Board.HintPosts). Purely a capacity hint — postings and
-// tallies are unchanged — so remote or wrapped boards that don't
-// implement it just grow on demand.
-type postHinter interface {
-	HintPosts(name string, vectors, values int)
-}
-
-// refPoster is optionally implemented by boards that can resolve a
-// topic once and take posts through the handle, sparing the per-player
-// phase bodies a registry lookup per post (billboard.Board.TopicRef).
-type refPoster interface {
-	TopicRef(name string) billboard.TopicRef
-	PostValuesRef(r billboard.TopicRef, player int, vals []uint32)
-}
 
 // batchPoster is optionally implemented by boards that can take a whole
 // node's posting burst in one call (billboard.Board.PostValuesBatchRef).
@@ -246,7 +229,7 @@ func (jb *zrJob) node(i, level int) *zrNode {
 //
 // The root level is not posted: nothing reads it (a node's topic is
 // read only by its parent's level), so the root topic is never
-// resolved, hinted or dropped.
+// resolved or dropped.
 func zeroRadiusJobs(env *Env, sets []zrSet) {
 	sc := &env.scratch
 	defer sc.release(sc.mark())
@@ -316,16 +299,15 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 	// simulation time.
 	phasePlayers := sc.a.Ints(len(fu.players))
 	seen := sc.a.Ints(len(fu.players)) // seen[u] == level+1: players[u] is in the phase
-	hinter, _ := env.Board.(postHinter)
-	refBoard, _ := env.Board.(refPoster)
 	batcher, _ := env.Board.(batchPoster)
+	post := batcher == nil
 	for level = depth - 1; level >= 0; level-- {
 		env.checkAborted()
 		lm := sc.mark()
 		// The level's posting rows live on the heap for the level only:
 		// on the arena, or referenced from it, a wide level of many jobs
 		// would stay allocated for the rest of the run.
-		size := 0
+		size, children := 0, 0
 		for s := range sets {
 			for _, jb := range sets[s].jobs {
 				if level > 0 && level < len(jb.byLevel) {
@@ -333,9 +315,15 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 						size += len(nd.pos) * len(nd.objs)
 					}
 				}
+				if level+1 < len(jb.byLevel) {
+					children += len(jb.byLevel[level+1])
+				}
 			}
 		}
 		backing := make([]uint32, size)
+		// The level's phase reads its children's topics for the last
+		// time, so it drops them (see Env.phase).
+		drops := sc.names.Make(children)[:0]
 		phasePlayers = phasePlayers[:0]
 		for s := range sets {
 			set := &sets[s]
@@ -359,28 +347,19 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 						for _, i := range nd.pos {
 							jb.deep.rows[i], backing = backing[:len(nd.objs):len(nd.objs)], backing[len(nd.objs):]
 						}
-						if hinter != nil && batcher == nil && len(nd.pos) > 0 {
-							// Every player of the node posts exactly
-							// one value vector to its topic in the
-							// phase below. (The batched path presizes
-							// exactly on its own.)
-							hinter.HintPosts(nd.topic, 0, len(nd.pos))
-						}
-						if refBoard != nil {
-							nd.ref = refBoard.TopicRef(nd.topic)
-						} else if batcher != nil {
+						if batcher != nil {
 							nd.ref = batcher.TopicRef(nd.topic)
 						}
 					}
 					if !nd.leaf() {
 						for _, child := range [2]*zrNode{nd.left, nd.right} {
 							child.cands = popularValueCands(env, child.topic, child, jb.alpha)
+							drops = append(drops, child.topic)
 						}
 					}
 				}
 			}
 		}
-		post := batcher == nil
 		env.phase(phasePlayers, func(p int) {
 			pl := env.Engine.Player(p)
 			ss, is := fu.jobsOf(p)
@@ -388,11 +367,11 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 				for j := range sets[s].jobs {
 					jb := &sets[s].jobs[j]
 					if nd := jb.node(is[m], level); nd != nil {
-						jb.step(env, pl, is[m], nd, post, refBoard)
+						jb.step(env, pl, is[m], nd, post)
 					}
 				}
 			}
-		})
+		}, drops...)
 		for s := range sets {
 			set := &sets[s]
 			for _, jb := range set.jobs {
@@ -410,12 +389,6 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 						batcher.PostValuesBatchRef(nd.ref, ids, rows)
 					}
 				}
-				// Completed child topics are no longer read; free them.
-				if level+1 < len(jb.byLevel) {
-					for _, nd := range jb.byLevel[level+1] {
-						env.Board.DropTopic(nd.topic)
-					}
-				}
 			}
 		}
 		sc.release(lm)
@@ -429,7 +402,7 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 // posts when post is set and the caller ships after the barrier
 // otherwise. The root, whose objects are the row's own coordinates in
 // order, writes the output row and posts nothing.
-func (jb *zrJob) step(env *Env, pl *probe.Player, i int, nd *zrNode, post bool, refBoard refPoster) {
+func (jb *zrJob) step(env *Env, pl *probe.Player, i int, nd *zrNode, post bool) {
 	w := jb.space.Len()
 	row := jb.out[i*w : (i+1)*w]
 	if nd.depth == 0 {
@@ -453,12 +426,7 @@ func (jb *zrJob) step(env *Env, pl *probe.Player, i int, nd *zrNode, post bool, 
 		}
 	}
 	jb.deep.childAt[i] = nd
-	if !post {
-		return
-	}
-	if refBoard != nil {
-		refBoard.PostValuesRef(nd.ref, pl.ID(), vals)
-	} else {
+	if post {
 		env.Board.PostValues(nd.topic, pl.ID(), vals)
 	}
 }

@@ -25,7 +25,9 @@ import (
 // objects spread so a multi-shard cluster splits it. Each player's
 // second probe set repeats an object of its own and one of the first
 // set, with the other grade: a deferred view's run does that when its
-// player probes an object again, and the first grade must stand.
+// player probes an object again, and the first grade must stand. The
+// drops at the end remove a topic of value postings, drop a topic of
+// vectors and post to it again, and drop a topic that never existed.
 func mixedPosts() []boardclient.Post {
 	vec, _ := bitvec.PartialFromString("01?1")
 	var posts []boardclient.Post
@@ -38,7 +40,12 @@ func mixedPosts() []boardclient.Post {
 			boardclient.Post{Kind: boardclient.VectorPost, Topic: fmt.Sprintf("t%d", p%2), Player: p, Vec: vec},
 		)
 	}
-	return posts
+	return append(posts,
+		boardclient.Post{Kind: boardclient.DropPost, Topic: "v2"},
+		boardclient.Post{Kind: boardclient.DropPost, Topic: "t1"},
+		boardclient.Post{Kind: boardclient.VectorPost, Topic: "t1", Player: 2, Vec: vec},
+		boardclient.Post{Kind: boardclient.DropPost, Topic: "never"},
+	)
 }
 
 // postOneByOne makes posts through b's per-call methods.
@@ -51,6 +58,8 @@ func postOneByOne(b billboard.Interface, posts []boardclient.Post) {
 			b.PostValues(p.Topic, p.Player, p.Vals)
 		case boardclient.VectorPost:
 			b.Post(p.Topic, p.Player, p.Vec)
+		case boardclient.DropPost:
+			b.DropTopic(p.Topic)
 		}
 	}
 }
@@ -154,6 +163,7 @@ func TestPostBatchIsAllOrNothing(t *testing.T) {
 		"object out of range": `{"probes":{"player":0,"objects":[99],"grades":"1"}}`,
 		"bad grade":           `{"probes":{"player":0,"objects":[2],"grades":"7"}}`,
 		"empty topic":         `{"values":{"topic":"","player":0,"vals":[1]}}`,
+		"empty drop topic":    `{"drop":{"topic":""}}`,
 		"no kind":             `{}`,
 		"single-probe entry":  `{"probe":{"player":0,"object":2,"value":1}}`,
 		"two kinds":           `{"probes":{"player":0,"objects":[2],"grades":"1"},"values":{"topic":"v","player":0,"vals":[1]}}`,
@@ -265,13 +275,13 @@ func TestOverCapBodyIs413(t *testing.T) {
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 	n := wire.MaxBodyBytes / 2
-	body := `{"player":0,"objects":[` + strings.Repeat("0,", n) + `0],"grades":"` + strings.Repeat("1", n+1) + `"}`
+	body := `{"posts":[{"probes":{"player":0,"objects":[` + strings.Repeat("0,", n) + `0],"grades":"` + strings.Repeat("1", n+1) + `"}}]}`
 	for _, declared := range []bool{true, false} {
 		var r io.Reader = strings.NewReader(body)
 		if !declared {
 			r = io.MultiReader(r) // hides the length: sent chunked
 		}
-		resp, err := http.Post(srv.URL+PathBatchProbes, "application/json", r)
+		resp, err := http.Post(srv.URL+PathPostBatch, "application/json", r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,10 +44,11 @@ import (
 // of a request the server already applied — but whose response was lost
 // — is deduplicated server-side instead of double-applied.
 //
-// Batch operations (PostProbes, LookupProbes) and the vote reads
-// (Votes, ValueVotes, PopularVectors) use the batched wire protocol:
-// one request per batch, and an epoch-tagged per-topic snapshot cache
-// that re-downloads a tally only when the topic actually changed.
+// Every write, a deferred view's PostBatch or a single post, is one
+// /v1/batch/posts request. LookupProbes and the vote reads (Votes,
+// ValueVotes, PopularVectors) use the batched wire protocol too: one
+// request per batch, and an epoch-tagged per-topic snapshot cache that
+// re-downloads a tally only when the topic actually changed.
 //
 // A client carries the context its requests run under. The one
 // NewClientWithConfig returns runs uncancellable (context.Background).
@@ -497,9 +498,11 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 	return false
 }
 
-// PostProbe implements billboard.Interface.
+// PostProbe implements billboard.Interface as a one-entry PostBatch,
+// as do PostProbes, Post, PostValues and DropTopic. A nonzero grade
+// posts as 1, as billboard.Board.PostProbe stores it.
 func (c *Client) PostProbe(p, o int, val byte) {
-	c.post(c.ctx, PathProbe, &probePost{Player: p, Object: o, Value: val})
+	c.PostProbes(p, []int{o}, []byte{val})
 }
 
 // PostProbes implements billboard.Interface: the whole batch travels as
@@ -508,24 +511,22 @@ func (c *Client) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
-	c.post(c.ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: gradeString(grades)})
+	c.PostBatch([]boardclient.Post{{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades}})
 }
 
 // gradeString is grades in the '0'/'1' wire alphabet of a probe batch.
 func gradeString(grades []byte) string {
-	gw := make([]byte, len(grades))
-	for k, g := range grades {
-		if g != 0 {
-			gw[k] = '1'
-		} else {
-			gw[k] = '0'
-		}
+	var sb strings.Builder
+	sb.Grow(len(grades))
+	for _, g := range grades {
+		sb.WriteByte('0' + min(g, 1))
 	}
-	return string(gw)
+	return sb.String()
 }
 
 // PostBatch implements boardclient.Batcher: the posts travel in order
-// as one idempotent request.
+// as one idempotent request. Each dropped topic's snapshot-cache entry
+// is evicted once the request is done.
 func (c *Client) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
@@ -535,28 +536,37 @@ func (c *Client) PostBatch(posts []boardclient.Post) {
 		msg.Posts[i] = wirePost(&posts[i])
 	}
 	c.post(c.ctx, PathPostBatch, &msg)
+	for i := range posts {
+		if posts[i].Kind == boardclient.DropPost {
+			c.evict(posts[i].Topic)
+		}
+	}
 }
 
-// wirePost is p in the body shape of its per-call endpoint.
+// wirePost is p as an entry of a post batch.
 func wirePost(p *boardclient.Post) batchPost {
 	switch p.Kind {
 	case boardclient.ProbesPost:
 		return batchPost{Probes: &batchProbesPost{Player: p.Player, Objects: p.Objs, Grades: gradeString(p.Grades)}}
 	case boardclient.ValuesPost:
 		return batchPost{Values: &valuesPost{Topic: p.Topic, Player: p.Player, Vals: p.Vals}}
-	default:
+	case boardclient.VectorPost:
 		return batchPost{Vector: &vectorPost{Topic: p.Topic, Player: p.Player, Bits: wire.Bits{P: p.Vec}}}
+	default:
+		return batchPost{Drop: &dropPost{Topic: p.Topic}}
 	}
 }
 
-// LookupProbe implements billboard.Interface.
-func (c *Client) LookupProbe(p, o int) (byte, bool) {
-	var reply probeReply
-	c.get(c.ctx, PathProbe, url.Values{
-		"player": {strconv.Itoa(p)},
-		"object": {strconv.Itoa(o)},
-	}, &reply)
-	return reply.Value, reply.OK
+// LookupProbe implements billboard.Interface as a one-object
+// LookupProbes.
+func (c *Client) LookupProbe(p, o int) (byte, bool) { return lookupOne(c, p, o) }
+
+// lookupOne is b.LookupProbe(p, o) as a one-object LookupProbes.
+func lookupOne(b billboard.Interface, p, o int) (byte, bool) {
+	var grade [1]byte
+	var known [1]bool
+	b.LookupProbes(p, []int{o}, grade[:], known[:])
+	return grade[0], known[0]
 }
 
 // LookupProbes implements billboard.Interface: one request for the
@@ -633,7 +643,7 @@ func (c *Client) ProbeCount() int64 { return c.stats().ProbeCount }
 
 // Post implements billboard.Interface.
 func (c *Client) Post(name string, player int, v bitvec.Partial) {
-	c.post(c.ctx, PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
+	c.PostBatch([]boardclient.Post{{Kind: boardclient.VectorPost, Topic: name, Player: player, Vec: v}})
 }
 
 // PostVector implements billboard.Interface.
@@ -736,7 +746,7 @@ func (c *Client) PopularVectors(name string, minVotes int) []bitvec.Partial {
 
 // PostValues implements billboard.Interface.
 func (c *Client) PostValues(name string, player int, vals []uint32) {
-	c.post(c.ctx, PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
+	c.PostBatch([]boardclient.Post{{Kind: boardclient.ValuesPost, Topic: name, Player: player, Vals: vals}})
 }
 
 // ValuePostings implements billboard.Interface.
@@ -760,19 +770,21 @@ func (c *Client) ValueVotes(name string) []billboard.ValueVote {
 }
 
 // DropTopic implements billboard.Interface.
-func (c *Client) DropTopic(name string) { c.drop(name, PathDropTopic, &dropPost{Topic: name}) }
+func (c *Client) DropTopic(name string) {
+	c.PostBatch([]boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
+}
 
 // dropTopicIf asks the server to drop the topic only if its posting
 // counts still match (nVec vector postings, nVal value postings). The
 // outcome is not reported — a deduplicated retry could not reproduce it
 // — so callers verify by re-reading the topic.
 func (c *Client) dropTopicIf(name string, nVec, nVal int) {
-	c.drop(name, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
+	c.post(c.ctx, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
+	c.evict(name)
 }
 
-// drop sends a drop of topic name and evicts its snapshot-cache entry.
-func (c *Client) drop(name, path string, body wire.Message) {
-	c.post(c.ctx, path, body)
+// evict removes topic name's snapshot-cache entry after a drop.
+func (c *Client) evict(name string) {
 	c.cacheMu.Lock()
 	delete(c.cache, name)
 	c.cacheMu.Unlock()

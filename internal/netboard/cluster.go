@@ -218,17 +218,12 @@ func scatter(n int, fn func(k int)) {
 
 // ── Probe operations (routed by object) ──────────────────────────────
 
-// objectClient resolves the shard owning object o's probe column.
-func (cl *Cluster) objectClient(o int) *Client {
-	ring, clients := cl.topo()
-	return cl.on(clients[ring.ObjectOwner(o)])
-}
+// PostProbe implements billboard.Interface as a one-object PostProbes.
+func (cl *Cluster) PostProbe(p, o int, val byte) { cl.PostProbes(p, []int{o}, []byte{val}) }
 
-// PostProbe implements billboard.Interface.
-func (cl *Cluster) PostProbe(p, o int, val byte) { cl.objectClient(o).PostProbe(p, o, val) }
-
-// LookupProbe implements billboard.Interface.
-func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return cl.objectClient(o).LookupProbe(p, o) }
+// LookupProbe implements billboard.Interface as a one-object
+// LookupProbes.
+func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return lookupOne(cl, p, o) }
 
 // shardSplit partitions a batch's positions by owning shard:
 // split[s] lists the batch indices owned by shard s, in batch order,
@@ -266,20 +261,14 @@ func touched[T any](split [][]T) []int {
 	return shards
 }
 
-// PostProbes implements billboard.Interface: the batch is split by
-// owning shard and the per-shard sub-batches are posted concurrently,
-// each as one idempotent request.
+// PostProbes implements billboard.Interface as a one-entry PostBatch:
+// the batch is split by owning shard and the per-shard sub-batches are
+// posted concurrently, each as one idempotent request.
 func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
-	ring, clients := cl.topo()
-	split := shardSplit(ring, objs)
-	shards := touched(split)
-	scatter(len(shards), func(k int) {
-		idx := split[shards[k]]
-		cl.on(clients[shards[k]]).PostProbes(p, pick(objs, idx), pick(grades, idx))
-	})
+	cl.PostBatch([]boardclient.Post{{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades}})
 }
 
 // pick returns the elements of xs at batch indices idx as a fresh
@@ -365,10 +354,10 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 }
 
 // PostBatch implements boardclient.Batcher: the batch is split by
-// owning shard — probe results by object, topic posts by topic — with
-// post order kept within each shard, and every touched shard gets its
-// part as one request, concurrently. A probe set goes whole to a shard
-// that owns all its objects.
+// owning shard — probe results by object, topic posts and drops by
+// topic — with post order kept within each shard, and every touched
+// shard gets its part as one request, concurrently. A probe set goes
+// whole to a shard that owns all its objects.
 func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
@@ -400,14 +389,15 @@ func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 
 // ── Topic operations (routed by topic name) ──────────────────────────
 
-// Post implements billboard.Interface.
+// Post implements billboard.Interface as a one-entry PostBatch, as do
+// PostVector, PostValues and DropTopic.
 func (cl *Cluster) Post(name string, player int, v bitvec.Partial) {
-	cl.topicClient(name).Post(name, player, v)
+	cl.PostBatch([]boardclient.Post{{Kind: boardclient.VectorPost, Topic: name, Player: player, Vec: v}})
 }
 
 // PostVector implements billboard.Interface.
 func (cl *Cluster) PostVector(name string, player int, v bitvec.Vector) {
-	cl.topicClient(name).Post(name, player, bitvec.PartialOf(v))
+	cl.Post(name, player, bitvec.PartialOf(v))
 }
 
 // Postings implements billboard.Interface.
@@ -425,7 +415,7 @@ func (cl *Cluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
 
 // PostValues implements billboard.Interface.
 func (cl *Cluster) PostValues(name string, player int, vals []uint32) {
-	cl.topicClient(name).PostValues(name, player, vals)
+	cl.PostBatch([]boardclient.Post{{Kind: boardclient.ValuesPost, Topic: name, Player: player, Vals: vals}})
 }
 
 // ValuePostings implements billboard.Interface.
@@ -439,7 +429,9 @@ func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote {
 }
 
 // DropTopic implements billboard.Interface.
-func (cl *Cluster) DropTopic(name string) { cl.topicClient(name).DropTopic(name) }
+func (cl *Cluster) DropTopic(name string) {
+	cl.PostBatch([]boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
+}
 
 // TopicSnapshot implements boardclient.Interface.
 func (cl *Cluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {

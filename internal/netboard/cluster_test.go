@@ -373,7 +373,7 @@ func TestClusterPerShardTelemetry(t *testing.T) {
 	snap := reg.Snapshot()
 	perShard := 0
 	for i := 0; i < 3; i++ {
-		key := "netboard.cluster.shard" + string(rune('0'+i)) + ".requests." + PathBatchProbes
+		key := "netboard.cluster.shard" + string(rune('0'+i)) + ".requests." + PathPostBatch
 		if c, ok := snap.Counters[key]; ok && c > 0 {
 			perShard++
 		}

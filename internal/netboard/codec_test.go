@@ -126,16 +126,35 @@ func (g *byteGen) postBatch(n int) *postBatch {
 	}
 	b := &postBatch{Posts: make([]batchPost, n)}
 	for i := range b.Posts {
-		switch g.intn(3) {
+		switch g.intn(4) {
 		case 0:
 			b.Posts[i].Probes = &batchProbesPost{Player: g.intn(1 << 12), Objects: g.voters(), Grades: g.bits(g.intn(8))}
 		case 1:
 			b.Posts[i].Values = &valuesPost{Topic: g.text(12), Player: g.intn(1 << 12), Vals: g.vals()}
-		default:
+		case 2:
 			b.Posts[i].Vector = &vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}}
+		default:
+			b.Posts[i].Drop = &dropPost{Topic: g.text(12)}
 		}
 	}
 	return b
+}
+
+// probedObjects returns a probed-objects list, rotating through nil /
+// empty / short.
+func (g *byteGen) probedObjects() []objGrade {
+	switch g.intn(3) {
+	case 0:
+		return nil
+	case 1:
+		return []objGrade{}
+	default:
+		out := make([]objGrade, g.intn(4)+1)
+		for i := range out {
+			out[i] = objGrade{Object: g.intn(1 << 12), Grade: g.byte() % 2}
+		}
+		return out
+	}
 }
 
 // roundTrip encodes msg with the codec and decodes it into fresh.
@@ -168,10 +187,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			msg   wire.Message
 			fresh func() wire.Message
 		}{
-			{&probePost{Player: g.intn(1 << 12), Object: g.intn(1 << 12), Value: g.byte() % 2},
-				func() wire.Message { return &probePost{} }},
-			{&probeReply{Value: g.byte() % 2, OK: g.intn(2) == 1},
-				func() wire.Message { return &probeReply{} }},
+			{&probedObjectsReply{Objects: g.probedObjects()},
+				func() wire.Message { return &probedObjectsReply{} }},
 			{&vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}},
 				func() wire.Message { return &vectorPost{} }},
 			{&valuesPost{Topic: g.text(12), Player: g.intn(1 << 12), Vals: g.vals()},
@@ -182,6 +199,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				func() wire.Message { return &batchLookupsReply{} }},
 			{&postingList{{Player: g.intn(100), Bits: wire.Bits{P: g.partial(g.width())}}},
 				func() wire.Message { return &postingList{} }},
+			{&valuePostingList{{Player: g.intn(100), Vals: g.vals()}},
+				func() wire.Message { return &valuePostingList{} }},
+			{&dropPost{Topic: g.text(12)},
+				func() wire.Message { return &dropPost{} }},
+			{&quiesceReply{Idle: g.intn(2) == 1},
+				func() wire.Message { return &quiesceReply{} }},
 			{&topicSnapshotReply{Gen: uint64(g.byte()), Epoch: uint64(g.byte()), Unchanged: g.intn(2) == 1,
 				Votes: g.votes(g.intn(4)), ValueVotes: g.valueVotes(g.intn(4))},
 				func() wire.Message { return &topicSnapshotReply{} }},
@@ -219,14 +242,19 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{'T', 'B', 1, 0x0d, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fresh := range []func() wire.Message{
-			func() wire.Message { return &probePost{} },
 			func() wire.Message { return &probedObjectsReply{} },
 			func() wire.Message { return &vectorPost{} },
 			func() wire.Message { return &postingList{} },
+			func() wire.Message { return &valuesPost{} },
 			func() wire.Message { return &valuePostingList{} },
+			func() wire.Message { return &dropPost{} },
 			func() wire.Message { return &batchProbesPost{} },
+			func() wire.Message { return &batchLookupsReply{} },
 			func() wire.Message { return &topicSnapshotReply{} },
 			func() wire.Message { return &topicsReply{} },
+			func() wire.Message { return &clearProbesPost{} },
+			func() wire.Message { return &quiesceReply{} },
+			func() wire.Message { return &dropIfPost{} },
 			func() wire.Message { return &statsReply{} },
 			func() wire.Message { return &postBatch{} },
 		} {

@@ -34,28 +34,32 @@ func postJSON(t *testing.T, url, body string) int {
 	return resp.StatusCode
 }
 
+// TestMutatingHandlersValidateInput: every kind of post-batch entry is
+// checked against the board; a bad one, alone in its batch, answers
+// 400.
 func TestMutatingHandlersValidateInput(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 
 	cases := []struct {
-		name, path, body string
+		name, entry string
 	}{
-		{"vector player out of range", PathVector, `{"topic":"t","player":99,"bits":"0101"}`},
-		{"vector negative player", PathVector, `{"topic":"t","player":-1,"bits":"0101"}`},
-		{"vector empty topic", PathVector, `{"topic":"","player":0,"bits":"0101"}`},
-		{"values player out of range", PathValues, `{"topic":"t","player":99,"vals":[1]}`},
-		{"values negative player", PathValues, `{"topic":"t","player":-1,"vals":[1]}`},
-		{"values empty topic", PathValues, `{"topic":"","player":0,"vals":[1]}`},
-		{"drop empty topic", PathDropTopic, `{"topic":""}`},
-		{"batch probes player out of range", PathBatchProbes, `{"player":99,"objects":[0],"grades":"1"}`},
-		{"batch probes object out of range", PathBatchProbes, `{"player":0,"objects":[99],"grades":"1"}`},
-		{"batch probes length mismatch", PathBatchProbes, `{"player":0,"objects":[0,1],"grades":"1"}`},
-		{"batch probes bad grade", PathBatchProbes, `{"player":0,"objects":[0],"grades":"x"}`},
+		{"vector player out of range", `{"vector":{"topic":"t","player":99,"bits":"0101"}}`},
+		{"vector negative player", `{"vector":{"topic":"t","player":-1,"bits":"0101"}}`},
+		{"vector empty topic", `{"vector":{"topic":"","player":0,"bits":"0101"}}`},
+		{"values player out of range", `{"values":{"topic":"t","player":99,"vals":[1]}}`},
+		{"values negative player", `{"values":{"topic":"t","player":-1,"vals":[1]}}`},
+		{"values empty topic", `{"values":{"topic":"","player":0,"vals":[1]}}`},
+		{"drop empty topic", `{"drop":{"topic":""}}`},
+		{"probes player out of range", `{"probes":{"player":99,"objects":[0],"grades":"1"}}`},
+		{"probes object out of range", `{"probes":{"player":0,"objects":[99],"grades":"1"}}`},
+		{"probes length mismatch", `{"probes":{"player":0,"objects":[0,1],"grades":"1"}}`},
+		{"probes bad grade", `{"probes":{"player":0,"objects":[0],"grades":"x"}}`},
+		{"probes grade 7", `{"probes":{"player":0,"objects":[0],"grades":"7"}}`},
 	}
 	for _, tc := range cases {
-		if code := postJSON(t, srv.URL+tc.path, tc.body); code != http.StatusBadRequest {
+		if code := postJSON(t, srv.URL+PathPostBatch, `{"posts":[`+tc.entry+`]}`); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
@@ -96,6 +100,31 @@ func TestRetiredVoteEndpointsAreGone(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestRetiredWriteEndpointsAreGone: /v1/batch/posts is the one
+// endpoint that writes board data; the per-call write endpoints and
+// the single-probe lookup answer 404.
+func TestRetiredWriteEndpointsAreGone(t *testing.T) {
+	board := billboard.New(4, 8)
+	srv := httptest.NewServer(NewServer(board))
+	defer srv.Close()
+	for _, path := range []string{"/v1/probe", "/v1/batch/probes", "/v1/vector", "/v1/values", "/v1/drop-topic"} {
+		if code := postJSON(t, srv.URL+path, `{"player":0,"object":0,"value":1,"objects":[0],"grades":"1","topic":"t","vals":[1],"bits":"0101"}`); code != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, code)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/probe?player=0&object=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/probe: status %d, want 404", resp.StatusCode)
+	}
+	if board.ProbeCount() != 0 || board.TopicCount() != 0 {
+		t.Fatalf("a retired endpoint wrote to the board: %d probes, %d topics", board.ProbeCount(), board.TopicCount())
 	}
 }
 
@@ -515,8 +544,8 @@ func TestPostBodyOutlivesTheCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got vectorPost
-	if err := wire.JSON.Decode(data, &got); err != nil || got.Topic != "first" {
-		t.Fatalf("first post's body replayed as %q (decode err %v), want topic \"first\"", data, err)
+	var got postBatch
+	if err := wire.JSON.Decode(data, &got); err != nil || len(got.Posts) != 1 || got.Posts[0].Vector == nil || got.Posts[0].Vector.Topic != "first" {
+		t.Fatalf("first post's body replayed as %q (decode err %v), want one vector entry with topic \"first\"", data, err)
 	}
 }

@@ -109,9 +109,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	c := NewClientWithConfig(srv.URL, Config{OnError: func(err error) { errs = append(errs, err.Error()) }})
 	c.PostProbe(99, 0, 1) // player out of range
 	c.PostProbe(0, 99, 1) // object out of range
-	c.PostProbe(0, 0, 7)  // bad grade
-	if len(errs) != 3 {
-		t.Fatalf("expected 3 rejections, got %v", errs)
+	if len(errs) != 2 {
+		t.Fatalf("expected 2 rejections, got %v", errs)
 	}
 	for _, e := range errs {
 		if !strings.Contains(e, "400") {

@@ -18,6 +18,9 @@ import (
 	"tellme/internal/billboard"
 )
 
+// oneProbe is a post batch of one probe result.
+const oneProbe = `{"posts":[{"probes":{"player":0,"objects":[0],"grades":"1"}}]}`
+
 // TestServerStampsProtoHeader: every response — reads, writes, and
 // error responses alike — carries the protocol version header, so
 // clients can verify what they are talking to on any endpoint.
@@ -34,13 +37,13 @@ func TestServerStampsProtoHeader(t *testing.T) {
 		t.Fatalf("GET %s: %s = %q, want %q", PathStats, HeaderProto, got, ProtoVersion)
 	}
 
-	post, err := http.Post(srv.URL+PathProbe, "application/json", strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	post, err := http.Post(srv.URL+PathPostBatch, "application/json", strings.NewReader(oneProbe))
 	if err != nil {
 		t.Fatal(err)
 	}
 	post.Body.Close()
 	if got := post.Header.Get(HeaderProto); got != ProtoVersion {
-		t.Fatalf("POST %s: %s = %q, want %q", PathProbe, HeaderProto, got, ProtoVersion)
+		t.Fatalf("POST %s: %s = %q, want %q", PathPostBatch, HeaderProto, got, ProtoVersion)
 	}
 
 	// Even a rejected request gets the stamp: the 400 below is the
@@ -65,7 +68,7 @@ func TestServerRejectsProtoMismatch(t *testing.T) {
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+PathProbe, strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+PathPostBatch, strings.NewReader(oneProbe))
 	req.Header.Set(HeaderProto, "2")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -81,7 +84,7 @@ func TestServerRejectsProtoMismatch(t *testing.T) {
 
 	// Headerless requests are fine: the check only bites on an explicit
 	// wrong announcement.
-	bare, err := http.Post(srv.URL+PathProbe, "application/json", strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	bare, err := http.Post(srv.URL+PathPostBatch, "application/json", strings.NewReader(oneProbe))
 	if err != nil {
 		t.Fatal(err)
 	}

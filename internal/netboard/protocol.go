@@ -13,13 +13,14 @@
 // authentication, but the transport is built to survive a faulty
 // network (see DESIGN.md §8 for the full wire contract):
 //
-//   - Batching: /v1/batch/probes posts a whole set of probe results in
-//     one request, /v1/batch/posts posts an ordered list of posts of
-//     every kind (a deferred view's phase, see boardclient.Defer),
-//     /v1/batch/lookups reads a set of probe results, and
-//     /v1/topic-snapshot returns a topic's vote tallies stamped with the
-//     board's (generation, epoch) pair so clients re-download tallies
-//     only when the topic actually changed.
+//   - Batching: /v1/batch/posts is the one endpoint that writes board
+//     data. It applies an ordered list of posts of every kind (probe
+//     sets, value vectors, vectors and topic drops: a deferred view's
+//     phase, see boardclient.Defer), and a single post travels as a
+//     one-entry batch. /v1/batch/lookups reads a set of probe results,
+//     and /v1/topic-snapshot returns a topic's vote tallies stamped with
+//     the board's (generation, epoch) pair so clients re-download
+//     tallies only when the topic actually changed.
 //   - Idempotency: every mutating request carries a client-generated
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is
@@ -35,15 +36,10 @@ import "tellme/internal/wire"
 
 // Paths of the HTTP endpoints.
 const (
-	PathProbe         = "/v1/probe"          // POST: post a probe result; GET: look one up
 	PathProbedObjects = "/v1/probed-objects" // GET: all of one player's probe results
-	PathVector        = "/v1/vector"         // POST: post a partial vector
 	PathPostings      = "/v1/postings"       // GET: vector postings of a topic
-	PathValues        = "/v1/values"         // POST: post a value vector
 	PathValuePostings = "/v1/value-postings" // GET: value postings of a topic
-	PathDropTopic     = "/v1/drop-topic"     // POST: delete a topic
 	PathStats         = "/v1/stats"          // GET: counters
-	PathBatchProbes   = "/v1/batch/probes"   // POST: post many probe results at once
 	PathBatchLookups  = "/v1/batch/lookups"  // GET: look up many probe results at once
 	PathPostBatch     = "/v1/batch/posts"    // POST: apply an ordered list of posts of any kind
 	PathTopicSnapshot = "/v1/topic-snapshot" // GET: epoch-tagged vote tallies of a topic
@@ -86,19 +82,6 @@ const (
 	ProtoVersion = "1"
 )
 
-// probePost is the POST body for PathProbe.
-type probePost struct {
-	Player int  `json:"player"`
-	Object int  `json:"object"`
-	Value  byte `json:"value"`
-}
-
-// probeReply answers a PathProbe GET.
-type probeReply struct {
-	Value byte `json:"value"`
-	OK    bool `json:"ok"`
-}
-
 // probedObjectsReply answers PathProbedObjects; pairs of (object, grade).
 type probedObjectsReply struct {
 	Objects []objGrade `json:"objects"`
@@ -109,7 +92,7 @@ type objGrade struct {
 	Grade  byte `json:"grade"`
 }
 
-// vectorPost is the POST body for PathVector.
+// vectorPost is a vector entry of a postBatch.
 type vectorPost struct {
 	Topic  string    `json:"topic"`
 	Player int       `json:"player"`
@@ -135,7 +118,7 @@ type voteJSON struct {
 // voteList is the Votes field of a topic snapshot.
 type voteList []voteJSON
 
-// valuesPost is the POST body for PathValues.
+// valuesPost is a value-vector entry of a postBatch.
 type valuesPost struct {
 	Topic  string   `json:"topic"`
 	Player int      `json:"player"`
@@ -161,12 +144,12 @@ type valueVoteJSON struct {
 // valueVoteList is the ValueVotes field of a topic snapshot.
 type valueVoteList []valueVoteJSON
 
-// dropPost is the POST body for PathDropTopic.
+// dropPost is a topic-drop entry of a postBatch.
 type dropPost struct {
 	Topic string `json:"topic"`
 }
 
-// batchProbesPost is the POST body for PathBatchProbes: grades[k] (a
+// batchProbesPost is a probe-set entry of a postBatch: grades[k] (a
 // '0'/'1' character, same alphabet as the vector wire form) is the
 // player's grade for objects[k]. Objects must be in range. One may
 // repeat, as in a deferred view's run when its player probed an object
@@ -184,19 +167,19 @@ type postBatch struct {
 	Posts []batchPost `json:"posts"`
 }
 
-// batchPost is one post of a postBatch, in the body shape of its
-// per-call endpoint. Exactly one field is set. A single probe result
-// travels as a one-object Probes.
+// batchPost is one post of a postBatch. Exactly one field is set. A
+// single probe result travels as a one-object Probes.
 type batchPost struct {
 	Probes *batchProbesPost `json:"probes,omitempty"`
 	Values *valuesPost      `json:"values,omitempty"`
 	Vector *vectorPost      `json:"vector,omitempty"`
+	Drop   *dropPost        `json:"drop,omitempty"`
 }
 
 // kinds counts the fields set; a well-formed post has one.
 func (p *batchPost) kinds() int {
 	n := 0
-	for _, set := range [...]bool{p.Probes != nil, p.Values != nil, p.Vector != nil} {
+	for _, set := range [...]bool{p.Probes != nil, p.Values != nil, p.Vector != nil, p.Drop != nil} {
 		if set {
 			n++
 		}

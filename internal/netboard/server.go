@@ -95,15 +95,10 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 		s.mux.HandleFunc(PathTelemetry, s.readOnly(s.handleTelemetry))
 		s.mux.HandleFunc(PathTelemetryProm, s.readOnly(s.handleTelemetryProm))
 	}
-	s.handle(PathProbe, s.handleProbe)
 	s.handle(PathProbedObjects, s.readOnly(s.handleProbedObjects))
-	s.handle(PathVector, s.handleVector)
 	s.handle(PathPostings, s.readOnly(s.handlePostings))
-	s.handle(PathValues, s.handleValues)
 	s.handle(PathValuePostings, s.readOnly(s.handleValuePostings))
-	s.handle(PathDropTopic, s.handleDropTopic)
 	s.handle(PathStats, s.readOnly(s.handleStats))
-	s.handle(PathBatchProbes, s.handleBatchProbes)
 	s.handle(PathBatchLookups, s.readOnly(s.handleBatchLookups))
 	s.handle(PathPostBatch, s.handlePostBatch)
 	s.handle(PathTopicSnapshot, s.readOnly(s.handleTopicSnapshot))
@@ -162,7 +157,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// readOnly enforces GET on read handlers, mirroring readJSON's POST
+// readOnly enforces GET on read handlers, mirroring readBody's POST
 // check on the mutating ones.
 func (s *Server) readOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -198,25 +193,19 @@ func (s *Server) writeReply(w http.ResponseWriter, r *http.Request, path string,
 	wire.WriteReply(w, r, v, s.wireIns[path])
 }
 
-// decodeBody decodes a request body per its Content-Type — binary
-// bodies through the binary codec, everything else as JSON — answering
-// 415/400 itself on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
-	if status, err := wire.DecodeRequest(r, v, s.wireIns[path]); status != 0 {
-		http.Error(w, err.Error(), status)
-		return false
-	}
-	return true
-}
-
-// readBody is decodeBody plus the POST method check every mutating
-// endpoint shares (the codec-aware successor of the old readJSON).
+// readBody checks that a mutating request is a POST and decodes its
+// body per its Content-Type — binary bodies through the binary codec,
+// everything else as JSON — answering 405/415/400 itself on failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	return s.decodeBody(w, r, path, v)
+	if status, err := wire.DecodeRequest(r, v, s.wireIns[path]); status != 0 {
+		http.Error(w, err.Error(), status)
+		return false
+	}
+	return true
 }
 
 // playerParam parses the player query parameter and validates range.
@@ -269,24 +258,9 @@ func (s *Server) checkObject(object int) error {
 	return nil
 }
 
-// The post mutations below check one post against the board and
-// return the function that applies it. The per-call endpoints and
-// /v1/batch/posts share them, so a post is valid on one exactly when
-// it is valid on the other; a batch carries a single probe result as
-// a one-object probe set.
-
-func (s *Server) probeMutation(req *probePost) (func(), error) {
-	if err := s.checkPlayer(req.Player); err != nil {
-		return nil, err
-	}
-	if err := s.checkObject(req.Object); err != nil {
-		return nil, err
-	}
-	if req.Value > 1 {
-		return nil, errGrade
-	}
-	return func() { s.board.PostProbe(req.Player, req.Object, req.Value) }, nil
-}
+// The post mutations below check one entry of a post batch against
+// the board and return the function that applies it. A batch carries
+// a single probe result as a one-object probe set.
 
 func (s *Server) probesMutation(req *batchProbesPost) (func(), error) {
 	if err := s.checkPlayer(req.Player); err != nil {
@@ -334,55 +308,18 @@ func (s *Server) vectorMutation(req *vectorPost) (func(), error) {
 	return func() { s.board.Post(req.Topic, req.Player, req.Bits.P) }, nil
 }
 
-// applyPost answers 400 when check failed and otherwise applies the
-// checked mutation through the idempotency window.
-func (s *Server) applyPost(w http.ResponseWriter, r *http.Request, mutate func(), err error) {
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+func (s *Server) dropMutation(req *dropPost) (func(), error) {
+	if req.Topic == "" {
+		return nil, errEmptyTopic
 	}
-	s.apply(w, r, mutate)
+	return func() { s.board.DropTopic(req.Topic) }, nil
 }
 
-func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req probePost
-		if !s.decodeBody(w, r, PathProbe, &req) {
-			return
-		}
-		m, err := s.probeMutation(&req)
-		s.applyPost(w, r, m, err)
-	case http.MethodGet:
-		p, ok := s.playerParam(w, r)
-		if !ok {
-			return
-		}
-		o, err := strconv.Atoi(r.URL.Query().Get("object"))
-		if err != nil || o < 0 || o >= s.board.M() {
-			http.Error(w, "invalid object", http.StatusBadRequest)
-			return
-		}
-		v, found := s.board.LookupProbe(p, o)
-		s.writeReply(w, r, PathProbe, &probeReply{Value: v, OK: found})
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) handleBatchProbes(w http.ResponseWriter, r *http.Request) {
-	var req batchProbesPost
-	if !s.readBody(w, r, PathBatchProbes, &req) {
-		return
-	}
-	m, err := s.probesMutation(&req)
-	s.applyPost(w, r, m, err)
-}
-
-// handlePostBatch applies a deferred view's batch: every post is
-// checked before any is applied, so one bad post answers 400 and
-// leaves the board untouched, and the posts then apply in order under
-// the request's one id — a retried or duplicated batch applies once.
+// handlePostBatch applies a post batch, the one request that writes
+// board data: every post is checked before any is applied, so one bad
+// post answers 400 and leaves the board untouched, and the posts then
+// apply in order under the request's one id — a retried or duplicated
+// batch applies once.
 func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
 	var req postBatch
 	if !s.readBody(w, r, PathPostBatch, &req) {
@@ -393,13 +330,15 @@ func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
 		var err error
 		switch p := &req.Posts[i]; {
 		case p.kinds() != 1:
-			err = errors.New("want exactly one of probes, values, vector")
+			err = errors.New("want exactly one of probes, values, vector, drop")
 		case p.Probes != nil:
 			muts[i], err = s.probesMutation(p.Probes)
 		case p.Values != nil:
 			muts[i], err = s.valuesMutation(p.Values)
-		default:
+		case p.Vector != nil:
 			muts[i], err = s.vectorMutation(p.Vector)
+		default:
+			muts[i], err = s.dropMutation(p.Drop)
 		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("post %d: %v", i, err), http.StatusBadRequest)
@@ -462,15 +401,6 @@ func (s *Server) handleProbedObjects(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, r, PathProbedObjects, &reply)
 }
 
-func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
-	var req vectorPost
-	if !s.readBody(w, r, PathVector, &req) {
-		return
-	}
-	m, err := s.vectorMutation(&req)
-	s.applyPost(w, r, m, err)
-}
-
 func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
 	topic := r.URL.Query().Get("topic")
 	postings := s.board.Postings(topic)
@@ -487,15 +417,6 @@ func votesToWire(votes []billboard.Vote) voteList {
 		out[i] = voteJSON{Bits: wire.Bits{P: v.Vec}, Count: v.Count, Voters: v.Voters}
 	}
 	return out
-}
-
-func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
-	var req valuesPost
-	if !s.readBody(w, r, PathValues, &req) {
-		return
-	}
-	m, err := s.valuesMutation(&req)
-	s.applyPost(w, r, m, err)
 }
 
 func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
@@ -533,17 +454,6 @@ func (s *Server) handleTopicSnapshot(w http.ResponseWriter, r *http.Request) {
 		reply.ValueVotes = valueVotesToWire(valVotes)
 	}
 	s.writeReply(w, r, PathTopicSnapshot, &reply)
-}
-
-func (s *Server) handleDropTopic(w http.ResponseWriter, r *http.Request) {
-	var req dropPost
-	if !s.readBody(w, r, PathDropTopic, &req) {
-		return
-	}
-	if !topicParam(w, req.Topic) {
-		return
-	}
-	s.apply(w, r, func() { s.board.DropTopic(req.Topic) })
 }
 
 func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {

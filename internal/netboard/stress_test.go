@@ -292,21 +292,21 @@ func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.B
 // TestZeroRadiusRequestCount pins the request and phase counts of full
 // runs over one netboard.Client: a protocol or schedule change that
 // adds or saves a round trip shows up here, not only in the requests/op
-// of BenchmarkNetboardRunBatched. Posts wait for the phase barrier
-// (boardclient.Defer), so a run costs one post request per phase that
-// posts, plus its reads and drops (DESIGN.md §8); sibling
-// sub-algorithm calls share their phases (DESIGN.md §3). It also pins
-// the post batches and their entries: a flush holds one probe run per
-// player that probed, plus its topic posts. The counts are the same
-// under both codecs and at any parallelism; the outputs and the
-// server's counters equal the in-process run's.
+// of BenchmarkNetboardRunBatched. Posts and topic drops wait for the
+// phase barrier (boardclient.Defer), so a run costs one post request
+// per phase that posts or drops, plus its reads (DESIGN.md §8);
+// sibling sub-algorithm calls share their phases (DESIGN.md §3). It
+// also pins the post batches and their entries: a flush holds one
+// probe run per player that probed, plus its topic posts and drops.
+// The counts are the same under both codecs and at any parallelism;
+// the outputs and the server's counters equal the in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
 	for _, tc := range []struct {
 		rc   meteredRun
 		want runCost
 	}{
-		{zeroRadiusRow, runCost{requests: 14, phases: 3, batches: 2, entries: 144}},
-		{solveRow, runCost{requests: 44, phases: 24, batches: 18, entries: 312}},
+		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150}},
+		{solveRow, runCost{requests: 33, phases: 24, batches: 20, entries: 325}},
 	} {
 		local := billboard.New(tc.rc.in.N, tc.rc.in.M)
 		localEnv, localPhases := newMeteredEnv(tc.rc.in, local, 4)
@@ -336,6 +336,37 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRefreshWithoutGroupsLeavesNoTopic: with pairwise-distinct stale
+// outputs no consensus group forms, so Refresh runs no phase after it
+// drops its stale topic and returns with the drop still held. The end
+// of the run's outermost span sends it: the server is left with no
+// topic.
+func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
+	const n, m = 8, 16
+	board := billboard.New(n, m)
+	srv := httptest.NewServer(NewServer(board))
+	defer srv.Close()
+	env, _ := newMeteredEnv(prefs.Identical(n, m, 1, 1), NewClient(srv.URL), 1)
+	stale := make([]bitvec.Partial, n)
+	for p := range stale {
+		v := bitvec.New(m)
+		v.Set(p, 1)
+		stale[p] = bitvec.PartialOf(v)
+	}
+	out := core.Refresh(env, ints.Iota(n), ints.Iota(m), stale, 0.5, 2, 8)
+	for p := range stale {
+		if !out[p].Equal(stale[p]) {
+			t.Fatalf("player %d output %s, want its stale output %s kept", p, out[p], stale[p])
+		}
+	}
+	if got := board.VectorPostCount(); got != n {
+		t.Fatalf("%d stale outputs posted, want %d", got, n)
+	}
+	if got := board.TopicCount(); got != 0 {
+		t.Fatalf("Refresh left %d topics on the server", got)
 	}
 }
 

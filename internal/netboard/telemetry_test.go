@@ -133,17 +133,21 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	if got := snap.Counters["billboard.posts.zr"]; got != 2 {
 		t.Fatalf("billboard.posts.zr = %d, want 2", got)
 	}
-	// Server-side: three probe posts went through PathProbe, and the two
-	// vector posts through PathVector; the lookup hits PathProbe too.
-	if got := snap.Counters["netboard.server.requests."+PathProbe]; got != 4 {
-		t.Fatalf("server %s requests = %d, want 4 (3 posts + 1 lookup)", PathProbe, got)
+	// Server-side: the three probe posts and the two vector posts each
+	// went through PathPostBatch as a one-entry batch; the lookup went
+	// through PathBatchLookups.
+	if got := snap.Counters["netboard.server.requests."+PathPostBatch]; got != 5 {
+		t.Fatalf("server %s requests = %d, want 5 (3 probe posts + 2 vector posts)", PathPostBatch, got)
 	}
-	if got := snap.Counters["netboard.server.requests."+PathVector]; got != 2 {
-		t.Fatalf("server %s requests = %d, want 2", PathVector, got)
+	if got := snap.Counters["netboard.server.requests."+PathBatchLookups]; got != 1 {
+		t.Fatalf("server %s requests = %d, want 1", PathBatchLookups, got)
 	}
 	// Client-side mirrors: same logical calls, counted per path.
-	if got := snap.Counters["netboard.client.requests."+PathProbe]; got != 4 {
-		t.Fatalf("client %s requests = %d, want 4", PathProbe, got)
+	if got := snap.Counters["netboard.client.requests."+PathPostBatch]; got != 5 {
+		t.Fatalf("client %s requests = %d, want 5", PathPostBatch, got)
+	}
+	if got := snap.Counters["netboard.client.requests."+PathBatchLookups]; got != 1 {
+		t.Fatalf("client %s requests = %d, want 1", PathBatchLookups, got)
 	}
 	// Every applied mutation passed the dedupe window exactly once, with
 	// an id, and none were replays.
@@ -157,9 +161,9 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("dedupe.no_id = %d, want 0", got)
 	}
 	// Latency histograms observed one sample per request.
-	h, ok := snap.Histograms["netboard.server.latency_ns."+PathProbe]
-	if !ok || h.Count != 4 {
-		t.Fatalf("server latency histogram for %s: ok=%v count=%d, want 4", PathProbe, ok, h.Count)
+	h, ok := snap.Histograms["netboard.server.latency_ns."+PathPostBatch]
+	if !ok || h.Count != 5 {
+		t.Fatalf("server latency histogram for %s: ok=%v count=%d, want 5", PathPostBatch, ok, h.Count)
 	}
 
 	// Prometheus text form of the same registry.
@@ -179,7 +183,7 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"tellme_billboard_probe_posts 3",
 		"tellme_billboard_vector_posts 2",
-		"# TYPE tellme_netboard_server_latency_ns__v1_probe histogram",
+		"# TYPE tellme_netboard_server_latency_ns__v1_batch_posts histogram",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, text)
@@ -196,7 +200,7 @@ func TestDedupeHitCounter(t *testing.T) {
 	defer srv.Close()
 
 	post := func(id string) {
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+PathProbe, strings.NewReader(`{"player":0,"object":1,"value":1}`))
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+PathPostBatch, strings.NewReader(`{"posts":[{"probes":{"player":0,"objects":[1],"grades":"1"}}]}`))
 		req.Header.Set("Content-Type", "application/json")
 		if id != "" {
 			req.Header.Set(HeaderRequestID, id)
@@ -221,8 +225,8 @@ func TestDedupeHitCounter(t *testing.T) {
 	if got := snap.Counters["netboard.server.dedupe.no_id"]; got != 1 {
 		t.Fatalf("dedupe.no_id = %d, want 1", got)
 	}
-	if got := snap.Counters["netboard.server.requests."+PathProbe]; got != 3 {
-		t.Fatalf("server %s requests = %d, want 3", PathProbe, got)
+	if got := snap.Counters["netboard.server.requests."+PathPostBatch]; got != 3 {
+		t.Fatalf("server %s requests = %d, want 3", PathPostBatch, got)
 	}
 }
 

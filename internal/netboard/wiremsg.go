@@ -7,8 +7,8 @@ import "tellme/internal/wire"
 // frame so a decoder pointed at the wrong struct fails loudly instead
 // of misparsing; tags are wire contract — never renumber, only append.
 const (
-	tagProbePost byte = 0x01 + iota
-	tagProbeReply
+	_ byte = 0x01 + iota // reserved: the single-probe post of the retired /v1/probe
+	_                    // reserved: the single-probe reply of the retired GET /v1/probe
 	tagProbedObjectsReply
 	tagVectorPost
 	tagPostingList
@@ -33,32 +33,6 @@ const (
 // straight-line. Slices follow the wire package's nil-preserving
 // count+1 convention so a binary round trip is as faithful as the JSON
 // one (the differential fuzz oracle depends on it).
-
-func (*probePost) WireTag() byte { return tagProbePost }
-
-func (p *probePost) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUint(dst, uint64(p.Player))
-	dst = wire.AppendUint(dst, uint64(p.Object))
-	return append(dst, p.Value)
-}
-
-func (p *probePost) DecodeBinary(r *wire.Reader) {
-	p.Player = r.Int()
-	p.Object = r.Int()
-	p.Value = r.Byte()
-}
-
-func (*probeReply) WireTag() byte { return tagProbeReply }
-
-func (p *probeReply) AppendBinary(dst []byte) []byte {
-	dst = append(dst, p.Value)
-	return wire.AppendBool(dst, p.OK)
-}
-
-func (p *probeReply) DecodeBinary(r *wire.Reader) {
-	p.Value = r.Byte()
-	p.OK = r.Bool()
-}
 
 func (*probedObjectsReply) WireTag() byte { return tagProbedObjectsReply }
 
@@ -350,7 +324,7 @@ func (s *statsReply) DecodeBinary(r *wire.Reader) {
 
 func (*postBatch) WireTag() byte { return tagPostBatch }
 
-// AppendBinary writes each post as its per-call message's tag and
+// AppendBinary writes each post as its entry message's tag and
 // payload; a post with no field set travels as tag 0, which the server
 // rejects.
 func (b *postBatch) AppendBinary(dst []byte) []byte {
@@ -367,6 +341,8 @@ func (b *postBatch) AppendBinary(dst []byte) []byte {
 			m = p.Values
 		case p.Vector != nil:
 			m = p.Vector
+		case p.Drop != nil:
+			m = p.Drop
 		default:
 			dst = append(dst, 0)
 			continue
@@ -397,6 +373,9 @@ func (b *postBatch) DecodeBinary(r *wire.Reader) {
 		case tagVectorPost:
 			p.Vector = new(vectorPost)
 			p.Vector.DecodeBinary(r)
+		case tagDropPost:
+			p.Drop = new(dropPost)
+			p.Drop.DecodeBinary(r)
 		default:
 			r.Fail("bad post tag 0x%02x", tag)
 		}

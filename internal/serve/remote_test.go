@@ -82,9 +82,10 @@ func sameSnapshot(t *testing.T, got, want *Snapshot) {
 
 // TestEpochRequestCount pins the requests of a full epoch and of a
 // refresh epoch over one netboard.Client. The epoch's board is the
-// engine's own, so its posts wait for each phase barrier and go out as
-// one request (boardclient.Defer); a wrapper that hid the client's
-// batch interface would send one request per post. The counts are the
+// engine's own, so its posts and topic drops wait for each phase
+// barrier and go out as one request (boardclient.Defer); a wrapper
+// that hid the client's batch interface would send one request per
+// post and per drop. The counts are the
 // same under both codecs and at any parallelism, and the snapshots are
 // the in-process engine's.
 func TestEpochRequestCount(t *testing.T) {
@@ -94,7 +95,7 @@ func TestEpochRequestCount(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/par%d", codec, par), func(t *testing.T) {
 				meter := faultnet.New(nil, 1)
 				e, board := remoteEngine(t, meter, codec, par)
-				for i, requests := range []int64{58, 9} {
+				for i, requests := range []int64{41, 8} {
 					before := meter.Delivered()
 					if _, err := e.RunEpoch(context.Background()); err != nil {
 						t.Fatal(err)
