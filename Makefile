@@ -40,11 +40,14 @@ stress-net:
 	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 
 # The sharded-cluster gate on its own (also part of `race`): the
-# consistent-hash ring invariants, the cluster-vs-single-board identity
-# oracles, resharding drains (including a drain under a non-panicking
-# OnError, which must fail loudly), and the multi-shard fault-injection
-# stress — one shard's network degraded while concurrent players post —
-# proving zero lost and zero double-applied posts under -race
+# consistent-hash ring invariants, the probe routing (each probe post,
+# lookup, scan or clear of one player is one request, to the player's
+# shard; a post batch is one request per shard it touches), the
+# cluster-vs-single-board identity oracles, resharding drains
+# (including a drain under a non-panicking OnError, which must fail
+# loudly), and the multi-shard fault-injection stress — one shard's
+# network degraded while concurrent players post — proving zero lost
+# and zero double-applied posts under -race
 # (internal/netboard/cluster_stress_test.go).
 stress-cluster:
 	$(GO) test -race -run 'Ring|Cluster' ./internal/netboard/

@@ -11,9 +11,9 @@
 // on consecutive ports starting at -addr's port and prints the cluster
 // spec — the comma-separated base-URL list that tellme -board,
 // Options.BoardURL and netboard.NewCluster accept. Each shard is a
-// complete billboard server; clients route topics and probe columns
-// across them by consistent hashing (DESIGN.md §12). With -state, each
-// shard snapshots to its own file (<state>.shard<i>).
+// complete billboard server; clients route topics by name and probe
+// results by player across them by consistent hashing (DESIGN.md §12).
+// With -state, each shard snapshots to its own file (<state>.shard<i>).
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests for up to -shutdown-grace before exiting. With

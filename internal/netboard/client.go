@@ -622,7 +622,7 @@ func (c *Client) ProbedObjects(p int) map[int]byte {
 
 // probedPairs fetches p's probe results as ordered (object, grade)
 // pairs — the server's order, ascending by object for a Board-backed
-// server. The Cluster merges these per-shard lists.
+// server. A cluster drain replays them on the player's new shard.
 func (c *Client) probedPairs(p int) []objGrade {
 	var reply probedObjectsReply
 	c.get(c.ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)

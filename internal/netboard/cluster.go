@@ -3,7 +3,6 @@ package netboard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -34,17 +33,17 @@ type ClusterConfig struct {
 
 // Cluster implements boardclient.Interface over N shard servers,
 // routing every key to its owner on a consistent-hash ring: topics by
-// topic name, probe results by object. The same algorithm code that
+// topic name, probe results by player. The same algorithm code that
 // runs against an in-memory Board or a single Client runs against a
 // Cluster unchanged.
 //
-// Batch operations are split by owning shard, the per-shard
-// sub-batches dispatched concurrently over the batched wire protocol
-// (each with the Client's idempotent request-id retries), and the
-// results merged in deterministic order — LookupProbes answers land at
-// their original indices, ForEachProbe k-way-merges the per-shard
-// ascending streams — so a Cluster run is byte-identical to a
-// single-board run of the same seeds.
+// A topic's tally and a player's probe row each live whole on one
+// shard, so every read and every probe operation is one request to
+// that shard (with the Client's idempotent request-id retries) and
+// answers exactly as a single board would: a Cluster run is
+// byte-identical to a single-board run of the same seeds. A post batch
+// is split by owning shard and its parts sent concurrently; ProbeCount,
+// the other counters and Quiesce ask every shard.
 //
 // Failure semantics are the Client's, per shard: a terminal failure on
 // any shard panics with its *TransportError unless Config.OnError is
@@ -216,7 +215,13 @@ func scatter(n int, fn func(k int)) {
 	}
 }
 
-// ── Probe operations (routed by object) ──────────────────────────────
+// ── Probe operations (routed by player) ──────────────────────────────
+
+// probeClient resolves the shard holding player p's probe results.
+func (cl *Cluster) probeClient(p int) *Client {
+	ring, clients := cl.topo()
+	return cl.on(clients[ring.PlayerOwner(p)])
+}
 
 // PostProbe implements billboard.Interface as a one-object PostProbes.
 func (cl *Cluster) PostProbe(p, o int, val byte) { cl.PostProbes(p, []int{o}, []byte{val}) }
@@ -225,110 +230,26 @@ func (cl *Cluster) PostProbe(p, o int, val byte) { cl.PostProbes(p, []int{o}, []
 // LookupProbes.
 func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return lookupOne(cl, p, o) }
 
-// shardSplit partitions a batch's positions by owning shard:
-// split[s] lists the batch indices owned by shard s, in batch order,
-// and is empty when s owns none.
-func shardSplit(ring *Ring, objs []int) [][]int {
-	n, shards := len(objs), ring.Shards()
-	// One array holds each position's owner, each shard's count and
-	// then the lists, which are filled without growing.
-	buf := make([]int, 2*n+shards)
-	owners, counts, lists := buf[:n], buf[n:n+shards], buf[n+shards:]
-	for k, o := range objs {
-		owners[k] = ring.ObjectOwner(o)
-		counts[owners[k]]++
-	}
-	split := make([][]int, shards)
-	for s, c := range counts {
-		split[s], lists = lists[:0:c], lists[c:]
-	}
-	for k, s := range owners {
-		split[s] = append(split[s], k)
-	}
-	return split
-}
-
-// touched returns the shards that split gives anything to, in
-// ascending order: the deterministic dispatch and merge order of a
-// split batch.
-func touched[T any](split [][]T) []int {
-	var shards []int
-	for s, part := range split {
-		if len(part) > 0 {
-			shards = append(shards, s)
-		}
-	}
-	return shards
-}
-
-// PostProbes implements billboard.Interface as a one-entry PostBatch:
-// the batch is split by owning shard and the per-shard sub-batches are
-// posted concurrently, each as one idempotent request.
+// PostProbes implements billboard.Interface: the whole batch goes to
+// p's shard as one idempotent request.
 func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
-	if len(objs) == 0 {
-		return
-	}
-	cl.PostBatch([]boardclient.Post{{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades}})
+	cl.probeClient(p).PostProbes(p, objs, grades)
 }
 
-// pick returns the elements of xs at batch indices idx as a fresh
-// slice.
-func pick[T any](xs []T, idx []int) []T {
-	out := make([]T, len(idx))
-	for j, i := range idx {
-		out[j] = xs[i]
-	}
-	return out
-}
-
-// LookupProbes implements billboard.Interface: split by shard, looked
-// up concurrently, and each answer written back at its original batch
-// index — the merged result is independent of shard completion order.
+// LookupProbes implements billboard.Interface: one request to p's
+// shard.
 func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	if len(objs) == 0 {
-		return
-	}
-	ring, clients := cl.topo()
-	split := shardSplit(ring, objs)
-	shards := touched(split)
-	scatter(len(shards), func(k int) {
-		idx := split[shards[k]]
-		subGrades := make([]byte, len(idx))
-		subKnown := make([]bool, len(idx))
-		cl.on(clients[shards[k]]).LookupProbes(p, pick(objs, idx), subGrades, subKnown)
-		for j, i := range idx {
-			grades[i], known[i] = subGrades[j], subKnown[j]
-		}
-	})
+	cl.probeClient(p).LookupProbes(p, objs, grades, known)
 }
 
-// ProbedObjects implements billboard.Interface: ForEachProbe's results
-// as a map.
-func (cl *Cluster) ProbedObjects(p int) map[int]byte {
-	out := make(map[int]byte)
-	cl.ForEachProbe(p, func(o int, g byte) { out[o] = g })
-	return out
-}
+// ProbedObjects implements billboard.Interface: one request to p's
+// shard.
+func (cl *Cluster) ProbedObjects(p int) map[int]byte { return cl.probeClient(p).ProbedObjects(p) }
 
-// ForEachProbe implements billboard.Interface: the per-shard ascending
-// (object, grade) streams are fetched concurrently and merged into one
-// ascending iteration, matching the in-memory board's order exactly.
+// ForEachProbe implements billboard.Interface: p's shard streams its
+// row in ascending object order, the in-memory board's order.
 func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) {
-	_, clients := cl.topo()
-	perShard := make([][]objGrade, len(clients))
-	scatter(len(clients), func(k int) {
-		perShard[k] = cl.on(clients[k]).probedPairs(p)
-	})
-	var all []objGrade
-	for _, pairs := range perShard {
-		all = append(all, pairs...)
-	}
-	// Shards partition objects, so objects are distinct and the sort is
-	// a pure k-way merge of the per-shard ascending runs.
-	sort.Slice(all, func(a, b int) bool { return all[a].Object < all[b].Object })
-	for _, og := range all {
-		fn(og.Object, og.Grade)
-	}
+	cl.probeClient(p).ForEachProbe(p, fn)
 }
 
 // ProbeCount implements billboard.Interface: the sum over shards.
@@ -336,28 +257,17 @@ func (cl *Cluster) ProbeCount() int64 {
 	return cl.sumStats(func(s statsReply) int64 { return s.ProbeCount })
 }
 
-// ClearProbes removes player p's probe results for objs, each object
-// routed to its owner shard (mirrors billboard.Board.ClearProbes and
-// Client.ClearProbes, including the quiescence requirement). The
-// serving daemon uses it to release a departed player's probe storage
-// at an epoch boundary. Not part of boardclient.Interface.
-func (cl *Cluster) ClearProbes(p int, objs []int) {
-	if len(objs) == 0 {
-		return
-	}
-	ring, clients := cl.topo()
-	split := shardSplit(ring, objs)
-	shards := touched(split)
-	scatter(len(shards), func(k int) {
-		cl.on(clients[shards[k]]).ClearProbes(p, pick(objs, split[shards[k]]))
-	})
-}
+// ClearProbes removes player p's probe results for objs on p's shard
+// (mirrors billboard.Board.ClearProbes and Client.ClearProbes,
+// including the quiescence requirement). The serving daemon uses it to
+// release a departed player's probe storage at an epoch boundary. Not
+// part of boardclient.Interface.
+func (cl *Cluster) ClearProbes(p int, objs []int) { cl.probeClient(p).ClearProbes(p, objs) }
 
 // PostBatch implements boardclient.Batcher: the batch is split by
-// owning shard — probe results by object, topic posts and drops by
-// topic — with post order kept within each shard, and every touched
-// shard gets its part as one request, concurrently. A probe set goes
-// whole to a shard that owns all its objects.
+// owning shard — probe sets by player, topic posts and drops by topic —
+// with post order kept within each shard, and every touched shard gets
+// its part as one request, concurrently.
 func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
@@ -365,23 +275,20 @@ func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 	ring, clients := cl.topo()
 	byShard := make([][]boardclient.Post, len(clients))
 	for _, p := range posts {
-		if p.Kind != boardclient.ProbesPost {
-			s := ring.Owner(p.Topic)
-			byShard[s] = append(byShard[s], p)
-			continue
+		var s int
+		if p.Kind == boardclient.ProbesPost {
+			s = ring.PlayerOwner(p.Player)
+		} else {
+			s = ring.Owner(p.Topic)
 		}
-		for s, idx := range shardSplit(ring, p.Objs) {
-			if len(idx) == 0 {
-				continue
-			}
-			sub := p
-			if len(idx) < len(p.Objs) {
-				sub.Objs, sub.Grades = pick(p.Objs, idx), pick(p.Grades, idx)
-			}
-			byShard[s] = append(byShard[s], sub)
+		byShard[s] = append(byShard[s], p)
+	}
+	var shards []int
+	for s, part := range byShard {
+		if len(part) > 0 {
+			shards = append(shards, s)
 		}
 	}
-	shards := touched(byShard)
 	scatter(len(shards), func(k int) {
 		cl.on(clients[shards[k]]).PostBatch(byShard[shards[k]])
 	})
@@ -521,7 +428,7 @@ func (cl *Cluster) BindContext(ctx context.Context) boardclient.Interface {
 // every key whose owner changed onto it: for each moved topic, the
 // donor's postings (vector and value, in posting order) are replayed
 // onto the new owner and the topic is dropped from the donor; for each
-// moved probe column, the probe results are re-posted to the new owner
+// moved player, the player's probe row is re-posted to the new owner
 // and cleared from the donor (copy-then-drop, so a failure mid-drain
 // leaves data present on the donor, never lost — rerunning the same
 // AddShard on a consistent snapshot converges).
@@ -680,9 +587,12 @@ func drainMoved(donor *Client, donorIdx int, oldRing, newRing *Ring, newClients 
 	}
 	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += moveProbes(donor, donorIdx, newRing, newClients, p, func(o int) bool {
-			return oldRing.ObjectOwner(o) == donorIdx
-		})
+		if oldRing.PlayerOwner(p) != donorIdx {
+			continue
+		}
+		if dest := newRing.PlayerOwner(p); dest != donorIdx {
+			moved += moveProbes(donor, newClients[dest], p)
+		}
 	}
 	return moved
 }
@@ -696,7 +606,7 @@ func drainAll(donor *Client, newRing *Ring, newClients []*Client) int {
 	}
 	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += moveProbes(donor, -1, newRing, newClients, p, func(int) bool { return true })
+		moved += moveProbes(donor, newClients[newRing.PlayerOwner(p)], p)
 	}
 	return moved
 }
@@ -742,41 +652,22 @@ func moveTopic(donor, dest *Client, topic string) int {
 	}
 }
 
-// moveProbes migrates player p's probe results held by donor whose
-// object is owned (per owned) by the donor and whose new owner is a
-// different shard (donorIdx; -1 means every object moves). Results are
-// posted to their new owners first, then cleared from the donor —
-// clearing exactly the snapshot that was replayed, so a probe result a
-// straggler lands after the snapshot survives on the donor for the next
-// converge pass instead of being erased unmoved. Returns the number of
-// results moved.
-func moveProbes(donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
+// moveProbes migrates player p's probe row from donor to dest: the row
+// is posted to dest first, then cleared from the donor — clearing
+// exactly the snapshot that was replayed, so a probe result a straggler
+// lands after the snapshot survives on the donor for the next converge
+// pass instead of being erased unmoved. Returns the number of results
+// moved.
+func moveProbes(donor, dest *Client, p int) int {
 	pairs := donor.probedPairs(p)
-	byDest := make([][]objGrade, newRing.Shards())
-	for _, og := range pairs {
-		if !owned(og.Object) {
-			continue
-		}
-		dest := newRing.ObjectOwner(og.Object)
-		if dest == donorIdx {
-			continue
-		}
-		byDest[dest] = append(byDest[dest], og)
+	objs := make([]int, len(pairs))
+	grades := make([]byte, len(pairs))
+	for j, og := range pairs {
+		objs[j], grades[j] = og.Object, og.Grade
 	}
-	var moved []int
-	for _, dest := range touched(byDest) {
-		group := byDest[dest]
-		objs := make([]int, len(group))
-		grades := make([]byte, len(group))
-		for j, og := range group {
-			objs[j] = og.Object
-			grades[j] = og.Grade
-		}
-		newClients[dest].PostProbes(p, objs, grades)
-		moved = append(moved, objs...)
-	}
-	donor.ClearProbes(p, moved)
-	return len(moved)
+	dest.PostProbes(p, objs, grades)
+	donor.ClearProbes(p, objs)
+	return len(objs)
 }
 
 // captureTransport runs fn, converting a shard client's terminal-panic

@@ -82,21 +82,40 @@ func degradedFleet(t *testing.T, n, m int, dropReq, dropResp, dup float64) ([]*b
 // topic's vote tally carrying each player exactly once.
 func TestClusterFaultnetExactlyOnce(t *testing.T) {
 	const players, m, vecPosts = 12, 96, 4
-	boards, cluster, ft := degradedFleet(t, players, m, 0.15, 0.15, 0.3)
+	boards, cluster, ft := degradedFleet(t, 256, m, 0.15, 0.15, 0.3)
+
+	// Each player's probe batch is one request to the shard that owns
+	// the player, and the ring is keyed by the servers' random ports.
+	// So choose the players by owner: 8 on the degraded shard 1, whose
+	// fault schedule injects each kind of fault within its first 8
+	// requests, and 2 on each clean shard.
+	ring, _ := cluster.topo()
+	need := []int{2, 8, 2}
+	var ids []int
+	for p := 0; len(ids) < players; p++ {
+		if s := ring.PlayerOwner(p); need[s] > 0 {
+			need[s]--
+			ids = append(ids, p)
+		}
+	}
+	// stripe is the probe batch of player ids[i]: every players-th
+	// object from i.
+	stripe := func(i int) (objs []int, grades []byte) {
+		for o := i; o < m; o += players {
+			objs = append(objs, o)
+			grades = append(grades, byte((ids[i]+o)%2))
+		}
+		return objs, grades
+	}
 
 	var wg sync.WaitGroup
-	for p := 0; p < players; p++ {
+	for i, p := range ids {
 		wg.Add(1)
-		go func(p int) {
+		go func(i, p int) {
 			defer wg.Done()
 			// Interleave batched probe posts with topic traffic, all
 			// through the shared cluster.
-			var objs []int
-			var grades []byte
-			for o := p; o < m; o += players {
-				objs = append(objs, o)
-				grades = append(grades, byte((p+o)%2))
-			}
+			objs, grades := stripe(i)
 			cluster.PostProbes(p, objs, grades)
 			for k := 0; k < vecPosts; k++ {
 				v := bitvec.New(8)
@@ -106,7 +125,7 @@ func TestClusterFaultnetExactlyOnce(t *testing.T) {
 				cluster.PostVector("stress/t"+string(rune('0'+k)), p, v)
 				cluster.PostValues("stress/v"+string(rune('0'+k)), p, []uint32{uint32(p)})
 			}
-		}(p)
+		}(i, p)
 	}
 	wg.Wait()
 
@@ -116,13 +135,8 @@ func TestClusterFaultnetExactlyOnce(t *testing.T) {
 	}
 
 	// Zero lost: every issued probe is readable with its grade.
-	for p := 0; p < players; p++ {
-		var objs []int
-		var want []byte
-		for o := p; o < m; o += players {
-			objs = append(objs, o)
-			want = append(want, byte((p+o)%2))
-		}
+	for i, p := range ids {
+		objs, want := stripe(i)
 		got := make([]byte, len(objs))
 		known := make([]bool, len(objs))
 		cluster.LookupProbes(p, objs, got, known)

@@ -2,8 +2,13 @@ package netboard
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"tellme/internal/billboard"
@@ -125,9 +130,9 @@ func TestClusterUnknownDOracle(t *testing.T) {
 	}
 }
 
-// TestClusterBatchMergeOrder checks the deterministic merge contracts
-// directly: LookupProbes answers land at their original indices and
-// ForEachProbe iterates ascending across shards.
+// TestClusterBatchMergeOrder checks the order contracts of the probe
+// reads directly: LookupProbes answers land at their original indices
+// and ForEachProbe iterates in ascending object order.
 func TestClusterBatchMergeOrder(t *testing.T) {
 	const n, m = 4, 64
 	_, cluster := newShardFleet(t, 3, n, m, Config{})
@@ -173,7 +178,10 @@ func TestClusterBatchMergeOrder(t *testing.T) {
 // cluster view (topic tallies, probe lookups, totals) to be identical
 // before and after each move — zero lost, zero duplicated.
 func TestClusterReshard(t *testing.T) {
-	const n, m = 8, 96
+	// The ring is keyed by the servers' ports. With 8 players and 5
+	// topics the added shard took none of the 13 keys once in 42 port
+	// sets; with 64 players, none of 69 once in 4·10^8.
+	const n, m = 64, 96
 	boards, cluster := newShardFleet(t, 3, n, m, Config{})
 
 	// Load: every player probes a stripe of objects; several topics get
@@ -362,14 +370,23 @@ func TestFromSpec(t *testing.T) {
 func TestClusterPerShardTelemetry(t *testing.T) {
 	// Telemetry shared across the per-shard clients via the config.
 	reg := telemetry.New()
-	const n, m = 4, 64
+	const n, m = 64, 64
 	_, cluster := newShardFleet(t, 3, n, m, Config{Telemetry: reg})
 	objs := make([]int, m)
 	grades := make([]byte, m)
 	for o := range objs {
 		objs[o] = o
 	}
-	cluster.PostProbes(0, objs, grades)
+	// One player per shard: a player's probes go to its owner alone, and
+	// the ring is keyed by the servers' random ports.
+	ring, _ := cluster.topo()
+	for s := 0; s < 3; s++ {
+		p := 0
+		for ring.PlayerOwner(p) != s {
+			p++
+		}
+		cluster.PostProbes(p, objs, grades)
+	}
 	snap := reg.Snapshot()
 	perShard := 0
 	for i := 0; i < 3; i++ {
@@ -380,5 +397,127 @@ func TestClusterPerShardTelemetry(t *testing.T) {
 	}
 	if perShard < 2 {
 		t.Fatalf("per-shard request counters present for %d shards, want >=2 (snapshot: %v)", perShard, snap.Counters)
+	}
+}
+
+// hostCounter is a transport that counts the requests it passes on to
+// http.DefaultTransport, per host.
+type hostCounter struct {
+	mu     sync.Mutex
+	counts map[string]int
+}
+
+func (h *hostCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.mu.Lock()
+	h.counts[r.URL.Host]++
+	h.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// take returns the counts since the last take and starts over.
+func (h *hostCounter) take() map[string]int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	counts := h.counts
+	h.counts = make(map[string]int)
+	return counts
+}
+
+// TestClusterProbeOpsGoToPlayerShard pins probe routing by player on a
+// 4-shard cluster, under both codecs: each probe operation of one
+// player is one request, to the shard PlayerOwner names, and a post
+// batch of probe sets sends one request per shard its players live on.
+func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
+	const shards, n, m = 4, 64, 64
+	for _, codec := range []string{"json", "binary"} {
+		t.Run(codec, func(t *testing.T) {
+			hosts := make([]string, shards)
+			urls := make([]string, shards)
+			for i := range urls {
+				srv := httptest.NewServer(NewServer(billboard.New(n, m)))
+				t.Cleanup(srv.Close)
+				u, err := url.Parse(srv.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				urls[i], hosts[i] = srv.URL, u.Host
+			}
+			counter := &hostCounter{counts: make(map[string]int)}
+			cl, err := NewCluster(ClusterConfig{Shards: urls, Client: Config{
+				Codec:      codec,
+				HTTPClient: &http.Client{Transport: counter},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, _ := cl.topo()
+			// sends checks that op sent one request to each listed shard
+			// and none to any other.
+			sends := func(op string, do func(), want ...int) {
+				t.Helper()
+				counter.take()
+				do()
+				wantCounts := make(map[string]int)
+				for _, s := range want {
+					wantCounts[hosts[s]]++
+				}
+				if got := counter.take(); !maps.Equal(got, wantCounts) {
+					t.Errorf("%s sent %v requests by host, want %v (shards %v)", op, got, wantCounts, want)
+				}
+			}
+
+			objs, grades := ints.Iota(m), make([]byte, m)
+			for o := range grades {
+				grades[o] = byte(o % 2)
+			}
+			for p := 0; p < 8; p++ {
+				s := ring.PlayerOwner(p)
+				sends(fmt.Sprint("PostProbes of player ", p), func() { cl.PostProbes(p, objs, grades) }, s)
+				gotGrades, known := make([]byte, m), make([]bool, m)
+				sends(fmt.Sprint("LookupProbes of player ", p), func() { cl.LookupProbes(p, objs, gotGrades, known) }, s)
+				for o := range objs {
+					if !known[o] || gotGrades[o] != grades[o] {
+						t.Fatalf("player %d object %d: got (%d,%v), want (%d,true)", p, o, gotGrades[o], known[o], grades[o])
+					}
+				}
+				seen := 0
+				sends(fmt.Sprint("ForEachProbe of player ", p), func() { cl.ForEachProbe(p, func(int, byte) { seen++ }) }, s)
+				var probed map[int]byte
+				sends(fmt.Sprint("ProbedObjects of player ", p), func() { probed = cl.ProbedObjects(p) }, s)
+				if seen != m || len(probed) != m {
+					t.Fatalf("player %d: ForEachProbe visited %d objects, ProbedObjects returned %d, want %d", p, seen, len(probed), m)
+				}
+				sends(fmt.Sprint("ClearProbes of player ", p), func() { cl.ClearProbes(p, objs) }, s)
+				if left := cl.ProbedObjects(p); len(left) != 0 {
+					t.Fatalf("player %d keeps %d probes after ClearProbes", p, len(left))
+				}
+			}
+
+			// Two players on each shard, in player order.
+			byShard := make([][]int, shards)
+			for p := 0; p < n; p++ {
+				s := ring.PlayerOwner(p)
+				if len(byShard[s]) < 2 {
+					byShard[s] = append(byShard[s], p)
+				}
+			}
+			for s, players := range byShard {
+				if len(players) < 2 {
+					t.Fatalf("shard %d owns %d of players 0..%d", s, len(players), n-1)
+				}
+			}
+			// A batch of probe sets of the players on shards 0..k-1.
+			for k := 1; k <= shards; k++ {
+				var posts []boardclient.Post
+				var want []int
+				for s := 0; s < k; s++ {
+					for _, p := range byShard[s] {
+						posts = append(posts, boardclient.Post{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades})
+					}
+					want = append(want, s)
+				}
+				sends(fmt.Sprintf("PostBatch of %d probe sets", len(posts)), func() { cl.PostBatch(posts) }, want...)
+			}
+		})
 	}
 }

@@ -65,14 +65,15 @@ func TestDedupeQuiesceWaitsForInflight(t *testing.T) {
 // converge pass can see it). With the old unconditional copy-then-drop
 // both commits vanished; now both must be on the surviving shard.
 func TestRemoveShardLateCommitSurvivesDrain(t *testing.T) {
-	const n, m = 8, 64
+	// The ring is keyed by the servers' ports. Shard 1 owns none of
+	// players 1..7 once in 128 port pairs, and none of 1..31 once in 2^31.
+	const n, m, lateObj = 32, 64, 5
 	b0 := billboard.New(n, m)
 	b1 := billboard.New(n, m)
 	srv0 := httptest.NewServer(NewServer(b0))
 	t.Cleanup(srv0.Close)
 
 	var lateTopic string
-	var lateObj int
 	lateVec := bitvec.New(8)
 	lateVec.Set(3, 1)
 	inner := NewServer(b1)
@@ -84,8 +85,9 @@ func TestRemoveShardLateCommitSurvivesDrain(t *testing.T) {
 			// asking to drop it: commit one more posting first.
 			topicGate.Do(func() { b1.Post(lateTopic, 7, bitvec.PartialOf(lateVec)) })
 		case PathClearProbes:
-			// The drain is clearing player 2's moved probes: commit a
-			// probe for player 0, whom this pass already visited.
+			// The drain is clearing the seeded player's moved probes:
+			// commit a probe for player 0, whom this pass already
+			// visited.
 			probeGate.Do(func() { b1.PostProbe(0, lateObj, 1) })
 		}
 		inner.ServeHTTP(w, r)
@@ -103,22 +105,26 @@ func TestRemoveShardLateCommitSurvivesDrain(t *testing.T) {
 			break
 		}
 	}
-	for o := 0; ; o++ {
-		if ring.ObjectOwner(o) == 1 {
-			lateObj = o
-			break
+	// The seeded player is one the drain visits after player 0.
+	seeded := 0
+	for p := 1; p < n && seeded == 0; p++ {
+		if ring.PlayerOwner(p) == 1 {
+			seeded = p
 		}
+	}
+	if seeded == 0 {
+		t.Fatalf("shard 1 owns none of players 1..%d", n-1)
 	}
 
 	// Seed the donor: four postings under its topic, one probe result
-	// (player 2) so the drain issues a clear.
+	// (the seeded player's) so the drain sends a clear.
 	for p := 0; p < 4; p++ {
 		v := bitvec.New(8)
 		v.Set(p%8, 1)
 		cluster.PostVector(lateTopic, p, v)
 		cluster.PostValues(lateTopic, p, []uint32{uint32(p)})
 	}
-	cluster.PostProbe(2, lateObj, 1)
+	cluster.PostProbe(seeded, lateObj, 1)
 
 	if err := cluster.RemoveShard(context.Background(), srv1.URL); err != nil {
 		t.Fatal(err)
@@ -143,7 +149,7 @@ func TestRemoveShardLateCommitSurvivesDrain(t *testing.T) {
 	if vals := cluster.ValuePostings(lateTopic); len(vals) != 4 {
 		t.Fatalf("topic has %d value postings after drain, want 4", len(vals))
 	}
-	if v, ok := cluster.LookupProbe(2, lateObj); !ok || v != 1 {
+	if v, ok := cluster.LookupProbe(seeded, lateObj); !ok || v != 1 {
 		t.Fatalf("seeded probe after drain: (%d, %v), want (1, true)", v, ok)
 	}
 	if v, ok := cluster.LookupProbe(0, lateObj); !ok || v != 1 {

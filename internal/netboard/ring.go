@@ -15,9 +15,9 @@ import (
 const DefaultVirtualNodes = 128
 
 // Ring is a consistent-hash ring mapping string keys (topic names,
-// probe-object keys) to shard indices. Each shard owns VirtualNodes
-// points on a 64-bit hash circle; a key belongs to the shard owning
-// the first point at or clockwise of the key's hash. The map is a pure
+// player keys) to shard indices. Each shard owns VirtualNodes points
+// on a 64-bit hash circle; a key belongs to the shard owning the first
+// point at or clockwise of the key's hash. The map is a pure
 // function of (shard names, vnode count): two processes that build the
 // ring from the same cluster spec route every key identically, which
 // is what lets independent clients — and a reshard comparing an old
@@ -81,14 +81,14 @@ func (r *Ring) Owner(key string) int {
 	return r.ownerOfHash(mix64(h.Sum64()))
 }
 
-// ObjectOwner returns the index of the shard owning probe object o:
-// the owner of the ring key "o/<o>". It hashes that key from a stack
-// buffer, so routing an object allocates nothing. Probes route by
-// object, not by player: one object's column lives whole on one shard,
-// and a player's probe batch splits across shards.
-func (r *Ring) ObjectOwner(o int) int {
-	var buf [24]byte // "o/" and a signed 64-bit decimal
-	key := strconv.AppendInt(append(buf[:0], "o/"...), int64(o), 10)
+// PlayerOwner returns the index of the shard owning player p's probe
+// results: the owner of the ring key "p/<p>". It hashes that key from a
+// stack buffer, so routing a player allocates nothing. Probes route by
+// player, as billboard.Board stores them: a player's row lives whole on
+// one shard, so each probe operation of one player is one request.
+func (r *Ring) PlayerOwner(p int) int {
+	var buf [24]byte // "p/" and a signed 64-bit decimal
+	key := strconv.AppendInt(append(buf[:0], "p/"...), int64(p), 10)
 	h := uint64(fnvOffset64)
 	for _, c := range key {
 		h ^= uint64(c)
@@ -97,7 +97,7 @@ func (r *Ring) ObjectOwner(o int) int {
 	return r.ownerOfHash(mix64(h))
 }
 
-// The FNV-1a parameters of hash/fnv's New64a, for ObjectOwner's
+// The FNV-1a parameters of hash/fnv's New64a, for PlayerOwner's
 // allocation-free hash.
 const (
 	fnvOffset64 = 14695981039346656037

@@ -7,13 +7,13 @@ import (
 )
 
 // ringKeys is a deterministic key population shaped like real traffic:
-// topic names and probe-object keys.
+// topic names and player keys.
 func ringKeys(n int) []string {
 	keys := make([]string, 0, n)
 	for i := 0; len(keys) < n; i++ {
 		keys = append(keys, "zr/phase"+strconv.Itoa(i%7)+"/t"+strconv.Itoa(i))
 		if len(keys) < n {
-			keys = append(keys, "o/"+strconv.Itoa(i))
+			keys = append(keys, "p/"+strconv.Itoa(i))
 		}
 	}
 	return keys
@@ -119,19 +119,19 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 	}
 }
 
-// TestRingObjectOwnerIsOwnerOfObjectKey: ObjectOwner routes every
-// object exactly as Owner routes its ring key "o/<object>", on rings
+// TestRingPlayerOwnerIsOwnerOfPlayerKey: PlayerOwner routes every
+// player exactly as Owner routes its ring key "p/<player>", on rings
 // of 1–16 shards, and allocates nothing.
-func TestRingObjectOwnerIsOwnerOfObjectKey(t *testing.T) {
+func TestRingPlayerOwnerIsOwnerOfPlayerKey(t *testing.T) {
 	for shards := 1; shards <= 16; shards++ {
 		r := newRing(ringShards(shards), 0)
-		for o := 0; o < 1<<17; o++ {
-			if got, want := r.ObjectOwner(o), r.Owner("o/"+strconv.Itoa(o)); got != want {
-				t.Fatalf("%d shards: object %d routed to shard %d, its key's owner is %d", shards, o, got, want)
+		for p := 0; p < 1<<17; p++ {
+			if got, want := r.PlayerOwner(p), r.Owner("p/"+strconv.Itoa(p)); got != want {
+				t.Fatalf("%d shards: player %d routed to shard %d, its key's owner is %d", shards, p, got, want)
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { r.ObjectOwner(1<<17 - 1) }); allocs != 0 {
-			t.Fatalf("%d shards: ObjectOwner made %.0f allocations, want 0", shards, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { r.PlayerOwner(1<<17 - 1) }); allocs != 0 {
+			t.Fatalf("%d shards: PlayerOwner made %.0f allocations, want 0", shards, allocs)
 		}
 	}
 }
