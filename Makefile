@@ -35,17 +35,18 @@ race:
 # cancelled networked run leaving no topics, and the pinned request,
 # phase and batch-entry counts (9 requests in 3 phases and 150 entries
 # in 3 post batches for ZeroRadius 48×256; 33 in 24 and 325 entries in
-# 20 post batches for the solve-net solve).
+# 20 post batches for the solve-net solve, and 52 requests, 26 per
+# shard, for the same solve over 2 shards).
 stress-net:
 	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 
-# The sharded-cluster gate on its own (also part of `race`): the
-# consistent-hash ring invariants, the probe routing (each probe post,
-# lookup, scan or clear of one player is one request, to the player's
-# shard; a post batch is one request per shard it touches), the
-# cluster-vs-single-board identity oracles, resharding drains
-# (including a drain under a non-panicking OnError, which must fail
-# loudly), and the multi-shard fault-injection stress — one shard's
+# The sharded-cluster gate on its own (also part of `race`): routing by
+# shard position (its skew bound, pinned owners, and allocation-free
+# player routing), the probe routing (each probe post, lookup, scan or
+# clear of one player is one request, to the player's shard; a post
+# batch is one request per shard it touches), a shard restored at a
+# new address in its position, the cluster-vs-single-board identity
+# oracles, and the multi-shard fault-injection stress — one shard's
 # network degraded while concurrent players post — proving zero lost
 # and zero double-applied posts under -race
 # (internal/netboard/cluster_stress_test.go).

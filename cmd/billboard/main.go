@@ -12,7 +12,9 @@
 // spec — the comma-separated base-URL list that tellme -board,
 // Options.BoardURL and netboard.NewCluster accept. Each shard is a
 // complete billboard server; clients route topics by name and probe
-// results by player across them by consistent hashing (DESIGN.md §12).
+// results by player, each key to the shard at its hash's position in
+// the spec (DESIGN.md §12), so a shard may restart at a new address in
+// its position.
 // With -state, each shard snapshots to its own file (<state>.shard<i>).
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains

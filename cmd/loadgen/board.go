@@ -30,7 +30,7 @@ type boardTarget struct {
 // resolveTarget builds the board plane's target from the spec
 // progression shared with tellmed and the batch facade — nothing (the
 // in-process board), one URL (a single netboard server), a
-// comma-separated list (a consistent-hashed cluster) — plus the
+// comma-separated list (a sharded cluster) — plus the
 // loadgen-only localShards mode, which spawns that many loopback
 // netboard servers in-process and drives them as a cluster over real
 // HTTP: the full wire protocol and connection pool under load, no
@@ -62,9 +62,9 @@ func resolveTarget(spec string, localShards, players, m int, codec string, reg *
 }
 
 // spawnLocalShards starts n loopback netboard servers and returns a
-// cluster client over them. Each shard serves its own board dimensioned
-// for the full fleet (objects are partitioned across shards by the
-// ring, players are not).
+// cluster client over them. Each shard serves its own board sized for
+// the whole fleet, but it writes only its own players' probe rows,
+// about 1/n of them: players are partitioned across the shards.
 func spawnLocalShards(n, players, m int, codec string, reg *telemetry.Registry) (*boardTarget, error) {
 	urls := make([]string, n)
 	servers := make([]*http.Server, n)

@@ -185,10 +185,19 @@ func printTable(w io.Writer, f *BenchNetFile) {
 // goVersion / gitCommit mirror benchdiff's header fields.
 func goVersion() string { return runtime.Version() }
 
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+// gitCommit is the HEAD commit of the git tree at dir ("" is the
+// working directory), with "-dirty" appended when the tree has changes
+// beyond it, or "" outside a git tree.
+func gitCommit(dir string) string {
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(string(out))
+	// A dirty tree means the numbers reflect code beyond the commit;
+	// say so rather than record a misleadingly precise provenance.
+	if st, err := exec.Command("git", "-C", dir, "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }

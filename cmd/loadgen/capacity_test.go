@@ -1,7 +1,11 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +65,69 @@ func TestMaxSustained(t *testing.T) {
 	}
 	if got := maxSustained([]CapacityRow{{TargetRate: 100, Sustained: false}}); got != 0 {
 		t.Fatalf("maxSustained all-failed = %v, want 0", got)
+	}
+}
+
+// TestReduceRowsKeepsMedianRepetition: a rate is sustained only when
+// most of its repetitions met the SLO. The JSON rows are the three
+// repetitions of the 8000 r/s step of a 3-repetition bench-loadgen run
+// (p99 69, 37 and 131 ms against the 50 ms SLO), which the minimum
+// called sustained. Of two repetitions the upper median stands, so both
+// must meet the SLO.
+func TestReduceRowsKeepsMedianRepetition(t *testing.T) {
+	const slo, ms = 50 * time.Millisecond, time.Millisecond
+	row := func(codec string, p99 time.Duration) CapacityRow {
+		return CapacityRow{Codec: codec, TargetRate: 8000, AchievedRate: 7990, P99Ns: p99.Nanoseconds(), Sustained: p99 <= slo}
+	}
+	rows := []CapacityRow{
+		row("json", 69*ms), row("binary", 30*ms),
+		row("json", 37*ms), row("binary", 60*ms),
+		row("json", 131*ms),
+	}
+	want := []CapacityRow{row("json", 69*ms), row("binary", 60*ms)}
+	if got := reduceRows(rows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reduceRows kept %+v, want %+v", got, want)
+	}
+	if got := maxSustained(reduceRows(rows)); got != 0 {
+		t.Fatalf("max sustained %v r/s, want none: most repetitions missed the SLO", got)
+	}
+	if got := reduceRows(rows[:1]); !reflect.DeepEqual(got, rows[:1]) {
+		t.Fatalf("one repetition reduced to %+v, want it unchanged", got)
+	}
+}
+
+// TestGitCommitMarksDirtyTree: the recorded commit is the bare hash of
+// a clean tree and carries "-dirty" once a tracked file is edited.
+func TestGitCommitMarksDirtyTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("no git on PATH")
+	}
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-C", dir, "-c", "user.name=loadgen", "-c", "user.email=loadgen@example.com", "-c", "commit.gpgsign=false"}, args...)...)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	file := filepath.Join(dir, "tracked.txt")
+	if err := os.WriteFile(file, []byte("one\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("init", "-q")
+	git("add", "tracked.txt")
+	git("commit", "-q", "-m", "one")
+	head := git("rev-parse", "HEAD")
+	if got := gitCommit(dir); got != head {
+		t.Fatalf("clean tree recorded as %q, want %q", got, head)
+	}
+	if err := os.WriteFile(file, []byte("two\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := gitCommit(dir); got != head+"-dirty" {
+		t.Fatalf("edited tree recorded as %q, want %q", got, head+"-dirty")
 	}
 }
 

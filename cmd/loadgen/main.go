@@ -37,7 +37,7 @@ func main() {
 	flag.Float64Var(&cfg.RampMax, "ramp-max", 0, "auto-ramp ceiling (0 = default)")
 	flag.DurationVar(&cfg.Duration, "duration", 5*time.Second, "duration of each rate step")
 	flag.DurationVar(&cfg.Warmup, "warmup", time.Second, "unmeasured warmup at each leg's first rate (0 disables)")
-	flag.IntVar(&cfg.Repeat, "repeat", 1, "repetitions of the whole codec sweep; rows keep the min-p99 per (codec, rate)")
+	flag.IntVar(&cfg.Repeat, "repeat", 1, "repetitions of the whole codec sweep; rows keep the median-p99 one per (codec, rate), so a rate is sustained only if most repetitions met the SLO")
 	flag.StringVar(&cfg.Board, "board", "", "board target: empty = in-process, URL = server, comma-separated URLs = cluster")
 	flag.StringVar(&codecs, "codec", "json", "comma-separated wire codecs to sweep (json,binary); each runs a fresh-target leg")
 	flag.IntVar(&cfg.LocalShards, "local-shards", 0, "spawn N loopback netboard shards and drive them as a cluster")

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,9 +42,9 @@ type config struct {
 	Warmup time.Duration
 	// Repeat runs the whole codec sweep this many times (codec legs
 	// interleaved, so machine-speed drift hits every codec equally) and
-	// keeps, per (codec, rate), the row with the lowest p99 — the
-	// minimum over repetitions is the standard low-noise estimator,
-	// matching benchdiff's min-over-runs. 0 means 1.
+	// keeps, per (codec, rate), the repetition with the median p99, so
+	// a rate counts as sustained only when most of its repetitions met
+	// the SLO. 0 means 1.
 	Repeat int
 
 	// Board target: mutually exclusive spec / LocalShards.
@@ -182,7 +184,7 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 		Command: fmt.Sprintf("loadgen -players %d -m %d -post-batch %d -codec %s",
 			cfg.Players, cfg.M, cfg.PostBatch, strings.Join(codecs, ",")),
 		Go:        goVersion(),
-		Commit:    gitCommit(),
+		Commit:    gitCommit(""),
 		Players:   cfg.Players,
 		M:         cfg.M,
 		PostBatch: cfg.PostBatch,
@@ -192,8 +194,8 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 	// Each leg audits its own fresh board; the artifact reports the
 	// union (a lost post in any leg fails the run). Repetitions
 	// interleave the codec legs so a machine slowdown mid-run biases
-	// every codec equally, then the rows reduce to the min-p99 one per
-	// (codec, rate).
+	// every codec equally, then the rows reduce to the median-p99 one
+	// per (codec, rate).
 	repeat := cfg.Repeat
 	if repeat <= 0 {
 		repeat = 1
@@ -237,29 +239,31 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 	return file, nil
 }
 
-// reduceRows keeps, for each (codec, target rate), the row with the
-// lowest p99 across sweep repetitions, preserving first-appearance
-// order. With a single repetition it is the identity.
+// reduceRows keeps, for each (codec, target rate), the repetition with
+// the median p99 (the upper median of an even count), preserving
+// first-appearance order. A rate's row is then sustained only if most
+// of its repetitions kept p99 within the SLO: the minimum would call a
+// rate sustained on one lucky repetition. With a single repetition it
+// is the identity.
 func reduceRows(rows []CapacityRow) []CapacityRow {
 	type key struct {
 		codec string
 		rate  float64
 	}
-	best := map[key]CapacityRow{}
+	reps := map[key][]CapacityRow{}
 	var order []key
 	for _, r := range rows {
 		k := key{r.Codec, r.TargetRate}
-		b, seen := best[k]
-		if !seen {
+		if _, seen := reps[k]; !seen {
 			order = append(order, k)
 		}
-		if !seen || r.P99Ns < b.P99Ns {
-			best[k] = r
-		}
+		reps[k] = append(reps[k], r)
 	}
 	out := make([]CapacityRow, 0, len(order))
 	for _, k := range order {
-		out = append(out, best[k])
+		rs := reps[k]
+		slices.SortStableFunc(rs, func(a, b CapacityRow) int { return cmp.Compare(a.P99Ns, b.P99Ns) })
+		out = append(out, rs[len(rs)/2])
 	}
 	return out
 }

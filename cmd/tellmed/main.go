@@ -20,7 +20,7 @@
 //
 // With -board, epochs run against a remote billboard — one URL for a
 // single cmd/billboard server, a comma-separated list for a sharded
-// cluster routed by consistent hashing — instead of the in-process
+// cluster routed by shard position — instead of the in-process
 // board. The serving loop is identical either way (see DESIGN.md §13).
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
@@ -138,7 +138,7 @@ func main() {
 
 // resolveBoard builds the billboard the epochs run against: the
 // in-process board for an empty spec, a single netboard client for one
-// URL, a consistent-hashed cluster for a comma-separated list — the
+// URL, a sharded cluster for a comma-separated list — the
 // same resolution the batch facade's Options.BoardURL performs.
 func resolveBoard(spec string, capacity, m int, codec string, reg *telemetry.Registry) (boardclient.Interface, error) {
 	spec = strings.TrimSpace(spec)

@@ -34,7 +34,6 @@ package billboard
 
 import (
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -393,9 +392,8 @@ type topic struct {
 
 	// retired marks a handle whose topic was dropped from the registry.
 	// Name-based posting re-resolves when it finds the flag set, so a
-	// post that lost the race with DropTopic/DropTopicIf lands in the
-	// live registry instead of orphaned storage — the visibility
-	// guarantee shard drains rely on. TopicRef-based posting ignores the
+	// post that lost the race with DropTopic lands in the live registry
+	// instead of orphaned storage. TopicRef-based posting ignores the
 	// flag (refs must not outlive their phase; see TopicRef).
 	retired bool
 
@@ -719,9 +717,8 @@ func (b *Board) PostVector(name string, player int, v bitvec.Vector) {
 
 // peekTopic looks a topic up without creating it: the read-only
 // counterpart of topicFor. Reads of a topic nobody ever posted to (or
-// that was dropped) must not resurrect an empty shell — the cluster
-// drain verifies a conditional drop by re-reading the topic, and a read
-// that recreated it would leave a phantom topic on the donor forever.
+// that was dropped) must not resurrect an empty shell: a read that
+// recreated it would leave a phantom topic that no drop follows.
 func (b *Board) peekTopic(name string) (*topic, bool) {
 	b.mu.RLock()
 	t, ok := b.topics[name]
@@ -781,54 +778,20 @@ func (b *Board) PopularVectors(name string, minVotes int) []bitvec.Partial {
 
 // DropTopic removes a topic and its postings, releasing memory for
 // phases that are complete. Dropping an absent topic is a no-op.
+//
+// The drop folds the topic's stats into the board totals so the
+// sampled telemetry counters stay monotone across drops, then retires
+// the topic's value storage into the pool. Value-side snapshots must
+// not be read after the drop (see valPool); the vector side is
+// deliberately left alone.
 func (b *Board) DropTopic(name string) {
-	b.mu.Lock()
-	t, existed := b.topics[name]
-	if existed {
-		t.mu.Lock()
-		b.dropTopicLocked(name, t)
-	}
-	b.mu.Unlock()
-	if existed {
-		b.tel.topics.Add(-1)
-	}
-}
-
-// DropTopicIf drops the topic only if it currently holds exactly nVec
-// vector postings and nVal value postings, reporting whether it did.
-// The check and the drop are atomic under the topic lock, so a posting
-// that commits concurrently either makes the drop fail (it arrived
-// before the check) or recreates the topic afterwards (visible to the
-// next enumeration) — never vanishes with the drop. This is the
-// primitive a shard drain needs: "drop what I replayed, and only if
-// nothing arrived since I read it". Dropping an absent topic succeeds
-// iff both expected counts are zero.
-func (b *Board) DropTopicIf(name string, nVec, nVal int) bool {
 	b.mu.Lock()
 	t, existed := b.topics[name]
 	if !existed {
 		b.mu.Unlock()
-		return nVec == 0 && nVal == 0
+		return
 	}
 	t.mu.Lock()
-	if len(t.postings) != nVec || len(t.values) != nVal {
-		t.mu.Unlock()
-		b.mu.Unlock()
-		return false
-	}
-	b.dropTopicLocked(name, t)
-	b.mu.Unlock()
-	b.tel.topics.Add(-1)
-	return true
-}
-
-// dropTopicLocked completes a drop with b.mu and t.mu held; it releases
-// t.mu. Folds the topic's stats into the board totals so the sampled
-// telemetry counters stay monotone across drops, then retires the
-// topic's value storage into the pool. Value-side snapshots must not be
-// read after the drop (see valPool); the vector side is deliberately
-// left alone.
-func (b *Board) dropTopicLocked(name string, t *topic) {
 	b.dropped.fold(t.stats)
 	if t.stats.posts > 0 {
 		if b.droppedPosts == nil {
@@ -843,6 +806,8 @@ func (b *Board) dropTopicLocked(name string, t *topic) {
 	t.mu.Unlock()
 	b.valPool.put(blocks, arr)
 	delete(b.topics, name)
+	b.mu.Unlock()
+	b.tel.topics.Add(-1)
 }
 
 // TopicCount returns the number of live topics (for tests and stats).
@@ -852,28 +817,13 @@ func (b *Board) TopicCount() int {
 	return len(b.topics)
 }
 
-// Topics returns the names of all live topics in sorted order — the
-// enumeration a shard drain needs to move every topic it owns. The
-// result is a fresh slice.
-func (b *Board) Topics() []string {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // ClearProbes removes player p's posted probe results for objs,
 // decrementing ProbeCount for each result actually cleared. This is an
-// administrative operation for resharding (probe results migrating to
-// another shard are cleared from the donor after replay); it must not
-// race with p posting probes — the reshard path runs on a quiescent
-// cluster, which guarantees that. The known bit is cleared before the
-// value bit, so a concurrent reader never observes a half-cleared
-// grade as posted.
+// administrative operation: the serving daemon frees a departed
+// player's slot with it at an epoch boundary, before the slot's next
+// holder posts. It must not race with p posting probes. The known bit
+// is cleared before the value bit, so a concurrent reader never
+// observes a half-cleared grade as posted.
 func (b *Board) ClearProbes(p int, objs []int) {
 	s := &b.probeShards[p]
 	var cleared int64

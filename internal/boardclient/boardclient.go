@@ -4,14 +4,14 @@
 // execution spine (tellme.Options.Board, core.Env, the probe engine)
 // depends only on this interface, so algorithm code is transport-blind:
 // the same run executes against shared memory, one HTTP server, or a
-// consistent-hashed shard fleet without special-casing any of them.
+// shard fleet without special-casing any of them.
 //
 // The interface is billboard.Interface — the error-free algorithm
 // surface — plus the two contracts a *client* of a possibly-remote
 // board needs:
 //
 //   - TopicSnapshot: the epoch-tagged tally read behind the batched
-//     wire protocol, also the replay source for shard drains.
+//     wire protocol.
 //   - Err/Failures: the degraded-mode record. A transport that
 //     swallows terminal failures (a non-panicking netboard OnError)
 //     returns zero values that are indistinguishable from an empty

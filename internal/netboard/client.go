@@ -64,10 +64,6 @@ type Client struct {
 	// ctx governs every request sent through this client or view; never
 	// nil.
 	ctx context.Context
-	// strict is set only on a reshard drain's views: a terminal failure
-	// panics whatever OnError says, so the drain aborts instead of
-	// carrying on with degraded zero values.
-	strict bool
 
 	*clientState
 }
@@ -181,13 +177,13 @@ func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx.Done() == nil && c.ctx.Done() == nil {
 		return c
 	}
-	return c.view(ctx, c.strict)
+	return c.view(ctx)
 }
 
-// view returns a view of c under ctx; see Client.strict for strict.
-func (c *Client) view(ctx context.Context, strict bool) *Client {
+// view returns a view of c under ctx.
+func (c *Client) view(ctx context.Context) *Client {
 	v := *c
-	v.ctx, v.strict = ctx, strict
+	v.ctx = ctx
 	return &v
 }
 
@@ -213,7 +209,7 @@ func (c *Client) fail(err error) {
 		c.firstErr = terr
 	}
 	c.errMu.Unlock()
-	if c.cfg.OnError != nil && !c.strict {
+	if c.cfg.OnError != nil {
 		c.cfg.OnError(terr)
 		return
 	}
@@ -622,7 +618,7 @@ func (c *Client) ProbedObjects(p int) map[int]byte {
 
 // probedPairs fetches p's probe results as ordered (object, grade)
 // pairs — the server's order, ascending by object for a Board-backed
-// server. A cluster drain replays them on the player's new shard.
+// server. ProbedObjects and ForEachProbe share it.
 func (c *Client) probedPairs(p int) []objGrade {
 	var reply probedObjectsReply
 	c.get(c.ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
@@ -774,15 +770,6 @@ func (c *Client) DropTopic(name string) {
 	c.PostBatch([]boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
 }
 
-// dropTopicIf asks the server to drop the topic only if its posting
-// counts still match (nVec vector postings, nVal value postings). The
-// outcome is not reported — a deduplicated retry could not reproduce it
-// — so callers verify by re-reading the topic.
-func (c *Client) dropTopicIf(name string, nVec, nVal int) {
-	c.post(c.ctx, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
-	c.evict(name)
-}
-
 // evict removes topic name's snapshot-cache entry after a drop.
 func (c *Client) evict(name string) {
 	c.cacheMu.Lock()
@@ -815,19 +802,10 @@ func (c *Client) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, e
 	return entry.gen, entry.epoch, unchanged, entry.votes, entry.valVotes
 }
 
-// Topics returns the names of all live topics on the server, sorted.
-// It is the drain-path enumeration (mirrors billboard.Board.Topics) and
-// is not part of boardclient.Interface.
-func (c *Client) Topics() []string {
-	var reply topicsReply
-	c.get(c.ctx, PathTopics, nil, &reply)
-	return reply.Topics
-}
-
 // ClearProbes removes player p's probe results for objs on the server
 // (mirrors billboard.Board.ClearProbes; see there for the quiescence
-// requirement). It is the second half of the cluster probe-migration
-// step and is not part of boardclient.Interface.
+// requirement). The serving daemon frees a departed player's slot with
+// it. Not part of boardclient.Interface.
 func (c *Client) ClearProbes(p int, objs []int) {
 	if len(objs) == 0 {
 		return
@@ -836,8 +814,9 @@ func (c *Client) ClearProbes(p int, objs []int) {
 }
 
 // Quiesce blocks until every mutation the server has started applying
-// has finished — the drain-path barrier before snapshotting a donor.
-// Not part of boardclient.Interface.
+// has finished, so the counters read next are exact: the barrier
+// before loadgen's and perfbench's probe audits. Not part of
+// boardclient.Interface.
 func (c *Client) Quiesce() {
 	var reply quiesceReply
 	c.get(c.ctx, PathQuiesce, nil, &reply)

@@ -85,15 +85,13 @@ func TestClusterFaultnetExactlyOnce(t *testing.T) {
 	boards, cluster, ft := degradedFleet(t, 256, m, 0.15, 0.15, 0.3)
 
 	// Each player's probe batch is one request to the shard that owns
-	// the player, and the ring is keyed by the servers' random ports.
-	// So choose the players by owner: 8 on the degraded shard 1, whose
-	// fault schedule injects each kind of fault within its first 8
-	// requests, and 2 on each clean shard.
-	ring, _ := cluster.topo()
+	// the player. So choose the players by owner: 8 on the degraded
+	// shard 1, whose fault schedule injects each kind of fault within
+	// its first 8 requests, and 2 on each clean shard.
 	need := []int{2, 8, 2}
 	var ids []int
 	for p := 0; len(ids) < players; p++ {
-		if s := ring.PlayerOwner(p); need[s] > 0 {
+		if s := playerOwner(p, len(need)); need[s] > 0 {
 			need[s]--
 			ids = append(ids, p)
 		}

@@ -1,7 +1,7 @@
 package netboard
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"maps"
 	"net/http"
@@ -173,121 +173,85 @@ func TestClusterBatchMergeOrder(t *testing.T) {
 	}
 }
 
-// TestClusterReshard drives the static-topology drain both ways: grow
-// a loaded 3-shard cluster to 4, shrink it back to 3, and require the
-// cluster view (topic tallies, probe lookups, totals) to be identical
-// before and after each move — zero lost, zero duplicated.
-func TestClusterReshard(t *testing.T) {
-	// The ring is keyed by the servers' ports. With 8 players and 5
-	// topics the added shard took none of the 13 keys once in 42 port
-	// sets; with 64 players, none of 69 once in 4·10^8.
-	const n, m = 64, 96
-	boards, cluster := newShardFleet(t, 3, n, m, Config{})
-
-	// Load: every player probes a stripe of objects; several topics get
-	// vector and value postings.
+// TestClusterShardRestartsAtNewAddress: routing is a function of
+// shard position, not address. Shard 1 of a loaded 2-shard cluster is
+// snapshotted, its server closed, and its board restored behind a new
+// server; a cluster listing the new address in position 1 reads back
+// every probe row and every topic tally unchanged.
+func TestClusterShardRestartsAtNewAddress(t *testing.T) {
+	const n, m, topics = 64, 64, 16
+	boards := []*billboard.Board{billboard.New(n, m), billboard.New(n, m)}
+	srv0 := httptest.NewServer(NewServer(boards[0]))
+	t.Cleanup(srv0.Close)
+	srv1 := httptest.NewServer(NewServer(boards[1]))
+	t.Cleanup(srv1.Close)
+	before, err := NewCluster(ClusterConfig{Shards: []string{srv0.URL, srv1.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p := 0; p < n; p++ {
 		var objs []int
 		var grades []byte
-		for o := p; o < m; o += n {
+		for o := p % 4; o < m; o += 4 {
 			objs = append(objs, o)
 			grades = append(grades, byte((p+o)%2))
 		}
-		cluster.PostProbes(p, objs, grades)
+		before.PostProbes(p, objs, grades)
 	}
-	topics := []string{"zr/a", "zr/b", "sr/c", "sr/d", "lr/e"}
-	for ti, name := range topics {
-		for p := 0; p < n; p++ {
+	for ti := 0; ti < topics; ti++ {
+		name := fmt.Sprintf("zr#%d", ti)
+		for p := 0; p < n; p += 3 {
 			v := bitvec.New(8)
-			if (p+ti)%2 == 0 {
-				v.Set(ti%8, 1)
-			}
-			cluster.PostVector(name, p, v)
-			cluster.PostValues(name, p, []uint32{uint32(p), uint32(ti)})
+			v.Set((p+ti)%8, 1)
+			before.PostVector(name, p, v)
+			before.PostValues(name, p, []uint32{uint32(p % 5), uint32(ti)})
 		}
 	}
-
-	snapshot := func() (probes int64, view map[string]string) {
-		view = make(map[string]string)
-		for _, name := range topics {
-			s := ""
-			for _, v := range cluster.Votes(name) {
-				s += v.Vec.String() + "|"
-				for _, p := range v.Voters {
-					s += string(rune('a' + p))
-				}
-				s += ";"
-			}
-			for _, v := range cluster.ValueVotes(name) {
-				for _, x := range v.Vals {
-					s += string(rune('0' + x%10))
-				}
-				s += ";"
-			}
-			view[name] = s
+	// view reads every probe row and every topic tally through cl.
+	view := func(cl *Cluster) (rows []map[int]byte, tallies []string) {
+		for p := 0; p < n; p++ {
+			rows = append(rows, cl.ProbedObjects(p))
 		}
-		return cluster.ProbeCount(), view
+		for ti := 0; ti < topics; ti++ {
+			name := fmt.Sprintf("zr#%d", ti)
+			tallies = append(tallies, fmt.Sprint(cl.Votes(name), cl.ValueVotes(name)))
+		}
+		return rows, tallies
 	}
-	wantProbes, wantView := snapshot()
+	wantRows, wantTallies := view(before)
+	if boards[1].ProbeCount() == 0 || boards[1].TopicCount() == 0 {
+		t.Fatalf("shard 1 holds %d probes and %d topics; the restart would move nothing", boards[1].ProbeCount(), boards[1].TopicCount())
+	}
 
-	// Grow: add a fourth shard and drain moved keys onto it.
-	extra := billboard.New(n, m)
-	srv := httptest.NewServer(NewServer(extra))
-	t.Cleanup(srv.Close)
-	if err := cluster.AddShard(context.Background(), srv.URL); err != nil {
+	var state bytes.Buffer
+	if err := boards[1].Snapshot(&state); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cluster.Shards()); got != 4 {
-		t.Fatalf("cluster has %d shards after AddShard, want 4", got)
-	}
-	if extra.ProbeCount() == 0 && extra.VectorPostCount() == 0 {
-		t.Fatal("added shard received nothing from the drain")
-	}
-	gotProbes, gotView := snapshot()
-	if gotProbes != wantProbes {
-		t.Fatalf("probe count after AddShard: %d, want %d", gotProbes, wantProbes)
-	}
-	for name, want := range wantView {
-		if gotView[name] != want {
-			t.Fatalf("topic %q changed across AddShard:\n got %q\nwant %q", name, gotView[name], want)
-		}
-	}
-	// The donors cleared what moved: totals across all four boards
-	// still sum to the originals (nothing duplicated).
-	var sum int64
-	for _, b := range append(append([]*billboard.Board(nil), boards...), extra) {
-		sum += b.ProbeCount()
-	}
-	if sum != wantProbes {
-		t.Fatalf("probe results across boards sum to %d after AddShard, want %d", sum, wantProbes)
-	}
-
-	// Shrink: remove the shard we just added; everything drains back.
-	if err := cluster.RemoveShard(context.Background(), srv.URL); err != nil {
+	srv1.Close()
+	restored, err := billboard.Restore(&state)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cluster.Shards()); got != 3 {
-		t.Fatalf("cluster has %d shards after RemoveShard, want 3", got)
+	moved := httptest.NewServer(NewServer(restored))
+	t.Cleanup(moved.Close)
+	after, err := NewCluster(ClusterConfig{Shards: []string{srv0.URL, moved.URL}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The removed shard holds no live state. (VectorPostCount is
-	// cumulative by design — dropped topics fold into it — so it is not
-	// expected to return to zero.)
-	if pc, tc := extra.ProbeCount(), extra.TopicCount(); pc != 0 || tc != 0 {
-		t.Fatalf("removed shard still holds %d probes, %d topics", pc, tc)
+	gotRows, gotTallies := view(after)
+	for p := range wantRows {
+		if !maps.Equal(gotRows[p], wantRows[p]) {
+			t.Errorf("player %d: probe row %v after the restart, %v before", p, gotRows[p], wantRows[p])
+		}
 	}
-	gotProbes, gotView = snapshot()
-	if gotProbes != wantProbes {
-		t.Fatalf("probe count after RemoveShard: %d, want %d", gotProbes, wantProbes)
-	}
-	for name, want := range wantView {
-		if gotView[name] != want {
-			t.Fatalf("topic %q changed across RemoveShard:\n got %q\nwant %q", name, gotView[name], want)
+	for ti := range wantTallies {
+		if gotTallies[ti] != wantTallies[ti] {
+			t.Errorf("topic zr#%d: tally %s after the restart, %s before", ti, gotTallies[ti], wantTallies[ti])
 		}
 	}
 }
 
-// TestClusterConfigValidation covers NewCluster's input checks and
-// RemoveShard's guardrails.
+// TestClusterConfigValidation covers NewCluster's input checks.
 func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{}); err == nil {
 		t.Fatal("empty shard list accepted")
@@ -298,18 +262,8 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Shards: []string{"http://a", "http://a"}}); err == nil {
 		t.Fatal("duplicate shard URL accepted")
 	}
-	cl, err := NewCluster(ClusterConfig{Shards: []string{"http://a"}})
-	if err != nil {
+	if _, err := NewCluster(ClusterConfig{Shards: []string{"http://a"}}); err != nil {
 		t.Fatal(err)
-	}
-	if err := cl.RemoveShard(context.Background(), "http://b"); err == nil {
-		t.Fatal("removing an unknown shard succeeded")
-	}
-	if err := cl.RemoveShard(context.Background(), "http://a"); err == nil {
-		t.Fatal("removing the last shard succeeded")
-	}
-	if err := cl.AddShard(context.Background(), "http://a"); err == nil {
-		t.Fatal("adding a duplicate shard succeeded")
 	}
 }
 
@@ -377,12 +331,10 @@ func TestClusterPerShardTelemetry(t *testing.T) {
 	for o := range objs {
 		objs[o] = o
 	}
-	// One player per shard: a player's probes go to its owner alone, and
-	// the ring is keyed by the servers' random ports.
-	ring, _ := cluster.topo()
+	// One player per shard: a player's probes go to its owner alone.
 	for s := 0; s < 3; s++ {
 		p := 0
-		for ring.PlayerOwner(p) != s {
+		for playerOwner(p, 3) != s {
 			p++
 		}
 		cluster.PostProbes(p, objs, grades)
@@ -425,7 +377,7 @@ func (h *hostCounter) take() map[string]int {
 
 // TestClusterProbeOpsGoToPlayerShard pins probe routing by player on a
 // 4-shard cluster, under both codecs: each probe operation of one
-// player is one request, to the shard PlayerOwner names, and a post
+// player is one request, to the shard playerOwner names, and a post
 // batch of probe sets sends one request per shard its players live on.
 func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 	const shards, n, m = 4, 64, 64
@@ -450,7 +402,6 @@ func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ring, _ := cl.topo()
 			// sends checks that op sent one request to each listed shard
 			// and none to any other.
 			sends := func(op string, do func(), want ...int) {
@@ -471,7 +422,7 @@ func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 				grades[o] = byte(o % 2)
 			}
 			for p := 0; p < 8; p++ {
-				s := ring.PlayerOwner(p)
+				s := playerOwner(p, shards)
 				sends(fmt.Sprint("PostProbes of player ", p), func() { cl.PostProbes(p, objs, grades) }, s)
 				gotGrades, known := make([]byte, m), make([]bool, m)
 				sends(fmt.Sprint("LookupProbes of player ", p), func() { cl.LookupProbes(p, objs, gotGrades, known) }, s)
@@ -496,7 +447,7 @@ func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 			// Two players on each shard, in player order.
 			byShard := make([][]int, shards)
 			for p := 0; p < n; p++ {
-				s := ring.PlayerOwner(p)
+				s := playerOwner(p, shards)
 				if len(byShard[s]) < 2 {
 					byShard[s] = append(byShard[s], p)
 				}

@@ -208,12 +208,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			{&topicSnapshotReply{Gen: uint64(g.byte()), Epoch: uint64(g.byte()), Unchanged: g.intn(2) == 1,
 				Votes: g.votes(g.intn(4)), ValueVotes: g.valueVotes(g.intn(4))},
 				func() wire.Message { return &topicSnapshotReply{} }},
-			{&topicsReply{Topics: []string{g.text(6), g.text(6)}},
-				func() wire.Message { return &topicsReply{} }},
 			{&clearProbesPost{Player: g.intn(1 << 12), Objects: g.voters()},
 				func() wire.Message { return &clearProbesPost{} }},
-			{&dropIfPost{Topic: g.text(12), Vectors: g.intn(100), Values: g.intn(100)},
-				func() wire.Message { return &dropIfPost{} }},
 			{&statsReply{ProbeCount: int64(g.byte()), VectorPostCount: int64(g.byte()), TopicCount: g.intn(100), N: g.intn(1 << 12), M: g.intn(1 << 12)},
 				func() wire.Message { return &statsReply{} }},
 			{g.postBatch(g.intn(5)),
@@ -251,10 +247,8 @@ func FuzzBinaryDecode(f *testing.F) {
 			func() wire.Message { return &batchProbesPost{} },
 			func() wire.Message { return &batchLookupsReply{} },
 			func() wire.Message { return &topicSnapshotReply{} },
-			func() wire.Message { return &topicsReply{} },
 			func() wire.Message { return &clearProbesPost{} },
 			func() wire.Message { return &quiesceReply{} },
-			func() wire.Message { return &dropIfPost{} },
 			func() wire.Message { return &statsReply{} },
 			func() wire.Message { return &postBatch{} },
 		} {

@@ -68,8 +68,7 @@ func TestClusterShardJitterDiverges(t *testing.T) {
 	const k = 8
 	standalone := NewClientWithConfig("http://solo", Config{JitterSeed: seed, RetryBackoff: time.Second})
 	streams := map[string][]time.Duration{"standalone": jitterFactors(standalone, k)}
-	_, clients := cl.topo()
-	for i, c := range clients {
+	for i, c := range cl.clients {
 		streams["shard"+string(rune('0'+i))] = jitterFactors(c, k)
 	}
 	for a, sa := range streams {

@@ -183,8 +183,9 @@ func (d *dedupe) finishLocked() {
 // response was lost — has finished and is visible to subsequent reads.
 // It does not wait for duplicates parked on an in-flight entry (they
 // never re-apply) and cannot see a request the HTTP layer has accepted
-// but whose handler has not reached Do yet; the drain's converge loop
-// covers that residue.
+// but whose handler has not reached Do yet. An audit that quiesces
+// after its own posts were acknowledged can meet only duplicates
+// there, which the window does not re-apply.
 func (d *dedupe) Quiesce() {
 	for {
 		d.mu.Lock()

@@ -198,3 +198,34 @@ func TestWithDedupeOptionOrderIndependence(t *testing.T) {
 		t.Fatalf("defaults: cap=%d maxAge=%v", s.dedupe.cap, s.dedupe.maxAge)
 	}
 }
+
+// TestDedupeQuiesceWaitsForInflight: Quiesce must not return while an
+// application is still executing, and must return once it finishes.
+func TestDedupeQuiesceWaitsForInflight(t *testing.T) {
+	d := newDedupe(8)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	go d.Do("id-1", func() {
+		close(started)
+		<-release
+	})
+	<-started
+	quiesced := make(chan struct{})
+	go func() {
+		d.Quiesce()
+		close(quiesced)
+	}()
+	select {
+	case <-quiesced:
+		t.Fatal("Quiesce returned while an application was executing")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-quiesced:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Quiesce did not return after the application finished")
+	}
+	// Idle dedupe: Quiesce returns immediately.
+	d.Quiesce()
+}

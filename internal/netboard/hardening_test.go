@@ -87,11 +87,12 @@ func TestReadHandlersRequireGET(t *testing.T) {
 }
 
 // TestRetiredVoteEndpointsAreGone: tallies travel only in topic
-// snapshots; the old per-operation vote reads answer 404.
+// snapshots; the old per-operation vote reads, and the topic-name list
+// of the retired reshard drains, answer 404.
 func TestRetiredVoteEndpointsAreGone(t *testing.T) {
 	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
 	defer srv.Close()
-	for _, path := range []string{"/v1/votes", "/v1/value-votes"} {
+	for _, path := range []string{"/v1/votes", "/v1/value-votes", "/v1/topics"} {
 		resp, err := http.Get(srv.URL + path + "?topic=t")
 		if err != nil {
 			t.Fatal(err)
@@ -104,14 +105,16 @@ func TestRetiredVoteEndpointsAreGone(t *testing.T) {
 }
 
 // TestRetiredWriteEndpointsAreGone: /v1/batch/posts is the one
-// endpoint that writes board data; the per-call write endpoints and
-// the single-probe lookup answer 404.
+// endpoint that writes board data; the per-call write endpoints, the
+// conditional drop of the retired reshard drains and the single-probe
+// lookup answer 404, and the board's one topic stays.
 func TestRetiredWriteEndpointsAreGone(t *testing.T) {
 	board := billboard.New(4, 8)
+	board.PostValues("kept", 1, []uint32{7})
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	for _, path := range []string{"/v1/probe", "/v1/batch/probes", "/v1/vector", "/v1/values", "/v1/drop-topic"} {
-		if code := postJSON(t, srv.URL+path, `{"player":0,"object":0,"value":1,"objects":[0],"grades":"1","topic":"t","vals":[1],"bits":"0101"}`); code != http.StatusNotFound {
+	for _, path := range []string{"/v1/probe", "/v1/batch/probes", "/v1/vector", "/v1/values", "/v1/drop-topic", "/v1/admin/drop-topic-if"} {
+		if code := postJSON(t, srv.URL+path, `{"player":0,"object":0,"value":1,"objects":[0],"grades":"1","topic":"kept","vals":[1],"bits":"0101","vectors":0,"values":1}`); code != http.StatusNotFound {
 			t.Errorf("POST %s: status %d, want 404", path, code)
 		}
 	}
@@ -123,8 +126,9 @@ func TestRetiredWriteEndpointsAreGone(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/probe: status %d, want 404", resp.StatusCode)
 	}
-	if board.ProbeCount() != 0 || board.TopicCount() != 0 {
-		t.Fatalf("a retired endpoint wrote to the board: %d probes, %d topics", board.ProbeCount(), board.TopicCount())
+	if board.ProbeCount() != 0 || board.TopicCount() != 1 || len(board.ValuePostings("kept")) != 1 {
+		t.Fatalf("a retired endpoint wrote to the board: %d probes, %d topics, %d value postings in topic kept",
+			board.ProbeCount(), board.TopicCount(), len(board.ValuePostings("kept")))
 	}
 }
 

@@ -43,19 +43,14 @@ const (
 	PathBatchLookups  = "/v1/batch/lookups"  // GET: look up many probe results at once
 	PathPostBatch     = "/v1/batch/posts"    // POST: apply an ordered list of posts of any kind
 	PathTopicSnapshot = "/v1/topic-snapshot" // GET: epoch-tagged vote tallies of a topic
-	PathTopics        = "/v1/topics"         // GET: names of all live topics (drain enumeration)
 
-	// Admin endpoints used by the cluster reshard/drain path.
-	// clear-probes removes a player's probe results for a set of objects
-	// after they have been replayed onto the objects' new owner shard.
-	// quiesce blocks until every mutation the server has started
-	// applying is finished (so a subsequent read sees it). drop-topic-if
-	// drops a topic only if its posting counts still match what the
-	// drain replayed — the conditional that keeps a straggler's late
-	// commit from vanishing with the drop.
-	PathClearProbes = "/v1/admin/clear-probes"  // POST: clear probe results
-	PathQuiesce     = "/v1/admin/quiesce"       // GET: wait out in-flight mutations
-	PathDropTopicIf = "/v1/admin/drop-topic-if" // POST: conditional topic drop
+	// Admin endpoints. clear-probes removes a player's probe results for
+	// a set of objects: the serving daemon frees a departed player's
+	// slot with it. quiesce blocks until every mutation the server has
+	// started applying is finished, so a subsequent read sees it: the
+	// barrier before an exact probe audit.
+	PathClearProbes = "/v1/admin/clear-probes" // POST: clear probe results
+	PathQuiesce     = "/v1/admin/quiesce"      // GET: wait out in-flight mutations
 
 	// Telemetry endpoints, registered only when the server was built
 	// with WithTelemetry.
@@ -207,11 +202,6 @@ type topicSnapshotReply struct {
 	ValueVotes valueVoteList `json:"valueVotes,omitempty"`
 }
 
-// topicsReply answers PathTopics: all live topic names, sorted.
-type topicsReply struct {
-	Topics []string `json:"topics"`
-}
-
 // clearProbesPost is the POST body for PathClearProbes.
 type clearProbesPost struct {
 	Player  int   `json:"player"`
@@ -221,17 +211,6 @@ type clearProbesPost struct {
 // quiesceReply answers PathQuiesce once the server is idle.
 type quiesceReply struct {
 	Idle bool `json:"idle"`
-}
-
-// dropIfPost is the POST body for PathDropTopicIf: drop Topic only if
-// it holds exactly Vectors vector postings and Values value postings.
-// The caller verifies the outcome by re-reading the topic (the 204
-// acknowledgement deliberately carries no result: a deduplicated retry
-// could not reproduce it).
-type dropIfPost struct {
-	Topic   string `json:"topic"`
-	Vectors int    `json:"vectors"`
-	Values  int    `json:"values"`
 }
 
 // statsReply answers PathStats.

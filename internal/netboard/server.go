@@ -102,10 +102,8 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 	s.handle(PathBatchLookups, s.readOnly(s.handleBatchLookups))
 	s.handle(PathPostBatch, s.handlePostBatch)
 	s.handle(PathTopicSnapshot, s.readOnly(s.handleTopicSnapshot))
-	s.handle(PathTopics, s.readOnly(s.handleTopics))
 	s.handle(PathClearProbes, s.handleClearProbes)
 	s.handle(PathQuiesce, s.readOnly(s.handleQuiesce))
-	s.handle(PathDropTopicIf, s.handleDropTopicIf)
 	return s
 }
 
@@ -456,16 +454,12 @@ func (s *Server) handleTopicSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, r, PathTopicSnapshot, &reply)
 }
 
-func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
-	s.writeReply(w, r, PathTopics, &topicsReply{Topics: s.board.Topics()})
-}
-
-// handleClearProbes is the reshard/drain admin mutation: it clears the
-// given probe results after they were replayed onto their new owner
-// shard. Idempotent like every mutation (a retry with the same request
-// id is acknowledged without re-applying), and clearing an object the
-// player never probed is a no-op, so a retried clear that partially
-// applied converges.
+// handleClearProbes is the admin mutation that clears the given probe
+// results (the serving daemon frees a departed player's slot with it).
+// Idempotent like every mutation (a retry with the same request id is
+// acknowledged without re-applying), and clearing an object the player
+// never probed is a no-op, so a retried clear that partially applied
+// converges.
 func (s *Server) handleClearProbes(w http.ResponseWriter, r *http.Request) {
 	var req clearProbesPost
 	if !s.readBody(w, r, PathClearProbes, &req) {
@@ -484,31 +478,12 @@ func (s *Server) handleClearProbes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuiesce blocks until every mutation the server has started
-// applying has finished, then acknowledges. A drain calls this before
-// snapshotting the donor so a post whose response was lost in the
-// network — applied here, client still retrying — is visible to the
-// snapshot instead of committing into the copy-then-drop gap.
+// applying has finished, then acknowledges. An audit calls this before
+// reading the counters, so a post whose response was lost in the
+// network — applied here, client still retrying — is counted.
 func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 	s.dedupe.Quiesce()
 	s.writeReply(w, r, PathQuiesce, &quiesceReply{Idle: true})
-}
-
-// handleDropTopicIf is the drain's conditional drop: remove the topic
-// only if its posting counts still match what the caller replayed. The
-// outcome is not reported (see dropIfPost); callers re-read the topic.
-func (s *Server) handleDropTopicIf(w http.ResponseWriter, r *http.Request) {
-	var req dropIfPost
-	if !s.readBody(w, r, PathDropTopicIf, &req) {
-		return
-	}
-	if !topicParam(w, req.Topic) {
-		return
-	}
-	if req.Vectors < 0 || req.Values < 0 {
-		http.Error(w, "negative posting count", http.StatusBadRequest)
-		return
-	}
-	s.apply(w, r, func() { s.board.DropTopicIf(req.Topic, req.Vectors, req.Values) })
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

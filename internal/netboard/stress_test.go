@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,61 +255,102 @@ func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int)
 	return core.NewEnv(e, pc, src.Child("public", 0), core.DefaultConfig()), pc
 }
 
-// entryCounter is a Client that counts the post batches its PostBatch
-// receives and the posts in them, the batch entries. The Client's
-// BindContext would return a view that bypasses it, but
+// meteredBoard is the Client or Cluster a metered run posts through.
+type meteredBoard interface {
+	boardclient.Interface
+	boardclient.Batcher
+}
+
+// entryCounter is a board that counts the post batches its PostBatch
+// receives and the posts in them, the batch entries. It hides the
+// board's BindContext, which would return a view that bypasses it;
 // newMeteredEnv's engine binds no context.
 type entryCounter struct {
-	*Client
+	meteredBoard
 	batches, entries atomic.Int64
 }
 
 func (c *entryCounter) PostBatch(posts []boardclient.Post) {
 	c.batches.Add(1)
 	c.entries.Add(int64(len(posts)))
-	c.Client.PostBatch(posts)
+	c.meteredBoard.PostBatch(posts)
 }
 
 // runCost is what a metered run sent and how many phases it ran.
 type runCost struct {
 	requests, phases, batches, entries int64
+	// perShard is the requests by shard, in shard order.
+	perShard []int64
 }
 
-// overMeter sets up rc against an HTTP billboard whose one client
-// counts delivered requests and post-batch entries. run executes the
-// simulation and returns its outputs and cost; setup and stop stay
-// outside it so the benchmark times the simulation alone.
-func overMeter(rc meteredRun, codec string, parallelism int) (board *billboard.Board, run func() (string, runCost), stop func()) {
-	board = billboard.New(rc.in.N, rc.in.M)
-	srv := httptest.NewServer(NewServer(board))
-	meter := faultnet.New(nil, 1)
-	c := &entryCounter{Client: NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})}
+// overMeter sets up rc against shards HTTP billboards, behind one
+// Client or a Cluster that counts requests by shard and post-batch
+// entries. run executes the simulation and returns its outputs and
+// cost; setup and stop stay outside it so the benchmark times the
+// simulation alone.
+func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards []*billboard.Board, run func() (string, runCost), stop func()) {
+	hosts := make([]string, shards)
+	urls := make([]string, shards)
+	srvs := make([]*httptest.Server, shards)
+	for i := range srvs {
+		boards = append(boards, billboard.New(rc.in.N, rc.in.M))
+		srvs[i] = httptest.NewServer(NewServer(boards[i]))
+		urls[i] = srvs[i].URL
+		hosts[i] = srvs[i].Listener.Addr().String()
+	}
+	meter := &hostCounter{counts: make(map[string]int)}
+	b, err := FromSpec(strings.Join(urls, ","), Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})
+	if err != nil {
+		panic(err)
+	}
+	c := &entryCounter{meteredBoard: b.(meteredBoard)}
 	env, pc := newMeteredEnv(rc.in, c, parallelism)
-	return board, func() (string, runCost) {
+	run = func() (string, runCost) {
 		out := rc.run(env)
-		return out, runCost{meter.Delivered(), pc.n, c.batches.Load(), c.entries.Load()}
-	}, srv.Close
+		counts := meter.take()
+		cost := runCost{phases: pc.n, batches: c.batches.Load(), entries: c.entries.Load()}
+		for _, h := range hosts {
+			cost.requests += int64(counts[h])
+			cost.perShard = append(cost.perShard, int64(counts[h]))
+		}
+		return out, cost
+	}
+	stop = func() {
+		for _, srv := range srvs {
+			srv.Close()
+		}
+	}
+	return boards, run, stop
 }
 
 // TestZeroRadiusRequestCount pins the request and phase counts of full
-// runs over one netboard.Client: a protocol or schedule change that
-// adds or saves a round trip shows up here, not only in the requests/op
-// of BenchmarkNetboardRunBatched. Posts and topic drops wait for the
+// runs over one netboard.Client, and of the solve over a 2-shard
+// Cluster: a protocol or schedule change that adds or saves a round
+// trip shows up here, not only in the requests/op of
+// BenchmarkNetboardRunBatched. Posts and topic drops wait for the
 // phase barrier (boardclient.Defer), so a run costs one post request
-// per phase that posts or drops, plus its reads (DESIGN.md §8);
-// sibling sub-algorithm calls share their phases (DESIGN.md §3). It
-// also pins the post batches and their entries: a flush holds one
-// probe run per player that probed, plus its topic posts and drops.
-// The counts are the same under both codecs and at any parallelism;
-// the outputs and the server's counters equal the in-process run's.
+// per phase and shard that it posts or drops to, plus its reads
+// (DESIGN.md §8); sibling sub-algorithm calls share their phases
+// (DESIGN.md §3). It also pins the post batches and their entries as
+// the run hands them to its board: a flush holds one probe run per
+// player that probed, plus its topic posts and drops. The cluster
+// routes every key by shard position (DESIGN.md §12), so its
+// per-shard counts do not depend on the shards' ports. The counts are
+// the same under both codecs and at any parallelism; the outputs and
+// the servers' counters equal the in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
 	for _, tc := range []struct {
 		rc   meteredRun
 		want runCost
 	}{
-		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150}},
-		{solveRow, runCost{requests: 33, phases: 24, batches: 20, entries: 325}},
+		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150, perShard: []int64{9}}},
+		{solveRow, runCost{requests: 33, phases: 24, batches: 20, entries: 325, perShard: []int64{33}}},
+		{solveRow, runCost{requests: 52, phases: 24, batches: 20, entries: 325, perShard: []int64{26, 26}}},
 	} {
+		name := tc.rc.name
+		if shards := len(tc.want.perShard); shards > 1 {
+			name += fmt.Sprintf("-%dshards", shards)
+		}
 		local := billboard.New(tc.rc.in.N, tc.rc.in.M)
 		localEnv, localPhases := newMeteredEnv(tc.rc.in, local, 4)
 		wantOut := tc.rc.run(localEnv)
@@ -316,22 +359,28 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 		}
 		for _, codec := range []string{"json", "binary"} {
 			for _, par := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/par%d", tc.rc.name, codec, par), func(t *testing.T) {
-					board, run, stop := overMeter(tc.rc, codec, par)
+				t.Run(fmt.Sprintf("%s/%s/par%d", name, codec, par), func(t *testing.T) {
+					boards, run, stop := overMeter(tc.rc, len(tc.want.perShard), codec, par)
 					defer stop()
 					out, cost := run()
-					if cost != tc.want {
-						t.Errorf("%d HTTP requests in %d phases, %d post batches of %d entries; want %d in %d, %d of %d",
-							cost.requests, cost.phases, cost.batches, cost.entries,
-							tc.want.requests, tc.want.phases, tc.want.batches, tc.want.entries)
+					if !reflect.DeepEqual(cost, tc.want) {
+						t.Errorf("%d HTTP requests (by shard %v) in %d phases, %d post batches of %d entries; want %d (%v) in %d, %d of %d",
+							cost.requests, cost.perShard, cost.phases, cost.batches, cost.entries,
+							tc.want.requests, tc.want.perShard, tc.want.phases, tc.want.batches, tc.want.entries)
 					}
 					if out != wantOut {
 						t.Error("outputs differ from the in-process run")
 					}
-					if board.ProbeCount() != local.ProbeCount() || board.VectorPostCount() != local.VectorPostCount() || board.TopicCount() != local.TopicCount() {
+					var probes, posts int64
+					topics := 0
+					for _, b := range boards {
+						probes += b.ProbeCount()
+						posts += b.VectorPostCount()
+						topics += b.TopicCount()
+					}
+					if probes != local.ProbeCount() || posts != local.VectorPostCount() || topics != local.TopicCount() {
 						t.Errorf("server probes/posts/topics %d/%d/%d, in-process %d/%d/%d",
-							board.ProbeCount(), board.VectorPostCount(), board.TopicCount(),
-							local.ProbeCount(), local.VectorPostCount(), local.TopicCount())
+							probes, posts, topics, local.ProbeCount(), local.VectorPostCount(), local.TopicCount())
 					}
 				})
 			}
@@ -370,16 +419,25 @@ func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
 	}
 }
 
-// BenchmarkNetboardRunBatched measures both TestZeroRadiusRequestCount
-// runs against an HTTP billboard and reports the HTTP requests, the
+// BenchmarkNetboardRunBatched measures the TestZeroRadiusRequestCount
+// runs against HTTP billboards and reports the HTTP requests, the
 // phases and the post-batch entries each took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
-	for _, rc := range []meteredRun{zeroRadiusRow, solveRow} {
-		b.Run(rc.name, func(b *testing.B) {
+	for _, row := range []struct {
+		name   string
+		rc     meteredRun
+		shards int
+	}{
+		{"zeroradius", zeroRadiusRow, 1},
+		{"solve", solveRow, 1},
+		{"solve-2shards", solveRow, 2},
+	} {
+		rc := row.rc
+		b.Run(row.name, func(b *testing.B) {
 			var total runCost
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				_, run, stop := overMeter(rc, "", 4)
+				_, run, stop := overMeter(rc, row.shards, "", 4)
 				b.StartTimer()
 				_, cost := run()
 				b.StopTimer()

@@ -20,10 +20,10 @@ const (
 	tagBatchProbesPost
 	tagBatchLookupsReply
 	tagTopicSnapshotReply
-	tagTopicsReply
+	_ // reserved: the topic-name list of the retired GET /v1/topics
 	tagClearProbesPost
 	tagQuiesceReply
-	tagDropIfPost
+	_ // reserved: the conditional drop of the retired /v1/admin/drop-topic-if
 	tagStatsReply
 	tagPostBatch
 )
@@ -247,31 +247,6 @@ func (t *topicSnapshotReply) DecodeBinary(r *wire.Reader) {
 	t.ValueVotes = decodeValueVoteList(r)
 }
 
-func (*topicsReply) WireTag() byte { return tagTopicsReply }
-
-func (t *topicsReply) AppendBinary(dst []byte) []byte {
-	if t.Topics == nil {
-		return wire.AppendUint(dst, 0)
-	}
-	dst = wire.AppendUint(dst, uint64(len(t.Topics))+1)
-	for _, name := range t.Topics {
-		dst = wire.AppendString(dst, name)
-	}
-	return dst
-}
-
-func (t *topicsReply) DecodeBinary(r *wire.Reader) {
-	t.Topics = nil
-	n := r.Uint()
-	if n == 0 {
-		return
-	}
-	t.Topics = make([]string, 0, sliceCap(n-1, 1))
-	for i := uint64(0); i < n-1 && r.Err() == nil; i++ {
-		t.Topics = append(t.Topics, r.String())
-	}
-}
-
 func (*clearProbesPost) WireTag() byte { return tagClearProbesPost }
 
 func (c *clearProbesPost) AppendBinary(dst []byte) []byte {
@@ -289,20 +264,6 @@ func (*quiesceReply) WireTag() byte { return tagQuiesceReply }
 func (q *quiesceReply) AppendBinary(dst []byte) []byte { return wire.AppendBool(dst, q.Idle) }
 
 func (q *quiesceReply) DecodeBinary(r *wire.Reader) { q.Idle = r.Bool() }
-
-func (*dropIfPost) WireTag() byte { return tagDropIfPost }
-
-func (d *dropIfPost) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, d.Topic)
-	dst = wire.AppendUint(dst, uint64(d.Vectors))
-	return wire.AppendUint(dst, uint64(d.Values))
-}
-
-func (d *dropIfPost) DecodeBinary(r *wire.Reader) {
-	d.Topic = r.String()
-	d.Vectors = r.Int()
-	d.Values = r.Int()
-}
 
 func (*statsReply) WireTag() byte { return tagStatsReply }
 

@@ -139,8 +139,9 @@ type Options struct {
 	// BoardURL, if non-empty, runs against a remote billboard instead
 	// of an in-memory board: one base URL addresses a single server
 	// (cmd/billboard), and a comma-separated list of base URLs
-	// addresses a sharded cluster (cmd/billboard -shards), routed by
-	// consistent hashing (see DESIGN.md §12). netboard.FromSpec parses
+	// addresses a sharded cluster (cmd/billboard -shards), each key
+	// routed to the shard at its hash's position in the list (see
+	// DESIGN.md §12). netboard.FromSpec parses
 	// the spec, ignoring space around each URL. The simulation is
 	// deterministic either way; probe posts and vote reads travel over
 	// the batched wire protocol (see DESIGN.md §8).
