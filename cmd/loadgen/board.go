@@ -62,9 +62,11 @@ func resolveTarget(spec string, localShards, players, m int, codec string, reg *
 }
 
 // spawnLocalShards starts n loopback netboard servers and returns a
-// cluster client over them. Each shard serves its own board sized for
-// the whole fleet, but it writes only its own players' probe rows,
-// about 1/n of them: players are partitioned across the shards.
+// cluster client over them. Each shard serves its own board for the
+// whole fleet's player ids, but players are partitioned across the
+// shards and a board allocates a player's probe row on its first post,
+// so a shard holds rows for its own players only, about 1/n of them,
+// plus a 4-byte row index per fleet player.
 func spawnLocalShards(n, players, m int, codec string, reg *telemetry.Registry) (*boardTarget, error) {
 	urls := make([]string, n)
 	servers := make([]*http.Server, n)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -93,6 +94,10 @@ type BenchNetFile struct {
 
 	Verify *VerifyResult `json:"verify,omitempty"`
 	Serve  *ServeStats   `json:"serve,omitempty"`
+	// RSSPeakMB is the loadgen process's peak resident set (VmHWM),
+	// which with -local-shards includes every shard's board; omitted
+	// where /proc is absent.
+	RSSPeakMB float64 `json:"rss_peak_mb,omitempty"`
 }
 
 // buildRow computes one capacity-table row from a completed step: the
@@ -180,6 +185,29 @@ func printTable(w io.Writer, f *BenchNetFile) {
 			time.Duration(s.RecommendP99Ns).Round(time.Microsecond),
 			s.ChurnApplied, s.RecommendErrors)
 	}
+	if f.RSSPeakMB > 0 {
+		fmt.Fprintf(w, "rss peak: %.0f MB (VmHWM of this process)\n", f.RSSPeakMB)
+	}
+}
+
+// peakRSSMB reads VmHWM, the peak resident set, from a
+// /proc/<pid>/status file, in MB (MiB, as perfbench counts them); 0
+// when the file or the field is missing.
+func peakRSSMB(status string) float64 {
+	buf, err := os.ReadFile(status)
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), 64)
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // goVersion / gitCommit mirror benchdiff's header fields.

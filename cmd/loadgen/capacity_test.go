@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,14 +87,87 @@ func TestReduceRowsKeepsMedianRepetition(t *testing.T) {
 		row("json", 131*ms),
 	}
 	want := []CapacityRow{row("json", 69*ms), row("binary", 60*ms)}
-	if got := reduceRows(rows); !reflect.DeepEqual(got, want) {
+	codecs := []string{"json", "binary"}
+	if got := reduceRows(rows, codecs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reduceRows kept %+v, want %+v", got, want)
 	}
-	if got := maxSustained(reduceRows(rows)); got != 0 {
+	if got := maxSustained(reduceRows(rows, codecs)); got != 0 {
 		t.Fatalf("max sustained %v r/s, want none: most repetitions missed the SLO", got)
 	}
-	if got := reduceRows(rows[:1]); !reflect.DeepEqual(got, rows[:1]) {
+	if got := reduceRows(rows[:1], codecs); !reflect.DeepEqual(got, rows[:1]) {
 		t.Fatalf("one repetition reduced to %+v, want it unchanged", got)
+	}
+}
+
+// TestReduceRowsInLegOrder: rows come out grouped by the codec's
+// position in -codec, each codec's rates ascending, even when the
+// repetitions' ramps stop at different steps and so list a codec's
+// highest rate only after the other codec's rows.
+func TestReduceRowsInLegOrder(t *testing.T) {
+	row := func(codec string, rate float64, p99 int64) CapacityRow {
+		return CapacityRow{Codec: codec, TargetRate: rate, P99Ns: p99}
+	}
+	// Two repetitions of a json,binary sweep: the first json ramp stops
+	// at 8000, the binary ones and the second json ramp reach 16000.
+	rows := []CapacityRow{
+		row("json", 1000, 1), row("json", 2000, 1), row("json", 4000, 1), row("json", 8000, 9),
+		row("binary", 1000, 1), row("binary", 2000, 1), row("binary", 4000, 1), row("binary", 8000, 1), row("binary", 16000, 9),
+		row("json", 1000, 2), row("json", 2000, 2), row("json", 4000, 2), row("json", 8000, 2), row("json", 16000, 8),
+		row("binary", 1000, 2), row("binary", 2000, 2), row("binary", 4000, 2), row("binary", 8000, 2), row("binary", 16000, 7),
+	}
+	type leg struct {
+		codec string
+		rate  float64
+	}
+	order := func(rs []CapacityRow) []leg {
+		var out []leg
+		for _, r := range rs {
+			out = append(out, leg{r.Codec, r.TargetRate})
+		}
+		return out
+	}
+	jsonFirst := []leg{
+		{"json", 1000}, {"json", 2000}, {"json", 4000}, {"json", 8000}, {"json", 16000},
+		{"binary", 1000}, {"binary", 2000}, {"binary", 4000}, {"binary", 8000}, {"binary", 16000},
+	}
+	if got := order(reduceRows(slices.Clone(rows), []string{"json", "binary"})); !reflect.DeepEqual(got, jsonFirst) {
+		t.Fatalf("-codec json,binary rows in order %v, want %v", got, jsonFirst)
+	}
+	binaryFirst := append(slices.Clone(jsonFirst[5:]), jsonFirst[:5]...)
+	if got := order(reduceRows(slices.Clone(rows), []string{"binary", "json"})); !reflect.DeepEqual(got, binaryFirst) {
+		t.Fatalf("-codec binary,json rows in order %v, want %v", got, binaryFirst)
+	}
+	// The median repetition still stands: json 8000 read 9 and 2, so
+	// the upper median keeps 9.
+	for _, r := range reduceRows(slices.Clone(rows), []string{"json", "binary"}) {
+		if r.Codec == "json" && r.TargetRate == 8000 && r.P99Ns != 9 {
+			t.Fatalf("json 8000 kept p99 %d, want the upper median 9", r.P99Ns)
+		}
+	}
+}
+
+// TestPeakRSS: the artifact's rss_peak_mb is VmHWM in MB, and it is
+// left out where the status file cannot be read.
+func TestPeakRSS(t *testing.T) {
+	status := filepath.Join(t.TempDir(), "status")
+	if err := os.WriteFile(status, []byte("Name:\tloadgen\nVmPeak:\t 2000000 kB\nVmHWM:\t  123456 kB\nVmRSS:\t  100000 kB\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := peakRSSMB(status), 123456.0/1024; got != want {
+		t.Fatalf("peakRSSMB = %v, want %v", got, want)
+	}
+	if got := peakRSSMB(filepath.Join(t.TempDir(), "absent")); got != 0 {
+		t.Fatalf("peakRSSMB of a missing file = %v, want 0", got)
+	}
+	buf, err := json.Marshal(&BenchNetFile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(buf), "rss_peak_mb") {
+		t.Fatalf("an artifact without a peak RSS still names it: %s", buf)
+	}
+	if _, err := os.Stat("/proc/self/status"); err == nil && peakRSSMB("/proc/self/status") <= 0 {
+		t.Fatal("no VmHWM read from /proc/self/status")
 	}
 }
 

@@ -205,10 +205,12 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 		for i, codec := range codecs {
 			if rep > 0 || i > 0 {
 				// Level the heap between legs: the previous leg's shard
-				// boards (gigabytes at a million players) are dead but
-				// uncollected, and on small machines their collection
-				// would otherwise land in the next leg's tail latency —
-				// leg order must not color the codec comparison.
+				// boards (a 4-byte row index per player and a probe row
+				// per posting player, up to about 150 MB at a million
+				// players × 512 objects) are dead but uncollected, and on
+				// small machines their collection would otherwise land in
+				// the next leg's tail latency — leg order must not color
+				// the codec comparison.
 				runtime.GC()
 				debug.FreeOSMemory()
 			}
@@ -228,9 +230,10 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 			}
 		}
 	}
-	file.Rows = reduceRows(file.Rows)
+	file.Rows = reduceRows(file.Rows, codecs)
 	file.MaxSustainedRate = maxSustained(file.Rows)
 	file.Verify = total
+	file.RSSPeakMB = peakRSSMB("/proc/self/status")
 
 	if plane != nil {
 		s := plane.stop()
@@ -240,12 +243,14 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 }
 
 // reduceRows keeps, for each (codec, target rate), the repetition with
-// the median p99 (the upper median of an even count), preserving
-// first-appearance order. A rate's row is then sustained only if most
-// of its repetitions kept p99 within the SLO: the minimum would call a
-// rate sustained on one lucky repetition. With a single repetition it
-// is the identity.
-func reduceRows(rows []CapacityRow) []CapacityRow {
+// the median p99 (the upper median of an even count), in leg order: by
+// the codec's position in codecs, then by ascending rate. A rate's row
+// is then sustained only if most of its repetitions kept p99 within the
+// SLO: the minimum would call a rate sustained on one lucky
+// repetition. Leg order keeps each codec's rows together even when the
+// repetitions' ramps stop at different steps. A single repetition of a
+// single codec at ascending rates comes back unchanged.
+func reduceRows(rows []CapacityRow, codecs []string) []CapacityRow {
 	type key struct {
 		codec string
 		rate  float64
@@ -259,6 +264,9 @@ func reduceRows(rows []CapacityRow) []CapacityRow {
 		}
 		reps[k] = append(reps[k], r)
 	}
+	slices.SortFunc(order, func(a, b key) int {
+		return cmp.Or(cmp.Compare(slices.Index(codecs, a.codec), slices.Index(codecs, b.codec)), cmp.Compare(a.rate, b.rate))
+	})
 	out := make([]CapacityRow, 0, len(order))
 	for _, k := range order {
 		rs := reps[k]

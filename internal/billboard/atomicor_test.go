@@ -8,12 +8,14 @@ import (
 	"testing"
 )
 
-// TestAtomicOrResultStaysUnused guards the PostProbe workaround for a
-// go1.24.0 code generation bug: atomic Or-with-result is miscompiled on
-// amd64, so billboard.go must only ever use .Or(...) as a bare
-// statement (plain LOCK OR), never consume its return value. This test
+// TestAtomicOrResultStaysUnused guards the postBit and ClearProbes
+// workarounds for a go1.24.0 code generation bug: atomic Or- and
+// And-with-result are miscompiled on amd64 (the LOCK CMPXCHG loop can
+// overwrite a register that still holds a live value), so billboard.go
+// must only ever use .Or(...) and .And(...) as bare statements (plain
+// LOCK OR / LOCK AND), never consume their return values. This test
 // parses the source so a refactor that starts reading the result —
-// e.g. `if old := s.known[w].Or(mask); old&mask != 0` — fails loudly
+// e.g. `if old := known[w].And(^mask); old&mask != 0` — fails loudly
 // instead of reintroducing the miscompile.
 func TestAtomicOrResultStaysUnused(t *testing.T) {
 	fset := token.NewFileSet()
@@ -21,35 +23,40 @@ func TestAtomicOrResultStaysUnused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing billboard.go: %v", err)
 	}
-	// Collect every .Or(...) call, and separately those appearing as a
-	// bare expression statement. Any call outside that set has its
-	// result consumed.
-	orCalls := map[*ast.CallExpr]bool{}
+	// Collect every .Or(...) and .And(...) call, and separately those
+	// appearing as a bare expression statement. Any call outside that
+	// set has its result consumed.
+	calls := map[*ast.CallExpr]bool{}
+	found := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Or" {
-				orCalls[call] = false
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Or" || sel.Sel.Name == "And") {
+				calls[call] = false
+				found[sel.Sel.Name] = true
 			}
 		}
 		return true
 	})
-	if len(orCalls) == 0 {
-		t.Fatal("no .Or( calls found in billboard.go; if the probe store no longer uses atomic Or, delete this guard")
+	for _, op := range []string{"Or", "And"} {
+		if !found[op] {
+			t.Fatalf("no .%s( calls found in billboard.go; if the probe planes no longer use atomic %s, drop it from this guard", op, op)
+		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if stmt, ok := n.(*ast.ExprStmt); ok {
 			if call, ok := stmt.X.(*ast.CallExpr); ok {
-				if _, tracked := orCalls[call]; tracked {
-					orCalls[call] = true
+				if _, tracked := calls[call]; tracked {
+					calls[call] = true
 				}
 			}
 		}
 		return true
 	})
-	for call, bare := range orCalls {
+	for call, bare := range calls {
 		if !bare {
 			pos := fset.Position(call.Pos())
-			t.Errorf("%s: .Or(...) result is consumed; keep it a bare statement (go1.24.0 miscompiles Or-with-result on amd64, see PostProbe)", pos)
+			t.Errorf("%s: atomic %s result is consumed; keep it a bare statement (go1.24.0 miscompiles Or/And-with-result on amd64, see postBit and ClearProbes)",
+				pos, call.Fun.(*ast.SelectorExpr).Sel.Name)
 		}
 	}
 }

@@ -93,3 +93,27 @@ func BenchmarkPostValues(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPostProbes is a fleet shard's apply: one 64-object probe
+// round to a player that has not posted yet, on a 1M × 512 board, so
+// every iteration takes a first post and, every 512th, a fresh chunk
+// of rows. A new board replaces a full one, off the clock.
+func BenchmarkPostProbes(b *testing.B) {
+	const n, m, batch = 1 << 20, 512, 64
+	objs := make([]int, batch)
+	grades := make([]byte, batch)
+	for k := range objs {
+		objs[k] = k
+		grades[k] = byte(k & 1)
+	}
+	var bd *Board
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			bd = New(n, m)
+			b.StartTimer()
+		}
+		bd.PostProbes(i%n, objs, grades)
+	}
+}

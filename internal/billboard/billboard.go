@@ -11,17 +11,20 @@
 // The board is safe for concurrent use: n player goroutines post and
 // read simultaneously during each simulated phase.
 //
-// Probe results live in dense per-player shards: a packed value plane
+// Probe results live in dense per-player rows: a packed value plane
 // and a packed known plane of m bits each (the model's grades are
 // binary; non-zero grades are stored as 1). A post sets the value bit
 // before publishing the known bit, and both planes are accessed with
-// atomic word operations, so shards need no lock at all: the atomic
+// atomic word operations, so rows need no lock at all: the atomic
 // publish of the known bit is the happens-before edge a concurrent
 // reader needs, and the model guarantees a player's probe results are
 // written only by that player's goroutine. First post wins; duplicate
-// posts of the same (player, object) pair are no-ops. The cost is Θ(m)
-// bits per player up front instead of a sparse map that grows with the
-// number of probes — see DESIGN.md for the trade-off threshold.
+// posts of the same (player, object) pair are no-ops. A player gets its
+// row on its first post, so the board costs a 4-byte row index per
+// player plus 2·m/8 bytes per player that has posted, allocated in
+// chunks of about 64 KiB; a player with no row reads as never probed.
+// Only a first post takes a lock. See DESIGN.md for the trade-off
+// against a sparse map.
 //
 // Topic postings use a two-level lock (board map, then per-topic). Each
 // topic carries an epoch counter, bumped under the topic lock on every
@@ -104,7 +107,20 @@ type Interface interface {
 type Board struct {
 	n, m int
 
-	probeShards []probeShard
+	// Probe rows, handed out on each player's first post. rows[p] is
+	// p's row number plus one (0: p has never posted). Row r lives in
+	// chunks[r>>chunkShift] at offset (r&chunkMask)·2·words: words
+	// words of value plane, then words words of known plane. A chunk
+	// is stored, under rowMu, before the first row index that points
+	// into it, and readers reach a chunk only through an index they
+	// loaded atomically: that index's atomic store publishes the chunk.
+	rows       []atomic.Uint32
+	chunks     [][]atomic.Uint64
+	words      int
+	chunkShift uint32
+	chunkMask  uint32
+	rowMu      sync.Mutex // taken only by a first post
+	nrows      int        // rows handed out, guarded by rowMu
 
 	mu     sync.RWMutex
 	topics map[string]*topic
@@ -361,16 +377,6 @@ func (b *Board) topicStatTotals() topicStats {
 	return tot
 }
 
-// probeShard is one player's probe results as two packed bit planes.
-// known[o] publishes that object o was probed; val[o] holds the grade.
-// The value bit is set before the known bit, so any reader that
-// observes known also observes the grade (atomic operations order the
-// two stores).
-type probeShard struct {
-	val   []atomic.Uint64
-	known []atomic.Uint64
-}
-
 // topic holds one topic's postings plus its lazily cached vote tallies.
 // epoch counts mutations; votesAt/valVotesAt record the epoch at which
 // the corresponding cached tally was computed (^0 = never). gen is a
@@ -469,20 +475,79 @@ type Vote struct {
 	Voters []int
 }
 
-// New returns an empty board for n players and m objects.
+// probeChunkBytes is the size a chunk of probe rows aims at: small
+// enough that a shard writing a few of a large fleet's players holds
+// little beyond their rows, large enough that first posts rarely
+// allocate.
+const probeChunkBytes = 64 << 10
+
+// New returns an empty board for n players and m objects. It allocates
+// the row index, not the rows: a player's row comes with its first
+// post.
 func New(n, m int) *Board {
 	words := (m + 63) / 64
-	planes := make([]atomic.Uint64, 2*n*words)
-	b := &Board{
+	// The largest power-of-two row count that fits the chunk size (at
+	// least one row) and n.
+	shift := uint(0)
+	for 2<<shift*words*16 <= probeChunkBytes && 2<<shift <= n {
+		shift++
+	}
+	per := 1 << shift
+	return &Board{
 		n: n, m: m,
-		probeShards: make([]probeShard, n),
-		topics:      make(map[string]*topic),
+		rows:       make([]atomic.Uint32, n),
+		chunks:     make([][]atomic.Uint64, (n+per-1)/per),
+		words:      words,
+		chunkShift: uint32(shift),
+		chunkMask:  uint32(per - 1),
+		topics:     make(map[string]*topic),
 	}
-	for i := range b.probeShards {
-		b.probeShards[i].val = planes[2*i*words : (2*i+1)*words]
-		b.probeShards[i].known = planes[(2*i+1)*words : (2*i+2)*words]
+}
+
+// row returns the chunk that holds p's probe row and the index of the
+// row's first word in it, or a nil chunk when p has never posted. The
+// row is words words of value plane, then words words of known plane.
+// It must stay inlinable: LookupProbe and PostProbe call it once per
+// probe, and handing back an index rather than two slices keeps their
+// cost near a plain slice lookup.
+func (b *Board) row(p int) ([]atomic.Uint64, int) {
+	r := b.rows[p].Load()
+	if r == 0 {
+		return nil, 0
 	}
-	return b
+	r--
+	c := b.chunks[r>>(b.chunkShift&31)] // &31 spares a guard for shifts ≥ 32
+	return c, int(r&b.chunkMask) * 2 * b.words
+}
+
+// planes returns p's value and known planes, both nil when p has never
+// posted.
+func (b *Board) planes(p int) (val, known []atomic.Uint64) {
+	c, at := b.row(p)
+	if c == nil {
+		return nil, nil
+	}
+	return c[at : at+b.words], c[at+b.words : at+2*b.words]
+}
+
+// newRow gives p its probe row on p's first post and returns it as row
+// does. The index is checked again under the lock, so two requests
+// first-posting one player create one row.
+func (b *Board) newRow(p int) ([]atomic.Uint64, int) {
+	b.rowMu.Lock()
+	defer b.rowMu.Unlock()
+	if c, at := b.row(p); c != nil {
+		return c, at
+	}
+	r := b.nrows
+	if c := r >> b.chunkShift; b.chunks[c] == nil {
+		// The last chunk holds only the rows left below n.
+		rows := min(int(b.chunkMask)+1, b.n-r)
+		b.chunks[c] = make([]atomic.Uint64, rows*2*b.words)
+	}
+	b.nrows++
+	b.rows[p].Store(uint32(r + 1))
+	return b.row(p)
 }
 
 // N returns the number of players the board was created for.
@@ -495,33 +560,59 @@ func (b *Board) M() int { return b.m }
 // Grades are binary; a non-zero val is stored as 1. The first post for
 // a (player, object) pair wins; duplicates are no-ops.
 func (b *Board) PostProbe(p, o int, val byte) {
-	s := &b.probeShards[p]
+	c, at := b.row(p)
+	if c == nil {
+		c, at = b.newRow(p)
+	}
+	if postBit(c, at, b.words, o, val) {
+		b.probePosts.Add(1)
+	}
+}
+
+// postBit posts one grade into the row at c[at:] (planes of words
+// words) and reports whether it was new. The duplicate check is
+// authoritative: probe results for a player are posted only from its
+// goroutine (single-writer contract), so no other writer can set the
+// known bit between the Load and the Or. The Or's return value is
+// deliberately unused — consuming it makes the compiler emit a CMPXCHG
+// loop instead of a plain LOCK OR.
+func postBit(c []atomic.Uint64, at, words, o int, grade byte) bool {
 	mask := uint64(1) << (uint(o) & 63)
 	w := o >> 6
-	if s.known[w].Load()&mask != 0 {
-		return // duplicate
+	if uint(w) >= uint(words) {
+		panic("billboard: object out of range") // not another row's word
 	}
-	if val != 0 {
-		s.val[w].Or(mask)
+	known := &c[at+words+w]
+	if known.Load()&mask != 0 {
+		return false // duplicate
 	}
-	// The duplicate check above is authoritative: probe results for p are
-	// posted only from p's goroutine (single-writer contract), so no other
-	// writer can set the known bit between the Load and the Or. The Or's
-	// return value is deliberately unused — consuming it makes the
-	// compiler emit a CMPXCHG loop instead of a plain LOCK OR.
-	s.known[w].Or(mask)
-	b.probePosts.Add(1)
+	if grade != 0 {
+		c[at+w].Or(mask)
+	}
+	known.Or(mask)
+	return true
 }
 
 // LookupProbe returns player p's posted grade for object o, if posted.
 func (b *Board) LookupProbe(p, o int) (byte, bool) {
-	s := &b.probeShards[p]
-	mask := uint64(1) << (uint(o) & 63)
-	w := o >> 6
-	if s.known[w].Load()&mask == 0 {
+	c, at := b.row(p)
+	if c == nil {
 		return 0, false
 	}
-	if s.val[w].Load()&mask != 0 {
+	return lookupBit(c, at, b.words, o)
+}
+
+// lookupBit reads one grade from the row at c[at:], as postBit posts it.
+func lookupBit(c []atomic.Uint64, at, words, o int) (byte, bool) {
+	mask := uint64(1) << (uint(o) & 63)
+	w := o >> 6
+	if uint(w) >= uint(words) {
+		panic("billboard: object out of range")
+	}
+	if c[at+words+w].Load()&mask == 0 {
+		return 0, false
+	}
+	if c[at+w].Load()&mask != 0 {
 		return 1, true
 	}
 	return 0, true
@@ -531,13 +622,13 @@ func (b *Board) LookupProbe(p, o int) (byte, bool) {
 // ascending object order. It performs no allocation; fn must not post
 // probes for p reentrantly.
 func (b *Board) ForEachProbe(p int, fn func(o int, grade byte)) {
-	s := &b.probeShards[p]
-	for w := range s.known {
-		k := s.known[w].Load()
+	val, known := b.planes(p)
+	for w := range known {
+		k := known[w].Load()
 		if k == 0 {
 			continue
 		}
-		v := s.val[w].Load()
+		v := val[w].Load()
 		base := w << 6
 		for k != 0 {
 			tz := bits.TrailingZeros64(k)
@@ -552,22 +643,26 @@ func (b *Board) ForEachProbe(p int, fn func(o int, grade byte)) {
 // ProbeTally tallies the probe planes column-wise: ones[o] counts the
 // players whose posted grade for object o is 1 and total[o] the players
 // with any posted grade for o, for every o < M(). ones and total are
-// reused when they have capacity (pass nil to allocate). The shards are
+// reused when they have capacity (pass nil to allocate). The rows are
 // fed straight into a bit-plane set, so the tally runs word-parallel
-// instead of bit-by-bit per player; the value plane is masked with the
-// known plane so a concurrent half-published post (value bit stored,
-// known bit not yet) never counts.
+// instead of bit-by-bit per player; players with no row add nothing and
+// are skipped. The value plane is masked with the known plane so a
+// concurrent half-published post (value bit stored, known bit not yet)
+// never counts.
 func (b *Board) ProbeTally(ones, total []int) ([]int, []int) {
 	ps := bitvec.NewPlaneSet(b.m)
-	w := bitvec.WordsFor(b.m)
+	w := b.words
 	row := make([]uint64, 2*w)
 	vr, kr := row[:w], row[w:]
-	for p := range b.probeShards {
-		s := &b.probeShards[p]
+	for p := range b.rows {
+		val, known := b.planes(p)
+		if known == nil {
+			continue
+		}
 		for i := range kr {
-			k := s.known[i].Load()
+			k := known[i].Load()
 			kr[i] = k
-			vr[i] = s.val[i].Load() & k
+			vr[i] = val[i].Load() & k
 		}
 		ps.AddBits(vr, kr)
 	}
@@ -583,19 +678,41 @@ func (b *Board) ProbedObjects(p int) map[int]byte {
 }
 
 // PostProbes records a batch of probe results for player p; see
-// Interface. On the in-memory board a batch is just a loop — the point
-// of the batch entry is that netboard ships it as one request.
+// Interface. It resolves p's row and charges ProbeCount once per batch;
+// the point of the batch entry is that netboard ships it as one
+// request. An empty batch gives p no row.
 func (b *Board) PostProbes(p int, objs []int, grades []byte) {
+	if len(objs) == 0 {
+		return
+	}
+	c, at := b.row(p)
+	if c == nil {
+		c, at = b.newRow(p)
+	}
+	var posted int64
 	for k, o := range objs {
-		b.PostProbe(p, o, grades[k])
+		if postBit(c, at, b.words, o, grades[k]) {
+			posted++
+		}
+	}
+	if posted > 0 {
+		// Skipped for an all-duplicate batch: the counter is one cache
+		// line every posting goroutine writes.
+		b.probePosts.Add(posted)
 	}
 }
 
 // LookupProbes fills grades/known with p's posted results for objs;
 // see Interface.
 func (b *Board) LookupProbes(p int, objs []int, grades []byte, known []bool) {
+	c, at := b.row(p)
+	if c == nil {
+		clear(grades[:len(objs)])
+		clear(known[:len(objs)])
+		return
+	}
 	for k, o := range objs {
-		grades[k], known[k] = b.LookupProbe(p, o)
+		grades[k], known[k] = lookupBit(c, at, b.words, o)
 	}
 }
 
@@ -823,17 +940,31 @@ func (b *Board) TopicCount() int {
 // player's slot with it at an epoch boundary, before the slot's next
 // holder posts. It must not race with p posting probes. The known bit
 // is cleared before the value bit, so a concurrent reader never
-// observes a half-cleared grade as posted.
+// observes a half-cleared grade as posted. A player with no row has
+// nothing to clear, and keeps no row; a cleared row stays p's.
 func (b *Board) ClearProbes(p int, objs []int) {
-	s := &b.probeShards[p]
+	val, known := b.planes(p)
+	if known == nil {
+		return
+	}
 	var cleared int64
 	for _, o := range objs {
 		mask := uint64(1) << (uint(o) & 63)
 		w := o >> 6
-		if old := s.known[w].And(^mask); old&mask != 0 {
-			cleared++
+		// A compare-and-swap loop rather than And's result, which
+		// go1.24.0 miscompiles on amd64 as it does Or's (see postBit):
+		// exactly one of two concurrent clears counts a bit.
+		for {
+			old := known[w].Load()
+			if old&mask == 0 {
+				break
+			}
+			if known[w].CompareAndSwap(old, old&^mask) {
+				cleared++
+				break
+			}
 		}
-		s.val[w].And(^mask)
+		val[w].And(^mask)
 	}
 	if cleared > 0 {
 		b.probePosts.Add(-cleared)

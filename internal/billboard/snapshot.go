@@ -71,7 +71,8 @@ func (b *Board) Snapshot(w io.Writer) error {
 	return json.NewEncoder(w).Encode(doc)
 }
 
-// Restore builds a Board from a Snapshot.
+// Restore builds a Board from a Snapshot. Only the players whose probes
+// it replays get probe rows.
 func Restore(r io.Reader) (*Board, error) {
 	var doc snapshotJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
