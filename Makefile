@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-core bench-core-ab bench-wire bench-loadgen
+.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-core bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
@@ -112,27 +112,15 @@ bench:
 bench-net:
 	$(GO) run ./cmd/benchdiff -suite netboard -count 3
 
-# BENCH_5.json: the bit-plane tally engine and arena scratch reuse —
-# E1/E8 end to end plus the billboard tally microbenchmarks, compared
-# against the pre-rewrite BENCH_4 baseline. Fails (exit 1) if an E8
-# benchmark regresses more than 10% over the baseline. The gate is
-# scoped to E8 because BENCH_4's wall-clock numbers were recorded under
-# that session's machine speed: E8's rewrite headroom (>2×) absorbs any
-# plausible drift, while gating E1 (a ~1.2× win) against stale numbers
-# would fail spuriously whenever the box runs slower than it did then.
-# For a drift-immune comparison, benchmark the baseline *code* in the
-# same window instead: make bench-core-ab REF=<pre-rewrite commit>.
-bench-core:
-	$(GO) run ./cmd/benchdiff -suite core -count 5 -interleave -baseline BENCH_4.json -fail-regress 10 -fail-bench 'E8Main'
-
-# Same suite, but measured A/B against the code at REF (default HEAD:
-# working tree vs last commit) in alternating runs within one
-# wall-clock window — machine-speed drift cancels out, so any benchmark
-# may be gated, not just the high-headroom ones. Point REF at an older
-# commit (e.g. the one recorded in a BENCH_N.json) to re-measure a
-# whole PR's effect on today's machine.
+# The core suite — E1/E8 end to end plus the billboard tally and
+# posting microbenchmarks — measured A/B against the code at REF
+# (default HEAD: working tree vs last commit) in alternating runs
+# within one wall-clock window, so machine-speed drift cancels out.
+# Fails (exit 1) if any benchmark is more than 10% slower than at REF.
+# Writes BENCH_5.json unless -out says otherwise; BENCH_4.json and the
+# committed BENCH_5.json are history.
 REF ?= HEAD
-bench-core-ab:
+bench-core:
 	$(GO) run ./cmd/benchdiff -suite core -count 5 -ref "$(REF)" -fail-regress 10
 
 # BENCH_WIRE.json: the wire-codec microbenchmarks — encode/decode of

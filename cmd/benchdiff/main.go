@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,9 +53,9 @@ var suites = map[string]struct {
 	// over HTTP, reporting requests/op.
 	"netboard": {pkg: "./internal/netboard", bench: "NetboardRun|HTTP", out: "BENCH_2.json"},
 	// The core-engine suite: E1/E8 end to end plus the billboard tally
-	// microbenchmarks behind them. Run with -baseline BENCH_4.json to
-	// track the bit-plane/arena rewrite; `make bench-core` adds
-	// -fail-regress 10 so a >10% E1/E8 slowdown fails the build.
+	// and posting microbenchmarks behind them. `make bench-core` runs it
+	// with -ref against a git rev and -fail-regress 10, so any benchmark
+	// more than 10% slower than at the rev fails the build.
 	"core": {pkg: ".,./internal/billboard", bench: "E1ZeroRadius|E8Main|VotesLargeTopic|PopularVectors|PostValues", out: "BENCH_5.json"},
 	// The wire-codec suite: encode/decode microbenchmarks of the two hot
 	// message shapes (topic snapshot, probe batch) under the JSON and
@@ -106,7 +105,6 @@ func main() {
 		baseline = flag.String("baseline", "", "prior benchdiff JSON or raw benchmark log to compare against")
 		inter    = flag.Bool("interleave", false, "run go test -count times with -count=1 instead of once with -count=N: each benchmark's samples then spread across the whole wall-clock window, so slow machine drift hits every benchmark equally (use when benchmarks are compared against each other, as in the core suite)")
 		failPct  = flag.Float64("fail-regress", 0, "exit nonzero when any benchmark present in the baseline is more than this percent slower (ns/op) than the baseline; 0 disables the gate")
-		failRe   = flag.String("fail-bench", "", "restrict the -fail-regress gate to benchmarks matching this regexp; wall-clock numbers in a saved baseline were recorded under that machine's speed, so gate only the benchmarks whose budget has headroom for drift (or use -ref, which is drift-immune)")
 		ref      = flag.String("ref", "", "git rev to benchmark as the baseline in the same wall-clock window: the rev is checked out into a temporary worktree and its runs alternate with the current tree's, so the comparison (and -fail-regress) is immune to machine-speed drift; implies -interleave and overrides -baseline")
 	)
 	flag.Parse()
@@ -182,12 +180,8 @@ func main() {
 
 	comps := write(*out, cmdline, refCommit, sums, baseSums)
 	if *failPct > 0 {
-		gate := regexp.MustCompile(*failRe) // "" matches everything
 		failed := false
 		for _, c := range comps {
-			if !gate.MatchString(c.Name) {
-				continue
-			}
 			if c.BaseNsPerOp > 0 && c.NsPerOp > c.BaseNsPerOp*(1+*failPct/100) {
 				fmt.Fprintf(os.Stderr, "REGRESSION: %s %.0f -> %.0f ns/op (more than %.0f%% slower than baseline)\n",
 					c.Name, c.BaseNsPerOp, c.NsPerOp, *failPct)

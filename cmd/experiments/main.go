@@ -189,9 +189,8 @@ func costBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 }
 
 // tallyBreakdown summarizes the billboard's tally-cache behaviour for
-// one experiment: epoch-cache hits vs rebuilds, the hit rate, total and
-// mean rebuild wall time, and how many rebuilds took the parallel
-// grouping path (nil when the board posted nothing).
+// one experiment: epoch-cache hits vs rebuilds, the hit rate, and total
+// and mean rebuild wall time (nil when the board posted nothing).
 func tallyBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 	snap := reg.Snapshot()
 	hits := snap.Counters["billboard.tally.cache_hits"]
@@ -200,7 +199,6 @@ func tallyBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 		return nil
 	}
 	rebuildNs := snap.Counters["billboard.tally.rebuild_ns"]
-	par := snap.Counters["billboard.tally.par_rebuilds"]
 	meanNs := int64(0)
 	if rebuilds > 0 {
 		meanNs = rebuildNs / rebuilds
@@ -208,13 +206,12 @@ func tallyBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 	t := &metrics.Table{
 		Title:  fmt.Sprintf("%s billboard tally cache (all seeds and configurations)", id),
 		Note:   "epoch-cache effectiveness and rebuild cost of the vote tallies",
-		Header: []string{"hits", "rebuilds", "hit rate", "rebuild wall", "wall/rebuild", "parallel rebuilds"},
+		Header: []string{"hits", "rebuilds", "hit rate", "rebuild wall", "wall/rebuild"},
 	}
 	t.AddRow(hits, rebuilds,
 		fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+rebuilds)),
 		time.Duration(rebuildNs).Round(time.Microsecond),
-		time.Duration(meanNs).Round(time.Microsecond),
-		par)
+		time.Duration(meanNs).Round(time.Microsecond))
 	return t
 }
 

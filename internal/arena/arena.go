@@ -18,7 +18,10 @@
 // arena-backed slice to another goroutine is safe only within the
 // phase-barrier discipline the simulator already enforces (the
 // coordinator allocates before the phase, workers write disjoint rows,
-// the barrier publishes the writes back).
+// the barrier publishes the writes back). A billboard topic owns a
+// third kind: a write-once slab, never marked or released, that backs
+// the topic's value postings under the topic lock and goes to the
+// garbage collector with the topic.
 //
 // Escapes are forbidden: a slice obtained after a Mark must not be
 // reachable after the matching Release — the memory is recycled and
@@ -34,34 +37,6 @@ type Slab[T any] struct {
 	block    int   // index of the block currently allocated from
 	off      int   // used prefix of blocks[block]
 	maxBlock int   // doubling cap in elements; 0 = unlimited
-	src      BlockSource[T]
-}
-
-// BlockSource supplies recycled backing blocks to a Slab (see
-// SetSource). NextBlock either returns a block of at least min elements
-// — stale contents are fine, the slab treats the whole block as dirty —
-// or nil to let the slab allocate fresh.
-type BlockSource[T any] interface {
-	NextBlock(min int) []T
-}
-
-// SetSource installs src as the slab's preferred block supplier: when a
-// carve needs a new block, src is consulted before allocating. Pair
-// with TakeBlocks on retiring slabs to recycle block memory across
-// short-lived slabs of similar footprint.
-func (s *Slab[T]) SetSource(src BlockSource[T]) { s.src = src }
-
-// TakeBlocks detaches and returns the slab's backing blocks, resetting
-// the slab to empty (its source and caps are kept). Every slice ever
-// carved from the slab aliases the returned blocks, so the caller must
-// guarantee no such slice is still read before handing the blocks to a
-// new owner.
-func (s *Slab[T]) TakeBlocks() [][]T {
-	b := s.blocks
-	s.blocks = nil
-	s.dirty = s.dirty[:0]
-	s.block, s.off = 0, 0
-	return b
 }
 
 // minBlock is the element count of the first block (later blocks double).
@@ -94,16 +69,6 @@ func (s *Slab[T]) carve(n int) []T {
 			s.block++
 			s.off = 0
 			continue
-		}
-		if s.src != nil {
-			if blk := s.src.NextBlock(n); blk != nil {
-				// Recycled block: contents are stale, so the whole block
-				// sits below the dirty watermark and Make re-clears what
-				// it carves.
-				s.blocks = append(s.blocks, blk)
-				s.dirty = append(s.dirty, len(blk))
-				continue
-			}
 		}
 		size := minBlock
 		if last := len(s.blocks); last > 0 {

@@ -9,8 +9,7 @@ import (
 )
 
 // Tally-engine microbenchmarks: rebuild cost as a function of topic
-// size, across the serial and parallel grouping paths. These feed the
-// `core` benchdiff suite (make bench-core).
+// size. These feed the `core` benchdiff suite (make bench-core).
 
 func benchPostings(n int) []Posting {
 	r := rng.New(42)
@@ -33,22 +32,14 @@ func benchPostings(n int) []Posting {
 func BenchmarkVotesLargeTopic(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		postings := benchPostings(n)
-		for _, workers := range []int{1, 4} {
-			if workers > 1 && n < tallyParallelThreshold {
-				continue
-			}
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				old := tallyWorkersOverride
-				tallyWorkersOverride = workers
-				defer func() { tallyWorkersOverride = old }()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if v := tallyVotes(postings); len(v) == 0 {
-						b.Fatal("empty tally")
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if v := tallyVotes(postings); len(v) == 0 {
+					b.Fatal("empty tally")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -31,8 +31,12 @@
 // post, and lazily caches its vote tally at a given epoch: Votes,
 // ValueVotes and PopularVectors return the cached tally while the epoch
 // is unchanged, so the n identical per-phase tallies of ZeroRadius and
-// SmallRadius cost one tally instead of n. Cached tallies are immutable;
-// callers must not modify the returned slices or the vectors inside.
+// SmallRadius cost one tally instead of n. A rebuild is one serial
+// grouping pass over the topic's postings. Cached tallies are
+// immutable; callers must not modify the returned slices or the
+// vectors inside. Tallies and posting snapshots stay valid after their
+// topic is dropped: a drop leaves the topic's storage to the garbage
+// collector, and nothing reuses it.
 package billboard
 
 import (
@@ -136,145 +140,7 @@ type Board struct {
 	vectorPosts atomic.Int64
 	topicGen    atomic.Uint64
 
-	// valPool recycles value-posting storage across dropped topics; its
-	// own leaf lock keeps it acquirable from under mu and topic locks.
-	valPool valPool
-
 	tel boardTelemetry
-}
-
-// valPool recycles the storage behind a dropped topic's value postings —
-// the valSlab backing blocks and the []ValuePosting array — into the
-// next topics created on the board. The recursive algorithms churn
-// through thousands of short-lived topics per run with one posting
-// burst each; without recycling, that storage is the board's dominant
-// allocation and GC-pressure source.
-//
-// Only the value side is recycled. Vector postings (and their Votes
-// tallies) may legitimately be retained by callers across a DropTopic —
-// Refresh tallies a topic and drops it before consuming the votes — so
-// their storage is left to the garbage collector. Value-side snapshots
-// (ValuePostings, ValueVotes) must not be read after their topic is
-// dropped: the memory is reused, in keeping with DropTopic's "phases
-// that are complete" contract.
-//
-// The pool is bounded (element counts below); beyond the caps, retiring
-// storage falls through to the GC as before.
-// Both sides are bucketed by floor-log2 size class: bucket c holds
-// entries of size [2^c, 2^(c+1)), so a request of min elements is
-// satisfied by any entry in bucket ceil-log2(min) or above, found in
-// O(#buckets). When min is not a power of two, bucket floor-log2(min)
-// may hold entries that fit too — an exact-fit array retired by a
-// topic of the same size lands there — so its most recent entries are
-// checked first. Plain LIFO with a shallow scan was tried first and
-// missed ~2/3 of requests once big and tiny blocks interleaved.
-type valPool struct {
-	mu      sync.Mutex
-	blocks  [32][][]uint32 // retired valSlab blocks, LIFO per class
-	blockEl int            // total elements across blocks
-	arrays  [32][][]ValuePosting
-	arrayEl int // total capacity across arrays
-}
-
-const (
-	valPoolMaxBlockEl = 1 << 21 // 8 MiB of uint32 block storage
-	valPoolMaxArrayEl = 1 << 17 // ~4 MiB of ValuePosting array storage
-)
-
-// valPoolClass returns the bucket whose every entry has size ≥ n (for
-// taking); put files an entry of size n under bits.Len(n)-1 so entries
-// land where that holds.
-func valPoolClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// valPoolFitScan is how many of the most recent entries of bucket
-// floor-log2(min) a take checks for one of size ≥ min.
-const valPoolFitScan = 8
-
-// poolTake removes and returns an entry of size ≥ min from buckets, or
-// nil. size is the entry's usable size (length for blocks, capacity
-// for arrays). Caller holds the pool lock.
-func poolTake[T any](buckets *[32][][]T, min int, size func([]T) int) []T {
-	lo := valPoolClass(min)
-	if c := bits.Len(uint(min)) - 1; c >= 0 && c < lo {
-		bucket := buckets[c]
-		for i := len(bucket) - 1; i >= 0 && i >= len(bucket)-valPoolFitScan; i-- {
-			if e := bucket[i]; size(e) >= min {
-				last := len(bucket) - 1
-				bucket[i], bucket[last] = bucket[last], nil
-				buckets[c] = bucket[:last]
-				return e
-			}
-		}
-	}
-	for c := lo; c < len(buckets); c++ {
-		if bucket := buckets[c]; len(bucket) > 0 {
-			e := bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = nil
-			buckets[c] = bucket[:len(bucket)-1]
-			return e
-		}
-	}
-	return nil
-}
-
-// NextBlock implements arena.BlockSource for the topics' value slabs:
-// it returns a retired block of at least min elements, or nil to let
-// the slab allocate fresh.
-func (p *valPool) NextBlock(min int) []uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	blk := poolTake(&p.blocks, min, func(b []uint32) int { return len(b) })
-	p.blockEl -= len(blk)
-	return blk
-}
-
-// takeArray returns a retired posting array with capacity ≥ min
-// (length reset to 0), or nil.
-func (p *valPool) takeArray(min int) []ValuePosting {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	arr := poolTake(&p.arrays, min, func(a []ValuePosting) int { return cap(a) })
-	p.arrayEl -= cap(arr)
-	return arr
-}
-
-// put retires a topic's value storage into the pool, dropping whatever
-// exceeds the caps.
-func (p *valPool) put(blocks [][]uint32, arr []ValuePosting) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, blk := range blocks {
-		if len(blk) == 0 || p.blockEl+len(blk) > valPoolMaxBlockEl {
-			continue
-		}
-		c := bits.Len(uint(len(blk))) - 1
-		p.blocks[c] = append(p.blocks[c], blk)
-		p.blockEl += len(blk)
-	}
-	if cap(arr) > 0 && p.arrayEl+cap(arr) <= valPoolMaxArrayEl {
-		// Entries keep stale Vals pointers into the pooled blocks; both
-		// sides are reused together, so nothing leaks past the caps.
-		c := bits.Len(uint(cap(arr))) - 1
-		p.arrays[c] = append(p.arrays[c], arr[:0])
-		p.arrayEl += cap(arr)
-	}
-}
-
-// growValues moves t's value postings into an array with capacity of
-// at least need, taken from the pool when one fits. Caller holds t.mu.
-func (b *Board) growValues(t *topic, need int) {
-	nv := b.valPool.takeArray(need)
-	if nv == nil {
-		nv = make([]ValuePosting, 0, need)
-	}
-	nv = nv[:len(t.values)]
-	copy(nv, t.values)
-	t.values = nv
 }
 
 // boardTelemetry holds the board's resolved instruments. All fields are
@@ -309,7 +175,6 @@ func (b *Board) SetTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("billboard.tally.cache_hits", func() int64 { return b.topicStatTotals().tallyHits })
 	reg.CounterFunc("billboard.tally.rebuilds", func() int64 { return b.topicStatTotals().rebuilds })
 	reg.CounterFunc("billboard.tally.rebuild_ns", func() int64 { return b.topicStatTotals().rebuildNs })
-	reg.CounterFunc("billboard.tally.par_rebuilds", func() int64 { return b.topicStatTotals().parRebuilds })
 	reg.CounterFunc("billboard.snapshot.unchanged", func() int64 { return b.topicStatTotals().snapUnch })
 	b.tel.topics.Set(int64(b.TopicCount()))
 	// Per-kind post counters for kinds already seen (live topics or
@@ -418,9 +283,6 @@ func (t *topic) rebuildVotes() {
 	t.votesAt = t.epoch
 	t.stats.rebuilds++
 	t.stats.rebuildNs += time.Since(start).Nanoseconds()
-	if len(t.postings) >= tallyParallelThreshold && tallyWorkers() > 1 {
-		t.stats.parRebuilds++
-	}
 }
 
 // rebuildValVotes is rebuildVotes for value postings. Caller holds t.mu.
@@ -430,9 +292,6 @@ func (t *topic) rebuildValVotes() {
 	t.valVotesAt = t.epoch
 	t.stats.rebuilds++
 	t.stats.rebuildNs += time.Since(start).Nanoseconds()
-	if len(t.values) >= tallyParallelThreshold && tallyWorkers() > 1 {
-		t.stats.parRebuilds++
-	}
 }
 
 // topicStats are the per-topic bookkeeping counts behind the board's
@@ -443,12 +302,11 @@ func (t *topic) rebuildValVotes() {
 // Board.dropped when a topic is dropped, keeping the sampled counters
 // monotone).
 type topicStats struct {
-	posts       int64 // vector + value postings
-	tallyHits   int64 // Votes/ValueVotes served from the epoch cache
-	rebuilds    int64 // tally rebuilds (cache invalidated by a post)
-	rebuildNs   int64 // wall time spent in tally rebuilds
-	parRebuilds int64 // rebuilds that took the parallel grouping path
-	snapUnch    int64 // TopicSnapshot "unchanged" answers
+	posts     int64 // vector + value postings
+	tallyHits int64 // Votes/ValueVotes served from the epoch cache
+	rebuilds  int64 // tally rebuilds (cache invalidated by a post)
+	rebuildNs int64 // wall time spent in tally rebuilds
+	snapUnch  int64 // TopicSnapshot "unchanged" answers
 }
 
 func (s *topicStats) fold(o topicStats) {
@@ -456,7 +314,6 @@ func (s *topicStats) fold(o topicStats) {
 	s.tallyHits += o.tallyHits
 	s.rebuilds += o.rebuilds
 	s.rebuildNs += o.rebuildNs
-	s.parRebuilds += o.parRebuilds
 	s.snapUnch += o.snapUnch
 }
 
@@ -745,7 +602,6 @@ func (b *Board) topicFor(name string) *topic {
 	// uint32s keeps every block within the runtime's 32 KiB
 	// small-object classes.
 	t.valSlab.SetMaxBlock(8192)
-	t.valSlab.SetSource(&b.valPool)
 	b.topics[name] = t
 	reg := b.tel.reg
 	newKind := false
@@ -768,38 +624,15 @@ func (b *Board) topicFor(name string) *topic {
 	return t
 }
 
-// growPostings quadruples a posting slice's capacity (minimum 16).
-// Topics routinely take dozens to hundreds of posts between drops, and
-// append's power-of-two doubling from capacity 1 made posting the
-// board's hottest allocation site under the recursive algorithms.
-func growPostings[T any](s []T) []T {
-	c := 4 * cap(s)
-	if c < 16 {
-		c = 16
-	}
-	ns := make([]T, len(s), c)
+// growPostings returns s with room for at least n more postings: four
+// times its capacity, at least 16. Topics routinely take dozens to
+// hundreds of posts between drops, and append's power-of-two doubling
+// from capacity 1 made posting the board's hottest allocation site
+// under the recursive algorithms.
+func growPostings[T any](s []T, n int) []T {
+	ns := make([]T, len(s), max(len(s)+n, 4*cap(s), 16))
 	copy(ns, s)
 	return ns
-}
-
-// HintPosts presizes the named topic's posting storage for `vectors`
-// upcoming Post calls and `values` upcoming PostValues calls, so a
-// known burst of posts (one per player of a ZeroRadius node, say) costs
-// one exact-fit allocation instead of a growth sequence. Purely a
-// capacity hint: it never shrinks, and posting beyond the hint just
-// grows as usual.
-func (b *Board) HintPosts(name string, vectors, values int) {
-	t := b.topicFor(name)
-	t.mu.Lock()
-	if need := len(t.postings) + vectors; need > cap(t.postings) {
-		np := make([]Posting, len(t.postings), need)
-		copy(np, t.postings)
-		t.postings = np
-	}
-	if need := len(t.values) + values; need > cap(t.values) {
-		b.growValues(t, need)
-	}
-	t.mu.Unlock()
 }
 
 // Post publishes a partial vector by player under the named topic.
@@ -814,7 +647,7 @@ func (b *Board) Post(name string, player int, v bitvec.Partial) {
 			continue
 		}
 		if len(t.postings) == cap(t.postings) {
-			t.postings = growPostings(t.postings)
+			t.postings = growPostings(t.postings, 1)
 		}
 		t.postings = append(t.postings, Posting{Player: player, Vec: v})
 		t.epoch++
@@ -897,10 +730,9 @@ func (b *Board) PopularVectors(name string, minVotes int) []bitvec.Partial {
 // phases that are complete. Dropping an absent topic is a no-op.
 //
 // The drop folds the topic's stats into the board totals so the
-// sampled telemetry counters stay monotone across drops, then retires
-// the topic's value storage into the pool. Value-side snapshots must
-// not be read after the drop (see valPool); the vector side is
-// deliberately left alone.
+// sampled telemetry counters stay monotone across drops. It leaves the
+// topic's storage to the garbage collector: postings and tallies read
+// before the drop stay valid for as long as their reader holds them.
 func (b *Board) DropTopic(name string) {
 	b.mu.Lock()
 	t, existed := b.topics[name]
@@ -916,12 +748,8 @@ func (b *Board) DropTopic(name string) {
 		}
 		b.droppedPosts[topicKind(name)] += t.stats.posts
 	}
-	blocks := t.valSlab.TakeBlocks()
-	arr := t.values
-	t.values, t.valVotes, t.valVotesAt = nil, nil, neverTallied
 	t.retired = true
 	t.mu.Unlock()
-	b.valPool.put(blocks, arr)
 	delete(b.topics, name)
 	b.mu.Unlock()
 	b.tel.topics.Add(-1)
@@ -1019,11 +847,16 @@ func (b *Board) TopicRef(name string) TopicRef {
 
 // PostValuesBatchRef publishes one value vector per player — rows[i]
 // by players[i] — under the topic, equivalent to calling PostValues
-// for each pair in order but with a single lock acquisition and one
-// slab carve covering every copy. Nothing may read the topic between
-// the individual posts being batched (the phase-barrier discipline
-// already guarantees that for per-phase posting bursts), so readers
-// cannot distinguish the batch from the per-post sequence.
+// for each pair in order but with a single lock acquisition, at most
+// one growth of the posting array and one slab carve covering every
+// copy. ZeroRadius posts each node's burst this way on an in-process
+// board: with per-player posts, BenchmarkE1ZeroRadius allocated 8% more
+// bytes and ran slower in 6 of 8 interleaved pairs on 2 vCPUs (median
+// 1.16×).
+// Nothing may read the topic between the individual posts being
+// batched (the phase-barrier discipline already guarantees that for
+// per-phase posting bursts), so readers cannot distinguish the batch
+// from the per-post sequence.
 func (b *Board) PostValuesBatchRef(r TopicRef, players []int, rows [][]uint32) {
 	n := len(players)
 	if n == 0 {
@@ -1031,8 +864,8 @@ func (b *Board) PostValuesBatchRef(r TopicRef, players []int, rows [][]uint32) {
 	}
 	t := r.t
 	t.mu.Lock()
-	if need := len(t.values) + n; need > cap(t.values) {
-		b.growValues(t, need)
+	if len(t.values)+n > cap(t.values) {
+		t.values = growPostings(t.values, n)
 	}
 	total := 0
 	for _, row := range rows {
@@ -1052,9 +885,9 @@ func (b *Board) PostValuesBatchRef(r TopicRef, players []int, rows [][]uint32) {
 	t.mu.Unlock()
 }
 
-// postValuesTo appends one value posting under t. It reports false
-// without posting when t is a retired handle, and PostValues then
-// re-resolves the name.
+// postValuesTo appends one value posting under t, growing the posting
+// array as Post does. It reports false without posting when t is a
+// retired handle, and PostValues then re-resolves the name.
 func (b *Board) postValuesTo(t *topic, player int, vals []uint32) bool {
 	t.mu.Lock()
 	if t.retired {
@@ -1062,9 +895,7 @@ func (b *Board) postValuesTo(t *topic, player int, vals []uint32) bool {
 		return false
 	}
 	if len(t.values) == cap(t.values) {
-		// growPostings' sizing, but from the pool: the per-post path
-		// (the billboard server's) must recycle too.
-		b.growValues(t, max(16, 4*cap(t.values)))
+		t.values = growPostings(t.values, 1)
 	}
 	t.values = append(t.values, ValuePosting{Player: player, Vals: t.valSlab.Copy(vals)})
 	t.epoch++

@@ -1,172 +1,28 @@
 package billboard
 
 import (
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Tally rebuilds for large topics fan out across CPUs: the postings are
-// split into fixed chunks, each worker groups its chunks with a local
-// map, and the locals are merged in chunk order. The result is
-// byte-identical to the serial tally — voter lists are sorted after the
-// merge, counts are sums, representatives of one key are content-equal,
-// and the final (count desc, lexicographic) order is a strict total
-// order over distinct vectors, so neither chunking nor goroutine
-// scheduling can show through.
-
-// tallyParallelThreshold is the posting count at which a rebuild takes
-// the parallel path; below it the serial tally is both faster and
-// allocation-lighter.
-const tallyParallelThreshold = 4096
-
-// tallyWorkersOverride pins the tally worker count for tests (0 means
-// use GOMAXPROCS). Set it before the board is shared between
-// goroutines.
-var tallyWorkersOverride int
-
-func tallyWorkers() int {
-	if tallyWorkersOverride > 0 {
-		return tallyWorkersOverride
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// tallyChunks runs collect(ci, lo, hi) over [0, n) split into nChunks
-// fixed chunks, dispatched to workers goroutines via an atomic cursor
-// (the same chunked-dispatch shape as sim.Runner). collect is called at
-// most once per chunk, concurrently across chunks.
-func tallyChunks(n, workers int, collect func(ci, lo, hi int)) {
-	chunk := n / (workers * 4)
-	if chunk < 256 {
-		chunk = 256
-	}
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				hi := (ci + 1) * chunk
-				if hi > n {
-					hi = n
-				}
-				collect(ci, ci*chunk, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// tallyChunkCount mirrors tallyChunks' chunking (for sizing the
-// per-chunk result slice).
-func tallyChunkCount(n, workers int) int {
-	chunk := n / (workers * 4)
-	if chunk < 256 {
-		chunk = 256
-	}
-	return (n + chunk - 1) / chunk
-}
-
-// keyedVote is one vector-vote group with its grouping key retained for
-// the cross-chunk merge.
-type keyedVote struct {
-	key string
-	Vote
-}
-
-// keyedValueVote is keyedVote for value postings.
-type keyedValueVote struct {
-	key string
-	ValueVote
-}
-
-// voteGroups groups postings by vector in first-occurrence order,
-// keeping keys for merging.
-func voteGroups(postings []Posting) []keyedVote {
+// tallyVotes groups identical vectors; see Votes for the order contract.
+func tallyVotes(postings []Posting) []Vote {
 	byKey := make(map[string]int, len(postings))
-	out := make([]keyedVote, 0, 8)
+	out := make([]Vote, 0, 8)
 	var kb []byte
 	for _, p := range postings {
 		kb = p.Vec.AppendKey(kb[:0])
 		i, ok := byKey[string(kb)]
 		if !ok {
-			k := string(kb)
 			i = len(out)
-			out = append(out, keyedVote{key: k, Vote: Vote{Vec: p.Vec}})
-			byKey[k] = i
+			out = append(out, Vote{Vec: p.Vec})
+			byKey[string(kb)] = i
 		}
 		out[i].Count++
 		out[i].Voters = append(out[i].Voters, p.Player)
 	}
-	return out
-}
-
-// valueVoteGroups is voteGroups for value postings.
-func valueVoteGroups(values []ValuePosting) []keyedValueVote {
-	byKey := make(map[string]int, len(values))
-	out := make([]keyedValueVote, 0, 8)
-	var kb []byte
-	for _, p := range values {
-		kb = appendValsKey(kb[:0], p.Vals)
-		i, ok := byKey[string(kb)]
-		if !ok {
-			k := string(kb)
-			i = len(out)
-			out = append(out, keyedValueVote{key: k, ValueVote: ValueVote{Vals: p.Vals}})
-			byKey[k] = i
-		}
-		out[i].Count++
-		out[i].Voters = append(out[i].Voters, p.Player)
-	}
-	return out
-}
-
-// tallyVotes groups identical vectors; see Votes for the order contract.
-func tallyVotes(postings []Posting) []Vote {
-	w := tallyWorkers()
-	if len(postings) < tallyParallelThreshold || w <= 1 {
-		return finishVotes(voteGroups(postings))
-	}
-	parts := make([][]keyedVote, tallyChunkCount(len(postings), w))
-	tallyChunks(len(postings), w, func(ci, lo, hi int) {
-		parts[ci] = voteGroups(postings[lo:hi])
-	})
-	byKey := make(map[string]int)
-	var merged []keyedVote
-	for _, part := range parts {
-		for _, g := range part {
-			i, ok := byKey[g.key]
-			if !ok {
-				i = len(merged)
-				merged = append(merged, keyedVote{Vote: Vote{Vec: g.Vec}})
-				byKey[g.key] = i
-			}
-			merged[i].Count += g.Count
-			merged[i].Voters = append(merged[i].Voters, g.Voters...)
-		}
-	}
-	return finishVotes(merged)
-}
-
-// finishVotes applies the deterministic-order contract: voters
-// ascending, groups by count desc then lexicographic vector order.
-func finishVotes(groups []keyedVote) []Vote {
-	out := make([]Vote, len(groups))
-	for i, g := range groups {
+	for _, g := range out {
 		sort.Ints(g.Voters)
-		out[i] = g.Vote
 	}
 	// slices.SortFunc over sort.Slice: no reflection-based swaps on a
 	// path rebuilt once per topic epoch. The comparator is a strict
@@ -186,39 +42,24 @@ func finishVotes(groups []keyedVote) []Vote {
 
 // tallyValueVotes groups identical value vectors; see ValueVotes.
 func tallyValueVotes(values []ValuePosting) []ValueVote {
-	w := tallyWorkers()
-	if len(values) < tallyParallelThreshold || w <= 1 {
-		return finishValueVotes(valueVoteGroups(values))
-	}
-	parts := make([][]keyedValueVote, tallyChunkCount(len(values), w))
-	tallyChunks(len(values), w, func(ci, lo, hi int) {
-		parts[ci] = valueVoteGroups(values[lo:hi])
-	})
-	byKey := make(map[string]int)
-	var merged []keyedValueVote
-	for _, part := range parts {
-		for _, g := range part {
-			i, ok := byKey[g.key]
-			if !ok {
-				i = len(merged)
-				merged = append(merged, keyedValueVote{ValueVote: ValueVote{Vals: g.Vals}})
-				byKey[g.key] = i
-			}
-			merged[i].Count += g.Count
-			merged[i].Voters = append(merged[i].Voters, g.Voters...)
+	byKey := make(map[string]int, len(values))
+	out := make([]ValueVote, 0, 8)
+	var kb []byte
+	for _, p := range values {
+		kb = appendValsKey(kb[:0], p.Vals)
+		i, ok := byKey[string(kb)]
+		if !ok {
+			i = len(out)
+			out = append(out, ValueVote{Vals: p.Vals})
+			byKey[string(kb)] = i
 		}
+		out[i].Count++
+		out[i].Voters = append(out[i].Voters, p.Player)
 	}
-	return finishValueVotes(merged)
-}
-
-// finishValueVotes is finishVotes for value groups.
-func finishValueVotes(groups []keyedValueVote) []ValueVote {
-	out := make([]ValueVote, len(groups))
-	for i, g := range groups {
+	for _, g := range out {
 		sort.Ints(g.Voters)
-		out[i] = g.ValueVote
 	}
-	slices.SortFunc(out, func(a, b ValueVote) int { // see finishVotes
+	slices.SortFunc(out, func(a, b ValueVote) int { // see tallyVotes
 		if a.Count != b.Count {
 			return b.Count - a.Count
 		}

@@ -4,99 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"tellme/internal/bitvec"
 	"tellme/internal/rng"
 )
-
-// The parallel rebuild path must be invisible: for any posting set, the
-// chunked tally must equal the serial tally exactly (same groups, same
-// counts, same sorted voters, same order).
-
-func randomPostings(t *testing.T, n, width, distinct int) []Posting {
-	t.Helper()
-	r := rng.New(7)
-	base := make([]bitvec.Partial, distinct)
-	for i := range base {
-		v := bitvec.New(width)
-		for j := 0; j < width; j++ {
-			v.Set(j, byte(r.Intn(2)))
-		}
-		p := bitvec.PartialOf(v)
-		if i%3 == 1 && width > 0 {
-			p.SetUnknown(r.Intn(width))
-		}
-		base[i] = p
-	}
-	out := make([]Posting, n)
-	for i := range out {
-		out[i] = Posting{Player: i, Vec: base[r.Intn(distinct)]}
-	}
-	return out
-}
-
-func withTallyWorkers(t *testing.T, w int) {
-	t.Helper()
-	old := tallyWorkersOverride
-	tallyWorkersOverride = w
-	t.Cleanup(func() { tallyWorkersOverride = old })
-}
-
-func TestParallelTallyVotesMatchesSerial(t *testing.T) {
-	for _, n := range []int{tallyParallelThreshold, 3*tallyParallelThreshold + 17} {
-		postings := randomPostings(t, n, 50, 9)
-		withTallyWorkers(t, 1)
-		want := tallyVotes(postings)
-		for _, w := range []int{2, 3, 8} {
-			withTallyWorkers(t, w)
-			got := tallyVotes(postings)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d workers=%d: parallel tally differs from serial", n, w)
-			}
-		}
-	}
-}
-
-func TestParallelTallyValueVotesMatchesSerial(t *testing.T) {
-	r := rng.New(11)
-	n := 2*tallyParallelThreshold + 5
-	values := make([]ValuePosting, n)
-	for i := range values {
-		vals := make([]uint32, 12)
-		for j := range vals {
-			vals[j] = uint32(r.Intn(3))
-		}
-		values[i] = ValuePosting{Player: i, Vals: vals}
-	}
-	withTallyWorkers(t, 1)
-	want := tallyValueVotes(values)
-	for _, w := range []int{2, 5} {
-		withTallyWorkers(t, w)
-		got := tallyValueVotes(values)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel value tally differs from serial", w)
-		}
-	}
-}
-
-// The board-level oracle from cache_test.go, re-run with the parallel
-// path forced on: cached Votes must still equal a fresh tally.
-func TestVotesCacheOracleParallelPath(t *testing.T) {
-	withTallyWorkers(t, 4)
-	b := New(2*tallyParallelThreshold, 40)
-	postings := randomPostings(t, tallyParallelThreshold+100, 40, 6)
-	for _, p := range postings {
-		b.Post("t", p.Player, p.Vec)
-	}
-	got := b.Votes("t")
-	want := tallyVotes(b.Postings("t"))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cached votes differ from fresh tally on parallel path")
-	}
-	again := b.Votes("t")
-	if &got[0] != &again[0] {
-		t.Fatal("second Votes at same epoch recomputed the tally")
-	}
-}
 
 // ProbeTally must agree with the ForEachProbe walk it replaces.
 func TestProbeTallyMatchesForEachProbe(t *testing.T) {

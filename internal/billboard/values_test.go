@@ -1,6 +1,7 @@
 package billboard
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -134,44 +135,27 @@ func TestConcurrentValuePosting(t *testing.T) {
 	}
 }
 
-// TestValuePoolReusesSameSizeTopics posts and drops one 12-player topic
-// round after round, through the per-post path (the billboard server's)
-// and the batched ref path (ZeroRadius's in process). Each round's
-// retired storage must serve the next round, so the pool holds about
-// one round's worth instead of one posting array per round.
-func TestValuePoolReusesSameSizeTopics(t *testing.T) {
-	const players, rounds = 12, 3001
-	vals := []uint32{1, 2, 3}
-	for _, path := range []struct {
-		name string
-		post func(b *Board)
-	}{
-		{"PostValues", func(b *Board) {
-			for p := 0; p < players; p++ {
-				b.PostValues("t", p, vals)
-			}
-		}},
-		{"PostValuesBatchRef", func(b *Board) {
-			ps := make([]int, players)
-			rows := make([][]uint32, players)
-			for p := range ps {
-				ps[p], rows[p] = p, vals
-			}
-			b.PostValuesBatchRef(b.TopicRef("t"), ps, rows)
-		}},
-	} {
-		t.Run(path.name, func(t *testing.T) {
-			b := New(players, 8)
-			for r := 0; r < rounds; r++ {
-				path.post(b)
-				b.DropTopic("t")
-			}
-			b.valPool.mu.Lock()
-			arrays, blocks := b.valPool.arrayEl, b.valPool.blockEl
-			b.valPool.mu.Unlock()
-			if arrays > 64 || blocks > 1024 {
-				t.Fatalf("after %d rounds the pool holds %d posting-array and %d block elements; a same-size topic does not reuse them", rounds, arrays, blocks)
-			}
-		})
+// TestValueTallyOutlivesDrop reads a topic's value tally and postings,
+// drops the topic, and posts a topic of the same size: the reads taken
+// before the drop must not change.
+func TestValueTallyOutlivesDrop(t *testing.T) {
+	const players = 12
+	b := New(players, 8)
+	for p := 0; p < players; p++ {
+		b.PostValues("a", p, []uint32{1, 2, 3})
+	}
+	votes, postings := b.ValueVotes("a"), b.ValuePostings("a")
+	b.DropTopic("a")
+	for p := 0; p < players; p++ {
+		b.PostValues("b", p, []uint32{7, 8, 9})
+	}
+	want := []uint32{1, 2, 3}
+	if len(votes) != 1 || votes[0].Count != players || !slices.Equal(votes[0].Vals, want) {
+		t.Fatalf("value tally of the dropped topic changed: %+v", votes)
+	}
+	for _, po := range postings {
+		if !slices.Equal(po.Vals, want) {
+			t.Fatalf("value posting of player %d of the dropped topic reads %v, want %v", po.Player, po.Vals, want)
+		}
 	}
 }

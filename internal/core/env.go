@@ -201,9 +201,9 @@ func AbortCause(rec any) error {
 // sends the phase's posts. drops names topics that nothing reads after
 // the phase: they are dropped once the barrier has passed, so on a
 // deferred view the drops travel in the same flush as the phase's
-// posts. (Not before the phase: a phase body may still hold a topic's
-// value tallies, whose memory the in-memory board reuses once the
-// topic is dropped.) A flush that fails for good panics with the
+// posts. (Not before the phase: a drop held there would interleave
+// with the phase body's reads, and the first read would send it as a
+// request of its own.) A flush that fails for good panics with the
 // transport's error here, on the coordinator goroutine; after a failed
 // phase the flush is quiet, so the abort keeps its own cause, and the
 // drops are left to the caller's abort cleanup.

@@ -29,15 +29,6 @@ func (s *VirtualSpace) Probe(pl *probe.Player, j int) uint32 {
 	return uint32(SelectPartial(pl, s.GroupObjs[j], s.Cands[j], s.Bound))
 }
 
-// postHinter is optionally implemented by boards that can presize a
-// topic's posting storage ahead of a known burst of posts (see
-// billboard.Board.HintPosts). Purely a capacity hint — postings and
-// tallies are unchanged — so remote or wrapped boards that don't
-// implement it just grow on demand.
-type postHinter interface {
-	HintPosts(name string, vectors, values int)
-}
-
 // LargeRadius implements Algorithm Large Radius (Fig. 5) for the given
 // players over the object coordinate set objs, with known alpha and
 // distance bound d (intended for d = Ω(log n); the main dispatcher sends
@@ -139,11 +130,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		}
 	}
 	smallRadiusJobs(env, srs, alpha/2, lambda, env.confidenceK())
-	hinter, _ := env.Board.(postHinter)
 	for j, g := range srGroup {
-		if hinter != nil {
-			hinter.HintPosts(topics[g], len(groupPlayers[g]), 0)
-		}
 		for i, p := range groupPlayers[g] {
 			env.Board.Post(topics[g], p, bitvec.PartialOf(srs[j].rows[i]))
 		}

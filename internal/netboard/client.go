@@ -71,10 +71,11 @@ type Client struct {
 // clientState is everything a client shares with its views.
 type clientState struct {
 	// cfg is the normalized Config the client was built from, with
-	// HTTPClient and TelemetryPrefix resolved; codec is cfg.Codec's
-	// wire codec.
-	cfg   Config
-	codec wire.Codec
+	// HTTPClient resolved; codec is cfg.Codec's wire codec; prefix keys
+	// the client's instruments.
+	cfg    Config
+	codec  wire.Codec
+	prefix string
 
 	// sleep stubs the backoff wait for tests. The stub is only invoked
 	// with a live context; a cancelled context skips the wait entirely,
@@ -236,7 +237,7 @@ func (c *Client) backoff(ctx context.Context, i int) error {
 	f := 0.5 + c.jitter.Float64()
 	c.jitterMu.Unlock()
 	d := time.Duration(float64(i) * float64(c.cfg.RetryBackoff) * f)
-	c.cfg.Telemetry.Counter(c.cfg.TelemetryPrefix + ".retries").Inc()
+	c.cfg.Telemetry.Counter(c.prefix + ".retries").Inc()
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -282,7 +283,7 @@ func (c *Client) requestID() string {
 // histogram for one logical call (nil instruments when telemetry is
 // off). The registry lookup happens once per call, not per attempt.
 func (c *Client) instruments(path string) (reqs *telemetry.Counter, lat *telemetry.Histogram) {
-	tel, prefix := c.cfg.Telemetry, c.cfg.TelemetryPrefix
+	tel, prefix := c.cfg.Telemetry, c.prefix
 	if tel == nil {
 		return nil, nil
 	}
@@ -303,7 +304,7 @@ const connStallThreshold = time.Millisecond
 // connStallThreshold for a connection — the pool-saturation signal a
 // load run watches to size MaxIdleConnsPerHost. No telemetry, no trace.
 func (c *Client) traceContext(ctx context.Context) context.Context {
-	tel, prefix := c.cfg.Telemetry, c.cfg.TelemetryPrefix
+	tel, prefix := c.cfg.Telemetry, c.prefix
 	if tel == nil {
 		return ctx
 	}
@@ -332,7 +333,7 @@ func (c *Client) traceContext(ctx context.Context) context.Context {
 // in/out and encode/decode latency (the zero no-op value when telemetry
 // is off).
 func (c *Client) wireInstruments(path string) wire.Instruments {
-	return wire.NewInstruments(c.cfg.Telemetry, c.cfg.TelemetryPrefix, path)
+	return wire.NewInstruments(c.cfg.Telemetry, c.prefix, path)
 }
 
 // post sends a POST and expects 2xx, retrying transient failures. All

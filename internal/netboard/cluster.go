@@ -20,9 +20,8 @@ type ClusterConfig struct {
 	// process addressing the same cluster must list its shards in the
 	// same order; a shard may move to a new address in its position.
 	Shards []string
-	// Client configures the per-shard clients. TelemetryPrefix is used
-	// as the *base*: shard i's instruments are keyed under
-	// "<base>.shard<i>" (base defaults to "netboard.cluster"), so all
+	// Client configures the per-shard clients. Shard i's instruments
+	// are keyed under "netboard.cluster.shard<i>", so all
 	// request/latency/retry counters come out keyed by shard. A nonzero
 	// JitterSeed is decorrelated per shard, keeping runs reproducible
 	// without synchronizing the shards' backoff schedules.
@@ -97,23 +96,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// pool instead of len(Shards) of them.
 		cl.cfg.Client.HTTPClient = cl.cfg.Client.PooledHTTPClient()
 	}
-	base := cl.cfg.Client.TelemetryPrefix
-	if base == "" {
-		base = "netboard.cluster"
-	}
 	cl.clients = make([]*Client, len(cfg.Shards))
 	for i, u := range cfg.Shards {
-		// Shard i's client: the shared Config with the telemetry prefix
-		// specialized to the shard and the jitter seed decorrelated from
-		// the other shards'.
+		// Shard i's client: the shared Config with its own telemetry
+		// prefix and the jitter seed decorrelated from the other shards'.
 		shardCfg := cl.cfg.Client
-		shardCfg.TelemetryPrefix = base + ".shard" + strconv.Itoa(i)
 		if shardCfg.JitterSeed != 0 {
 			// Same fixed seed on every shard would sync their backoff
 			// schedules — exactly the stampede jitter exists to break.
 			shardCfg.JitterSeed = decorrelate(shardCfg.JitterSeed, uint64(i))
 		}
-		cl.clients[i] = NewClientWithConfig(u, shardCfg)
+		cl.clients[i] = newClient(u, shardCfg, "netboard.cluster.shard"+strconv.Itoa(i))
 	}
 	return cl, nil
 }

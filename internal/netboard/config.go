@@ -18,20 +18,20 @@ const (
 	// DefaultRetryBackoff is the per-attempt backoff unit when
 	// Config.RetryBackoff is unset.
 	DefaultRetryBackoff = 50 * time.Millisecond
-	// DefaultTelemetryPrefix keys the client's request/latency/retry
-	// instruments when Config.TelemetryPrefix is unset. A Cluster
-	// overrides it per shard ("netboard.cluster.shard<i>") so the same
-	// instruments come out keyed by shard.
+	// DefaultTelemetryPrefix keys a client's request/latency/retry
+	// instruments. A Cluster's shard clients use
+	// "netboard.cluster.shard<i>" instead, so the same instruments come
+	// out keyed by shard.
 	DefaultTelemetryPrefix = "netboard.client"
-	// DefaultMaxIdleConnsPerHost sizes the per-host idle connection pool
-	// when Config.MaxIdleConnsPerHost is unset. http.DefaultTransport
-	// keeps only 2 — under fleet-scale fan-in every burst past 2
-	// in-flight requests dials (and then discards) fresh connections,
-	// churning through ephemeral ports. 64 holds a realistic worker
-	// pool's connections open between rounds.
+	// DefaultMaxIdleConnsPerHost sizes the pooled client's per-host idle
+	// connection pool. http.DefaultTransport keeps only 2 — under
+	// fleet-scale fan-in every burst past 2 in-flight requests dials
+	// (and then discards) fresh connections, churning through ephemeral
+	// ports. 64 holds a realistic worker pool's connections open
+	// between rounds.
 	DefaultMaxIdleConnsPerHost = 64
-	// DefaultIdleConnTimeout is how long a pooled idle connection is
-	// kept before being closed when Config.IdleConnTimeout is unset.
+	// DefaultIdleConnTimeout is how long the pooled client keeps an
+	// idle connection before closing it.
 	DefaultIdleConnTimeout = 90 * time.Second
 )
 
@@ -41,23 +41,15 @@ const (
 // configuration (no retries, pooled transport, JSON codec, panic on
 // terminal failure), which is what NewClient produces.
 type Config struct {
-	// HTTPClient performs the requests; nil builds a pooled client from
-	// the three pool knobs below (PooledHTTPClient). Setting HTTPClient
-	// explicitly bypasses the knobs entirely — the caller owns the
-	// transport.
+	// HTTPClient performs the requests; nil builds a pooled client
+	// (PooledHTTPClient). Setting HTTPClient explicitly bypasses the
+	// pool settings entirely — the caller owns the transport.
 	HTTPClient *http.Client
-	// MaxIdleConnsPerHost caps the idle connections kept per server.
-	// Zero or negative means DefaultMaxIdleConnsPerHost. (The Go
-	// default of 2 collapses under fleet fan-in: every burst re-dials.)
-	MaxIdleConnsPerHost int
 	// MaxConnsPerHost caps total connections (idle + in-flight + dialing)
 	// per server; requests beyond the cap block waiting for a free
 	// connection — visible as "<prefix>.conns.stalled" telemetry. Zero
 	// or negative means unlimited.
 	MaxConnsPerHost int
-	// IdleConnTimeout closes pooled connections idle this long. Zero or
-	// negative means DefaultIdleConnTimeout.
-	IdleConnTimeout time.Duration
 	// OnError handles terminal transport/protocol failures after
 	// retries are exhausted; nil means panic with the *TransportError.
 	// A handler that returns opts the client into degraded mode (see
@@ -81,13 +73,10 @@ type Config struct {
 	// Telemetry, when non-nil, records per-endpoint request counts
 	// ("<prefix>.requests.<path>", one per HTTP attempt), request
 	// latency histograms ("<prefix>.latency_ns.<path>") and the
-	// "<prefix>.retries" counter, where <prefix> is TelemetryPrefix.
-	// Nil costs nothing.
+	// "<prefix>.retries" counter, where <prefix> is
+	// DefaultTelemetryPrefix, or "netboard.cluster.shard<i>" for shard
+	// i's client. Nil costs nothing.
 	Telemetry *telemetry.Registry
-	// TelemetryPrefix keys the client's instruments; empty means
-	// DefaultTelemetryPrefix. A Cluster sets a per-shard prefix so every
-	// instrument comes out keyed by shard.
-	TelemetryPrefix string
 	// Codec selects the request/reply encoding: "json" (the default,
 	// also the empty string) or "binary" (the length-prefixed packed
 	// codec; see internal/wire). The client uses exactly this codec;
@@ -96,9 +85,8 @@ type Config struct {
 }
 
 // normalized returns cfg with invalid values clamped to the documented
-// defaults. Defaults that NewClientWithConfig resolves itself (nil
-// HTTPClient, empty TelemetryPrefix) and the zero JitterSeed are left
-// as-is.
+// defaults. The default that NewClientWithConfig resolves itself (nil
+// HTTPClient) and the zero JitterSeed are left as-is.
 func (cfg Config) normalized() Config {
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
@@ -106,21 +94,17 @@ func (cfg Config) normalized() Config {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	if cfg.MaxIdleConnsPerHost <= 0 {
-		cfg.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
-	}
 	if cfg.MaxConnsPerHost < 0 {
 		cfg.MaxConnsPerHost = 0 // unlimited
-	}
-	if cfg.IdleConnTimeout <= 0 {
-		cfg.IdleConnTimeout = DefaultIdleConnTimeout
 	}
 	return cfg
 }
 
 // PooledHTTPClient builds the http.Client a nil Config.HTTPClient
 // resolves to: http.DefaultTransport's dialer and timeouts with the
-// connection pool opened up per cfg's (normalized) knobs. Exposed so a
+// connection pool opened up to DefaultMaxIdleConnsPerHost idle
+// connections per host, kept DefaultIdleConnTimeout, and capped at
+// cfg's MaxConnsPerHost. Exposed so a
 // Cluster can build ONE pooled client and share it across its shard
 // clients — per-host limits then apply per shard server, and the
 // process keeps a single coherent pool instead of one per shard.
@@ -131,9 +115,9 @@ func (cfg Config) PooledHTTPClient() *http.Client {
 	// knob is the only limit (a 16-shard cluster at 64 idle conns each
 	// would otherwise thrash against the global default of 100).
 	tr.MaxIdleConns = 0
-	tr.MaxIdleConnsPerHost = cfg.MaxIdleConnsPerHost
+	tr.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
 	tr.MaxConnsPerHost = cfg.MaxConnsPerHost
-	tr.IdleConnTimeout = cfg.IdleConnTimeout
+	tr.IdleConnTimeout = DefaultIdleConnTimeout
 	return &http.Client{Transport: tr}
 }
 
@@ -141,18 +125,21 @@ func (cfg Config) PooledHTTPClient() *http.Client {
 // configured from cfg (validated defaults applied). This is the
 // primary constructor; NewClient is the zero-config shorthand.
 func NewClientWithConfig(baseURL string, cfg Config) *Client {
+	return newClient(baseURL, cfg, DefaultTelemetryPrefix)
+}
+
+// newClient is NewClientWithConfig with the telemetry prefix that keys
+// the client's instruments.
+func newClient(baseURL string, cfg Config, prefix string) *Client {
 	cfg = cfg.normalized()
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = cfg.PooledHTTPClient()
-	}
-	if cfg.TelemetryPrefix == "" {
-		cfg.TelemetryPrefix = DefaultTelemetryPrefix
 	}
 	codec := wire.JSON
 	if cfg.Codec == wire.Binary.Name() {
 		codec = wire.Binary
 	}
-	return &Client{BaseURL: baseURL, ctx: context.Background(), clientState: &clientState{cfg: cfg, codec: codec}}
+	return &Client{BaseURL: baseURL, ctx: context.Background(), clientState: &clientState{cfg: cfg, codec: codec, prefix: prefix}}
 }
 
 // FromSpec builds the board a spec names: one base URL is a *Client,

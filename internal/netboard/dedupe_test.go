@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
+	"tellme/internal/telemetry"
 )
 
 // TestDedupeBoundedUnderDistinctIDStream replays a long stream of
@@ -187,11 +188,12 @@ func TestDedupeConcurrentDuplicatesApplyOnce(t *testing.T) {
 
 func TestWithDedupeOptionOrderIndependence(t *testing.T) {
 	b := billboard.New(2, 4)
-	s1 := NewServer(b, WithDedupeMaxAge(time.Second), WithDedupeWindow(7))
-	s2 := NewServer(b, WithDedupeWindow(7), WithDedupeMaxAge(time.Second))
+	reg := telemetry.New()
+	s1 := NewServer(b, WithTelemetry(reg), WithDedupeWindow(7))
+	s2 := NewServer(b, WithDedupeWindow(7), WithTelemetry(reg))
 	for i, s := range []*Server{s1, s2} {
-		if s.dedupe.cap != 7 || s.dedupe.maxAge != time.Second {
-			t.Fatalf("server %d: cap=%d maxAge=%v, want 7/1s", i, s.dedupe.cap, s.dedupe.maxAge)
+		if s.dedupe.cap != 7 || s.dedupe.maxAge != DefaultDedupeMaxAge || s.tel != reg {
+			t.Fatalf("server %d: cap=%d maxAge=%v telemetry=%v, want 7/%v/attached", i, s.dedupe.cap, s.dedupe.maxAge, s.tel != nil, DefaultDedupeMaxAge)
 		}
 	}
 	if s := NewServer(b); s.dedupe.maxAge != DefaultDedupeMaxAge || s.dedupe.cap != DefaultDedupeWindow {

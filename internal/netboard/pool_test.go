@@ -4,30 +4,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"tellme/internal/billboard"
 	"tellme/internal/telemetry"
 )
 
 func TestConfigPoolKnobDefaults(t *testing.T) {
-	n := Config{}.normalized()
-	if n.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost {
-		t.Fatalf("MaxIdleConnsPerHost = %d, want %d", n.MaxIdleConnsPerHost, DefaultMaxIdleConnsPerHost)
+	for _, c := range []struct{ set, want int }{{0, 0}, {-1, 0}, {9, 9}} {
+		if n := (Config{MaxConnsPerHost: c.set}).normalized(); n.MaxConnsPerHost != c.want {
+			t.Fatalf("MaxConnsPerHost %d normalized to %d, want %d (0 = unlimited)", c.set, n.MaxConnsPerHost, c.want)
+		}
 	}
-	if n.MaxConnsPerHost != 0 {
-		t.Fatalf("MaxConnsPerHost = %d, want 0 (unlimited)", n.MaxConnsPerHost)
-	}
-	if n.IdleConnTimeout != DefaultIdleConnTimeout {
-		t.Fatalf("IdleConnTimeout = %v, want %v", n.IdleConnTimeout, DefaultIdleConnTimeout)
-	}
-	n = Config{MaxIdleConnsPerHost: -3, MaxConnsPerHost: -1, IdleConnTimeout: -time.Second}.normalized()
-	if n.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost || n.MaxConnsPerHost != 0 || n.IdleConnTimeout != DefaultIdleConnTimeout {
-		t.Fatalf("negative knobs not clamped: %+v", n)
-	}
-	n = Config{MaxIdleConnsPerHost: 7, MaxConnsPerHost: 9, IdleConnTimeout: time.Minute}.normalized()
-	if n.MaxIdleConnsPerHost != 7 || n.MaxConnsPerHost != 9 || n.IdleConnTimeout != time.Minute {
-		t.Fatalf("explicit knobs overridden: %+v", n)
+	tr := Config{MaxConnsPerHost: 9}.PooledHTTPClient().Transport.(*http.Transport)
+	if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost || tr.IdleConnTimeout != DefaultIdleConnTimeout || tr.MaxConnsPerHost != 9 {
+		t.Fatalf("pooled transport idle %d, idle timeout %v, max conns %d; want %d, %v, 9",
+			tr.MaxIdleConnsPerHost, tr.IdleConnTimeout, tr.MaxConnsPerHost, DefaultMaxIdleConnsPerHost, DefaultIdleConnTimeout)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestConfigNormalizedDefaults(t *testing.T) {
 
 	a, b := NewClient("http://x"), NewClientWithConfig("http://x", Config{})
 	if a.BaseURL != b.BaseURL || a.cfg.Retries != b.cfg.Retries || a.cfg.RetryBackoff != b.cfg.RetryBackoff ||
-		a.cfg.TelemetryPrefix != b.cfg.TelemetryPrefix || a.codec != b.codec {
+		a.prefix != b.prefix || a.codec != b.codec {
 		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a.cfg, b.cfg)
 	}
 }

@@ -50,20 +50,7 @@ type ServerOption func(*Server)
 // size the window to cover at least the mutations in flight during one
 // client retry storm, or a very delayed retry could be re-applied.
 func WithDedupeWindow(n int) ServerOption {
-	return func(s *Server) {
-		maxAge := s.dedupe.maxAge
-		s.dedupe = newDedupe(n)
-		s.dedupe.maxAge = maxAge // order-independent with WithDedupeMaxAge
-	}
-}
-
-// WithDedupeMaxAge sets how long an applied request id is retained for
-// deduplication (default DefaultDedupeMaxAge). Zero or negative
-// disables age eviction, leaving only the count cap. Size it to cover
-// the slowest retry the client schedule can produce; an id evicted by
-// age re-applies on a later retry.
-func WithDedupeMaxAge(age time.Duration) ServerOption {
-	return func(s *Server) { s.dedupe.maxAge = age }
+	return func(s *Server) { s.dedupe = newDedupe(n) }
 }
 
 // WithTelemetry attaches a telemetry registry: per-endpoint request

@@ -2,8 +2,9 @@ package netboard
 
 import "tellme/internal/wire"
 
-// Binary wire-tag space of the netboard protocol (0x01–0x1f; the serve
-// front uses 0x20+). A tag identifies the message type inside a binary
+// Binary wire-tag space of the netboard protocol (0x01–0x1f; 0x20–0x25
+// are reserved: the retired binary codec of the serving front used
+// them). A tag identifies the message type inside a binary
 // frame so a decoder pointed at the wrong struct fails loudly instead
 // of misparsing; tags are wire contract — never renumber, only append.
 const (

@@ -42,11 +42,9 @@ const DefaultRecommendDeadline = 10 * time.Second
 // request whose player is not covered yet waits up to the per-request
 // deadline (504 on expiry).
 //
-// Bodies default to JSON and negotiate the binary wire codec per
-// request: a binary Content-Type selects the binary decoder, a binary
-// Accept selects the binary encoder (see internal/wire and DESIGN.md
-// §15). Error replies are always JSON — they are rare and meant for
-// humans.
+// Every body is JSON, whatever the Content-Type and Accept headers
+// say (DESIGN.md §15); a request body over wire.MaxBodyBytes is
+// answered 413.
 func Handler(e *Engine, hc HandlerConfig) http.Handler {
 	if hc.RecommendDeadline <= 0 {
 		hc.RecommendDeadline = DefaultRecommendDeadline
@@ -61,7 +59,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/players", func(w http.ResponseWriter, r *http.Request) {
 		var req joinRequest
-		if status, err := wire.DecodeRequest(r, &req, joinIns); status != 0 {
+		if status, err := wire.DecodeJSON(r, &req, joinIns); status != 0 {
 			httpError(w, status, fmt.Errorf("bad join body: %w", err))
 			return
 		}
@@ -79,12 +77,12 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		wire.WriteReplyStatus(w, r, http.StatusCreated,
+		wire.WriteJSON(w, http.StatusCreated,
 			&joinReply{ID: id, Epoch: e.CompletedEpochs()}, joinIns)
 	})
 	mux.HandleFunc("POST /v1/players/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchJoinRequest
-		if status, err := wire.DecodeRequest(r, &req, batchIns); status != 0 {
+		if status, err := wire.DecodeJSON(r, &req, batchIns); status != 0 {
 			httpError(w, status, fmt.Errorf("bad batch join body: %w", err))
 			return
 		}
@@ -106,7 +104,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		wire.WriteReplyStatus(w, r, http.StatusCreated,
+		wire.WriteJSON(w, http.StatusCreated,
 			&batchJoinReply{IDs: ids, Epoch: e.CompletedEpochs()}, batchIns)
 	})
 	mux.HandleFunc("DELETE /v1/players/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +154,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		wire.WriteReply(w, r, &recommendReply{ID: id, Epoch: epoch, Bits: out.String()}, recIns)
+		wire.WriteJSON(w, 0, &recommendReply{ID: id, Epoch: epoch, Bits: out.String()}, recIns)
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		st := statusReply{
@@ -173,7 +171,7 @@ func Handler(e *Engine, hc HandlerConfig) http.Handler {
 			st.Refresh = s.Refresh
 			st.EpochMillis = s.Duration.Milliseconds()
 		}
-		wire.WriteReply(w, r, &st, statusIns)
+		wire.WriteJSON(w, 0, &st, statusIns)
 	})
 	if hc.Telemetry != nil {
 		mux.HandleFunc("GET /debug/telemetry", func(w http.ResponseWriter, r *http.Request) {

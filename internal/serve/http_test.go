@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"tellme/internal/telemetry"
+	"tellme/internal/wire"
 )
 
 // daemon spins up an Engine with its HTTP front and a background epoch
@@ -243,5 +245,57 @@ func TestHTTPBatchJoin(t *testing.T) {
 	}
 	if e.Players() != 3 {
 		t.Fatalf("players after overfull batch = %d, want 3", e.Players())
+	}
+}
+
+// TestHTTPOverCapBodyIs413: a join body past wire.MaxBodyBytes is
+// refused with 413 and admits nobody, whether its length is declared
+// up front or only found while reading a chunked body.
+func TestHTTPOverCapBodyIs413(t *testing.T) {
+	srv, e := daemon(t)
+	body := `{"players":[{"bits":"` + strings.Repeat("1", wire.MaxBodyBytes) + `"}]}`
+	for _, path := range []string{"/v1/players", "/v1/players/batch"} {
+		for _, declared := range []bool{true, false} {
+			var r io.Reader = strings.NewReader(body)
+			if !declared {
+				r = io.MultiReader(r) // hides the length: sent chunked
+			}
+			resp, err := http.Post(srv.URL+path, "application/json", r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s, declared length %v: status %d, want 413", path, declared, resp.StatusCode)
+			}
+		}
+	}
+	if e.Players() != 0 {
+		t.Fatalf("an over-cap body admitted %d players", e.Players())
+	}
+}
+
+// TestHTTPBinaryHeadersGetJSON: the front speaks JSON only, so a body
+// labelled with the binary media type is read as JSON and a binary
+// Accept header still gets a JSON reply.
+func TestHTTPBinaryHeadersGetJSON(t *testing.T) {
+	srv, _ := daemon(t)
+	req, err := http.NewRequest("POST", srv.URL+"/v1/players", strings.NewReader(`{"bits":"`+strings.Repeat("01", 16)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
+	req.Header.Set("Accept", wire.ContentTypeBinary)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep joinReply
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Content-Type") != wire.MediaJSON {
+		t.Fatalf("status %d, Content-Type %q; want 201 and %q", resp.StatusCode, resp.Header.Get("Content-Type"), wire.MediaJSON)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil || rep.ID == 0 {
+		t.Fatalf("join reply %+v, err %v", rep, err)
 	}
 }

@@ -73,8 +73,6 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds the phase worker pool (0 = GOMAXPROCS).
 	Parallelism int
-	// Core overrides algorithm constants; nil means defaults.
-	Core *core.Config
 	// EpochTimeout bounds one epoch's wall-clock time; an epoch that
 	// exceeds it aborts (the previous snapshot keeps serving). 0 = no
 	// bound.
@@ -130,14 +128,13 @@ type slot struct {
 // use; RunEpoch/Run must be called from exactly one goroutine (the
 // epoch coordinator).
 type Engine struct {
-	cfg     Config
-	coreCfg core.Config
-	board   boardclient.Interface
-	sched   *sim.EpochScheduler
-	runner  *sim.Runner
-	src     rng.Source
-	objs    []int
-	zero    bitvec.Vector
+	cfg    Config
+	board  boardclient.Interface
+	sched  *sim.EpochScheduler
+	runner *sim.Runner
+	src    rng.Source
+	objs   []int
+	zero   bitvec.Vector
 
 	mu    sync.Mutex
 	slots map[int]*slot
@@ -173,24 +170,19 @@ func New(cfg Config) (*Engine, error) {
 		mem.SetTelemetry(cfg.Telemetry)
 		board = mem
 	}
-	coreCfg := core.DefaultConfig()
-	if cfg.Core != nil {
-		coreCfg = *cfg.Core
-	}
 	e := &Engine{
-		cfg:     cfg,
-		coreCfg: coreCfg,
-		board:   board,
-		sched:   sim.NewEpochScheduler(),
-		runner:  sim.NewRunner(cfg.Parallelism),
-		src:     rng.NewSource(cfg.Seed),
-		objs:    ints.Iota(cfg.M),
-		zero:    bitvec.New(cfg.M),
-		slots:   make(map[int]*slot),
-		byID:    make(map[uint64]int),
-		free:    ints.Iota(cfg.Capacity),
-		watch:   make(chan struct{}),
-		churn:   make(chan struct{}, 1),
+		cfg:    cfg,
+		board:  board,
+		sched:  sim.NewEpochScheduler(),
+		runner: sim.NewRunner(cfg.Parallelism),
+		src:    rng.NewSource(cfg.Seed),
+		objs:   ints.Iota(cfg.M),
+		zero:   bitvec.New(cfg.M),
+		slots:  make(map[int]*slot),
+		byID:   make(map[uint64]int),
+		free:   ints.Iota(cfg.Capacity),
+		watch:  make(chan struct{}),
+		churn:  make(chan struct{}, 1),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		e.tel.joins = reg.Counter("serve.joins")
@@ -517,7 +509,7 @@ func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.Epo
 		popts = append(popts, probe.WithContext(epCtx))
 	}
 	engine := probe.NewEngine(inst, e.board, e.src.Child("engine", epoch), popts...)
-	env := core.NewEnv(engine, e.runner, e.src.Child("public", epoch), e.coreCfg)
+	env := core.NewEnv(engine, e.runner, e.src.Child("public", epoch), core.DefaultConfig())
 	env.Telemetry = e.cfg.Telemetry
 
 	if len(plan.Members) == 0 {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,29 +113,41 @@ func NewInstruments(reg *telemetry.Registry, prefix, path string) Instruments {
 	}
 }
 
-// MaxBodyBytes caps a request body: DecodeRequest reads at most this
-// many bytes and answers 413 beyond it, so no client can make a server
-// buffer an unbounded body. It is far above the largest body an in-repo
-// client sends (a 1,024-player batch join; a deferred board view keeps
-// every post batch under half of it).
+// MaxBodyBytes caps a request body: DecodeRequest and DecodeJSON read
+// at most this many bytes and answer 413 beyond it, so no client can
+// make a server buffer an unbounded body. It is far above the largest
+// body an in-repo client sends (a 1,024-player batch join; a deferred
+// board view keeps every post batch under half of it).
 const MaxBodyBytes = 8 << 20
 
 var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
 
 // DecodeRequest reads and decodes a request body per its Content-Type:
 // binary bodies use the binary codec, everything else decodes as JSON
-// exactly as before the codec layer. On failure it returns the HTTP
-// status to answer (415, 413 or 400) and the error to include; on
-// success status is 0.
+// through DecodeJSON. On failure it returns the HTTP status to answer
+// (415, 413 or 400) and the error to include; on success status is 0.
 func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err error) {
-	codec := JSON
 	switch ClassifyContentType(r.Header.Get("Content-Type")) {
 	case KindBinary:
-		codec = Binary
+		return decodeBody(r, ins, func(data []byte) error { return Binary.Decode(data, v) })
 	case KindUnsupported:
 		return http.StatusUnsupportedMediaType,
 			fmt.Errorf("unsupported %s version (server speaks %s)", MediaBinary, ContentTypeBinary)
 	}
+	return DecodeJSON(r, v, ins)
+}
+
+// DecodeJSON reads a request body of at most MaxBodyBytes and decodes
+// it as JSON into v, whatever its Content-Type, counting the body's
+// bytes and decode time on ins. It returns DecodeRequest's statuses
+// (413 or 400) on failure and 0 on success.
+func DecodeJSON(r *http.Request, v any, ins Instruments) (status int, err error) {
+	return decodeBody(r, ins, func(data []byte) error { return json.Unmarshal(data, v) })
+}
+
+// decodeBody reads r's body under the MaxBodyBytes cap into a pooled
+// buffer and hands it to decode.
+func decodeBody(r *http.Request, ins Instruments, decode func([]byte) error) (status int, err error) {
 	if r.ContentLength > MaxBodyBytes {
 		return http.StatusRequestEntityTooLarge, errBodyTooLarge
 	}
@@ -150,7 +163,7 @@ func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err
 	}
 	ins.BytesIn.Add(int64(len(data)))
 	start := time.Now()
-	err = codec.Decode(data, v)
+	err = decode(data)
 	ins.DecodeNs.ObserveSince(start)
 	if err != nil {
 		return http.StatusBadRequest, err
@@ -159,30 +172,37 @@ func DecodeRequest(r *http.Request, v Message, ins Instruments) (status int, err
 }
 
 // WriteReply encodes v per the request's Accept header — binary when
-// the client asked for it, JSON otherwise — stamps Content-Type, and
-// writes the body.
+// the client asked for it, JSON through WriteJSON otherwise — stamps
+// Content-Type, and writes the body.
 func WriteReply(w http.ResponseWriter, r *http.Request, v Message, ins Instruments) {
-	WriteReplyStatus(w, r, 0, v, ins)
+	if !AcceptsBinary(r.Header.Get("Accept")) {
+		WriteJSON(w, 0, v, ins)
+		return
+	}
+	writeBody(w, 0, ContentTypeBinary, ins, func(dst []byte) ([]byte, error) { return Binary.Append(dst, v) })
 }
 
-// WriteReplyStatus is WriteReply with an explicit HTTP status code
-// (e.g. 201 for a join); status 0 means the implicit 200.
-func WriteReplyStatus(w http.ResponseWriter, r *http.Request, status int, v Message, ins Instruments) {
-	codec := JSON
-	if AcceptsBinary(r.Header.Get("Accept")) {
-		codec = Binary
-	}
+// WriteJSON writes v as a JSON reply with the given HTTP status (0
+// means the implicit 200): the JSON codec's bytes, json.Marshal's
+// output and a newline, counted on ins.
+func WriteJSON(w http.ResponseWriter, status int, v any, ins Instruments) {
+	writeBody(w, status, MediaJSON, ins, func(dst []byte) ([]byte, error) { return appendJSON(dst, v) })
+}
+
+// writeBody encodes a reply into a pooled buffer with encode and
+// writes it under contentType.
+func writeBody(w http.ResponseWriter, status int, contentType string, ins Instruments, encode func([]byte) ([]byte, error)) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
 	start := time.Now()
-	data, err := codec.Append(*buf, v)
+	data, err := encode(*buf)
 	ins.EncodeNs.ObserveSince(start)
 	*buf = data[:0]
 	if err != nil {
 		http.Error(w, fmt.Sprintf("encode reply: %v", err), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", codec.ContentType())
+	w.Header().Set("Content-Type", contentType)
 	if status != 0 {
 		w.WriteHeader(status)
 	}

@@ -1,7 +1,8 @@
 // Package wire is the pluggable encoding layer of the billboard wire
-// protocol: every request/response body that netboard, the cluster
-// fan-out and the serving front marshal goes through a Codec instead of
-// a hardcoded encoding/json call.
+// protocol: every request/response body that netboard and the cluster
+// fan-out marshal goes through a Codec instead of a hardcoded
+// encoding/json call. The serving front speaks JSON only, through
+// DecodeJSON and WriteJSON, the JSON path of the same helpers.
 //
 // Two codecs exist. JSON is the default and is byte-compatible with the
 // historical hand-rolled marshalling (vectors as '0'/'1'/'?' strings,
@@ -92,6 +93,11 @@ func (jsonCodec) Name() string        { return "json" }
 func (jsonCodec) ContentType() string { return MediaJSON }
 
 func (jsonCodec) Append(dst []byte, v Message) ([]byte, error) {
+	return appendJSON(dst, v)
+}
+
+// appendJSON appends json.Marshal's encoding of v and a newline.
+func appendJSON(dst []byte, v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return dst, err

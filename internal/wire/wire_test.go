@@ -314,28 +314,6 @@ func TestBitsJSON(t *testing.T) {
 	}
 }
 
-// TestBitsStringDualMode checks both arms of the string-field encoding:
-// a parseable vector string travels packed, an arbitrary string travels
-// raw, and both come back verbatim.
-func TestBitsStringDualMode(t *testing.T) {
-	for _, s := range []string{"", "01?10", strings.Repeat("1", 200), "not bits at all", "01x"} {
-		data := AppendBitsString(nil, s)
-		r := NewReader(data)
-		if got := r.BitsString(); got != s || r.Close() != nil {
-			t.Fatalf("BitsString(%q) = %q, err %v", s, got, r.Close())
-		}
-	}
-	// Packed arm is actually packed: a long valid string must shrink.
-	long := strings.Repeat("10", 512)
-	if data := AppendBitsString(nil, long); len(data) >= len(long)/2 {
-		t.Fatalf("valid vector string not packed: %d bytes for %d chars", len(data), len(long))
-	}
-	r := NewReader([]byte{9})
-	if r.BitsString(); r.Err() == nil {
-		t.Fatal("bad dual-mode flag accepted")
-	}
-}
-
 func TestBufferPool(t *testing.T) {
 	b := GetBuffer()
 	if len(*b) != 0 {
@@ -396,8 +374,9 @@ func TestDecodeRequestNegotiation(t *testing.T) {
 }
 
 // TestWriteReplyNegotiation checks the Accept side: binary only when
-// asked for, correct Content-Type, explicit status codes,
-// and the instruments counting body bytes.
+// asked for, correct Content-Type, WriteJSON's explicit status codes
+// whatever the Accept header says, and the instruments counting body
+// bytes.
 func TestWriteReplyNegotiation(t *testing.T) {
 	msg := &testMsg{A: 11, S: "reply", Xs: nil}
 	reg := telemetry.New()
@@ -411,7 +390,7 @@ func TestWriteReplyNegotiation(t *testing.T) {
 	}{
 		{"default json", "", 0, MediaJSON},
 		{"binary", ContentTypeBinary, 0, ContentTypeBinary},
-		{"created", ContentTypeBinary, http.StatusCreated, ContentTypeBinary},
+		{"json created", ContentTypeBinary, http.StatusCreated, MediaJSON},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("GET", "/x", nil)
@@ -419,7 +398,11 @@ func TestWriteReplyNegotiation(t *testing.T) {
 			req.Header.Set("Accept", tc.accept)
 		}
 		rec := httptest.NewRecorder()
-		WriteReplyStatus(rec, req, tc.status, msg, ins)
+		if tc.status != 0 {
+			WriteJSON(rec, tc.status, msg, ins)
+		} else {
+			WriteReply(rec, req, msg, ins)
+		}
 		wantStatus := tc.status
 		if wantStatus == 0 {
 			wantStatus = http.StatusOK

@@ -393,14 +393,7 @@ func fullOutputs(outputs []Partial, m int) bool {
 func gradeCommunities(in *Instance, outputs []Partial) []CommunityReport {
 	var reps []CommunityReport
 	for _, c := range in.Communities {
-		diam := in.Diameter(c.Members)
-		reps = append(reps, CommunityReport{
-			Size:        len(c.Members),
-			Diameter:    diam,
-			Discrepancy: metrics.Discrepancy(in, c.Members, outputs),
-			Stretch:     metrics.Stretch(in, c.Members, outputs),
-			MeanErr:     metrics.MeanErr(in, c.Members, outputs),
-		})
+		reps = append(reps, Evaluate(in, c.Members, outputs))
 	}
 	return reps
 }
@@ -472,10 +465,9 @@ func asRunError(rec any, env *core.Env, opt Options) error {
 // same numbers Run reports per planted community, usable with
 // CustomInstance data or ad-hoc groupings.
 func Evaluate(in *Instance, players []int, outputs []Partial) CommunityReport {
-	diam := in.Diameter(players)
 	return CommunityReport{
 		Size:        len(players),
-		Diameter:    diam,
+		Diameter:    in.Diameter(players),
 		Discrepancy: metrics.Discrepancy(in, players, outputs),
 		Stretch:     metrics.Stretch(in, players, outputs),
 		MeanErr:     metrics.MeanErr(in, players, outputs),
