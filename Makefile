@@ -1,7 +1,7 @@
 # Tier-1 verification targets. `make verify` is the full gate: vet plus
 # the whole suite under the race detector, which exercises the lock-free
-# probe shards and the epoch-cached vote tallies under real
-# interleavings (see internal/billboard/stress_test.go), and the
+# probe shards and the topic vote tallies under real interleavings
+# (see internal/billboard/stress_test.go), and the
 # netboard fault-injection stress (internal/netboard/stress_test.go):
 # dropped requests, responses lost after the server committed, and
 # concurrent duplicated deliveries, proving zero lost and zero
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench bench-net bench-core bench-wire bench-loadgen
+.PHONY: build fmt-check test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test verify bench-net bench-core bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
@@ -100,26 +100,24 @@ perfbench-test:
 
 verify: build fmt-check race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke perfbench-test
 
-# Refresh the perf-trajectory snapshots at the repo root.
-# BENCH_1.json: core experiment benchmarks.
-bench:
-	$(GO) run ./cmd/benchdiff -bench 'E1ZeroRadius|E8Main' -count 5
+# The benchdiff targets measure A/B against the code at REF (default
+# HEAD: working tree vs last commit), in alternating runs within one
+# wall-clock window, so machine-speed drift cancels out. benchdiff
+# checks REF out into a temporary git worktree.
+REF ?= HEAD
 
 # BENCH_2.json: networked-billboard throughput — full Zero Radius runs
 # over HTTP with requests/op. The committed file also records the
 # retired one-request-per-operation protocol's rows, the baseline of
 # the batching cut (DESIGN.md §8).
 bench-net:
-	$(GO) run ./cmd/benchdiff -suite netboard -count 3
+	$(GO) run ./cmd/benchdiff -suite netboard -count 3 -ref "$(REF)"
 
 # The core suite — E1/E8 end to end plus the billboard tally and
-# posting microbenchmarks — measured A/B against the code at REF
-# (default HEAD: working tree vs last commit) in alternating runs
-# within one wall-clock window, so machine-speed drift cancels out.
-# Fails (exit 1) if any benchmark is more than 10% slower than at REF.
-# Writes BENCH_5.json unless -out says otherwise; BENCH_4.json and the
-# committed BENCH_5.json are history.
-REF ?= HEAD
+# posting microbenchmarks. Fails (exit 1) if any benchmark is more than
+# 10% slower than at REF. Writes BENCH_5.json unless -out says
+# otherwise; BENCH_1.json, BENCH_4.json and the committed BENCH_5.json
+# are history.
 bench-core:
 	$(GO) run ./cmd/benchdiff -suite core -count 5 -ref "$(REF)" -fail-regress 10
 
@@ -129,7 +127,7 @@ bench-core:
 # smoke (BENCHTIME trims it further there).
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) run ./cmd/benchdiff -suite wire -count 3 -benchtime $(BENCHTIME)
+	$(GO) run ./cmd/benchdiff -suite wire -count 3 -benchtime $(BENCHTIME) -ref "$(REF)"
 
 # BENCH_NET.json: the serving-capacity table from a full local loadgen
 # run — a million-player fleet auto-ramping its round rate against a

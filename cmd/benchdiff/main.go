@@ -1,13 +1,13 @@
-// Command benchdiff runs the repository's experiment benchmarks and
-// records a perf-trajectory snapshot as JSON, so successive PRs can
-// compare ns/op and allocs/op against earlier baselines.
+// Command benchdiff measures the repository's benchmarks A/B against a
+// git rev and records both sides and their comparison as JSON. The rev
+// (default HEAD) is checked out into a temporary git worktree, and
+// single-count runs of the two trees alternate, so machine-speed drift
+// biases both sides equally.
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff                         # run and write BENCH_1.json
-//	go run ./cmd/benchdiff -bench 'E1|E8' -count 3
-//	go run ./cmd/benchdiff -input old.txt          # parse a saved `go test -bench` log
-//	go run ./cmd/benchdiff -baseline BENCH_0.json  # embed a before/after comparison
+//	go run ./cmd/benchdiff -bench 'E1|E8' -count 3 -out /tmp/ab.json   # working tree vs HEAD
+//	go run ./cmd/benchdiff -suite core -ref main -fail-regress 10
 //
 // Each benchmark is summarized by its minimum ns/op over the repeated
 // runs (minimum is the standard low-noise estimator for wall time) and
@@ -47,8 +47,6 @@ type Summary struct {
 var suites = map[string]struct {
 	pkg, bench, out string
 }{
-	// The experiment benchmarks of the root package (the default).
-	"experiments": {pkg: ".", bench: ".", out: "BENCH_1.json"},
 	// The networked-billboard throughput suite: full Zero Radius runs
 	// over HTTP, reporting requests/op.
 	"netboard": {pkg: "./internal/netboard", bench: "NetboardRun|HTTP", out: "BENCH_2.json"},
@@ -64,8 +62,8 @@ var suites = map[string]struct {
 	"wire": {pkg: "./internal/netboard", bench: "WireEncode|WireDecode", out: "BENCH_WIRE.json"},
 }
 
-// Comparison is the per-benchmark before/after delta when -baseline is
-// given.
+// Comparison is one benchmark's delta between the rev and the working
+// tree.
 type Comparison struct {
 	Name         string  `json:"name"`
 	BaseNsPerOp  float64 `json:"base_ns_per_op"`
@@ -83,8 +81,8 @@ type File struct {
 	// a later PR can re-run this snapshot's code with -ref instead of
 	// trusting wall-clock numbers recorded on a different machine state.
 	Commit string `json:"commit,omitempty"`
-	// RefCommit is set when -ref was used: the baseline summaries were
-	// measured from this commit in the same wall-clock window as the
+	// RefCommit is the commit -ref resolved to: the baseline summaries
+	// were measured from it in the same wall-clock window as the
 	// current ones (alternating runs), so their ns/op ratio is valid
 	// even on a machine whose speed drifts between sessions.
 	RefCommit  string       `json:"ref_commit,omitempty"`
@@ -95,23 +93,20 @@ type File struct {
 
 func main() {
 	var (
-		bench    = flag.String("bench", ".", "benchmark regexp passed to go test -bench")
-		count    = flag.Int("count", 5, "repetitions per benchmark (go test -count)")
-		btime    = flag.String("benchtime", "", "per-benchmark time or iteration budget (go test -benchtime); empty keeps go's default")
-		pkg      = flag.String("pkg", ".", "package to benchmark")
-		out      = flag.String("out", "BENCH_1.json", "output JSON path")
-		suite    = flag.String("suite", "", "named preset (experiments, netboard); sets -pkg/-bench/-out unless overridden")
-		input    = flag.String("input", "", "parse this saved benchmark log instead of running go test")
-		baseline = flag.String("baseline", "", "prior benchdiff JSON or raw benchmark log to compare against")
-		inter    = flag.Bool("interleave", false, "run go test -count times with -count=1 instead of once with -count=N: each benchmark's samples then spread across the whole wall-clock window, so slow machine drift hits every benchmark equally (use when benchmarks are compared against each other, as in the core suite)")
-		failPct  = flag.Float64("fail-regress", 0, "exit nonzero when any benchmark present in the baseline is more than this percent slower (ns/op) than the baseline; 0 disables the gate")
-		ref      = flag.String("ref", "", "git rev to benchmark as the baseline in the same wall-clock window: the rev is checked out into a temporary worktree and its runs alternate with the current tree's, so the comparison (and -fail-regress) is immune to machine-speed drift; implies -interleave and overrides -baseline")
+		bench   = flag.String("bench", ".", "benchmark regexp passed to go test -bench")
+		count   = flag.Int("count", 5, "alternating runs per tree, each a go test -count=1")
+		btime   = flag.String("benchtime", "", "per-benchmark time or iteration budget (go test -benchtime); empty keeps go's default")
+		pkg     = flag.String("pkg", ".", "package to benchmark")
+		out     = flag.String("out", "BENCH_1.json", "output JSON path")
+		suite   = flag.String("suite", "", "named preset (netboard, core, wire); sets -pkg/-bench/-out unless overridden")
+		failPct = flag.Float64("fail-regress", 0, "exit nonzero when any benchmark is more than this percent slower (ns/op) than at the rev; 0 disables the gate")
+		ref     = flag.String("ref", "HEAD", "git rev to benchmark as the baseline in the same wall-clock window: the rev is checked out into a temporary worktree and its runs alternate with the working tree's, so the comparison (and -fail-regress) is immune to machine-speed drift")
 	)
 	flag.Parse()
 	if *suite != "" {
 		preset, ok := suites[*suite]
 		if !ok {
-			fatal(fmt.Errorf("unknown suite %q (have: experiments, netboard, core, wire)", *suite))
+			fatal(fmt.Errorf("unknown suite %q (have: netboard, core, wire)", *suite))
 		}
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -127,63 +122,15 @@ func main() {
 	}
 
 	benchtime = *btime
-	cmdline := fmt.Sprintf("go test -run ^$ -bench %s -benchmem -count=%d %s", *bench, *count, *pkg)
-	var sums, baseSums []Summary
-	var err error
-	refCommit := ""
-	switch {
-	case *input != "":
-		f, err := os.Open(*input)
-		if err != nil {
-			fatal(err)
-		}
-		sums, err = parseBench(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		cmdline = "parsed from " + *input
-	case *ref != "":
-		sums, baseSums, refCommit = runAB(*bench, *count, *pkg, *ref)
-		cmdline = fmt.Sprintf("%d x go test -run ^$ -bench %s -benchmem -count=1 %s (interleaved A/B vs %s)",
-			*count, *bench, *pkg, *ref)
-	case *inter:
-		var all strings.Builder
-		for i := 0; i < *count; i++ {
-			out, err := runGoTest("", *bench, 1, *pkg)
-			if err != nil {
-				fatal(err)
-			}
-			all.WriteString(out)
-		}
-		sums, err = parseBench(strings.NewReader(all.String()))
-		if err != nil {
-			fatal(err)
-		}
-		cmdline = fmt.Sprintf("%d x go test -run ^$ -bench %s -benchmem -count=1 %s (interleaved)", *count, *bench, *pkg)
-	default:
-		out, err := runGoTest("", *bench, *count, *pkg)
-		if err != nil {
-			fatal(err)
-		}
-		sums, err = parseBench(strings.NewReader(out))
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if baseSums == nil && *baseline != "" {
-		baseSums, err = loadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
+	sums, baseSums, refCommit := runAB(*bench, *count, *pkg, *ref)
+	cmdline := fmt.Sprintf("%d x go test -run ^$ -bench %s -benchmem -count=1 %s (interleaved A/B vs %s)",
+		*count, *bench, *pkg, *ref)
 	comps := write(*out, cmdline, refCommit, sums, baseSums)
 	if *failPct > 0 {
 		failed := false
 		for _, c := range comps {
 			if c.BaseNsPerOp > 0 && c.NsPerOp > c.BaseNsPerOp*(1+*failPct/100) {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s %.0f -> %.0f ns/op (more than %.0f%% slower than baseline)\n",
+				fmt.Fprintf(os.Stderr, "REGRESSION: %s %.0f -> %.0f ns/op (more than %.0f%% slower than at the rev)\n",
 					c.Name, c.BaseNsPerOp, c.NsPerOp, *failPct)
 				failed = true
 			}
@@ -270,11 +217,8 @@ func runGoTest(dir, bench string, count int, pkgs string) (string, error) {
 }
 
 func write(path, cmdline, refCommit string, sums, base []Summary) []Comparison {
-	f := File{Command: cmdline, Go: goVersion(), Commit: headCommit(), RefCommit: refCommit, Benchmarks: sums}
-	if base != nil {
-		f.Baseline = base
-		f.Comparison = compare(base, sums)
-	}
+	f := File{Command: cmdline, Go: goVersion(), Commit: headCommit(), RefCommit: refCommit,
+		Benchmarks: sums, Baseline: base, Comparison: compare(base, sums)}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -405,23 +349,6 @@ func parseBench(r io.Reader) ([]Summary, error) {
 		})
 	}
 	return out, nil
-}
-
-// loadBaseline accepts either a prior benchdiff JSON file or a raw
-// `go test -bench` log.
-func loadBaseline(path string) ([]Summary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if json.Valid(data) {
-		var f File
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, err
-		}
-		return f.Benchmarks, nil
-	}
-	return parseBench(strings.NewReader(string(data)))
 }
 
 func compare(base, cur []Summary) []Comparison {

@@ -188,30 +188,24 @@ func costBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 	return t
 }
 
-// tallyBreakdown summarizes the billboard's tally-cache behaviour for
-// one experiment: epoch-cache hits vs rebuilds, the hit rate, and total
-// and mean rebuild wall time (nil when the board posted nothing).
+// tallyBreakdown summarizes the billboard's vote tallies for one
+// experiment: their count and total and mean wall time (nil when the
+// board tallied nothing).
 func tallyBreakdown(id string, reg *telemetry.Registry) *metrics.Table {
 	snap := reg.Snapshot()
-	hits := snap.Counters["billboard.tally.cache_hits"]
 	rebuilds := snap.Counters["billboard.tally.rebuilds"]
-	if hits+rebuilds == 0 {
+	if rebuilds == 0 {
 		return nil
 	}
 	rebuildNs := snap.Counters["billboard.tally.rebuild_ns"]
-	meanNs := int64(0)
-	if rebuilds > 0 {
-		meanNs = rebuildNs / rebuilds
-	}
 	t := &metrics.Table{
-		Title:  fmt.Sprintf("%s billboard tally cache (all seeds and configurations)", id),
-		Note:   "epoch-cache effectiveness and rebuild cost of the vote tallies",
-		Header: []string{"hits", "rebuilds", "hit rate", "rebuild wall", "wall/rebuild"},
+		Title:  fmt.Sprintf("%s billboard tallies (all seeds and configurations)", id),
+		Note:   "vote tallies computed and their wall time",
+		Header: []string{"tallies", "tally wall", "wall/tally"},
 	}
-	t.AddRow(hits, rebuilds,
-		fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+rebuilds)),
+	t.AddRow(rebuilds,
 		time.Duration(rebuildNs).Round(time.Microsecond),
-		time.Duration(meanNs).Round(time.Microsecond))
+		time.Duration(rebuildNs/rebuilds).Round(time.Microsecond))
 	return t
 }
 

@@ -13,7 +13,7 @@ import (
 	"tellme/internal/telemetry"
 )
 
-// boardTarget is the resolved billboard the board plane drives, plus
+// boardTarget is the resolved billboard the fleet drives, plus
 // everything the run needs to describe and tear it down.
 type boardTarget struct {
 	board boardclient.Interface
@@ -27,8 +27,8 @@ type boardTarget struct {
 	close func()
 }
 
-// resolveTarget builds the board plane's target from the spec
-// progression shared with tellmed and the batch facade — nothing (the
+// resolveTarget builds the fleet's target from the spec progression
+// shared with tellmed and the batch facade — nothing (the
 // in-process board), one URL (a single netboard server), a
 // comma-separated list (a sharded cluster) — plus the
 // loadgen-only localShards mode, which spawns that many loopback

@@ -59,19 +59,6 @@ type VerifyResult struct {
 	OK         bool  `json:"ok"`
 }
 
-// ServeStats summarizes the serve plane of a run (zero value when the
-// serve plane was off).
-type ServeStats struct {
-	Players         int     `json:"players"`
-	Epochs          int64   `json:"epochs_completed"`
-	Recommends      int64   `json:"recommends"`
-	RecommendRate   float64 `json:"recommend_per_sec"`
-	RecommendP50Ns  int64   `json:"recommend_p50_ns"`
-	RecommendP99Ns  int64   `json:"recommend_p99_ns"`
-	ChurnApplied    int64   `json:"churn_applied"`
-	RecommendErrors int64   `json:"recommend_errors"`
-}
-
 // BenchNetFile is the BENCH_NET.json artifact, following the benchdiff
 // File conventions (command/go/commit header + result rows) so the
 // trajectory tooling can diff capacity tables across PRs.
@@ -93,7 +80,6 @@ type BenchNetFile struct {
 	MaxSustainedRate float64 `json:"max_sustained_rounds_per_sec"`
 
 	Verify *VerifyResult `json:"verify,omitempty"`
-	Serve  *ServeStats   `json:"serve,omitempty"`
 	// RSSPeakMB is the loadgen process's peak resident set (VmHWM),
 	// which with -local-shards includes every shard's board; omitted
 	// where /proc is absent.
@@ -176,14 +162,6 @@ func printTable(w io.Writer, f *BenchNetFile) {
 	if f.Verify != nil {
 		fmt.Fprintf(w, "verify: expected %d probes, board %d (lost %d, duplicated %d) ok=%v\n",
 			f.Verify.ExpectedProbes, f.Verify.BoardProbes, f.Verify.Lost, f.Verify.Duplicated, f.Verify.OK)
-	}
-	if f.Serve != nil {
-		s := f.Serve
-		fmt.Fprintf(w, "serve: %d players, %d epochs, %d recommends (%.0f/s, p50 %v, p99 %v), churn %d, errors %d\n",
-			s.Players, s.Epochs, s.Recommends, s.RecommendRate,
-			time.Duration(s.RecommendP50Ns).Round(time.Microsecond),
-			time.Duration(s.RecommendP99Ns).Round(time.Microsecond),
-			s.ChurnApplied, s.RecommendErrors)
 	}
 	if f.RSSPeakMB > 0 {
 		fmt.Fprintf(w, "rss peak: %.0f MB (VmHWM of this process)\n", f.RSSPeakMB)

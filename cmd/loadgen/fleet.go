@@ -10,9 +10,9 @@ import (
 	"tellme/internal/telemetry"
 )
 
-// The board plane simulates a fleet of players running probe rounds
-// against the billboard. The schedule is fully deterministic in the
-// global arrival index i:
+// The fleet simulates players running probe rounds against the
+// billboard. The schedule is fully deterministic in the global arrival
+// index i:
 //
 //	player  p = i mod P
 //	round   k = i div P        (how many rounds p has run before this one)

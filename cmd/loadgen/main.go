@@ -1,16 +1,15 @@
 // Command loadgen is the synthetic-fleet driver: it sustains open-loop
-// join/probe/post/recommend traffic from up to a million simulated
-// players against an in-process board, a live netboard server, or a
-// billboard cluster, and emits a capacity table (BENCH_NET.json)
-// stating the highest sustained rounds/sec per configuration with p50
-// and p99 latency read from the telemetry histograms.
+// probe/post traffic from up to a million simulated players against an
+// in-process board, a live netboard server, or a billboard cluster,
+// and emits a capacity table (BENCH_NET.json) stating the highest
+// sustained rounds/sec per configuration with p50 and p99 latency read
+// from the telemetry histograms.
 //
 // Examples:
 //
 //	loadgen -players 10000 -duration 2s                      # in-process smoke
 //	loadgen -players 1000000 -local-shards 4 -rates 5000     # loopback cluster
 //	loadgen -players 50000 -board http://a:8080,http://b:8080
-//	loadgen -players 10000 -serve-players 512 -recommend-rate 200
 package main
 
 import (
@@ -27,7 +26,7 @@ import (
 func main() {
 	cfg := &config{}
 	var rates, codecs string
-	flag.IntVar(&cfg.Players, "players", 10000, "simulated players in the board-plane fleet")
+	flag.IntVar(&cfg.Players, "players", 10000, "simulated players in the fleet")
 	flag.IntVar(&cfg.M, "m", 512, "object universe size")
 	flag.IntVar(&cfg.PostBatch, "post-batch", 32, "probes posted per round (must divide m)")
 	flag.BoolVar(&cfg.Lookups, "lookups", false, "also issue a lookup per round")
@@ -41,13 +40,6 @@ func main() {
 	flag.StringVar(&cfg.Board, "board", "", "board target: empty = in-process, URL = server, comma-separated URLs = cluster")
 	flag.StringVar(&codecs, "codec", "json", "comma-separated wire codecs to sweep (json,binary); each runs a fresh-target leg")
 	flag.IntVar(&cfg.LocalShards, "local-shards", 0, "spawn N loopback netboard shards and drive them as a cluster")
-	flag.IntVar(&cfg.ServePlayers, "serve-players", 0, "serve-plane fleet size (0 = board plane only)")
-	flag.IntVar(&cfg.ServeM, "serve-m", 64, "serve-plane object universe")
-	flag.Float64Var(&cfg.ServeAlpha, "serve-alpha", 0.5, "serve-plane community threshold")
-	flag.StringVar(&cfg.ServeURL, "serve", "", "drive a live tellmed at this URL instead of an in-process engine")
-	flag.Float64Var(&cfg.ChurnPerSec, "churn", 0, "serve-plane player replacements per second")
-	flag.Float64Var(&cfg.RecommendRate, "recommend-rate", 0, "serve-plane recommend reads per second")
-	flag.DurationVar(&cfg.EpochEvery, "epoch-every", time.Second, "in-process serve engine epoch cadence")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed for truth vectors")
 	flag.DurationVar(&cfg.SLO, "slo", 50*time.Millisecond, "p99 latency budget for 'sustained'")
 	flag.BoolVar(&cfg.Verify, "verify", true, "audit posts against the board's exact probe counter")

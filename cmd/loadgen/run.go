@@ -19,7 +19,6 @@ import (
 // in it up to wall-clock jitter (the probe/post schedule and all truth
 // vectors derive from Seed and the arrival indices alone).
 type config struct {
-	// Board plane.
 	Players   int
 	M         int
 	PostBatch int
@@ -57,15 +56,6 @@ type config struct {
 	// unlabeled leg) when the target is the in-process board — there is
 	// no wire to encode for.
 	Codecs []string
-
-	// Serve plane (off when ServePlayers == 0).
-	ServePlayers  int
-	ServeM        int
-	ServeAlpha    float64
-	ServeURL      string
-	ChurnPerSec   float64
-	RecommendRate float64
-	EpochEvery    time.Duration
 
 	Seed   uint64
 	SLO    time.Duration
@@ -115,17 +105,6 @@ func (cfg *config) validate() error {
 	if cfg.RampMax <= 0 {
 		cfg.RampMax = 1 << 22 // ~4.2M rounds/sec: past any plausible single host
 	}
-	if cfg.ServePlayers > 0 {
-		if cfg.ServeM <= 0 {
-			cfg.ServeM = 64
-		}
-		if cfg.ServeAlpha <= 0 || cfg.ServeAlpha > 1 {
-			cfg.ServeAlpha = 0.5
-		}
-		if cfg.EpochEvery <= 0 {
-			cfg.EpochEvery = time.Second
-		}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -169,15 +148,6 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 		// No wire between the fleet and an in-process board: one leg,
 		// and its rows claim no codec.
 		codecs = codecs[:1]
-	}
-
-	var plane *servePlane
-	if cfg.ServePlayers > 0 {
-		var err error
-		plane, err = startServePlane(cfg, cfg.Logf)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	file := &BenchNetFile{
@@ -234,11 +204,6 @@ func run(ctx context.Context, cfg *config) (*BenchNetFile, error) {
 	file.MaxSustainedRate = maxSustained(file.Rows)
 	file.Verify = total
 	file.RSSPeakMB = peakRSSMB("/proc/self/status")
-
-	if plane != nil {
-		s := plane.stop()
-		file.Serve = &s
-	}
 	return file, nil
 }
 
@@ -295,7 +260,7 @@ func runLeg(ctx context.Context, cfg *config, codec string, inproc bool, file *B
 	if inproc {
 		label = ""
 	}
-	cfg.Logf("board plane: %d players, m=%d, batch=%d, target %s, codec %s, %d workers",
+	cfg.Logf("fleet: %d players, m=%d, batch=%d, target %s, codec %s, %d workers",
 		cfg.Players, cfg.M, cfg.PostBatch, target.kind, codec, cfg.Workers)
 
 	next := int64(0) // global arrival index, continuous across steps

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // TestSmokeInprocTenThousandPlayers is the CI smoke: a 10k-player fleet
@@ -78,50 +77,5 @@ func TestSmokeLocalShardCluster(t *testing.T) {
 	}
 	if want := int64(players) * 3 * batch; file.Verify.BoardProbes != want {
 		t.Fatalf("cluster holds %d probes, want %d", file.Verify.BoardProbes, want)
-	}
-}
-
-// TestSmokeServePlane runs both planes: the board fleet paced at a real
-// rate so the serve plane has wall-clock time to join, complete epochs,
-// and serve recommend reads.
-func TestSmokeServePlane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed smoke")
-	}
-	cfg := &config{
-		Players:       1000,
-		M:             32,
-		PostBatch:     16,
-		Workers:       10,
-		Rates:         []float64{5000},
-		RoundsPerStep: 5000, // ~1s of wall clock at the target rate
-		ServePlayers:  64,
-		ServeM:        32,
-		RecommendRate: 500,
-		ChurnPerSec:   20,
-		EpochEvery:    10 * time.Millisecond,
-		Seed:          7,
-		Verify:        true,
-		Logf:          t.Logf,
-	}
-	file, err := run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !file.Verify.OK {
-		t.Fatalf("board audit failed with serve plane on: %+v", file.Verify)
-	}
-	s := file.Serve
-	if s == nil {
-		t.Fatal("serve stats missing")
-	}
-	if s.Players != 64 {
-		t.Fatalf("serve plane holds %d players, want 64", s.Players)
-	}
-	if s.Epochs == 0 {
-		t.Fatal("serve plane completed no epochs")
-	}
-	if s.Recommends == 0 {
-		t.Fatal("serve plane issued no recommends")
 	}
 }

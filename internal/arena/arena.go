@@ -145,23 +145,21 @@ func (s *Slab[T]) Reset() { s.block, s.off = 0, 0 }
 type Arena struct {
 	ints  Slab[int]
 	words Slab[uint64]
-	u32s  Slab[uint32]
 	bools Slab[bool]
 }
 
 // Mark records the position of every slab.
-type Mark struct{ ints, words, u32s, bools Pos }
+type Mark struct{ ints, words, bools Pos }
 
 // Mark records the arena's current position across all slabs.
 func (a *Arena) Mark() Mark {
-	return Mark{a.ints.Mark(), a.words.Mark(), a.u32s.Mark(), a.bools.Mark()}
+	return Mark{a.ints.Mark(), a.words.Mark(), a.bools.Mark()}
 }
 
 // Release rewinds all slabs to m (LIFO discipline, as with Slab).
 func (a *Arena) Release(m Mark) {
 	a.ints.Release(m.ints)
 	a.words.Release(m.words)
-	a.u32s.Release(m.u32s)
 	a.bools.Release(m.bools)
 }
 
@@ -170,13 +168,6 @@ func (a *Arena) Ints(n int) []int { return a.ints.Make(n) }
 
 // Words returns a zeroed []uint64 of length n from the arena.
 func (a *Arena) Words(n int) []uint64 { return a.words.Make(n) }
-
-// U32s returns a zeroed []uint32 of length n from the arena.
-func (a *Arena) U32s(n int) []uint32 { return a.u32s.Make(n) }
-
-// RawU32s returns an uninitialized []uint32 of length n from the arena
-// (see Slab.Raw: only for regions fully overwritten before any read).
-func (a *Arena) RawU32s(n int) []uint32 { return a.u32s.Raw(n) }
 
 // Bools returns a zeroed []bool of length n from the arena.
 func (a *Arena) Bools(n int) []bool { return a.bools.Make(n) }

@@ -182,9 +182,8 @@ func TestArenaMarkRelease(t *testing.T) {
 	m := a.Mark()
 	ints := a.Ints(5)
 	words := a.Words(5)
-	u32s := a.U32s(5)
 	bools := a.Bools(5)
-	ints[0], words[0], u32s[0], bools[0] = 1, 1, 1, true
+	ints[0], words[0], bools[0] = 1, 1, true
 	a.Release(m)
 	if got := a.Mark(); got != m {
 		t.Fatalf("Release did not restore arena: %+v != %+v", got, m)
@@ -211,7 +210,6 @@ func TestWarmSlabDoesNotAllocate(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			_ = a.Ints(100)
 			_ = a.Words(64)
-			_ = a.U32s(128)
 			_ = a.Bools(32)
 		}
 		a.Release(m)

@@ -44,9 +44,7 @@ func BenchmarkVotesLargeTopic(b *testing.B) {
 }
 
 // BenchmarkPopularVectors measures the board-level read path end to
-// end: every iteration invalidates the epoch cache, so the cost is one
-// full rebuild plus the popularity filter, as a reader after a posting
-// burst would pay.
+// end: one full tally plus the popularity filter, as every reader pays.
 func BenchmarkPopularVectors(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		bd := New(n, 64)
@@ -56,10 +54,6 @@ func BenchmarkPopularVectors(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tp := bd.topicFor("t")
-				tp.mu.Lock()
-				tp.votesAt = neverTallied
-				tp.mu.Unlock()
 				if v := bd.PopularVectors("t", 2); len(v) == 0 {
 					b.Fatal("no popular vectors")
 				}

@@ -28,15 +28,13 @@
 //
 // Topic postings use a two-level lock (board map, then per-topic). Each
 // topic carries an epoch counter, bumped under the topic lock on every
-// post, and lazily caches its vote tally at a given epoch: Votes,
-// ValueVotes and PopularVectors return the cached tally while the epoch
-// is unchanged, so the n identical per-phase tallies of ZeroRadius and
-// SmallRadius cost one tally instead of n. A rebuild is one serial
-// grouping pass over the topic's postings. Cached tallies are
-// immutable; callers must not modify the returned slices or the
-// vectors inside. Tallies and posting snapshots stay valid after their
-// topic is dropped: a drop leaves the topic's storage to the garbage
-// collector, and nothing reuses it.
+// post, which stamps TopicSnapshot's answers. Votes, ValueVotes and
+// PopularVectors tally the topic on every call: one serial grouping
+// pass over its postings, under the topic lock. A tally shares its
+// vectors with the postings, so callers must not modify the vectors
+// inside. Tallies and posting snapshots stay valid after their topic is
+// dropped: a drop leaves the topic's storage to the garbage collector,
+// and nothing reuses it.
 package billboard
 
 import (
@@ -85,8 +83,8 @@ type Interface interface {
 	PostVector(name string, player int, v bitvec.Vector)
 	// Postings returns a snapshot of the topic's vector postings.
 	Postings(name string) []Posting
-	// Votes tallies the topic's vector postings deterministically. The
-	// result is shared and immutable; callers must not modify it.
+	// Votes tallies the topic's vector postings deterministically.
+	// Callers must not modify the vectors in the result.
 	Votes(name string) []Vote
 	// PopularVectors returns vectors with at least minVotes supporters.
 	PopularVectors(name string, minVotes int) []bitvec.Partial
@@ -96,7 +94,7 @@ type Interface interface {
 	// ValuePostings returns a snapshot of the topic's value postings.
 	ValuePostings(name string) []ValuePosting
 	// ValueVotes tallies the topic's value postings deterministically.
-	// The result is shared and immutable; callers must not modify it.
+	// Callers must not modify the value vectors in the result.
 	ValueVotes(name string) []ValueVote
 
 	// DropTopic removes a topic and its postings.
@@ -172,10 +170,8 @@ func (b *Board) SetTelemetry(reg *telemetry.Registry) {
 	}
 	reg.CounterFunc("billboard.probe.posts", b.ProbeCount)
 	reg.CounterFunc("billboard.vector.posts", b.VectorPostCount)
-	reg.CounterFunc("billboard.tally.cache_hits", func() int64 { return b.topicStatTotals().tallyHits })
 	reg.CounterFunc("billboard.tally.rebuilds", func() int64 { return b.topicStatTotals().rebuilds })
 	reg.CounterFunc("billboard.tally.rebuild_ns", func() int64 { return b.topicStatTotals().rebuildNs })
-	reg.CounterFunc("billboard.snapshot.unchanged", func() int64 { return b.topicStatTotals().snapUnch })
 	b.tel.topics.Set(int64(b.TopicCount()))
 	// Per-kind post counters for kinds already seen (live topics or
 	// dropped-but-counted ones); later kinds register as their first
@@ -242,13 +238,11 @@ func (b *Board) topicStatTotals() topicStats {
 	return tot
 }
 
-// topic holds one topic's postings plus its lazily cached vote tallies.
-// epoch counts mutations; votesAt/valVotesAt record the epoch at which
-// the corresponding cached tally was computed (^0 = never). gen is a
-// board-unique creation stamp, so a (gen, epoch) pair identifies topic
+// topic holds one topic's postings. epoch counts mutations, and gen is
+// a board-unique creation stamp, so a (gen, epoch) pair identifies topic
 // content even across DropTopic + re-create (a recreated topic restarts
-// at epoch 0 but gets a fresh gen, which keeps remote snapshot caches
-// from mistaking it for the dropped one).
+// at epoch 0 but gets a fresh gen, so a caller holding the dropped
+// topic's stamp never reads it as unchanged).
 type topic struct {
 	mu       sync.Mutex
 	gen      uint64
@@ -268,30 +262,26 @@ type topic struct {
 	// flag (refs must not outlive their phase; see TopicRef).
 	retired bool
 
-	epoch      uint64
-	votesAt    uint64
-	votes      []Vote
-	valVotesAt uint64
-	valVotes   []ValueVote
+	epoch uint64
 }
 
-// rebuildVotes recomputes the vector-vote cache at the current epoch,
-// charging stats. Caller holds t.mu.
-func (t *topic) rebuildVotes() {
+// votes tallies the topic's vector postings, charging stats. Caller
+// holds t.mu.
+func (t *topic) votes() []Vote {
 	start := time.Now()
-	t.votes = tallyVotes(t.postings)
-	t.votesAt = t.epoch
+	out := tallyVotes(t.postings)
 	t.stats.rebuilds++
 	t.stats.rebuildNs += time.Since(start).Nanoseconds()
+	return out
 }
 
-// rebuildValVotes is rebuildVotes for value postings. Caller holds t.mu.
-func (t *topic) rebuildValVotes() {
+// valVotes is votes for value postings. Caller holds t.mu.
+func (t *topic) valVotes() []ValueVote {
 	start := time.Now()
-	t.valVotes = tallyValueVotes(t.values)
-	t.valVotesAt = t.epoch
+	out := tallyValueVotes(t.values)
 	t.stats.rebuilds++
 	t.stats.rebuildNs += time.Since(start).Nanoseconds()
+	return out
 }
 
 // topicStats are the per-topic bookkeeping counts behind the board's
@@ -303,21 +293,15 @@ func (t *topic) rebuildValVotes() {
 // monotone).
 type topicStats struct {
 	posts     int64 // vector + value postings
-	tallyHits int64 // Votes/ValueVotes served from the epoch cache
-	rebuilds  int64 // tally rebuilds (cache invalidated by a post)
-	rebuildNs int64 // wall time spent in tally rebuilds
-	snapUnch  int64 // TopicSnapshot "unchanged" answers
+	rebuilds  int64 // tallies computed
+	rebuildNs int64 // wall time spent in tallies
 }
 
 func (s *topicStats) fold(o topicStats) {
 	s.posts += o.posts
-	s.tallyHits += o.tallyHits
 	s.rebuilds += o.rebuilds
 	s.rebuildNs += o.rebuildNs
-	s.snapUnch += o.snapUnch
 }
-
-const neverTallied = ^uint64(0)
 
 // Posting is one vector posted by one player under a topic.
 type Posting struct {
@@ -591,16 +575,11 @@ func (b *Board) topicFor(name string) *topic {
 		b.mu.Unlock()
 		return t
 	}
-	t = &topic{
-		gen:        b.topicGen.Add(1),
-		votesAt:    neverTallied,
-		valVotesAt: neverTallied,
-	}
+	t = &topic{gen: b.topicGen.Add(1)}
 	// The value slab is write-once per topic (released wholesale on
-	// drop), so unbounded doubling would overshoot a busy topic's
-	// footprint by up to 2× in eagerly-zeroed large blocks; 8192
-	// uint32s keeps every block within the runtime's 32 KiB
-	// small-object classes.
+	// drop), and its last block is rarely full. Capping the doubling at
+	// 8192 uint32s (32 KiB) bounds that unused tail, which unbounded
+	// doubling lets grow as large as everything posted before it.
 	t.valSlab.SetMaxBlock(8192)
 	b.topics[name] = t
 	reg := b.tel.reg
@@ -693,25 +672,16 @@ func (b *Board) Postings(name string) []Posting {
 // The result is sorted by descending count, ties broken by the vectors'
 // lexicographic order, so it is deterministic regardless of posting
 // order — every player computing Votes sees the same list, which the
-// paper's vote-threshold steps require.
-//
-// The tally is cached per topic epoch: while no new posting arrives,
-// every call returns the same immutable slice, computed once. Callers
-// must not modify it.
+// paper's vote-threshold steps require. Each call tallies afresh;
+// callers must not modify the vectors, which the postings share.
 func (b *Board) Votes(name string) []Vote {
 	t, ok := b.peekTopic(name)
 	if !ok {
 		return []Vote{} // non-nil, like a created-but-unposted topic
 	}
 	t.mu.Lock()
-	if t.votesAt != t.epoch {
-		t.rebuildVotes()
-	} else {
-		t.stats.tallyHits++
-	}
-	out := t.votes
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.votes()
 }
 
 // PopularVectors returns the distinct vectors posted under the topic by
@@ -920,34 +890,27 @@ func (b *Board) ValuePostings(name string) []ValuePosting {
 
 // ValueVotes tallies value-vector postings, sorted by descending count
 // with ties broken by the vectors' lexicographic order (deterministic
-// for every reader, like Votes). Cached per topic epoch like Votes; the
-// result is immutable and must not be modified.
+// for every reader, like Votes). Each call tallies afresh; callers
+// must not modify the value vectors, which the postings share.
 func (b *Board) ValueVotes(name string) []ValueVote {
 	t, ok := b.peekTopic(name)
 	if !ok {
 		return []ValueVote{} // non-nil, like a created-but-unposted topic
 	}
 	t.mu.Lock()
-	if t.valVotesAt != t.epoch {
-		t.rebuildValVotes()
-	} else {
-		t.stats.tallyHits++
-	}
-	out := t.valVotes
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.valVotes()
 }
 
 // TopicSnapshot returns the topic's identity stamp (gen, epoch) and,
 // unless the caller's (sinceGen, sinceEpoch) already matches it, the
-// cached vote tallies of both posting kinds. unchanged reports a match,
-// in which case the returned tallies are nil and the caller should keep
-// whatever it fetched at that stamp. The stamp is comparable across
-// DropTopic: a recreated topic has a fresh gen, so a stale cache keyed
-// by the old stamp can never be mistaken for current content. This is
-// the server half of netboard's epoch-tagged snapshot endpoint; the
-// returned tallies are the shared immutable epoch caches of Votes and
-// ValueVotes.
+// vote tallies of both posting kinds, as Votes and ValueVotes compute
+// them. unchanged reports a match, in which case the returned tallies
+// are nil and the caller should keep whatever it fetched at that stamp.
+// The stamp is comparable across DropTopic: a recreated topic has a
+// fresh gen, so a copy kept under the old stamp can never be mistaken
+// for current content. This is the server half of netboard's
+// epoch-tagged snapshot endpoint.
 func (b *Board) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []Vote, valVotes []ValueVote) {
 	t, ok := b.peekTopic(name)
 	if !ok {
@@ -960,20 +923,9 @@ func (b *Board) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, ep
 	defer t.mu.Unlock()
 	gen, epoch = t.gen, t.epoch
 	if gen == sinceGen && epoch == sinceEpoch {
-		t.stats.snapUnch++
 		return gen, epoch, true, nil, nil
 	}
-	if t.votesAt != t.epoch {
-		t.rebuildVotes()
-	} else {
-		t.stats.tallyHits++
-	}
-	if t.valVotesAt != t.epoch {
-		t.rebuildValVotes()
-	} else {
-		t.stats.tallyHits++
-	}
-	return gen, epoch, false, t.votes, t.valVotes
+	return gen, epoch, false, t.votes(), t.valVotes()
 }
 
 func appendValsKey(buf []byte, vals []uint32) []byte {

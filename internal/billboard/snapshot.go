@@ -13,10 +13,10 @@ import (
 )
 
 type snapshotJSON struct {
-	N      int                 `json:"n"`
-	M      int                 `json:"m"`
-	Probes [][]snapObjGrade    `json:"probes"` // indexed by player
-	Topics map[string]snapshot `json:"topics"`
+	N      int                    `json:"n"`
+	M      int                    `json:"m"`
+	Probes map[int][]snapObjGrade `json:"probes"` // by player, only players with probes
+	Topics map[string]snapshot    `json:"topics"`
 }
 
 type snapObjGrade struct {
@@ -43,14 +43,16 @@ type snapVal struct {
 // postings) as JSON. Concurrent posting during a snapshot yields some
 // consistent-prefix state; quiesce the board for an exact image.
 func (b *Board) Snapshot(w io.Writer) error {
-	doc := snapshotJSON{N: b.n, M: b.m, Topics: map[string]snapshot{}}
-	doc.Probes = make([][]snapObjGrade, b.n)
+	doc := snapshotJSON{N: b.n, M: b.m, Probes: map[int][]snapObjGrade{}, Topics: map[string]snapshot{}}
 	for p := 0; p < b.n; p++ {
-		// ForEachProbe iterates in ascending object order, so snapshots
-		// of the same state are byte-identical.
-		b.ForEachProbe(p, func(o int, g byte) {
-			doc.Probes[p] = append(doc.Probes[p], snapObjGrade{O: o, G: g})
-		})
+		// ForEachProbe iterates in ascending object order and
+		// encoding/json sorts map keys, so snapshots of the same state
+		// are byte-identical.
+		var row []snapObjGrade
+		b.ForEachProbe(p, func(o int, g byte) { row = append(row, snapObjGrade{O: o, G: g}) })
+		if row != nil {
+			doc.Probes[p] = row
+		}
 	}
 	b.mu.RLock()
 	names := make([]string, 0, len(b.topics))
@@ -81,11 +83,11 @@ func Restore(r io.Reader) (*Board, error) {
 	if doc.N <= 0 || doc.M <= 0 {
 		return nil, fmt.Errorf("billboard: snapshot has invalid dims %dx%d", doc.N, doc.M)
 	}
-	if len(doc.Probes) > doc.N {
-		return nil, fmt.Errorf("billboard: snapshot has %d probe rows for %d players", len(doc.Probes), doc.N)
-	}
 	b := New(doc.N, doc.M)
 	for p, row := range doc.Probes {
+		if p < 0 || p >= doc.N {
+			return nil, fmt.Errorf("billboard: snapshot has probes of player %d of %d", p, doc.N)
+		}
 		for _, og := range row {
 			if og.O < 0 || og.O >= doc.M || og.G > 1 {
 				return nil, fmt.Errorf("billboard: snapshot probe (%d,%d,%d) invalid", p, og.O, og.G)

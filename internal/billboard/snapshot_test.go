@@ -2,6 +2,7 @@ package billboard
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,15 +63,72 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 		``,
 		`{}`,
 		`{"n":0,"m":4}`,
-		`{"n":2,"m":4,"probes":[[{"o":9,"g":1}]]}`,
-		`{"n":2,"m":4,"probes":[[{"o":0,"g":5}]]}`,
-		`{"n":1,"m":4,"probes":[[],[]]}`,
+		`{"n":2,"m":4,"probes":{"0":[{"o":9,"g":1}]}}`,
+		`{"n":2,"m":4,"probes":{"0":[{"o":0,"g":5}]}}`,
+		`{"n":2,"m":4,"probes":{"2":[{"o":0,"g":1}]}}`,
+		`{"n":2,"m":4,"probes":{"-1":[{"o":0,"g":1}]}}`,
+		`{"n":2,"m":4,"probes":{"x":[{"o":0,"g":1}]}}`,
+		// The dense format, a row per player, no longer restores.
+		`{"n":1,"m":4,"probes":[[{"o":0,"g":1}]]}`,
 		`{"n":1,"m":2,"topics":{"t":{"vectors":[{"player":0,"bits":"0x"}]}}}`,
 	}
 	for i, c := range cases {
 		if _, err := Restore(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d accepted: %s", i, c)
 		}
+	}
+}
+
+// TestSnapshotSparseProbeRows: a snapshot holds only the players that
+// posted, so a million-player board with three posted players
+// snapshots to a few hundred bytes and restores to the same state.
+func TestSnapshotSparseProbeRows(t *testing.T) {
+	const n, m = 1 << 20, 512
+	b := New(n, m)
+	b.PostProbe(3, 511, 1)
+	b.PostProbes(700000, []int{0, 64, 65}, []byte{1, 0, 1})
+	b.PostProbe(n-1, 7, 0)
+	// The first snapshot also fills encoding/json's per-type caches;
+	// measure the second.
+	var buf bytes.Buffer
+	if err := b.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := b.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if buf.Len() > 256 {
+		t.Errorf("snapshot is %d bytes, want at most 256: %s", buf.Len(), buf.Bytes())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<10 {
+		t.Errorf("snapshot allocated %d bytes, want at most 4 KiB", alloc)
+	}
+	snap := buf.String()
+	got, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ProbeCount() != 5 {
+		t.Fatalf("ProbeCount %d, want 5", got.ProbeCount())
+	}
+	for _, pr := range []struct {
+		p, o int
+		g    byte
+	}{{3, 511, 1}, {700000, 0, 1}, {700000, 64, 0}, {700000, 65, 1}, {n - 1, 7, 0}} {
+		if g, ok := got.LookupProbe(pr.p, pr.o); !ok || g != pr.g {
+			t.Errorf("probe (%d,%d) restored as (%d,%v), want %d", pr.p, pr.o, g, ok, pr.g)
+		}
+	}
+	var again bytes.Buffer
+	if err := got.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != snap {
+		t.Fatalf("restored board snapshots differently:\n%s\n%s", again.String(), snap)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"tellme/internal/bitvec"
 )
 
-// Stress tests for the lock-free probe shards and the epoch-cached
-// tallies. They assert invariants under real interleavings and are
+// Stress tests for the lock-free probe shards and the topic tallies.
+// They assert invariants under real interleavings and are
 // primarily aimed at `go test -race` (the Makefile's verify target).
 
 // TestStressPostVotesDropTopic interleaves posters, tally readers, and

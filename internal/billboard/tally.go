@@ -25,7 +25,7 @@ func tallyVotes(postings []Posting) []Vote {
 		sort.Ints(g.Voters)
 	}
 	// slices.SortFunc over sort.Slice: no reflection-based swaps on a
-	// path rebuilt once per topic epoch. The comparator is a strict
+	// path every tally read runs. The comparator is a strict
 	// total order over distinct groups, so the (unstable) algorithm
 	// cannot show through.
 	slices.SortFunc(out, func(a, b Vote) int {

@@ -44,17 +44,6 @@ func New(n int) Vector {
 	return Vector{n: n, w: make([]uint64, words(n))}
 }
 
-// FromBools builds a vector from a bool slice.
-func FromBools(b []bool) Vector {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.Set(i, 1)
-		}
-	}
-	return v
-}
-
 // FromString parses a string of '0' and '1' runes into a Vector.
 func FromString(s string) (Vector, error) {
 	v := New(len(s))
@@ -77,18 +66,6 @@ func Random(r *rng.Rand, n int) Vector {
 		v.w[i] = r.Uint64()
 	}
 	v.clampLast()
-	return v
-}
-
-// RandomDensity returns a random vector whose coordinates are 1
-// independently with probability p.
-func RandomDensity(r *rng.Rand, n int, p float64) Vector {
-	v := New(n)
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			v.Set(i, 1)
-		}
-	}
 	return v
 }
 
@@ -181,28 +158,6 @@ func (v Vector) OnesCount() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// DistOn returns the Hamming distance between v and u restricted to the
-// coordinate set idx (the paper's dist|S).
-func (v Vector) DistOn(u Vector, idx []int) int {
-	d := 0
-	for _, i := range idx {
-		if v.Get(i) != u.Get(i) {
-			d++
-		}
-	}
-	return d
-}
-
-// EqualOn reports whether v and u agree on every coordinate in idx.
-func (v Vector) EqualOn(u Vector, idx []int) bool {
-	for _, i := range idx {
-		if v.Get(i) != u.Get(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // Project returns the |idx|-length vector (v[idx[0]], v[idx[1]], ...),

@@ -62,13 +62,6 @@ func TestFromStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromBools(t *testing.T) {
-	v := FromBools([]bool{true, false, true})
-	if v.String() != "101" {
-		t.Fatalf("got %q", v.String())
-	}
-}
-
 func TestDistBasic(t *testing.T) {
 	a, _ := FromString("0000")
 	b, _ := FromString("0110")
@@ -128,14 +121,13 @@ func TestProjectAndDistOn(t *testing.T) {
 	if pa.String() != "101" || pb.String() != "110" {
 		t.Fatalf("projections %q %q", pa, pb)
 	}
-	if d := a.DistOn(b, idx); d != pa.Dist(pb) {
-		t.Fatalf("DistOn = %d, projected = %d", d, pa.Dist(pb))
+	// The paper's dist|S is the projections' distance: a and b differ
+	// at 2 and 3 of idx, and nowhere else.
+	if d := pa.Dist(pb); d != 2 {
+		t.Fatalf("distance on idx = %d, want 2", d)
 	}
-	if !a.EqualOn(b, []int{0, 1, 4, 5}) {
-		t.Fatal("EqualOn false on agreeing coordinates")
-	}
-	if a.EqualOn(b, idx) {
-		t.Fatal("EqualOn true on disagreeing coordinates")
+	if rest := []int{0, 1, 4, 5}; !a.Project(rest).Equal(b.Project(rest)) {
+		t.Fatal("projections differ on agreeing coordinates")
 	}
 }
 
@@ -148,15 +140,6 @@ func TestFlipRandomExactCount(t *testing.T) {
 		if d := a.Dist(b); d != k {
 			t.Fatalf("FlipRandom(%d) changed %d coordinates", k, d)
 		}
-	}
-}
-
-func TestRandomDensity(t *testing.T) {
-	r := rng.New(5)
-	v := RandomDensity(r, 10000, 0.1)
-	c := v.OnesCount()
-	if c < 700 || c > 1300 {
-		t.Fatalf("density 0.1 produced %d/10000 ones", c)
 	}
 }
 
@@ -267,7 +250,13 @@ func TestQuickProjectPreservesDist(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		return a.V.Project(idx).Dist(b.Project(idx)) == a.V.DistOn(b, idx)
+		d := 0
+		for _, i := range idx {
+			if a.V.Get(i) != b.Get(i) {
+				d++
+			}
+		}
+		return a.V.Project(idx).Dist(b.Project(idx)) == d
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

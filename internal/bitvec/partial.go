@@ -174,18 +174,6 @@ func (p Partial) DistKnownVec(v Vector) int {
 	return d
 }
 
-// DistKnownOn restricts DistKnown to the coordinate set idx.
-func (p Partial) DistKnownOn(q Partial, idx []int) int {
-	d := 0
-	for _, i := range idx {
-		a, b := p.Get(i), q.Get(i)
-		if a != Unknown && b != Unknown && a != b {
-			d++
-		}
-	}
-	return d
-}
-
 // Merge implements Step 4a of Coalesce: where p and q agree the common
 // value is kept; where they disagree, or either is ?, the result is ?.
 func (p Partial) Merge(q Partial) Partial {

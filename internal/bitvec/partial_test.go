@@ -89,14 +89,6 @@ func TestDistKnownVec(t *testing.T) {
 	}
 }
 
-func TestDistKnownOn(t *testing.T) {
-	a, _ := PartialFromString("01?1")
-	b, _ := PartialFromString("11?0")
-	if d := a.DistKnownOn(b, []int{1, 2, 3}); d != 1 {
-		t.Fatalf("DistKnownOn = %d, want 1", d)
-	}
-}
-
 func TestMergeSemantics(t *testing.T) {
 	a, _ := PartialFromString("0011??")
 	b, _ := PartialFromString("0110?1")

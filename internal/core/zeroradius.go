@@ -292,8 +292,8 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 	// vector via Select and post the combined vector.
 	//
 	// The vote tally over a sibling's postings is identical for every
-	// reader (the billboard's deterministic, epoch-cached ValueVotes),
-	// so it is computed once per node before the phase rather than once
+	// reader (the billboard's deterministic ValueVotes), so it is
+	// computed once per node before the phase rather than once
 	// per player — the distributed "scan the billboard" step costs no
 	// probes, and recomputing it n times per level would dominate
 	// simulation time.

@@ -48,21 +48,6 @@ func Stretch(in *prefs.Instance, players []int, out []bitvec.Partial) float64 {
 	return float64(Discrepancy(in, players, out)) / float64(d)
 }
 
-// FracWithin returns the fraction of the player set whose output error
-// is at most bound.
-func FracWithin(in *prefs.Instance, players []int, out []bitvec.Partial, bound int) float64 {
-	if len(players) == 0 {
-		return 1
-	}
-	ok := 0
-	for _, p := range players {
-		if in.Err(p, out[p]) <= bound {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(players))
-}
-
 // ProbeStats summarizes per-player probe charges for a run.
 type ProbeStats struct {
 	// Max is the paper's round count: max probes by a single player.

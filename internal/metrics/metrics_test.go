@@ -69,23 +69,6 @@ func TestStretch(t *testing.T) {
 	}
 }
 
-func TestFracWithin(t *testing.T) {
-	in := prefs.Identical(4, 16, 1.0, 5)
-	out := perfectOutputs(in)
-	v := in.Truth[0].Clone()
-	v.FlipRandom(rng.New(5), 5)
-	out[0] = bitvec.PartialOf(v)
-	if f := FracWithin(in, []int{0, 1, 2, 3}, out, 4); f != 0.75 {
-		t.Fatalf("FracWithin = %v", f)
-	}
-	if f := FracWithin(in, []int{0, 1, 2, 3}, out, 5); f != 1 {
-		t.Fatalf("FracWithin = %v", f)
-	}
-	if f := FracWithin(in, nil, out, 0); f != 1 {
-		t.Fatal("empty set should be 1")
-	}
-}
-
 func TestProbesStats(t *testing.T) {
 	in := prefs.Planted(4, 32, 0.5, 2, 6)
 	b := billboard.New(in.N, in.M)

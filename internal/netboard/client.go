@@ -45,10 +45,9 @@ import (
 // — is deduplicated server-side instead of double-applied.
 //
 // Every write, a deferred view's PostBatch or a single post, is one
-// /v1/batch/posts request. LookupProbes and the vote reads (Votes,
-// ValueVotes, PopularVectors) use the batched wire protocol too: one
-// request per batch, and an epoch-tagged per-topic snapshot cache that
-// re-downloads a tally only when the topic actually changed.
+// /v1/batch/posts request. LookupProbes is one /v1/batch/lookups
+// request per batch, and each vote read (Votes, ValueVotes,
+// PopularVectors) is one /v1/topic-snapshot request.
 //
 // A client carries the context its requests run under. The one
 // NewClientWithConfig returns runs uncancellable (context.Background).
@@ -103,17 +102,6 @@ type clientState struct {
 	// telemetry is off). See traceContext.
 	connOnce                            sync.Once
 	connDialed, connReused, connStalled *telemetry.Counter
-
-	// Per-topic snapshot cache keyed by the server's (gen, epoch) stamp.
-	cacheMu sync.Mutex
-	cache   map[string]*topicCacheEntry
-}
-
-// topicCacheEntry is one topic's decoded tallies at a (gen, epoch) stamp.
-type topicCacheEntry struct {
-	gen, epoch uint64
-	votes      []billboard.Vote
-	valVotes   []billboard.ValueVote
 }
 
 var _ boardclient.Interface = (*Client)(nil)
@@ -167,10 +155,10 @@ func NewClient(baseURL string) *Client {
 }
 
 // BindContext implements boardclient.ContextBinder: the returned view
-// shares all state with c (request ids, snapshot cache, degraded-mode
-// record) but runs every request under ctx — in-flight HTTP calls are
-// aborted and backoff sleeps return early when ctx is cancelled. An
-// unbound client given a nil or never-done context returns itself.
+// shares all state with c (request ids, degraded-mode record) but runs
+// every request under ctx — in-flight HTTP calls are aborted and
+// backoff sleeps return early when ctx is cancelled. An unbound client
+// given a nil or never-done context returns itself.
 func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx == nil {
 		ctx = context.Background()
@@ -522,8 +510,7 @@ func gradeString(grades []byte) string {
 }
 
 // PostBatch implements boardclient.Batcher: the posts travel in order
-// as one idempotent request. Each dropped topic's snapshot-cache entry
-// is evicted once the request is done.
+// as one idempotent request.
 func (c *Client) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
@@ -533,11 +520,6 @@ func (c *Client) PostBatch(posts []boardclient.Post) {
 		msg.Posts[i] = wirePost(&posts[i])
 	}
 	c.post(c.ctx, PathPostBatch, &msg)
-	for i := range posts {
-		if posts[i].Kind == boardclient.DropPost {
-			c.evict(posts[i].Topic)
-		}
-	}
 }
 
 // wirePost is p as an entry of a post batch.
@@ -659,75 +641,11 @@ func (c *Client) Postings(name string) []billboard.Posting {
 	return out
 }
 
-// fetchSnapshot is the one topic-snapshot read: the server's (gen,
-// epoch) stamp of the topic and, unless it still equals (sinceGen,
-// sinceEpoch), the decoded tallies. No topic generation is 0, so a zero
-// stamp always fetches. Returns nil in degraded mode.
-func (c *Client) fetchSnapshot(name string, sinceGen, sinceEpoch uint64) (entry *topicCacheEntry, unchanged bool) {
-	q := url.Values{
-		"topic": {name},
-		"gen":   {strconv.FormatUint(sinceGen, 10)},
-		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
-	}
-	var reply topicSnapshotReply
-	if !c.get(c.ctx, PathTopicSnapshot, q, &reply) {
-		return nil, false // degraded; c.fail already fired
-	}
-	entry = &topicCacheEntry{gen: reply.Gen, epoch: reply.Epoch}
-	if reply.Unchanged {
-		return entry, true
-	}
-	entry.votes = make([]billboard.Vote, len(reply.Votes))
-	for i, v := range reply.Votes {
-		entry.votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-	}
-	entry.valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
-	for i, v := range reply.ValueVotes {
-		entry.valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-	}
-	return entry, false
-}
-
-// snapshot returns the topic's tallies through the epoch-tagged
-// snapshot cache: one GET when the cached (gen, epoch) stamp is stale,
-// zero decode work when the server answers "unchanged". The returned
-// entry is shared and immutable, matching the billboard.Interface
-// contract for Votes/ValueVotes. Returns nil in degraded mode.
-func (c *Client) snapshot(name string) *topicCacheEntry {
-	c.cacheMu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[string]*topicCacheEntry)
-	}
-	cached := c.cache[name]
-	c.cacheMu.Unlock()
-
-	var gen, epoch uint64
-	if cached != nil {
-		gen, epoch = cached.gen, cached.epoch
-	}
-	entry, unchanged := c.fetchSnapshot(name, gen, epoch)
-	if entry == nil {
-		return nil
-	}
-	if unchanged && cached != nil {
-		return cached
-	}
-	c.cacheMu.Lock()
-	// Last writer wins; concurrent fetchers decoded the same stamp or a
-	// newer one, and a stale overwrite only costs one extra refetch.
-	c.cache[name] = entry
-	c.cacheMu.Unlock()
-	return entry
-}
-
-// Votes implements billboard.Interface. The result is the shared,
-// immutable snapshot-cache entry (same contract as the in-memory
-// board's epoch-cached tallies).
+// Votes implements billboard.Interface: a TopicSnapshot read with the
+// zero stamp, which no live topic carries.
 func (c *Client) Votes(name string) []billboard.Vote {
-	if entry := c.snapshot(name); entry != nil {
-		return entry.votes
-	}
-	return nil
+	_, _, _, votes, _ := c.TopicSnapshot(name, 0, 0)
+	return votes
 }
 
 // PopularVectors implements billboard.Interface.
@@ -757,25 +675,15 @@ func (c *Client) ValuePostings(name string) []billboard.ValuePosting {
 	return out
 }
 
-// ValueVotes implements billboard.Interface. Like Votes, the result is
-// the shared immutable snapshot-cache entry.
+// ValueVotes implements billboard.Interface like Votes.
 func (c *Client) ValueVotes(name string) []billboard.ValueVote {
-	if entry := c.snapshot(name); entry != nil {
-		return entry.valVotes
-	}
-	return nil
+	_, _, _, _, valVotes := c.TopicSnapshot(name, 0, 0)
+	return valVotes
 }
 
 // DropTopic implements billboard.Interface.
 func (c *Client) DropTopic(name string) {
 	c.PostBatch([]boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
-}
-
-// evict removes topic name's snapshot-cache entry after a drop.
-func (c *Client) evict(name string) {
-	c.cacheMu.Lock()
-	delete(c.cache, name)
-	c.cacheMu.Unlock()
 }
 
 // TopicCount implements billboard.Interface.
@@ -790,17 +698,32 @@ func (c *Client) stats() statsReply {
 	return reply
 }
 
-// TopicSnapshot implements boardclient.Interface: the raw epoch-tagged
-// tally read behind the batched protocol, bypassing the client's own
-// snapshot cache (the caller manages its stamps — this is what a
-// caller layering its own cache uses). Votes/ValueVotes go through the
-// cache instead.
+// TopicSnapshot implements boardclient.Interface: one
+// /v1/topic-snapshot GET returning the server's (gen, epoch) stamp of
+// the topic and, unless it still equals (sinceGen, sinceEpoch), the
+// decoded tallies. Returns zero values in degraded mode.
 func (c *Client) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	entry, unchanged := c.fetchSnapshot(name, sinceGen, sinceEpoch)
-	if entry == nil {
-		return 0, 0, false, nil, nil
+	q := url.Values{
+		"topic": {name},
+		"gen":   {strconv.FormatUint(sinceGen, 10)},
+		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
 	}
-	return entry.gen, entry.epoch, unchanged, entry.votes, entry.valVotes
+	var reply topicSnapshotReply
+	if !c.get(c.ctx, PathTopicSnapshot, q, &reply) {
+		return 0, 0, false, nil, nil // degraded; c.fail already fired
+	}
+	if reply.Unchanged {
+		return reply.Gen, reply.Epoch, true, nil, nil
+	}
+	votes = make([]billboard.Vote, len(reply.Votes))
+	for i, v := range reply.Votes {
+		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
+	}
+	valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
+	for i, v := range reply.ValueVotes {
+		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
+	}
+	return reply.Gen, reply.Epoch, false, votes, valVotes
 }
 
 // ClearProbes removes player p's probe results for objs on the server

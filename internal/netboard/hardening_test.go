@@ -1,9 +1,9 @@
 package netboard
 
 // Tests for the hardened wire protocol: server-side input validation,
-// method enforcement, batched endpoints, the epoch-tagged snapshot
-// cache, request-id deduplication, degraded-mode client semantics, and
-// retry/backoff accounting. The fault-injection stress lives in
+// method enforcement, batched endpoints, the epoch-tagged topic
+// snapshot, request-id deduplication, degraded-mode client semantics,
+// and retry/backoff accounting. The fault-injection stress lives in
 // stress_test.go.
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/netboard/faultnet"
 	"tellme/internal/wire"
 )
@@ -165,54 +166,60 @@ func TestBatchProbesParity(t *testing.T) {
 	}
 }
 
-func TestTopicSnapshotCache(t *testing.T) {
+// TestTopicSnapshotStamps pins TopicSnapshot's (gen, epoch) contract on
+// the in-memory board and through a client: the current stamp reads
+// unchanged with nil tallies, a post moves the epoch and brings full
+// tallies, and a dropped and re-created topic gets a new gen, so the
+// old stamp never reads unchanged, even once the epoch catches up.
+func TestTopicSnapshotStamps(t *testing.T) {
 	_, c, done := newPair(t, 8, 8)
 	defer done()
+	boards := []struct {
+		name string
+		b    boardclient.Interface
+	}{{"board", billboard.New(8, 8)}, {"client", c}}
+	for _, bc := range boards {
+		t.Run(bc.name, func(t *testing.T) {
+			b := bc.b
+			b.PostValues("s", 0, []uint32{1, 2})
+			b.PostValues("s", 1, []uint32{1, 2})
+			vec, _ := bitvec.PartialFromString("01?")
+			b.Post("s", 2, vec)
+			gen, epoch, unchanged, votes, vals := b.TopicSnapshot("s", 0, 0)
+			if unchanged || gen == 0 || len(votes) != 1 || len(vals) != 1 || vals[0].Count != 2 {
+				t.Fatalf("first read: gen %d unchanged %v votes %+v vals %+v", gen, unchanged, votes, vals)
+			}
 
-	c.PostValues("s", 0, []uint32{1, 2})
-	c.PostValues("s", 1, []uint32{1, 2})
-	v1 := c.ValueVotes("s")
-	v2 := c.ValueVotes("s")
-	if len(v1) != 1 || v1[0].Count != 2 {
-		t.Fatalf("ValueVotes = %+v", v1)
-	}
-	// Same epoch ⇒ the second call must be served from the cache: the
-	// shared immutable slice, not a re-decoded copy.
-	if &v1[0] != &v2[0] {
-		t.Fatal("unchanged topic was re-decoded instead of served from the snapshot cache")
-	}
+			g, e, unchanged, votes, vals := b.TopicSnapshot("s", gen, epoch)
+			if !unchanged || g != gen || e != epoch || votes != nil || vals != nil {
+				t.Fatalf("same stamp: (%d,%d) unchanged %v votes %+v vals %+v", g, e, unchanged, votes, vals)
+			}
 
-	// A new posting bumps the epoch and invalidates the cache.
-	c.PostValues("s", 2, []uint32{9})
-	v3 := c.ValueVotes("s")
-	if len(v3) != 2 {
-		t.Fatalf("after new post: %+v", v3)
-	}
+			b.PostValues("s", 3, []uint32{9})
+			g, e, unchanged, votes, vals = b.TopicSnapshot("s", gen, epoch)
+			if unchanged || g != gen || e == epoch || len(votes) != 1 || len(vals) != 2 {
+				t.Fatalf("after a post: (%d,%d) unchanged %v votes %+v vals %+v", g, e, unchanged, votes, vals)
+			}
+			gen, epoch = g, e
 
-	// Drop + recreate restarts the epoch but changes the generation;
-	// the cache must not serve the dropped topic's content.
-	c.DropTopic("s")
-	c.PostValues("s", 3, []uint32{7})
-	v4 := c.ValueVotes("s")
-	if len(v4) != 1 || v4[0].Count != 1 || v4[0].Voters[0] != 3 {
-		t.Fatalf("after drop+recreate: %+v", v4)
-	}
-
-	// Vector votes flow through the same snapshot.
-	p, _ := bitvec.PartialFromString("01?")
-	c.Post("vec", 0, p)
-	c.Post("vec", 1, p)
-	w1 := c.Votes("vec")
-	w2 := c.Votes("vec")
-	if len(w1) != 1 || w1[0].Count != 2 || &w1[0] != &w2[0] {
-		t.Fatalf("vector votes not cached: %+v vs %+v", w1, w2)
+			// As many posts as before the drop bring the new topic back to
+			// the old epoch; only its gen tells the two apart.
+			b.DropTopic("s")
+			for p := range 4 {
+				b.PostValues("s", 4+p, []uint32{7})
+			}
+			g, e, unchanged, _, vals = b.TopicSnapshot("s", gen, epoch)
+			if unchanged || g == gen || e != epoch || len(vals) != 1 || vals[0].Count != 4 {
+				t.Fatalf("after drop and re-create: (%d,%d) from (%d,%d), unchanged %v vals %+v", g, e, gen, epoch, unchanged, vals)
+			}
+		})
 	}
 }
 
 func TestSnapshotCacheStaleGenerationMissesAcrossClients(t *testing.T) {
-	// Two clients against one server: client A caches a tally, client B
-	// drops the topic and posts fresh content whose epoch matches A's
-	// cached epoch. A must observe the new content (generation differs).
+	// Two clients against one server: client A reads a tally, client B
+	// drops the topic and posts fresh content at the same epoch. A's next
+	// read must see the new content.
 	_, a, done := newPair(t, 8, 8)
 	defer done()
 	bcl := NewClient(a.BaseURL)
@@ -225,7 +232,7 @@ func TestSnapshotCacheStaleGenerationMissesAcrossClients(t *testing.T) {
 	bcl.PostValues("g", 1, []uint32{2}) // recreated topic, epoch 1 again
 	got := a.ValueVotes("g")
 	if len(got) != 1 || got[0].Voters[0] != 1 || got[0].Vals[0] != 2 {
-		t.Fatalf("stale generation served from cache: %+v", got)
+		t.Fatalf("read the dropped topic's tally: %+v", got)
 	}
 }
 

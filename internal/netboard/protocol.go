@@ -19,8 +19,8 @@
 //     phase, see boardclient.Defer), and a single post travels as a
 //     one-entry batch. /v1/batch/lookups reads a set of probe results,
 //     and /v1/topic-snapshot returns a topic's vote tallies stamped with
-//     the board's (generation, epoch) pair so clients re-download
-//     tallies only when the topic actually changed.
+//     the board's (generation, epoch) pair; a request that sends the
+//     topic's current stamp gets "unchanged" instead of the tallies.
 //   - Idempotency: every mutating request carries a client-generated
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is

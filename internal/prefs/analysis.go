@@ -22,28 +22,3 @@ func (in *Instance) BestD(p int, alpha float64) int {
 	sort.Ints(dists)
 	return dists[k-1] // p itself contributes distance 0
 }
-
-// BestCommunity returns the players within distance d of player p —
-// the tightest available collaborators at radius d.
-func (in *Instance) BestCommunity(p, d int) []int {
-	var members []int
-	for q := 0; q < in.N; q++ {
-		if in.Truth[p].Dist(in.Truth[q]) <= d {
-			members = append(members, q)
-		}
-	}
-	return members
-}
-
-// CommunityOf returns the index of the planted community containing
-// player p, or -1.
-func (in *Instance) CommunityOf(p int) int {
-	for ci, c := range in.Communities {
-		for _, q := range c.Members {
-			if q == p {
-				return ci
-			}
-		}
-	}
-	return -1
-}

@@ -431,15 +431,3 @@ func FlipNoise(p float64) NoiseFunc {
 		return truth
 	}
 }
-
-// StuckNoise returns a NoiseFunc where each afflicted player (chosen by
-// the predicate) always observes the constant grade v — modelling a
-// broken sensor from the paper's motivation.
-func StuckNoise(afflicted func(player int) bool, v byte) NoiseFunc {
-	return func(player, _ int, truth byte, _ *rng.Rand) byte {
-		if afflicted(player) {
-			return v
-		}
-		return truth
-	}
-}

@@ -120,24 +120,6 @@ func TestFlipNoiseRate(t *testing.T) {
 	}
 }
 
-func TestStuckNoise(t *testing.T) {
-	e, in := newEngine(t, WithNoise(StuckNoise(func(p int) bool { return p == 4 }, 1)))
-	for o := 0; o < 10; o++ {
-		if e.Player(4).Probe(o) != 1 {
-			t.Fatal("stuck player not stuck at 1")
-		}
-	}
-	ok := false
-	for o := 0; o < 64; o++ {
-		if e.Player(5).Probe(o) == in.Grade(5, o) {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Fatal("healthy player corrupted")
-	}
-}
-
 func TestNoiseDeterministicAcrossRuns(t *testing.T) {
 	mk := func() []byte {
 		in := prefs.Planted(4, 32, 0.5, 2, 7)

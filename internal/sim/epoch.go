@@ -125,13 +125,6 @@ func (s *EpochScheduler) CompletedEpochs() int64 {
 	return s.completed
 }
 
-// NextEpoch returns the number the next epoch will carry.
-func (s *EpochScheduler) NextEpoch() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completed + 1
-}
-
 // BeginEpoch applies all pending churn in FIFO order and returns the
 // plan of the epoch about to run. It panics if an epoch is already in
 // flight — the scheduler serializes one coordinator by contract.

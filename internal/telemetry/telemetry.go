@@ -10,7 +10,7 @@
 //	...
 //	c.Add(1) // nil c → a predicted branch, no atomics, no allocation
 //
-// Instruments are identified by dotted names ("billboard.tally.cache_hits").
+// Instruments are identified by dotted names ("billboard.tally.rebuilds").
 // Registry.Counter/Gauge/Histogram get-or-create by name, so independent
 // components can share one registry without coordination; resolve
 // instruments once at construction and keep the pointers — the lookup
@@ -209,16 +209,6 @@ func LatencyBucketsFine() []int64 {
 func MicroLatencyBuckets() []int64 {
 	b := make([]int64, 0, 8)
 	for v := int64(1_000); len(b) < 8; v *= 4 {
-		b = append(b, v)
-	}
-	return b
-}
-
-// SizeBuckets returns canned size/count bounds: powers of four from 1
-// to 4^10 (~1M).
-func SizeBuckets() []int64 {
-	b := make([]int64, 0, 11)
-	for v := int64(1); len(b) < 11; v *= 4 {
 		b = append(b, v)
 	}
 	return b

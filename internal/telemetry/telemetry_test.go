@@ -13,7 +13,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", SizeBuckets())
+	h := r.Histogram("z", LatencyBuckets())
 	if c != nil || g != nil || h != nil {
 		t.Fatalf("nil registry must hand out nil instruments, got %v %v %v", c, g, h)
 	}
@@ -92,7 +92,7 @@ func TestTelemetryConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("shared")
 			g := r.Gauge("g")
-			h := r.Histogram("h", SizeBuckets())
+			h := r.Histogram("h", LatencyBuckets())
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
@@ -167,17 +167,13 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestCannedBuckets(t *testing.T) {
 	lat := LatencyBuckets()
-	size := SizeBuckets()
-	if len(lat) == 0 || len(size) == 0 {
+	if len(lat) == 0 {
 		t.Fatal("empty canned buckets")
 	}
 	for i := 1; i < len(lat); i++ {
 		if lat[i] <= lat[i-1] {
 			t.Fatalf("latency bounds not ascending: %v", lat)
 		}
-	}
-	if size[0] != 1 {
-		t.Fatalf("size buckets should start at 1: %v", size)
 	}
 }
 

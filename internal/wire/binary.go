@@ -30,11 +30,6 @@ func AppendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendFloat appends a float64 as its IEEE-754 bits, little-endian.
-func AppendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
 // AppendString appends a uvarint length followed by the raw bytes.
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendUint(dst, uint64(len(s)))
@@ -176,20 +171,6 @@ func (r *Reader) Byte() byte {
 
 // Bool reads one byte as a bool (anything nonzero is true).
 func (r *Reader) Bool() bool { return r.Byte() != 0 }
-
-// Float reads a little-endian IEEE-754 float64.
-func (r *Reader) Float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.Fail("truncated float64")
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return math.Float64frombits(bits)
-}
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {

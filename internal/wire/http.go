@@ -115,9 +115,9 @@ func NewInstruments(reg *telemetry.Registry, prefix, path string) Instruments {
 
 // MaxBodyBytes caps a request body: DecodeRequest and DecodeJSON read
 // at most this many bytes and answer 413 beyond it, so no client can
-// make a server buffer an unbounded body. It is far above the largest
-// body an in-repo client sends (a 1,024-player batch join; a deferred
-// board view keeps every post batch under half of it).
+// make a server buffer an unbounded body. The largest bodies an
+// in-repo client sends are a deferred board view's post batches, which
+// it splits to keep each under half of the cap.
 const MaxBodyBytes = 8 << 20
 
 var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)

@@ -167,7 +167,6 @@ func TestReaderRoundTrip(t *testing.T) {
 	dst = AppendUint(dst, 0)
 	dst = AppendUint(dst, math.MaxUint64)
 	dst = AppendBool(dst, true)
-	dst = AppendFloat(dst, -3.75)
 	dst = AppendString(dst, "topic/θ")
 	dst = AppendInts(dst, nil)
 	dst = AppendInts(dst, []int{})
@@ -186,9 +185,6 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 	if !r.Bool() {
 		t.Fatal("Bool = false")
-	}
-	if got := r.Float(); got != -3.75 {
-		t.Fatalf("Float = %v", got)
 	}
 	if got := r.String(); got != "topic/θ" {
 		t.Fatalf("String = %q", got)

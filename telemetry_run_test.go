@@ -86,3 +86,20 @@ func TestRunTelemetryCountsMatchReport(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAutoTallyCount pins how many vote tallies the benchmark's solve
+// shape computes. Each tally is read once, by the coordinator before
+// the phase that needs it, so the count is the number of topic reads
+// and does not move with Parallelism.
+func TestRunAutoTallyCount(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		reg := telemetry.New()
+		in := PlantedInstance(128, 128, 0.5, 8, 1)
+		if _, err := Run(in, Options{Algorithm: AlgoAuto, Alpha: 0.5, Seed: 1, Parallelism: par, Telemetry: reg}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Snapshot().Counters["billboard.tally.rebuilds"]; got != 34 {
+			t.Errorf("parallelism %d: billboard.tally.rebuilds = %d, want 34", par, got)
+		}
+	}
+}

@@ -158,7 +158,7 @@ type Options struct {
 	// implementation is injected into a run.
 	Board boardclient.Interface
 	// Telemetry, if non-nil, receives runtime counters from the whole
-	// stack during the run: billboard cache hits and posts (when Run
+	// stack during the run: billboard tallies and posts (when Run
 	// creates the in-memory board), probe charges per policy,
 	// per-sub-algorithm cost ("core.<kind>.{calls,probes,ns}"), and
 	// netboard client request/retry counters (when BoardURL is used).
