@@ -73,9 +73,9 @@ race-telemetry:
 # barrier intact, a dead networked billboard hitting its deadline (the
 # abort's cleanup drops included), runs and tellmed epochs cancelled at
 # each of their requests in turn leaving no topic on the servers,
-# every operation of a netboard Client or Cluster view bound to a
-# cancelled context sending nothing, and bound views sharing their
-# board's state.
+# every operation of a netboard Cluster view, on one shard and on two,
+# bound to a cancelled context sending nothing, and bound views sharing
+# their board's state.
 race-cancel:
 	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled|BindContext' . ./internal/sim/ ./internal/netboard/ ./internal/serve/
 

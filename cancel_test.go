@@ -177,11 +177,14 @@ func TestDeadRemoteBoardHitsDeadline(t *testing.T) {
 		t.Run(tc.algo.String(), func(t *testing.T) {
 			ft := faultnet.New(nil, 7)
 			ft.DropRequest = 1.0
-			client := netboard.NewClientWithConfig("http://127.0.0.1:0", netboard.Config{
+			client, err := netboard.FromSpec("http://127.0.0.1:0", netboard.Config{
 				HTTPClient:   &http.Client{Transport: ft},
 				Retries:      1000,
 				RetryBackoff: 50 * time.Millisecond,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			const deadline = 100 * time.Millisecond
 			start := time.Now()
@@ -388,7 +391,7 @@ func (c *cancelAtRequest) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestCancelMidZeroRadiusOverNetboard is the networked twin of
 // TestCancelMidZeroRadiusLeavesBoardConsistent. It cancels a run over
-// a netboard.Client, and over a 2-shard netboard.Cluster, at each of
+// one server, and over a 2-shard netboard.Cluster, at each of
 // its requests in turn, until one run completes. The rows are
 // ZeroRadius and the benchmark's solve-net solve. After each abort no
 // server holds a topic, and a rerun against the same servers
@@ -476,12 +479,11 @@ func TestCancelMidZeroRadiusOverNetboard(t *testing.T) {
 
 // TestBarrierFlushFailureIsRunError: a shard that refuses every post
 // batch fails the first phase barrier's flush for good. Run returns a
-// *RunError naming the phase, with the shard client's
-// *netboard.TransportError in the chain. In degraded mode (a
-// non-panicking OnError) the run finishes and the failure is in Err.
+// *RunError naming the phase, with the shard's *netboard.TransportError
+// in the chain, and the cluster's Err records it.
 func TestBarrierFlushFailureIsRunError(t *testing.T) {
 	in := IdenticalInstance(32, 64, 0.5, 9)
-	cluster := func(t *testing.T, onError func(error)) *netboard.Cluster {
+	t.Run("panicking", func(t *testing.T) {
 		var urls []string
 		for i := 0; i < 2; i++ {
 			h := netboard.NewServer(billboard.New(in.N, in.M))
@@ -500,19 +502,12 @@ func TestBarrierFlushFailureIsRunError(t *testing.T) {
 			urls = append(urls, srv.URL)
 		}
 		cl, err := netboard.NewCluster(netboard.ClusterConfig{Shards: urls, Client: netboard.Config{
-			Retries: 2, RetryBackoff: time.Millisecond, OnError: onError,
+			Retries: 2, RetryBackoff: time.Millisecond,
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl
-	}
-	opt := Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 10}
-
-	t.Run("panicking", func(t *testing.T) {
-		o := opt
-		o.Board = cluster(t, nil)
-		_, err := Run(in, o)
+		_, err = Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 10, Board: cl})
 		var rerr *RunError
 		if !errors.As(err, &rerr) || rerr.Phase != "zeroradius" {
 			t.Fatalf("err = %T %v, want *RunError in zeroradius", err, err)
@@ -521,18 +516,8 @@ func TestBarrierFlushFailureIsRunError(t *testing.T) {
 		if !errors.As(err, &terr) {
 			t.Fatalf("err chain has no *netboard.TransportError: %v", err)
 		}
-	})
-	t.Run("degraded", func(t *testing.T) {
-		var failures atomic.Int64 // OnError runs on the shards' goroutines
-		cl := cluster(t, func(error) { failures.Add(1) })
-		o := opt
-		o.Board = cl
-		if _, err := Run(in, o); err != nil {
-			t.Fatalf("degraded run returned %v, want the failure recorded instead", err)
-		}
-		var terr *netboard.TransportError
-		if err := cl.Err(); !errors.As(err, &terr) || failures.Load() == 0 {
-			t.Fatalf("Err() = %v after %d OnError calls, want the flush's *netboard.TransportError", err, failures.Load())
+		if err := cl.Err(); !errors.As(err, &terr) || cl.Failures() == 0 {
+			t.Fatalf("Err() = %v after %d failures, want the flush's *netboard.TransportError", err, cl.Failures())
 		}
 	})
 }

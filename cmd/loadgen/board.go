@@ -54,11 +54,11 @@ func resolveTarget(spec string, localShards, players, m int, codec string, reg *
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: board %q: %w", spec, err)
 	}
-	if cluster, ok := board.(*netboard.Cluster); ok {
-		n := len(cluster.Shards())
-		return &boardTarget{board: board, kind: fmt.Sprintf("cluster(%d)", n), shards: n}, nil
+	n := len(board.Shards())
+	if n == 1 {
+		return &boardTarget{board: board, kind: "server", shards: 1}, nil
 	}
-	return &boardTarget{board: board, kind: "server", shards: 1}, nil
+	return &boardTarget{board: board, kind: fmt.Sprintf("cluster(%d)", n), shards: n}, nil
 }
 
 // spawnLocalShards starts n loopback netboard servers and returns a

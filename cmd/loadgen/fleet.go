@@ -114,8 +114,6 @@ func runStep(ctx context.Context, board boardclient.Interface, cfg *config, firs
 			defer wg.Done()
 			objs := make([]int, cfg.PostBatch)
 			grades := make([]byte, cfg.PostBatch)
-			lookGrades := make([]byte, cfg.PostBatch)
-			lookKnown := make([]bool, cfg.PostBatch)
 			for i := int64(w); i < n; i += int64(workers) {
 				due := start.Add(dueOffset(i, rate))
 				if d := time.Until(due); d > 0 {
@@ -129,9 +127,6 @@ func runStep(ctx context.Context, board boardclient.Interface, cfg *config, firs
 				}
 				p := roundObjects(first+i, cfg.Players, cfg.PostBatch, cfg.M, objs, grades)
 				b.PostProbes(p, objs, grades)
-				if cfg.Lookups {
-					b.LookupProbes(p, objs, lookGrades, lookKnown)
-				}
 				hist.Observe(time.Since(due).Nanoseconds())
 			}
 		}(w)

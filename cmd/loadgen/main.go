@@ -29,7 +29,6 @@ func main() {
 	flag.IntVar(&cfg.Players, "players", 10000, "simulated players in the fleet")
 	flag.IntVar(&cfg.M, "m", 512, "object universe size")
 	flag.IntVar(&cfg.PostBatch, "post-batch", 32, "probes posted per round (must divide m)")
-	flag.BoolVar(&cfg.Lookups, "lookups", false, "also issue a lookup per round")
 	flag.IntVar(&cfg.Workers, "workers", 64, "concurrent fleet workers")
 	flag.StringVar(&rates, "rates", "", "comma-separated target rounds/sec steps (default: auto-ramp, doubling)")
 	flag.Float64Var(&cfg.RampStart, "ramp-start", 1000, "auto-ramp starting rate")

@@ -22,7 +22,6 @@ type config struct {
 	Players   int
 	M         int
 	PostBatch int
-	Lookups   bool
 	Workers   int
 	// Rates are the target rounds/sec steps to sweep; empty means
 	// auto-ramp (RampStart, doubling until a step fails to sustain).

@@ -137,9 +137,9 @@ func main() {
 }
 
 // resolveBoard builds the billboard the epochs run against: the
-// in-process board for an empty spec, a single netboard client for one
-// URL, a sharded cluster for a comma-separated list — the
-// same resolution the batch facade's Options.BoardURL performs.
+// in-process board for an empty spec, else the netboard.Cluster of the
+// comma-separated list of one or more URLs — the same resolution the
+// batch facade's Options.BoardURL performs.
 func resolveBoard(spec string, capacity, m int, codec string, reg *telemetry.Registry) (boardclient.Interface, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

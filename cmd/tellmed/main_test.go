@@ -32,12 +32,12 @@ func TestResolveBoardSingleURL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := b.(*netboard.Client)
+	c, ok := b.(*netboard.Cluster)
 	if !ok {
-		t.Fatalf("single URL resolved to %T, want *netboard.Client", b)
+		t.Fatalf("single URL resolved to %T, want *netboard.Cluster", b)
 	}
-	if c.BaseURL != "http://localhost:7070" {
-		t.Fatalf("BaseURL = %q (spec must be trimmed)", c.BaseURL)
+	if got := c.Shards(); len(got) != 1 || got[0] != "http://localhost:7070" {
+		t.Fatalf("shards = %q, want the one trimmed URL", got)
 	}
 }
 

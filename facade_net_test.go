@@ -111,11 +111,14 @@ func TestRunOverFlakyTransport(t *testing.T) {
 	defer srv.Close()
 	ft := faultnet.New(nil, 33)
 	ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.1, 0.1, 0.2
-	client := netboard.NewClientWithConfig(srv.URL, netboard.Config{
+	client, err := netboard.FromSpec(srv.URL, netboard.Config{
 		HTTPClient:   &http.Client{Transport: ft},
 		Retries:      40,
 		RetryBackoff: 100 * time.Microsecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	remote, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 22, Board: client})
 	if err != nil {

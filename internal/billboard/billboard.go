@@ -50,9 +50,11 @@ import (
 )
 
 // Interface is the billboard surface the algorithms depend on. *Board
-// is the in-memory implementation; netboard.Client speaks the same
-// interface against a remote billboard server, so the same algorithm
-// code runs in-process or distributed.
+// is the in-memory implementation; netboard.Cluster speaks the same
+// interface against one or more remote billboard servers, so the same
+// algorithm code runs in-process or distributed. The paper's billboard
+// is reliable shared memory, so no method returns an error: a remote
+// board that cannot reach its server panics instead.
 type Interface interface {
 	// PostProbe records that player p's probe of object o revealed val.
 	PostProbe(p, o int, val byte)
@@ -769,13 +771,13 @@ func (b *Board) ClearProbes(p int, objs []int) {
 	}
 }
 
-// Err implements the degraded-mode half of the unified board-client
+// Err implements the failure-record half of the unified board-client
 // contract (see internal/boardclient): the in-memory board has no
 // transport and can never fail, so Err is always nil.
 func (b *Board) Err() error { return nil }
 
-// Failures implements the degraded-mode contract; always 0 for the
-// in-memory board.
+// Failures implements the failure record; always 0 for the in-memory
+// board.
 func (b *Board) Failures() int64 { return 0 }
 
 // ValuePosting is one generic value vector posted by one player. Value

@@ -1,6 +1,6 @@
 // Package boardclient defines the one interface every billboard
-// transport satisfies: the in-process billboard.Board, the
-// single-server netboard.Client, and the sharded netboard.Cluster. The
+// transport satisfies: the in-process billboard.Board and the remote
+// netboard.Cluster, whose one or more shards are HTTP servers. The
 // execution spine (tellme.Options.Board, core.Env, the probe engine)
 // depends only on this interface, so algorithm code is transport-blind:
 // the same run executes against shared memory, one HTTP server, or a
@@ -12,11 +12,12 @@
 //
 //   - TopicSnapshot: the epoch-tagged tally read behind the batched
 //     wire protocol.
-//   - Err/Failures: the degraded-mode record. A transport that
-//     swallows terminal failures (a non-panicking netboard OnError)
-//     returns zero values that are indistinguishable from an empty
-//     board; Err is how a caller tells a dead transport from one. The
-//     in-memory Board cannot fail and reports nil/0 forever.
+//   - Err/Failures: the failure record. A remote board panics with
+//     every terminal transport failure, since billboard.Interface has
+//     no error to return; Err keeps the first one and Failures counts
+//     them, so a caller that recovered the panic, or a wrapper that
+//     only sees the board, can tell what went wrong. The in-memory
+//     Board cannot fail and reports nil/0 forever.
 package boardclient
 
 import (
@@ -25,9 +26,9 @@ import (
 	"tellme/internal/billboard"
 )
 
-// Interface is the full billboard-client surface. billboard.Board,
-// netboard.Client and netboard.Cluster all satisfy it (compile-time
-// assertions live here and in netboard).
+// Interface is the full billboard-client surface. billboard.Board and
+// netboard.Cluster both satisfy it (compile-time assertions live here
+// and in netboard).
 type Interface interface {
 	billboard.Interface
 
@@ -39,22 +40,20 @@ type Interface interface {
 	// semantics across DropTopic.
 	TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote)
 
-	// Err returns the first terminal transport failure the client
-	// swallowed in degraded mode (nil if none, and always nil for an
-	// in-memory board). Once Err is non-nil, at least one call has
-	// returned a degraded zero value; results obtained since must not
-	// be trusted as board state.
+	// Err returns the first terminal transport failure (nil if none,
+	// and always nil for an in-memory board). The call that hit it
+	// panicked with the same error.
 	Err() error
-	// Failures returns how many calls failed terminally.
+	// Failures returns how many requests failed terminally; one call
+	// that asks several shards can add one per shard.
 	Failures() int64
 }
 
 // ContextBinder is the optional context-aware entry point of a board
-// client. A client whose operations can block — netboard.Client and
-// netboard.Cluster, whose every method is an HTTP request with retries
-// — implements it by returning a view of itself whose operations are
-// governed by ctx: in-flight requests and backoff sleeps abort when
-// ctx is cancelled. The in-memory Board does not implement it; its
+// client. A client whose operations can block — netboard.Cluster,
+// whose every method is an HTTP request with retries — implements it
+// by returning a view of itself whose operations are governed by ctx:
+// in-flight requests and backoff sleeps abort when ctx is cancelled. The in-memory Board does not implement it; its
 // operations never block on anything but short-lived locks, so there
 // is nothing to interrupt.
 type ContextBinder interface {

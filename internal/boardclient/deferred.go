@@ -50,8 +50,8 @@ func (p *Post) sizeBound() int {
 }
 
 // Batcher is the optional batch-posting interface of a board whose
-// posts are round trips: netboard.Client and netboard.Cluster send a
-// batch as one request per shard. PostBatch applies the posts as if
+// posts are round trips: netboard.Cluster sends a batch as one request
+// per shard. PostBatch applies the posts as if
 // they were made one by one, in order. The in-memory Board does not
 // implement it, and it is deliberately not part of Interface, so
 // wrappers that embed an Interface keep posting call by call.

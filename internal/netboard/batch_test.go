@@ -97,19 +97,17 @@ func sameBoard(t *testing.T, got, want billboard.Interface, topics ...string) {
 var mixedTopics = []string{"v0", "v1", "v2", "t0", "t1"}
 
 // TestPostBatchMatchesPerCallPosts: a batch applies exactly as its
-// posts made one by one, under both codecs, on one server and split
-// across a cluster — one request per touched shard.
+// posts made one by one, under both codecs, on one server (a one-shard
+// Cluster, the "client" rows) and split across three shards — one
+// request per touched shard.
 func TestPostBatchMatchesPerCallPosts(t *testing.T) {
 	want := billboard.New(4, 16)
 	postOneByOne(want, mixedPosts())
 	for _, codec := range []string{"json", "binary"} {
 		t.Run(codec+"/client", func(t *testing.T) {
 			board := billboard.New(4, 16)
-			srv := httptest.NewServer(NewServer(board))
-			defer srv.Close()
 			meter := faultnet.New(nil, 1)
-			c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}, Codec: codec})
-			c.PostBatch(mixedPosts())
+			meteredCluster(t, []*billboard.Board{board}, meter, codec).PostBatch(mixedPosts())
 			if meter.Delivered() != 1 {
 				t.Fatalf("batch took %d requests, want 1", meter.Delivered())
 			}
@@ -250,7 +248,7 @@ func TestDeferredFlushSplitsOverBodyCap(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	view := boardclient.Defer(NewClient(srv.URL))
+	view := boardclient.Defer(dial(t, srv.URL, Config{}))
 	postOneByOne(view, posts)
 	view.(interface{ Flush() }).Flush()
 
@@ -295,29 +293,22 @@ func TestOverCapBodyIs413(t *testing.T) {
 	}
 }
 
-// TestDegradedLookupProbesClearsStaleAnswers: a batch-lookup reply of
-// the wrong length fails the call, and in degraded mode the caller's
-// slices must then say "nothing known" — probe.Player.ProbeMany reuses
-// them across calls, and a stale known=true would skip a probe and
-// return another object's grade.
-func TestDegradedLookupProbesClearsStaleAnswers(t *testing.T) {
+// TestShortLookupReplyFails: a batch-lookup reply with fewer grades
+// than objects asked for fails the call, and is recorded, rather than
+// answering for objects the server never looked up.
+func TestShortLookupReplyFails(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderProto, ProtoVersion)
 		w.Header().Set("Content-Type", wire.MediaJSON)
 		io.WriteString(w, `{"grades":"1"}`)
 	}))
 	defer srv.Close()
-	var errs []error
-	c := NewClientWithConfig(srv.URL, Config{OnError: func(err error) { errs = append(errs, err) }})
-	grades := []byte{1, 1, 1}
-	known := []bool{true, true, true}
-	c.LookupProbes(0, []int{0, 1, 2}, grades, known)
-	for k := range known {
-		if known[k] || grades[k] != 0 {
-			t.Fatalf("entry %d left as (%d, %v) after a failed lookup", k, grades[k], known[k])
-		}
+	c := dial(t, srv.URL, Config{})
+	err := failure(func() { c.LookupProbes(0, []int{0, 1, 2}, make([]byte, 3), make([]bool, 3)) })
+	if err == nil || !strings.Contains(err.Error(), "1 grades for 3 objects") {
+		t.Fatalf("short lookup reply failed with %v, want the grade count mismatch", err)
 	}
-	if c.Err() == nil || len(errs) != 1 {
-		t.Fatalf("failed lookup not recorded: Err %v, %d OnError calls", c.Err(), len(errs))
+	if c.Err() != err || c.Failures() != 1 {
+		t.Fatalf("failed lookup not recorded: Err %v, Failures %d", c.Err(), c.Failures())
 	}
 }

@@ -3,12 +3,16 @@ package netboard
 import (
 	"context"
 	"fmt"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
 	"tellme/internal/boardclient"
+	"tellme/internal/wire"
 )
 
 // ClusterConfig configures a Cluster.
@@ -20,38 +24,44 @@ type ClusterConfig struct {
 	// process addressing the same cluster must list its shards in the
 	// same order; a shard may move to a new address in its position.
 	Shards []string
-	// Client configures the per-shard clients. Shard i's instruments
+	// Client configures the per-shard transports. Shard i's instruments
 	// are keyed under "netboard.cluster.shard<i>", so all
-	// request/latency/retry counters come out keyed by shard. A nonzero
-	// JitterSeed is decorrelated per shard, keeping runs reproducible
-	// without synchronizing the shards' backoff schedules.
+	// request/latency/retry counters come out keyed by shard.
 	Client Config
 }
 
 // Cluster implements boardclient.Interface over a fixed list of shard
 // servers, routing every key to the shard at its position (see owner):
-// topics by topic name, probe results by player. The same algorithm
-// code that runs against an in-memory Board or a single Client runs
-// against a Cluster unchanged.
+// topics by topic name, probe results by player. It is the one remote
+// board: a single server is a one-shard Cluster. The same algorithm
+// code that runs against an in-memory Board runs against a Cluster
+// unchanged.
 //
 // A topic's tally and a player's probe row each live whole on one
 // shard, so every read and every probe operation is one request to
-// that shard (with the Client's idempotent request-id retries) and
-// answers exactly as a single board would: a Cluster run is
-// byte-identical to a single-board run of the same seeds. A post batch
-// is split by owning shard and its parts sent concurrently; ProbeCount,
-// the other counters and Quiesce ask every shard.
+// that shard (with idempotent request-id retries) and answers exactly
+// as a single board would: a Cluster run is byte-identical to an
+// in-memory run of the same seeds. Every write is a /v1/batch/posts
+// request: a post batch is split by owning shard and its parts sent
+// concurrently, and a single post or DropTopic is a one-entry batch.
+// LookupProbes is one /v1/batch/lookups request, and each vote read
+// (Votes, ValueVotes, PopularVectors) one /v1/topic-snapshot request.
+// ProbeCount, the other counters and Quiesce ask every shard.
 //
-// Failure semantics are the Client's, per shard: a terminal failure on
-// any shard panics with its *TransportError unless Config.OnError is
-// installed, in which case that shard's client goes degraded and
-// Err/Failures aggregate across shards. A concurrent scatter that
-// panics on several shards at once re-panics the lowest-indexed
-// shard's value, deterministically.
+// billboard.Interface is error-free (the model treats the billboard as
+// reliable shared memory), so a terminal failure — retries exhausted or
+// cut short, a 4xx, a protocol mismatch — panics with its
+// *TransportError. Err and Failures record it first. A concurrent
+// scatter that panics on several shards at once re-panics the
+// lowest-indexed shard's value, deterministically.
 //
-// Like a Client, a Cluster carries the context its requests run under:
-// NewCluster's runs uncancellable, and BindContext returns a view that
-// sends every shard request under the bound context.
+// A Cluster carries the context its requests run under. The one
+// NewCluster returns runs uncancellable (context.Background).
+// BindContext returns a view — a *Cluster sharing all of its state —
+// whose every request, including retry backoff sleeps, aborts when the
+// bound context is cancelled; the probe engine binds the run context
+// this way, so a deadline cuts through in-flight HTTP calls instead of
+// waiting out the full retry schedule.
 type Cluster struct {
 	// ctx governs every shard request sent through this cluster or
 	// view; never nil.
@@ -62,17 +72,22 @@ type Cluster struct {
 
 // clusterState is everything a cluster shares with its views.
 type clusterState struct {
-	cfg ClusterConfig
-	// clients holds shard i's client at index i.
-	clients []*Client
+	// clients holds shard i's transport at index i.
+	clients []*client
+
+	// The failure record: first terminal error and failure count.
+	errMu    sync.Mutex
+	firstErr error
+	failures atomic.Int64
 }
 
 var _ boardclient.Interface = (*Cluster)(nil)
 var _ boardclient.ContextBinder = (*Cluster)(nil)
 var _ boardclient.Batcher = (*Cluster)(nil)
 
-// NewCluster builds a Cluster from cfg (see ClusterConfig for the
-// validated defaults). The shard servers are not contacted.
+// NewCluster builds a Cluster from cfg (see ClusterConfig and Config
+// for the validated defaults). An unknown Config.Codec is an error.
+// The shard servers are not contacted.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("netboard: cluster needs at least one shard")
@@ -87,72 +102,63 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		seen[u] = true
 	}
-	cl := &Cluster{ctx: context.Background(), clusterState: &clusterState{cfg: cfg}}
-	cl.cfg.Shards = append([]string(nil), cfg.Shards...)
-	if cl.cfg.Client.HTTPClient == nil {
+	codec, err := wire.ByName(cfg.Client.Codec)
+	if err != nil {
+		return nil, err
+	}
+	shardCfg := cfg.Client.normalized()
+	if shardCfg.HTTPClient == nil {
 		// Resolve the pooled client ONCE and share it across shards:
 		// per-host pool limits apply per shard server either way, but a
 		// shared transport keeps the process at one coherent connection
 		// pool instead of len(Shards) of them.
-		cl.cfg.Client.HTTPClient = cl.cfg.Client.PooledHTTPClient()
+		shardCfg.HTTPClient = shardCfg.PooledHTTPClient()
 	}
-	cl.clients = make([]*Client, len(cfg.Shards))
+	st := &clusterState{clients: make([]*client, len(cfg.Shards))}
 	for i, u := range cfg.Shards {
-		// Shard i's client: the shared Config with its own telemetry
-		// prefix and the jitter seed decorrelated from the other shards'.
-		shardCfg := cl.cfg.Client
-		if shardCfg.JitterSeed != 0 {
-			// Same fixed seed on every shard would sync their backoff
-			// schedules — exactly the stampede jitter exists to break.
-			shardCfg.JitterSeed = decorrelate(shardCfg.JitterSeed, uint64(i))
-		}
-		cl.clients[i] = newClient(u, shardCfg, "netboard.cluster.shard"+strconv.Itoa(i))
+		st.clients[i] = newClient(u, shardCfg, codec, "netboard.cluster.shard"+strconv.Itoa(i))
 	}
-	return cl, nil
-}
-
-// decorrelate derives a distinct nonzero per-shard seed that also
-// differs from the base seed itself. A bare golden-ratio shift is
-// affine: shard i of seed s equals shard i+k of seed s−k·φ, so nearby
-// seeds run their shard fleets on shifted copies of the same backoff
-// schedule, and wraparound can hand a shard the base seed back — which
-// a standalone client with the same configured seed is already using.
-// Running the shifted value through the splitmix64 finalizer makes
-// every (seed, shard) pair land pseudo-independently; the guards keep
-// the result nonzero (zero means "seed randomly" downstream) and never
-// the base seed (the standalone client's stream).
-func decorrelate(seed, i uint64) uint64 {
-	s := mix64(seed + (i+1)*0x9e3779b97f4a7c15) // golden-ratio stream separation
-	if s == 0 || s == seed {
-		s = seed ^ 0x74656c6c6d65 // "tellme"
-		if s == 0 {
-			s = 1
-		}
-	}
-	return s
+	return &Cluster{ctx: context.Background(), clusterState: st}, nil
 }
 
 // Shards returns the shard base URLs, in shard-index order.
-func (cl *Cluster) Shards() []string { return append([]string(nil), cl.cfg.Shards...) }
-
-// on returns the client to send a shard request through: the shard
-// client itself when cl is unbound, else a view of it under cl's
-// context.
-func (cl *Cluster) on(c *Client) *Client {
-	if cl.ctx.Done() == nil {
-		return c
+func (cl *Cluster) Shards() []string {
+	urls := make([]string, len(cl.clients))
+	for i, c := range cl.clients {
+		urls[i] = c.baseURL
 	}
-	return c.view(cl.ctx)
+	return urls
 }
 
-// topicClient resolves the shard owning topic name.
-func (cl *Cluster) topicClient(name string) *Client {
-	return cl.on(cl.clients[owner(name, len(cl.clients))])
+// check records a terminal failure for Err and Failures and panics
+// with it as a *TransportError; a nil err is no failure.
+func (cl *Cluster) check(err error) {
+	if err == nil {
+		return
+	}
+	terr := &TransportError{Err: err}
+	cl.failures.Add(1)
+	cl.errMu.Lock()
+	if cl.firstErr == nil {
+		cl.firstErr = terr
+	}
+	cl.errMu.Unlock()
+	panic(terr)
+}
+
+// get fetches path?query from shard s into out, under cl's context.
+func (cl *Cluster) get(s int, path string, query url.Values, out wire.Message) {
+	cl.check(cl.clients[s].do(cl.ctx, path, query, nil, out))
+}
+
+// post sends body to path on shard s, under cl's context.
+func (cl *Cluster) post(s int, path string, body wire.Message) {
+	cl.check(cl.clients[s].do(cl.ctx, path, nil, body, nil))
 }
 
 // scatter runs fn(k) for k in 0..n-1 concurrently and waits for all of
-// them. Panics (a shard client's default failure mode) are captured
-// per goroutine and the lowest-k panic is re-thrown on the caller, so
+// them. Panics (a failed shard request's failure mode) are captured per
+// goroutine and the lowest-k panic is re-thrown on the caller, so
 // concurrent shard failures surface deterministically and the
 // WaitGroup barrier is never abandoned.
 func scatter(n int, fn func(k int)) {
@@ -180,38 +186,89 @@ func scatter(n int, fn func(k int)) {
 
 // ── Probe operations (routed by player) ──────────────────────────────
 
-// probeClient resolves the shard holding player p's probe results.
-func (cl *Cluster) probeClient(p int) *Client {
-	return cl.on(cl.clients[playerOwner(p, len(cl.clients))])
-}
+// probeShard is the shard holding player p's probe results.
+func (cl *Cluster) probeShard(p int) int { return playerOwner(p, len(cl.clients)) }
 
 // PostProbe implements billboard.Interface as a one-object PostProbes.
+// A nonzero grade posts as 1, as billboard.Board.PostProbe stores it.
 func (cl *Cluster) PostProbe(p, o int, val byte) { cl.PostProbes(p, []int{o}, []byte{val}) }
 
 // LookupProbe implements billboard.Interface as a one-object
 // LookupProbes.
-func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return lookupOne(cl, p, o) }
+func (cl *Cluster) LookupProbe(p, o int) (byte, bool) {
+	var grade [1]byte
+	var known [1]bool
+	cl.LookupProbes(p, []int{o}, grade[:], known[:])
+	return grade[0], known[0]
+}
 
 // PostProbes implements billboard.Interface: the whole batch goes to
 // p's shard as one idempotent request.
 func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
-	cl.probeClient(p).PostProbes(p, objs, grades)
+	if len(objs) == 0 {
+		return
+	}
+	cl.postBatch(cl.probeShard(p), []boardclient.Post{{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades}})
 }
 
 // LookupProbes implements billboard.Interface: one request to p's
 // shard.
 func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	cl.probeClient(p).LookupProbes(p, objs, grades, known)
+	if len(objs) == 0 {
+		return
+	}
+	var sb strings.Builder
+	for k, o := range objs {
+		if k > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.Itoa(o))
+	}
+	var reply batchLookupsReply
+	cl.get(cl.probeShard(p), PathBatchLookups, url.Values{
+		"player":  {strconv.Itoa(p)},
+		"objects": {sb.String()},
+	}, &reply)
+	if len(reply.Grades) != len(objs) {
+		cl.check(fmt.Errorf("batch lookup: %d grades for %d objects", len(reply.Grades), len(objs)))
+	}
+	for k := range objs {
+		switch reply.Grades[k] {
+		case '1':
+			grades[k], known[k] = 1, true
+		case '0':
+			grades[k], known[k] = 0, true
+		default:
+			grades[k], known[k] = 0, false
+		}
+	}
 }
 
 // ProbedObjects implements billboard.Interface: one request to p's
 // shard.
-func (cl *Cluster) ProbedObjects(p int) map[int]byte { return cl.probeClient(p).ProbedObjects(p) }
+func (cl *Cluster) ProbedObjects(p int) map[int]byte {
+	pairs := cl.probedPairs(p)
+	out := make(map[int]byte, len(pairs))
+	for _, og := range pairs {
+		out[og.Object] = og.Grade
+	}
+	return out
+}
 
-// ForEachProbe implements billboard.Interface: p's shard streams its
-// row in ascending object order, the in-memory board's order.
+// ForEachProbe implements billboard.Interface: p's shard sends its row
+// once, in ascending object order, the in-memory board's order.
 func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) {
-	cl.probeClient(p).ForEachProbe(p, fn)
+	for _, og := range cl.probedPairs(p) {
+		fn(og.Object, og.Grade)
+	}
+}
+
+// probedPairs fetches p's probe results as ordered (object, grade)
+// pairs, the server's order. ProbedObjects and ForEachProbe share it.
+func (cl *Cluster) probedPairs(p int) []objGrade {
+	var reply probedObjectsReply
+	cl.get(cl.probeShard(p), PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
+	return reply.Objects
 }
 
 // ProbeCount implements billboard.Interface: the sum over shards.
@@ -220,16 +277,21 @@ func (cl *Cluster) ProbeCount() int64 {
 }
 
 // ClearProbes removes player p's probe results for objs on p's shard
-// (mirrors billboard.Board.ClearProbes and Client.ClearProbes,
-// including the quiescence requirement). The serving daemon uses it to
-// release a departed player's probe storage at an epoch boundary. Not
-// part of boardclient.Interface.
-func (cl *Cluster) ClearProbes(p int, objs []int) { cl.probeClient(p).ClearProbes(p, objs) }
+// (mirrors billboard.Board.ClearProbes, including the quiescence
+// requirement). The serving daemon uses it to release a departed
+// player's probe storage at an epoch boundary. Not part of
+// boardclient.Interface.
+func (cl *Cluster) ClearProbes(p int, objs []int) {
+	if len(objs) == 0 {
+		return
+	}
+	cl.post(cl.probeShard(p), PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
+}
 
 // PostBatch implements boardclient.Batcher: the batch is split by
 // owning shard — probe sets by player, topic posts and drops by topic —
 // with post order kept within each shard, and every touched shard gets
-// its part as one request, concurrently.
+// its part as one idempotent request, concurrently.
 func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 	if len(posts) == 0 {
 		return
@@ -252,16 +314,28 @@ func (cl *Cluster) PostBatch(posts []boardclient.Post) {
 		}
 	}
 	scatter(len(shards), func(i int) {
-		cl.on(cl.clients[shards[i]]).PostBatch(byShard[shards[i]])
+		cl.postBatch(shards[i], byShard[shards[i]])
 	})
+}
+
+// postBatch sends posts, all owned by shard s, as one request.
+func (cl *Cluster) postBatch(s int, posts []boardclient.Post) {
+	msg := postBatch{Posts: make([]batchPost, len(posts))}
+	for i := range posts {
+		msg.Posts[i] = wirePost(&posts[i])
+	}
+	cl.post(s, PathPostBatch, &msg)
 }
 
 // ── Topic operations (routed by topic name) ──────────────────────────
 
-// Post implements billboard.Interface as a one-entry PostBatch, as do
-// PostVector, PostValues and DropTopic.
+// topicShard is the shard owning topic name.
+func (cl *Cluster) topicShard(name string) int { return owner(name, len(cl.clients)) }
+
+// Post implements billboard.Interface as a one-entry batch to the
+// topic's shard, as do PostVector, PostValues and DropTopic.
 func (cl *Cluster) Post(name string, player int, v bitvec.Partial) {
-	cl.PostBatch([]boardclient.Post{{Kind: boardclient.VectorPost, Topic: name, Player: player, Vec: v}})
+	cl.postBatch(cl.topicShard(name), []boardclient.Post{{Kind: boardclient.VectorPost, Topic: name, Player: player, Vec: v}})
 }
 
 // PostVector implements billboard.Interface.
@@ -271,40 +345,83 @@ func (cl *Cluster) PostVector(name string, player int, v bitvec.Vector) {
 
 // Postings implements billboard.Interface.
 func (cl *Cluster) Postings(name string) []billboard.Posting {
-	return cl.topicClient(name).Postings(name)
+	var reply postingList
+	cl.get(cl.topicShard(name), PathPostings, url.Values{"topic": {name}}, &reply)
+	out := make([]billboard.Posting, len(reply))
+	for i, p := range reply {
+		out[i] = billboard.Posting{Player: p.Player, Vec: p.Bits.P}
+	}
+	return out
 }
 
-// Votes implements billboard.Interface.
-func (cl *Cluster) Votes(name string) []billboard.Vote { return cl.topicClient(name).Votes(name) }
+// Votes implements billboard.Interface: a TopicSnapshot read with the
+// zero stamp, which no live topic carries.
+func (cl *Cluster) Votes(name string) []billboard.Vote {
+	_, _, _, votes, _ := cl.TopicSnapshot(name, 0, 0)
+	return votes
+}
 
 // PopularVectors implements billboard.Interface.
 func (cl *Cluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return cl.topicClient(name).PopularVectors(name, minVotes)
+	var out []bitvec.Partial
+	for _, v := range cl.Votes(name) {
+		if v.Count >= minVotes {
+			out = append(out, v.Vec)
+		}
+	}
+	return out
 }
 
 // PostValues implements billboard.Interface.
 func (cl *Cluster) PostValues(name string, player int, vals []uint32) {
-	cl.PostBatch([]boardclient.Post{{Kind: boardclient.ValuesPost, Topic: name, Player: player, Vals: vals}})
+	cl.postBatch(cl.topicShard(name), []boardclient.Post{{Kind: boardclient.ValuesPost, Topic: name, Player: player, Vals: vals}})
 }
 
 // ValuePostings implements billboard.Interface.
 func (cl *Cluster) ValuePostings(name string) []billboard.ValuePosting {
-	return cl.topicClient(name).ValuePostings(name)
+	var reply valuePostingList
+	cl.get(cl.topicShard(name), PathValuePostings, url.Values{"topic": {name}}, &reply)
+	out := make([]billboard.ValuePosting, len(reply))
+	for i, p := range reply {
+		out[i] = billboard.ValuePosting{Player: p.Player, Vals: p.Vals}
+	}
+	return out
 }
 
-// ValueVotes implements billboard.Interface.
+// ValueVotes implements billboard.Interface like Votes.
 func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote {
-	return cl.topicClient(name).ValueVotes(name)
+	_, _, _, _, valVotes := cl.TopicSnapshot(name, 0, 0)
+	return valVotes
 }
 
 // DropTopic implements billboard.Interface.
 func (cl *Cluster) DropTopic(name string) {
-	cl.PostBatch([]boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
+	cl.postBatch(cl.topicShard(name), []boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
 }
 
-// TopicSnapshot implements boardclient.Interface.
+// TopicSnapshot implements boardclient.Interface: one
+// /v1/topic-snapshot GET to the topic's shard returning the server's
+// (gen, epoch) stamp of the topic and, unless it still equals
+// (sinceGen, sinceEpoch), the decoded tallies.
 func (cl *Cluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return cl.topicClient(name).TopicSnapshot(name, sinceGen, sinceEpoch)
+	var reply topicSnapshotReply
+	cl.get(cl.topicShard(name), PathTopicSnapshot, url.Values{
+		"topic": {name},
+		"gen":   {strconv.FormatUint(sinceGen, 10)},
+		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
+	}, &reply)
+	if reply.Unchanged {
+		return reply.Gen, reply.Epoch, true, nil, nil
+	}
+	votes = make([]billboard.Vote, len(reply.Votes))
+	for i, v := range reply.Votes {
+		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
+	}
+	valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
+	for i, v := range reply.ValueVotes {
+		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
+	}
+	return reply.Gen, reply.Epoch, false, votes, valVotes
 }
 
 // TopicCount implements billboard.Interface: the sum over shards
@@ -322,7 +439,9 @@ func (cl *Cluster) VectorPostCount() int64 {
 func (cl *Cluster) sumStats(field func(statsReply) int64) int64 {
 	per := make([]int64, len(cl.clients))
 	scatter(len(cl.clients), func(k int) {
-		per[k] = field(cl.on(cl.clients[k]).stats())
+		var reply statsReply
+		cl.get(k, PathStats, nil, &reply)
+		per[k] = field(reply)
 	})
 	var total int64
 	for _, v := range per {
@@ -331,45 +450,37 @@ func (cl *Cluster) sumStats(field func(statsReply) int64) int64 {
 	return total
 }
 
-// Quiesce drains every shard client's posting pipeline (concurrently)
-// and returns once all previously issued posts are acknowledged — the
-// cluster-wide analogue of Client.Quiesce, needed before reading
-// cluster-wide counters like ProbeCount for exact accounting.
+// Quiesce blocks until every mutation each shard server has started
+// applying has finished (the shards are asked concurrently), so the
+// counters read next are exact: the barrier before loadgen's and
+// perfbench's probe audits. Not part of boardclient.Interface.
 func (cl *Cluster) Quiesce() {
 	scatter(len(cl.clients), func(k int) {
-		cl.on(cl.clients[k]).Quiesce()
+		var reply quiesceReply
+		cl.get(k, PathQuiesce, nil, &reply)
 	})
 }
 
-// ── Degraded-mode aggregation ────────────────────────────────────────
+// ── Failure record and context binding ──────────────────────────────
 
-// Err implements boardclient.Interface: the first swallowed terminal
-// failure across shards, lowest shard index first (nil if none). See
-// Client.Err for the degraded-mode contract.
+// Err implements boardclient.Interface: the first terminal failure of
+// any shard request (nil if none). Every such failure also panicked
+// with the same *TransportError.
 func (cl *Cluster) Err() error {
-	for _, c := range cl.clients {
-		if err := c.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	cl.errMu.Lock()
+	defer cl.errMu.Unlock()
+	return cl.firstErr
 }
 
-// Failures implements boardclient.Interface: the total number of
-// terminally failed calls across shards.
-func (cl *Cluster) Failures() int64 {
-	var total int64
-	for _, c := range cl.clients {
-		total += c.Failures()
-	}
-	return total
-}
-
-// ── Context binding ──────────────────────────────────────────────────
+// Failures implements boardclient.Interface: how many shard requests
+// failed terminally.
+func (cl *Cluster) Failures() int64 { return cl.failures.Load() }
 
 // BindContext implements boardclient.ContextBinder: the returned view
-// shares all state with cl but every shard request runs under ctx. An
-// unbound cluster given a nil or never-done context returns itself.
+// shares all state with cl (request ids, the failure record) but every
+// shard request runs under ctx — in-flight HTTP calls are aborted and
+// backoff sleeps return early when ctx is cancelled. An unbound
+// cluster given a nil or never-done context returns itself.
 func (cl *Cluster) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx == nil {
 		ctx = context.Background()

@@ -21,6 +21,7 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
+	"tellme/internal/wire"
 )
 
 // newShardFleet starts k independent billboard servers and returns
@@ -99,7 +100,7 @@ func TestClusterZeroRadiusOracle(t *testing.T) {
 				t.Fatalf("only %d shards hold data; the ring routed everything to one shard", nonEmpty)
 			}
 			if err := cluster.Err(); err != nil {
-				t.Fatalf("cluster degraded: %v", err)
+				t.Fatalf("cluster recorded a failure: %v", err)
 			}
 		})
 	}
@@ -265,15 +266,30 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Shards: []string{"http://a"}}); err != nil {
 		t.Fatal(err)
 	}
+	// Config.Codec resolves through wire.ByName: a misspelled codec
+	// fails the build instead of quietly speaking JSON.
+	for _, codec := range []string{"Binary", "JSON", "gob"} {
+		if _, err := NewCluster(ClusterConfig{Shards: []string{"http://a"}, Client: Config{Codec: codec}}); err == nil {
+			t.Errorf("codec %q accepted", codec)
+		}
+		if _, err := FromSpec("http://a", Config{Codec: codec}); err == nil {
+			t.Errorf("FromSpec accepted codec %q", codec)
+		}
+	}
+	cl, err := NewCluster(ClusterConfig{Shards: []string{"http://a"}, Client: Config{Codec: "binary"}})
+	if err != nil || cl.clients[0].codec != wire.Binary {
+		t.Fatalf("codec \"binary\": %v", err)
+	}
 }
 
-// TestFromSpec pins the one board-spec parser: one URL is a Client, a
-// comma-separated list is a Cluster, every URL is trimmed, and an empty
-// or non-absolute URL is rejected when the board is built.
+// TestFromSpec pins the one board-spec parser: a comma-separated list
+// of one or more URLs is a Cluster with those shards, every URL is
+// trimmed, and an empty or non-absolute URL is rejected when the board
+// is built.
 func TestFromSpec(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
-		want []string // the client's BaseURL, or the cluster's shards; nil: an error
+		want []string // the cluster's shards; nil: an error
 	}{
 		{"http://a:1", []string{"http://a:1"}},
 		{" https://a:1\t", []string{"https://a:1"}},
@@ -293,16 +309,9 @@ func TestFromSpec(t *testing.T) {
 		{"http://a:1, http://a:1", nil},
 	} {
 		b, err := FromSpec(tc.spec, Config{})
-		var got []string
-		switch b := b.(type) {
-		case *Client:
-			got = []string{b.BaseURL}
-		case *Cluster:
-			got = b.Shards()
-		}
 		if tc.want == nil {
 			if err == nil {
-				t.Errorf("FromSpec(%q) = %T %v, want an error", tc.spec, b, got)
+				t.Errorf("FromSpec(%q) = %v, want an error", tc.spec, b.Shards())
 			}
 			continue
 		}
@@ -310,10 +319,7 @@ func TestFromSpec(t *testing.T) {
 			t.Errorf("FromSpec(%q): %v", tc.spec, err)
 			continue
 		}
-		if _, isCluster := b.(*Cluster); isCluster != (len(tc.want) > 1) {
-			t.Errorf("FromSpec(%q) built a %T", tc.spec, b)
-		}
-		if strings.Join(got, "|") != strings.Join(tc.want, "|") {
+		if got := b.Shards(); strings.Join(got, "|") != strings.Join(tc.want, "|") {
 			t.Errorf("FromSpec(%q) addresses %q, want %q", tc.spec, got, tc.want)
 		}
 	}

@@ -2,11 +2,12 @@ package netboard
 
 // Tests for the hardened wire protocol: server-side input validation,
 // method enforcement, batched endpoints, the epoch-tagged topic
-// snapshot, request-id deduplication, degraded-mode client semantics,
-// and retry/backoff accounting. The fault-injection stress lives in
+// snapshot, request-id deduplication, the failure record, and
+// retry/backoff accounting. The fault-injection stress lives in
 // stress_test.go.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,6 +69,35 @@ func TestMutatingHandlersValidateInput(t *testing.T) {
 	if board.VectorPostCount() != 0 || board.ProbeCount() != 0 || board.TopicCount() != 0 {
 		t.Fatalf("invalid requests mutated the board: %d vectors, %d probes, %d topics",
 			board.VectorPostCount(), board.ProbeCount(), board.TopicCount())
+	}
+}
+
+// TestReadHandlersValidateInput: every read checks its query against
+// the board; a missing or out-of-range player, a bad object list or an
+// empty topic answers 400.
+func TestReadHandlersValidateInput(t *testing.T) {
+	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
+	defer srv.Close()
+	for _, query := range []string{
+		PathProbedObjects + "?player=",
+		PathProbedObjects + "?player=4",
+		PathProbedObjects + "?player=-1",
+		PathBatchLookups + "?player=9&objects=0",
+		PathBatchLookups + "?player=0",
+		PathBatchLookups + "?player=0&objects=0,8",
+		PathBatchLookups + "?player=0&objects=0,x",
+		PathPostings + "?topic=",
+		PathValuePostings + "?topic=",
+		PathTopicSnapshot + "?topic=",
+	} {
+		resp, err := http.Get(srv.URL + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", query, resp.StatusCode)
+		}
 	}
 }
 
@@ -222,7 +252,7 @@ func TestSnapshotCacheStaleGenerationMissesAcrossClients(t *testing.T) {
 	// read must see the new content.
 	_, a, done := newPair(t, 8, 8)
 	defer done()
-	bcl := NewClient(a.BaseURL)
+	bcl := dial(t, a.Shards()[0], Config{})
 
 	a.PostValues("g", 0, []uint32{1})
 	if got := a.ValueVotes("g"); len(got) != 1 || got[0].Voters[0] != 0 {
@@ -317,7 +347,7 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	defer srv.Close()
 
 	retrying := Config{Retries: 4, RetryBackoff: time.Millisecond}
-	c := NewClientWithConfig(srv.URL, retrying)
+	c := dial(t, srv.URL, retrying)
 	p, _ := bitvec.PartialFromString("0101")
 	c.Post("t", 1, p)
 
@@ -335,7 +365,7 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	h2.kills.Store(1)
 	srv2 := httptest.NewServer(h2)
 	defer srv2.Close()
-	c2 := NewClientWithConfig(srv2.URL, retrying)
+	c2 := dial(t, srv2.URL, retrying)
 	c2.Post("t", 1, p)
 	if got := board2.VectorPostCount(); got != 2 {
 		t.Fatalf("control without dedupe: VectorPostCount = %d, want 2", got)
@@ -350,49 +380,42 @@ func TestIdempotentBatchProbeRetry(t *testing.T) {
 	h.kills.Store(1)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := NewClientWithConfig(srv.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
+	c := dial(t, srv.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
 	c.PostProbes(0, []int{1, 2, 3}, []byte{1, 0, 1})
 	if got := board.ProbeCount(); got != 3 {
 		t.Fatalf("ProbeCount = %d, want 3", got)
 	}
 }
 
-func TestClientDegradedModeIsDetectable(t *testing.T) {
-	// With a non-panicking OnError a dead transport yields zero values;
-	// Err/Failures must expose that so the zeros cannot masquerade as
-	// an empty board.
-	var seen []error
-	c := NewClientWithConfig("http://127.0.0.1:1", Config{ // nothing listening
-		OnError: func(err error) { seen = append(seen, err) },
-	})
-
-	if c.Err() != nil {
-		t.Fatal("fresh client already degraded")
+// TestFailureRecord: every terminal failure panics with its
+// *TransportError and is recorded. Err keeps the first one, Failures
+// counts each failed call, and a bound view shares the record.
+func TestFailureRecord(t *testing.T) {
+	c := dial(t, "http://127.0.0.1:1", Config{}) // nothing listening
+	if c.Err() != nil || c.Failures() != 0 {
+		t.Fatalf("fresh cluster already failed: err=%v failures=%d", c.Err(), c.Failures())
 	}
-	if got := c.Postings("t"); len(got) != 0 {
-		t.Fatalf("degraded Postings = %v", got)
+	first := failure(func() { c.Postings("t") })
+	if first == nil || c.Err() != first || c.Failures() != 1 {
+		t.Fatalf("failed call: panic %v, Err %v, Failures %d; want the panic recorded once", first, c.Err(), c.Failures())
 	}
-	if c.Err() == nil || c.Failures() != 1 {
-		t.Fatalf("degraded call not recorded: err=%v failures=%d", c.Err(), c.Failures())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	view := c.BindContext(ctx)
+	for i, call := range []func(){
+		func() { c.LookupProbe(0, 0) },
+		func() { c.Votes("t") },
+		func() { view.LookupProbes(0, []int{0}, make([]byte, 1), make([]bool, 1)) },
+		func() { view.ProbeCount() },
+	} {
+		if err := failure(call); err == nil || err == first {
+			t.Fatalf("call %d: panic %v, want a failure of its own", i, err)
+		}
+		if got, want := c.Failures(), int64(i+2); got != want || view.Failures() != want {
+			t.Fatalf("call %d: Failures %d (view %d), want %d", i, got, view.Failures(), want)
+		}
 	}
-	if v, ok := c.LookupProbe(0, 0); v != 0 || ok {
-		t.Fatalf("degraded LookupProbe = (%d,%v)", v, ok)
-	}
-	if got := c.Votes("t"); got != nil {
-		t.Fatalf("degraded Votes = %v", got)
-	}
-	grades := []byte{9}
-	known := []bool{true}
-	c.LookupProbes(0, []int{0}, grades, known)
-	if known[0] {
-		t.Fatal("degraded LookupProbes left known=true")
-	}
-	if c.Failures() != int64(len(seen)) || c.Failures() != 4 {
-		t.Fatalf("failures=%d, OnError calls=%d", c.Failures(), len(seen))
-	}
-	first := c.Err()
-	c.ProbeCount()
-	if c.Err() != first {
+	if c.Err() != first || view.Err() != first {
 		t.Fatal("Err did not stick to the first failure")
 	}
 }
@@ -410,22 +433,22 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 
 	meter := faultnet.New(nil, 1)
 	const unit = 10 * time.Millisecond
-	var errs int
-	c := NewClientWithConfig(srv.URL, Config{
+	c := dial(t, srv.URL, Config{
 		HTTPClient:   &http.Client{Transport: meter},
 		Retries:      3,
 		RetryBackoff: unit,
-		OnError:      func(error) { errs++ },
 	})
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.clients[0].sleep = func(d time.Duration) { slept = append(slept, d) }
 
-	c.PostProbe(0, 0, 1)
+	if err := failure(func() { c.PostProbe(0, 0, 1) }); err == nil {
+		t.Fatal("exhausted retries did not fail the call")
+	}
 	if got := meter.Delivered(); got != 4 {
 		t.Fatalf("delivered %d attempts, want 1 + 3 retries", got)
 	}
-	if errs != 1 {
-		t.Fatalf("OnError fired %d times", errs)
+	if c.Failures() != 1 {
+		t.Fatalf("Failures = %d, want 1", c.Failures())
 	}
 	// Attempt i waits i·RetryBackoff scaled by a jitter factor in
 	// [0.5, 1.5), so the linear ramp shows through the randomness.
@@ -450,26 +473,27 @@ func TestNoRetryOn4xxCountsOneAttempt(t *testing.T) {
 	for _, codec := range []string{"json", "binary"} {
 		t.Run(codec, func(t *testing.T) {
 			meter := faultnet.New(nil, 1)
-			var errs int
-			c := NewClientWithConfig(srv.URL, Config{
+			c := dial(t, srv.URL, Config{
 				HTTPClient: &http.Client{Transport: meter},
 				Retries:    5,
-				OnError:    func(error) { errs++ },
 				Codec:      codec,
 			})
 			var slept int
-			c.sleep = func(time.Duration) { slept++ }
+			c.clients[0].sleep = func(time.Duration) { slept++ }
 
-			c.PostProbe(0, 0, 1)
-			c.LookupProbe(0, 0)
+			for _, call := range []func(){func() { c.PostProbe(0, 0, 1) }, func() { c.LookupProbe(0, 0) }} {
+				if err := failure(call); err == nil {
+					t.Fatal("a 4xx did not fail the call")
+				}
+			}
 			if got := meter.Delivered(); got != 2 {
 				t.Fatalf("delivered %d attempts for two 4xx calls, want 2", got)
 			}
 			if slept != 0 {
 				t.Fatalf("4xx slept %d times", slept)
 			}
-			if errs != 2 {
-				t.Fatalf("OnError fired %d times", errs)
+			if c.Failures() != 2 {
+				t.Fatalf("Failures = %d, want 2", c.Failures())
 			}
 		})
 	}
@@ -500,7 +524,7 @@ func TestRetriesKeepOneRequestID(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
+	c := dial(t, srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(0, 0, 1)
 	c.PostProbe(0, 1, 1)
 
@@ -542,7 +566,7 @@ func (rt *replayingTransport) RoundTrip(r *http.Request) (*http.Response, error)
 // recycled pooled buffer.
 func TestPostBodyOutlivesTheCall(t *testing.T) {
 	rt := &replayingTransport{}
-	c := NewClientWithConfig("http://board.invalid", Config{HTTPClient: &http.Client{Transport: rt}})
+	c := dial(t, "http://board.invalid", Config{HTTPClient: &http.Client{Transport: rt}})
 	p, _ := bitvec.PartialFromString("0101")
 	c.Post("first", 0, p)
 	c.Post("second", 1, p)

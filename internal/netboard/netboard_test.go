@@ -19,12 +19,39 @@ import (
 	"tellme/internal/sim"
 )
 
-func newPair(t *testing.T, n, m int) (*billboard.Board, *Client, func()) {
+// newPair serves a fresh n×m board and returns it with a one-shard
+// Cluster over its server: the single-server board.
+func newPair(t *testing.T, n, m int) (*billboard.Board, *Cluster, func()) {
 	t.Helper()
 	board := billboard.New(n, m)
 	srv := httptest.NewServer(NewServer(board))
-	client := NewClient(srv.URL)
-	return board, client, srv.Close
+	return board, dial(t, srv.URL, Config{}), srv.Close
+}
+
+// dial returns a one-shard Cluster over the server at url.
+func dial(t testing.TB, url string, cfg Config) *Cluster {
+	t.Helper()
+	cl, err := NewCluster(ClusterConfig{Shards: []string{url}, Client: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// failure runs f and returns the *TransportError it panicked with, or
+// nil if it returned. Any other panic goes on.
+func failure(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			terr, ok := r.(*TransportError)
+			if !ok {
+				panic(r)
+			}
+			err = terr
+		}
+	}()
+	f()
+	return nil
 }
 
 func TestProbeRoundTrip(t *testing.T) {
@@ -105,25 +132,25 @@ func TestDropTopicAndStats(t *testing.T) {
 func TestServerRejectsBadRequests(t *testing.T) {
 	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
 	defer srv.Close()
-	var errs []string
-	c := NewClientWithConfig(srv.URL, Config{OnError: func(err error) { errs = append(errs, err.Error()) }})
-	c.PostProbe(99, 0, 1) // player out of range
-	c.PostProbe(0, 99, 1) // object out of range
-	if len(errs) != 2 {
-		t.Fatalf("expected 2 rejections, got %v", errs)
-	}
-	for _, e := range errs {
-		if !strings.Contains(e, "400") {
-			t.Fatalf("expected 400 error, got %q", e)
+	c := dial(t, srv.URL, Config{})
+	for _, post := range []func(){
+		func() { c.PostProbe(99, 0, 1) }, // player out of range
+		func() { c.PostProbe(0, 99, 1) }, // object out of range
+	} {
+		if err := failure(post); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("expected a 400 error, got %v", err)
 		}
+	}
+	if c.Failures() != 2 {
+		t.Fatalf("Failures = %d, want 2", c.Failures())
 	}
 }
 
 func TestClientPanicsByDefault(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listening
+	c := dial(t, "http://127.0.0.1:1", Config{}) // nothing listening
 	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unreachable server")
+		if _, ok := recover().(*TransportError); !ok {
+			t.Fatal("no *TransportError panic on unreachable server")
 		}
 	}()
 	c.ProbeCount()
@@ -172,7 +199,7 @@ func TestZeroRadiusOverHTTP(t *testing.T) {
 	board := billboard.New(in.N, in.M)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	remote := run(NewClient(srv.URL))
+	remote := run(dial(t, srv.URL, Config{}))
 
 	for p := 0; p < in.N; p++ {
 		for j := 0; j < in.M; j++ {
@@ -196,7 +223,7 @@ func BenchmarkHTTPProbeRoundTrip(b *testing.B) {
 	board := billboard.New(4, 1024)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	c := dial(b, srv.URL, Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.PostProbe(0, i&1023, 1)
@@ -207,7 +234,7 @@ func BenchmarkHTTPValueVotes(b *testing.B) {
 	board := billboard.New(64, 64)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	c := dial(b, srv.URL, Config{})
 	for p := 0; p < 64; p++ {
 		c.PostValues("t", p, []uint32{uint32(p % 4), 1, 2})
 	}
@@ -243,7 +270,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 2}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
+	c := dial(t, srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(1, 2, 1) // would panic without retries
 	if v, ok := c.LookupProbe(1, 2); !ok || v != 1 {
 		t.Fatalf("lookup after retries: %v %v", v, ok)
@@ -254,16 +281,13 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	calls := 0
-	c := NewClientWithConfig(srv.URL, Config{
-		Retries:      5,
-		RetryBackoff: time.Millisecond,
-		OnError:      func(error) { calls++ },
-	})
+	c := dial(t, srv.URL, Config{Retries: 5, RetryBackoff: time.Millisecond})
 	start := time.Now()
-	c.PostProbe(99, 0, 1) // 400: must fail once, quickly
-	if calls != 1 {
-		t.Fatalf("OnError fired %d times", calls)
+	if err := failure(func() { c.PostProbe(99, 0, 1) }); err == nil { // 400: must fail once, quickly
+		t.Fatal("a 400 did not fail the call")
+	}
+	if c.Failures() != 1 {
+		t.Fatalf("Failures = %d, want 1", c.Failures())
 	}
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("4xx was retried with backoff")
@@ -275,13 +299,8 @@ func TestClientRetriesExhausted(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 100}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	var got error
-	c := NewClientWithConfig(srv.URL, Config{
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-		OnError:      func(err error) { got = err },
-	})
-	c.PostProbe(0, 0, 1)
+	c := dial(t, srv.URL, Config{Retries: 2, RetryBackoff: time.Millisecond})
+	got := failure(func() { c.PostProbe(0, 0, 1) })
 	if got == nil || !strings.Contains(got.Error(), "500") {
 		t.Fatalf("error after exhausted retries: %v", got)
 	}

@@ -23,13 +23,13 @@ func TestConfigPoolKnobDefaults(t *testing.T) {
 }
 
 // TestClientUsesPooledTransport is the regression test for the
-// MaxIdleConnsPerHost=2 bug: NewClient must resolve a transport with
+// MaxIdleConnsPerHost=2 bug: NewCluster must resolve a transport with
 // the load-safe pool defaults, not http.DefaultClient (whose per-host
 // idle pool of 2 churns connections under fleet fan-in).
 func TestClientUsesPooledTransport(t *testing.T) {
-	c := NewClient("http://example.invalid")
+	c := dial(t, "http://example.invalid", Config{}).clients[0]
 	if c.cfg.HTTPClient == nil || c.cfg.HTTPClient == http.DefaultClient {
-		t.Fatal("NewClient left the default http client in place")
+		t.Fatal("NewCluster left the default http client in place")
 	}
 	tr, ok := c.cfg.HTTPClient.Transport.(*http.Transport)
 	if !ok {
@@ -44,7 +44,7 @@ func TestClientUsesPooledTransport(t *testing.T) {
 
 	// An explicit HTTPClient is the caller's to own — no override.
 	own := &http.Client{}
-	c = NewClientWithConfig("http://example.invalid", Config{HTTPClient: own})
+	c = dial(t, "http://example.invalid", Config{HTTPClient: own}).clients[0]
 	if c.cfg.HTTPClient != own {
 		t.Fatal("explicit HTTPClient replaced by the pooled builder")
 	}
@@ -71,13 +71,13 @@ func TestConnAccountingCounters(t *testing.T) {
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 	reg := telemetry.New()
-	c := NewClientWithConfig(srv.URL, Config{Telemetry: reg})
+	c := dial(t, srv.URL, Config{Telemetry: reg})
 	for i := 0; i < 5; i++ {
 		c.PostProbe(0, i%8, 1)
 	}
 	s := reg.Snapshot()
-	dialed := s.Counters[DefaultTelemetryPrefix+".conns.dialed"]
-	reused := s.Counters[DefaultTelemetryPrefix+".conns.reused"]
+	dialed := s.Counters["netboard.cluster.shard0.conns.dialed"]
+	reused := s.Counters["netboard.cluster.shard0.conns.reused"]
 	if dialed+reused != 5 {
 		t.Fatalf("dialed %d + reused %d = %d, want 5 (one per request)", dialed, reused, dialed+reused)
 	}

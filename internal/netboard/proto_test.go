@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
+	"tellme/internal/wire"
 )
 
 // oneProbe is a post batch of one probe result.
@@ -121,15 +122,13 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			var got error
-			c := NewClientWithConfig(srv.URL, Config{
+			c := dial(t, srv.URL, Config{
 				Retries:      5,
 				RetryBackoff: time.Microsecond,
-				OnError:      func(err error) { got = err },
 			})
 
 			hits.Store(0)
-			c.PostProbe(0, 0, 1) // POST path
+			got := failure(func() { c.PostProbe(0, 0, 1) }) // POST path
 			var pe *ProtoError
 			if !errors.As(got, &pe) {
 				t.Fatalf("POST: error %v (%T), want a *ProtoError", got, got)
@@ -141,9 +140,9 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 				t.Fatalf("POST: %d attempts, want 1 (mismatch must not be retried)", n)
 			}
 
-			got, pe = nil, nil
+			pe = nil
 			hits.Store(0)
-			c.Votes("topic") // GET path
+			got = failure(func() { c.Votes("topic") }) // GET path
 			if !errors.As(got, &pe) {
 				t.Fatalf("GET: error %v (%T), want a *ProtoError", got, got)
 			}
@@ -161,11 +160,12 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 	}
 }
 
-// TestConfigNormalizedDefaults: the Config constructor clamps invalid
-// values to the documented defaults, and the zero Config reproduces
-// NewClient exactly.
+// TestConfigNormalizedDefaults: NewCluster clamps invalid values to the
+// documented defaults, and the zero Config is a working one: no
+// retries, the default backoff unit, the JSON codec, and shard 0's
+// instruments under "netboard.cluster.shard0".
 func TestConfigNormalizedDefaults(t *testing.T) {
-	c := NewClientWithConfig("http://x", Config{Retries: -3, RetryBackoff: -time.Second})
+	c := dial(t, "http://x", Config{Retries: -3, RetryBackoff: -time.Second}).clients[0]
 	if c.cfg.Retries != 0 {
 		t.Fatalf("negative Retries clamped to %d, want 0", c.cfg.Retries)
 	}
@@ -173,9 +173,9 @@ func TestConfigNormalizedDefaults(t *testing.T) {
 		t.Fatalf("non-positive RetryBackoff normalized to %v, want %v", c.cfg.RetryBackoff, DefaultRetryBackoff)
 	}
 
-	a, b := NewClient("http://x"), NewClientWithConfig("http://x", Config{})
-	if a.BaseURL != b.BaseURL || a.cfg.Retries != b.cfg.Retries || a.cfg.RetryBackoff != b.cfg.RetryBackoff ||
-		a.prefix != b.prefix || a.codec != b.codec {
-		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a.cfg, b.cfg)
+	z := dial(t, "http://x", Config{}).clients[0]
+	if z.baseURL != "http://x" || z.cfg.Retries != 0 || z.cfg.RetryBackoff != DefaultRetryBackoff ||
+		z.prefix != "netboard.cluster.shard0" || z.codec != wire.JSON {
+		t.Fatalf("zero Config resolved to %s %+v, prefix %q, codec %s", z.baseURL, z.cfg, z.prefix, z.codec.Name())
 	}
 }

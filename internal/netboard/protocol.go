@@ -1,12 +1,13 @@
 // Package netboard exposes a billboard over HTTP, turning the paper's
 // shared billboard into an actual service: a Server wraps an in-memory
-// billboard.Board, and a Client implements billboard.Interface against
-// it, so the unchanged algorithm code runs with players and board in
-// different processes.
+// billboard.Board, and a Cluster implements billboard.Interface against
+// one or more such servers, each owning a share of the keys, so the
+// unchanged algorithm code runs with players and board in different
+// processes. A single server is a one-shard Cluster.
 //
 // Bodies travel in one of two codecs (internal/wire, DESIGN.md §15):
 // JSON, where vectors are '0'/'1'/'?' strings and value vectors plain
-// arrays (debuggable with curl), or the packed binary codec. A client
+// arrays (debuggable with curl), or the packed binary codec. A Cluster
 // uses the one codec its Config names; the server decodes each request
 // by its Content-Type and encodes the reply per its Accept header, and
 // answers 415 to a binary version it does not speak. There is no
@@ -25,11 +26,11 @@
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is
 //     applied exactly once.
-//   - Failure handling: the Client retries transient failures with
-//     jittered linear backoff and routes terminal errors, 4xx included,
-//     to Config.OnError, which defaults to panicking because
-//     billboard.Interface is error-free by design; a non-panicking
-//     OnError puts the client in degraded mode (see Client.Err).
+//   - Failure handling: each shard transport retries transient
+//     failures with jittered linear backoff; a terminal error, 4xx
+//     included, panics with a *TransportError, because
+//     billboard.Interface is error-free by design. Cluster.Err and
+//     Cluster.Failures record every such failure.
 package netboard
 
 import "tellme/internal/wire"

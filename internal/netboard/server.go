@@ -388,6 +388,9 @@ func (s *Server) handleProbedObjects(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
 	topic := r.URL.Query().Get("topic")
+	if !topicParam(w, topic) {
+		return
+	}
 	postings := s.board.Postings(topic)
 	out := make(postingList, len(postings))
 	for i, p := range postings {
@@ -406,6 +409,9 @@ func votesToWire(votes []billboard.Vote) voteList {
 
 func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
 	topic := r.URL.Query().Get("topic")
+	if !topicParam(w, topic) {
+		return
+	}
 	postings := s.board.ValuePostings(topic)
 	out := make(valuePostingList, len(postings))
 	for i, p := range postings {

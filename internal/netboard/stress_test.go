@@ -30,10 +30,10 @@ import (
 	"tellme/internal/sim"
 )
 
-// faultClient returns a retrying client whose transport injects the
-// given fault schedule.
-func faultClient(url string, ft *faultnet.Transport) *Client {
-	return NewClientWithConfig(url, Config{
+// faultBoard returns a retrying one-shard cluster over the server at
+// url whose transport injects the given fault schedule.
+func faultBoard(t *testing.T, url string, ft *faultnet.Transport) *Cluster {
+	return dial(t, url, Config{
 		HTTPClient:   &http.Client{Transport: ft},
 		Retries:      40,
 		RetryBackoff: 100 * time.Microsecond,
@@ -68,7 +68,7 @@ func TestFaultScheduleExactlyOnce(t *testing.T) {
 			ft.DropResponse = sc.dropResp
 			ft.Duplicate = sc.dup
 			ft.MaxDelay = 200 * time.Microsecond
-			c := faultClient(srv.URL, ft)
+			c := faultBoard(t, srv.URL, ft)
 
 			var wg sync.WaitGroup
 			for p := 0; p < players; p++ {
@@ -138,7 +138,7 @@ func TestZeroRadiusOverFaultyHTTP(t *testing.T) {
 	defer srv.Close()
 	ft := faultnet.New(nil, 77)
 	ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.08, 0.08, 0.15
-	remote := run(faultClient(srv.URL, ft))
+	remote := run(faultBoard(t, srv.URL, ft))
 
 	for p := 0; p < in.N; p++ {
 		for j := 0; j < in.M; j++ {
@@ -160,7 +160,7 @@ func TestFaultnetCounters(t *testing.T) {
 
 	// No faults: pure request meter.
 	meter := faultnet.New(nil, 1)
-	c := NewClientWithConfig(srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
+	c := dial(t, srv.URL, Config{HTTPClient: &http.Client{Transport: meter}})
 	c.PostProbe(0, 0, 1)
 	c.LookupProbe(0, 0)
 	if meter.Delivered() != 2 || meter.DroppedRequests() != 0 || meter.LostResponses() != 0 || meter.Duplicated() != 0 {
@@ -170,16 +170,14 @@ func TestFaultnetCounters(t *testing.T) {
 	// DropRequest=1: nothing is ever delivered.
 	drop := faultnet.New(nil, 2)
 	drop.DropRequest = 1
-	var errs int
-	c2 := NewClientWithConfig(srv.URL, Config{
+	c2 := dial(t, srv.URL, Config{
 		HTTPClient:   &http.Client{Transport: drop},
 		Retries:      2,
 		RetryBackoff: time.Microsecond,
-		OnError:      func(error) { errs++ },
 	})
-	c2.PostProbe(0, 1, 1)
-	if drop.Delivered() != 0 || drop.DroppedRequests() != 3 || errs != 1 {
-		t.Fatalf("drop-all: delivered=%d dropped=%d errs=%d", drop.Delivered(), drop.DroppedRequests(), errs)
+	err := failure(func() { c2.PostProbe(0, 1, 1) })
+	if drop.Delivered() != 0 || drop.DroppedRequests() != 3 || err == nil {
+		t.Fatalf("drop-all: delivered=%d dropped=%d err=%v", drop.Delivered(), drop.DroppedRequests(), err)
 	}
 	if _, ok := board.LookupProbe(0, 1); ok {
 		t.Fatal("dropped request reached the board")
@@ -188,11 +186,10 @@ func TestFaultnetCounters(t *testing.T) {
 	// DropResponse=1: the server commits, the client never hears back.
 	lost := faultnet.New(nil, 3)
 	lost.DropResponse = 1
-	c3 := NewClientWithConfig(srv.URL, Config{
-		HTTPClient: &http.Client{Transport: lost},
-		OnError:    func(error) {},
-	})
-	c3.PostProbe(0, 2, 1)
+	c3 := dial(t, srv.URL, Config{HTTPClient: &http.Client{Transport: lost}})
+	if failure(func() { c3.PostProbe(0, 2, 1) }) == nil {
+		t.Fatal("a lost response did not fail the call")
+	}
 	if lost.LostResponses() != 1 {
 		t.Fatalf("LostResponses = %d", lost.LostResponses())
 	}
@@ -255,7 +252,7 @@ func newMeteredEnv(in *prefs.Instance, b boardclient.Interface, parallelism int)
 	return core.NewEnv(e, pc, src.Child("public", 0), core.DefaultConfig()), pc
 }
 
-// meteredBoard is the Client or Cluster a metered run posts through.
+// meteredBoard is the Cluster a metered run posts through.
 type meteredBoard interface {
 	boardclient.Interface
 	boardclient.Batcher
@@ -283,11 +280,10 @@ type runCost struct {
 	perShard []int64
 }
 
-// overMeter sets up rc against shards HTTP billboards, behind one
-// Client or a Cluster that counts requests by shard and post-batch
-// entries. run executes the simulation and returns its outputs and
-// cost; setup and stop stay outside it so the benchmark times the
-// simulation alone.
+// overMeter sets up rc against shards HTTP billboards, behind a
+// Cluster that counts requests by shard and post-batch entries. run
+// executes the simulation and returns its outputs and cost; setup and
+// stop stay outside it so the benchmark times the simulation alone.
 func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards []*billboard.Board, run func() (string, runCost), stop func()) {
 	hosts := make([]string, shards)
 	urls := make([]string, shards)
@@ -303,7 +299,7 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 	if err != nil {
 		panic(err)
 	}
-	c := &entryCounter{meteredBoard: b.(meteredBoard)}
+	c := &entryCounter{meteredBoard: b}
 	env, pc := newMeteredEnv(rc.in, c, parallelism)
 	run = func() (string, runCost) {
 		out := rc.run(env)
@@ -324,8 +320,8 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 }
 
 // TestZeroRadiusRequestCount pins the request and phase counts of full
-// runs over one netboard.Client, and of the solve over a 2-shard
-// Cluster: a protocol or schedule change that adds or saves a round
+// runs over one server, a one-shard Cluster, and of the solve over a
+// 2-shard Cluster: a protocol or schedule change that adds or saves a round
 // trip shows up here, not only in the requests/op of
 // BenchmarkNetboardRunBatched. Posts and topic drops wait for the
 // phase barrier (boardclient.Defer), so a run costs one post request
@@ -398,7 +394,7 @@ func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
 	board := billboard.New(n, m)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	env, _ := newMeteredEnv(prefs.Identical(n, m, 1, 1), NewClient(srv.URL), 1)
+	env, _ := newMeteredEnv(prefs.Identical(n, m, 1, 1), dial(t, srv.URL, Config{}), 1)
 	stale := make([]bitvec.Partial, n)
 	for p := range stale {
 		v := bitvec.New(m)

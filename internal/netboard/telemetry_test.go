@@ -1,10 +1,12 @@
 package netboard
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,77 +16,90 @@ import (
 	"tellme/internal/telemetry"
 )
 
-// collectBackoffs drives nRetries failed attempts of one logical call
-// through a client configured with the given jitter seed and returns the
-// sleep durations the backoff requested, without actually sleeping.
-func collectBackoffs(t *testing.T, seed uint64, retries int, unit time.Duration) []time.Duration {
+// collectBackoffs drives retries failed attempts of one logical call
+// through a one-shard cluster and returns the sleep durations the
+// backoff requested, without actually sleeping.
+func collectBackoffs(t *testing.T, retries int, unit time.Duration) []time.Duration {
 	t.Helper()
 	srv := httptest.NewServer(statusHandler{code: http.StatusInternalServerError})
 	defer srv.Close()
-	c := NewClientWithConfig(srv.URL, Config{
-		Retries:      retries,
-		RetryBackoff: unit,
-		JitterSeed:   seed,
-		OnError:      func(error) {},
-	})
+	c := dial(t, srv.URL, Config{Retries: retries, RetryBackoff: unit})
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	c.PostProbe(0, 0, 1)
+	c.clients[0].sleep = func(d time.Duration) { slept = append(slept, d) }
+	if failure(func() { c.PostProbe(0, 0, 1) }) == nil {
+		t.Fatal("a call against an always-failing server succeeded")
+	}
 	return slept
 }
 
-func TestBackoffJitterBoundsAndDeterminism(t *testing.T) {
+// TestBackoffJitterBounds: retry attempt i waits inside
+// [0.5, 1.5)·i·unit.
+func TestBackoffJitterBounds(t *testing.T) {
 	const unit = 10 * time.Millisecond
-	a := collectBackoffs(t, 7, 8, unit)
-	b := collectBackoffs(t, 7, 8, unit)
-	if len(a) != 8 || len(b) != 8 {
-		t.Fatalf("slept %d/%d times, want 8 each", len(a), len(b))
+	slept := collectBackoffs(t, 8, unit)
+	if len(slept) != 8 {
+		t.Fatalf("slept %d times, want 8", len(slept))
 	}
-	// Same seed, same sequence: the jitter is reproducible, so a failing
-	// retry schedule can be replayed exactly.
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded jitter diverged at attempt %d: %v vs %v", i+1, a[i], b[i])
-		}
-	}
-	// Every wait stays inside [0.5, 1.5)·i·unit.
-	distinct := map[float64]bool{}
-	for i, d := range a {
+	for i, d := range slept {
 		base := time.Duration(i+1) * unit
 		if d < base/2 || d >= base+base/2 {
 			t.Fatalf("attempt %d slept %v, outside [%v, %v)", i+1, d, base/2, base+base/2)
 		}
-		distinct[float64(d)/float64(base)] = true
-	}
-	// The factor must actually vary — a constant multiplier would mean
-	// the jitter is dead and synchronized retry storms come back.
-	if len(distinct) < 2 {
-		t.Fatalf("jitter factors %v never varied across 8 attempts", distinct)
-	}
-	// A different seed yields a different schedule (8 independent draws
-	// colliding exactly is astronomically unlikely).
-	c := collectBackoffs(t, 8, 8, unit)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 produced identical jitter sequences")
 	}
 }
 
+// TestBackoffZeroSeedStillJitters: the jitter stream, which no caller
+// seeds, draws a factor that varies from wait to wait — a constant
+// multiplier would mean the jitter is dead and synchronized retry
+// storms come back.
 func TestBackoffZeroSeedStillJitters(t *testing.T) {
-	slept := collectBackoffs(t, 0, 4, 10*time.Millisecond)
-	if len(slept) != 4 {
-		t.Fatalf("slept %d times, want 4", len(slept))
+	const unit = 10 * time.Millisecond
+	distinct := map[float64]bool{}
+	for i, d := range collectBackoffs(t, 8, unit) {
+		distinct[float64(d)/float64(time.Duration(i+1)*unit)] = true
 	}
-	for i, d := range slept {
-		base := time.Duration(i+1) * 10 * time.Millisecond
-		if d < base/2 || d >= base+base/2 {
-			t.Fatalf("attempt %d slept %v, outside jitter bounds around %v", i+1, d, base)
+	if len(distinct) < 2 {
+		t.Fatalf("jitter factors %v never varied across 8 attempts", distinct)
+	}
+}
+
+// jitterFactors drives a shard transport's backoff i=1 waits through
+// the sleep stub and returns the first k jittered durations — a
+// fingerprint of its jitter stream.
+func jitterFactors(c *client, k int) []time.Duration {
+	var out []time.Duration
+	c.sleep = func(d time.Duration) { out = append(out, d) }
+	for i := 0; i < k; i++ {
+		if err := c.backoff(context.Background(), 1); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// TestClusterShardJitterDiverges: every shard draws its own jitter
+// stream, so no two shards of one cluster run the same backoff
+// schedule. Identical schedules re-synchronize the retry stampede the
+// jitter breaks up.
+func TestClusterShardJitterDiverges(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		// NewCluster never contacts the shards; fake URLs are fine.
+		Shards: []string{"http://s0", "http://s1", "http://s2", "http://s3"},
+		Client: Config{RetryBackoff: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	streams := make([][]time.Duration, len(cl.clients))
+	for i, c := range cl.clients {
+		streams[i] = jitterFactors(c, k)
+	}
+	for a := range streams {
+		for b := a + 1; b < len(streams); b++ {
+			if slices.Equal(streams[a], streams[b]) {
+				t.Errorf("shards %d and %d run identical backoff schedules %v", a, b, streams[a])
+			}
 		}
 	}
 }
@@ -98,7 +113,7 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	board.SetTelemetry(reg)
 	srv := httptest.NewServer(NewServer(board, WithTelemetry(reg)))
 	defer srv.Close()
-	c := NewClientWithConfig(srv.URL, Config{Telemetry: reg})
+	c := dial(t, srv.URL, Config{Telemetry: reg})
 
 	c.PostProbe(0, 3, 1)
 	c.PostProbe(1, 5, 0)
@@ -142,11 +157,12 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	if got := snap.Counters["netboard.server.requests."+PathBatchLookups]; got != 1 {
 		t.Fatalf("server %s requests = %d, want 1", PathBatchLookups, got)
 	}
-	// Client-side mirrors: same logical calls, counted per path.
-	if got := snap.Counters["netboard.client.requests."+PathPostBatch]; got != 5 {
+	// Client-side mirrors: same logical calls, counted per path under
+	// the one shard's prefix.
+	if got := snap.Counters["netboard.cluster.shard0.requests."+PathPostBatch]; got != 5 {
 		t.Fatalf("client %s requests = %d, want 5", PathPostBatch, got)
 	}
-	if got := snap.Counters["netboard.client.requests."+PathBatchLookups]; got != 1 {
+	if got := snap.Counters["netboard.cluster.shard0.requests."+PathBatchLookups]; got != 1 {
 		t.Fatalf("client %s requests = %d, want 1", PathBatchLookups, got)
 	}
 	// Every applied mutation passed the dedupe window exactly once, with
@@ -236,15 +252,14 @@ func TestClientRetryCounter(t *testing.T) {
 	srv := httptest.NewServer(statusHandler{code: http.StatusInternalServerError})
 	defer srv.Close()
 	reg := telemetry.New()
-	c := NewClientWithConfig(srv.URL, Config{
+	c := dial(t, srv.URL, Config{
 		Telemetry:    reg,
 		Retries:      3,
 		RetryBackoff: time.Millisecond,
-		OnError:      func(error) {},
 	})
-	c.sleep = func(time.Duration) {}
-	c.PostProbe(0, 0, 1)
-	if got := reg.Snapshot().Counters["netboard.client.retries"]; got != 3 {
-		t.Fatalf("netboard.client.retries = %d, want 3", got)
+	c.clients[0].sleep = func(time.Duration) {}
+	failure(func() { c.PostProbe(0, 0, 1) })
+	if got := reg.Snapshot().Counters["netboard.cluster.shard0.retries"]; got != 3 {
+		t.Fatalf("netboard.cluster.shard0.retries = %d, want 3", got)
 	}
 }

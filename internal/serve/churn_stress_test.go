@@ -48,7 +48,6 @@ func TestStressChurnClusterMatchesInProcess(t *testing.T) {
 			HTTPClient:   &http.Client{Transport: ft},
 			Retries:      60,
 			RetryBackoff: 100 * time.Microsecond,
-			JitterSeed:   7,
 			// The churn gate runs its faulty wire over the binary codec;
 			// exactness must not depend on the encoding.
 			Codec: "binary",

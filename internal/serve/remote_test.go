@@ -28,15 +28,18 @@ func joinAll(t *testing.T, e *Engine) {
 	}
 }
 
-// remoteEngine returns an engine over a netboard.Client whose requests
-// go through rt to a fresh server, with the players joined, and the
-// server's board.
+// remoteEngine returns an engine over a one-server netboard.Cluster
+// whose requests go through rt to a fresh server, with the players
+// joined, and the server's board.
 func remoteEngine(t *testing.T, rt http.RoundTripper, codec string, parallelism int) (*Engine, *billboard.Board) {
 	t.Helper()
 	board := billboard.New(remotePlayers, remoteM)
 	srv := httptest.NewServer(netboard.NewServer(board))
 	t.Cleanup(srv.Close)
-	client := netboard.NewClientWithConfig(srv.URL, netboard.Config{HTTPClient: &http.Client{Transport: rt}, Codec: codec})
+	client, err := netboard.FromSpec(srv.URL, netboard.Config{HTTPClient: &http.Client{Transport: rt}, Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := New(Config{M: remoteM, Capacity: remotePlayers, Alpha: 0.4, Seed: 42, Board: client, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +84,10 @@ func sameSnapshot(t *testing.T, got, want *Snapshot) {
 }
 
 // TestEpochRequestCount pins the requests of a full epoch and of a
-// refresh epoch over one netboard.Client. The epoch's board is the
+// refresh epoch over one server. The epoch's board is the
 // engine's own, so its posts and topic drops wait for each phase
 // barrier and go out as one request (boardclient.Defer); a wrapper
-// that hid the client's batch interface would send one request per
+// that hid the cluster's batch interface would send one request per
 // post and per drop. The counts are the
 // same under both codecs and at any parallelism, and the snapshots are
 // the in-process engine's.
@@ -145,8 +148,8 @@ func (c *cancelAt) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
-// TestCancelledEpochLeavesNoTopic cancels a full epoch over a
-// netboard.Client at each of its requests in turn, until one
+// TestCancelledEpochLeavesNoTopic cancels a full epoch over one server
+// at each of its requests in turn, until one
 // completes, and then a refresh epoch the same way. An aborted epoch
 // leaves no topic on the server and publishes nothing, and the epoch
 // that completes publishes the undisturbed in-process engine's

@@ -203,9 +203,8 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Board() boardclient.Interface { return e.board }
 
 // probeClearer is the admin surface for releasing a player's probe
-// storage, implemented by billboard.Board, netboard.Client and
-// netboard.Cluster (it is deliberately not part of the algorithm-facing
-// boardclient.Interface).
+// storage, implemented by billboard.Board and netboard.Cluster (it is
+// deliberately not part of the algorithm-facing boardclient.Interface).
 type probeClearer interface {
 	ClearProbes(p int, objs []int)
 }

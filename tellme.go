@@ -137,14 +137,16 @@ type Options struct {
 	// returning false stops early.
 	OnPhase func(PhaseInfo) bool
 	// BoardURL, if non-empty, runs against a remote billboard instead
-	// of an in-memory board: one base URL addresses a single server
-	// (cmd/billboard), and a comma-separated list of base URLs
-	// addresses a sharded cluster (cmd/billboard -shards), each key
-	// routed to the shard at its hash's position in the list (see
-	// DESIGN.md §12). netboard.FromSpec parses
-	// the spec, ignoring space around each URL. The simulation is
-	// deterministic either way; probe posts and vote reads travel over
-	// the batched wire protocol (see DESIGN.md §8).
+	// of an in-memory board: a comma-separated list of one or more base
+	// URLs, the shards of a netboard.Cluster, each key routed to the
+	// shard at its hash's position in the list (see DESIGN.md §12). One
+	// URL addresses a single server (cmd/billboard), a one-shard
+	// cluster; several address a sharded one (cmd/billboard -shards).
+	// netboard.FromSpec parses the spec, ignoring space around each
+	// URL. The simulation is deterministic either way; probe posts and
+	// vote reads travel over the batched wire protocol (see DESIGN.md
+	// §8). A transport failure the retries cannot recover ends the run
+	// with a *RunError wrapping a *netboard.TransportError.
 	BoardURL string
 	// BoardCodec selects the wire encoding for BoardURL targets:
 	// "json" (the default) or "binary" (packed bit-plane frames, see
@@ -153,15 +155,15 @@ type Options struct {
 	BoardCodec string
 	// Board, if non-nil, is used as the billboard directly and takes
 	// precedence over BoardURL. This is how a pre-configured
-	// netboard.Client or netboard.Cluster (custom retries, backoff,
-	// fault-injecting transport) or any other boardclient.Interface
-	// implementation is injected into a run.
+	// netboard.Cluster (custom retries, backoff, fault-injecting
+	// transport) or any other boardclient.Interface implementation is
+	// injected into a run.
 	Board boardclient.Interface
 	// Telemetry, if non-nil, receives runtime counters from the whole
 	// stack during the run: billboard tallies and posts (when Run
 	// creates the in-memory board), probe charges per policy,
 	// per-sub-algorithm cost ("core.<kind>.{calls,probes,ns}"), and
-	// netboard client request/retry counters (when BoardURL is used).
+	// netboard request/retry counters per shard (when BoardURL is used).
 	// A nil registry costs nothing on the probe hot path.
 	Telemetry *telemetry.Registry
 	// Timeout, if positive, bounds the run's wall-clock time: RunContext
