@@ -29,14 +29,17 @@ race:
 # The netboard fault-injection stress on its own (it also runs as part
 # of `race`); useful when iterating on the wire protocol. It includes
 # the deferred-post tests: the deferred view's own tests (one probe run
-# per player per flush, held drops, reads after concurrent posts), post
-# batches applied exactly once, a flush over the body cap split into
-# several requests, a failed barrier flush surfacing as a RunError, a
-# cancelled networked run leaving no topics, and the pinned request,
-# phase and batch-entry counts (9 requests in 3 phases and 150 entries
-# in 3 post batches for ZeroRadius 48×256; 33 in 24 and 325 entries in
-# 20 post batches for the solve-net solve, and 52 requests, 26 per
-# shard, for the same solve over 2 shards).
+# per player per flush, held drops, reads after concurrent posts, reads
+# that take the held posts with them), post batches applied exactly
+# once, reads answered after their batch's posts, a batch of posts and
+# reads retried after lost responses applying once and answering its
+# reads, a flush over the body cap split into several requests, a
+# failed barrier flush surfacing as a RunError, a cancelled networked
+# run leaving no topics, and the pinned request, phase, batch-entry and
+# read counts (9 requests in 3 phases and 150 entries in 3 post batches
+# for ZeroRadius 48×256; 22 in 24 and 325 entries in 20 post batches
+# for the solve-net solve, and 41 requests, 21 and 20 per shard, for
+# the same solve over 2 shards).
 stress-net:
 	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 

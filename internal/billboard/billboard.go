@@ -689,8 +689,14 @@ func (b *Board) Votes(name string) []Vote {
 // PopularVectors returns the distinct vectors posted under the topic by
 // at least minVotes players, in the deterministic order of Votes.
 func (b *Board) PopularVectors(name string, minVotes int) []bitvec.Partial {
+	return PopularOf(b.Votes(name), minVotes)
+}
+
+// PopularOf is PopularVectors over a topic's tally votes: the vectors
+// with at least minVotes voters, in the order of votes.
+func PopularOf(votes []Vote, minVotes int) []bitvec.Partial {
 	var out []bitvec.Partial
-	for _, v := range b.Votes(name) {
+	for _, v := range votes {
 		if v.Count >= minVotes {
 			out = append(out, v.Vec)
 		}

@@ -49,14 +49,93 @@ func (p *Post) sizeBound() int {
 	return 128 + 6*len(p.Topic) + 12*len(p.Objs) + 11*len(p.Vals) + p.Vec.Len()
 }
 
-// Batcher is the optional batch-posting interface of a board whose
-// posts are round trips: netboard.Cluster sends a batch as one request
-// per shard. PostBatch applies the posts as if
-// they were made one by one, in order. The in-memory Board does not
+// ReadKind says which read of Interface a Read stands for.
+type ReadKind uint8
+
+const (
+	// PostingsRead is Postings(Topic).
+	PostingsRead ReadKind = iota
+	// ValuePostingsRead is ValuePostings(Topic).
+	ValuePostingsRead
+	// SnapshotRead is TopicSnapshot(Topic, SinceGen, SinceEpoch); Votes
+	// and ValueVotes are snapshot reads with the zero stamp.
+	SnapshotRead
+	// LookupsRead is LookupProbes(Player, Objs, Grades, Known).
+	LookupsRead
+)
+
+// Read is one board read held as data, so a remote board can answer
+// many of them, and the posts held before them, in one request. The
+// caller sets the fields of its Kind; the board fills in the answer.
+type Read struct {
+	Kind  ReadKind
+	Topic string
+	// SinceGen and SinceEpoch are a SnapshotRead's stamp.
+	SinceGen, SinceEpoch uint64
+	// Player and Objs name a LookupsRead's probe results. Its answer
+	// goes into Grades and Known, which the caller sizes like Objs.
+	Player int
+	Objs   []int
+	Grades []byte
+	Known  []bool
+
+	// The answer of a PostingsRead, a ValuePostingsRead or a
+	// SnapshotRead, as the call it stands for returns it.
+	Postings      []billboard.Posting
+	ValuePostings []billboard.ValuePosting
+	Gen, Epoch    uint64
+	Unchanged     bool
+	Votes         []billboard.Vote
+	ValueVotes    []billboard.ValueVote
+}
+
+// sizeBound is an upper bound on the read's encoded size, as
+// Post.sizeBound is for a post.
+func (r *Read) sizeBound() int {
+	return 128 + 6*len(r.Topic) + 12*len(r.Objs)
+}
+
+// readFrom answers r with the one call of b it stands for.
+func (r *Read) readFrom(b Interface) {
+	switch r.Kind {
+	case PostingsRead:
+		r.Postings = b.Postings(r.Topic)
+	case ValuePostingsRead:
+		r.ValuePostings = b.ValuePostings(r.Topic)
+	case SnapshotRead:
+		r.Gen, r.Epoch, r.Unchanged, r.Votes, r.ValueVotes = b.TopicSnapshot(r.Topic, r.SinceGen, r.SinceEpoch)
+	case LookupsRead:
+		b.LookupProbes(r.Player, r.Objs, r.Grades, r.Known)
+	}
+}
+
+// Batcher is the optional batch interface of a board whose posts and
+// reads are round trips: netboard.Cluster sends a batch as one request
+// per shard. PostBatch applies the posts as if they were made one by
+// one, in order, and then answers the reads in order, each from the
+// board as it stands after the posts. The in-memory Board does not
 // implement it, and it is deliberately not part of Interface, so
-// wrappers that embed an Interface keep posting call by call.
+// wrappers that embed an Interface keep posting and reading call by
+// call.
 type Batcher interface {
-	PostBatch(posts []Post)
+	PostBatch(posts []Post, reads []Read)
+}
+
+// ReadAll answers reads from b, in order, each as the call it stands
+// for would. On a deferred view (Defer) they travel with the view's
+// held batch, and on a Batcher as one batch; any other board, the
+// in-memory Board included, answers them one call each.
+func ReadAll(b Interface, reads []Read) {
+	switch v := b.(type) {
+	case *deferred:
+		v.readAll(reads)
+	case Batcher:
+		v.PostBatch(nil, reads)
+	default:
+		for i := range reads {
+			reads[i].readFrom(b)
+		}
+	}
 }
 
 // flushBytes is the largest batch, by Post.sizeBound, that a deferred
@@ -72,19 +151,24 @@ const flushBytes = wire.MaxBodyBytes / 2
 // the same phase, so a phase's posts may travel together at its
 // barrier. A DropTopic is held the same way, in order with the posts,
 // so the drop of a topic nothing reads any more travels with them.
-// Every other call through the view — reads, the counters,
-// TopicSnapshot — flushes first and then goes straight to b, so a read
-// always sees every post and drop made before it. Flushes run one at a
-// time, which keeps that true at any parallelism. Err and Failures
-// report b's record without flushing: a held post has not failed yet.
+// A topic read or a probe lookup through the view (see ReadAll) takes
+// the held batch with it, as one batch: b applies the posts and then
+// answers the read, so it costs no request of its own. Every other
+// call — ProbedObjects, ForEachProbe, the counters — flushes first and
+// then goes straight to b. Either way a read sees every post and drop
+// made before it. Flushes, and reads that carry held posts, run one at
+// a time, which keeps that true at any parallelism; a read with
+// nothing held waits only for a flush already sending. Err and
+// Failures report b's record without flushing: a held post has not
+// failed yet.
 //
 // Posts are copied, so callers may reuse their slices at once. A
 // player's PostProbe and PostProbes calls since the last flush are held
 // as one ProbesPost, in call order. A batch that grows past flushBytes
 // is sent early; see flushBytes.
 //
-// A post that fails for good is reported by the flush that sends it:
-// the flush panics with b's error, or in degraded mode b records it.
+// A post that fails for good is reported by the flush or read that
+// sends it: the call panics with b's error.
 func Defer(b Interface) Interface {
 	bt, ok := b.(Batcher)
 	if !ok {
@@ -97,9 +181,9 @@ type deferred struct {
 	b     Interface
 	batch Batcher
 
-	// flushMu serializes flushes: a read that flushes waits for any
-	// flush already sending, so it never overtakes a post made before
-	// it that another goroutine's flush took.
+	// flushMu serializes flushes and the reads that carry held posts:
+	// a read waits for any flush already sending, so it never overtakes
+	// a post made before it that another goroutine's flush took.
 	flushMu sync.Mutex
 
 	mu      sync.Mutex
@@ -158,19 +242,55 @@ func (d *deferred) addProbes(p int, objs []int, grades []byte) {
 	}
 }
 
+// take empties the held batch and returns it with its sizeBound
+// total.
+func (d *deferred) take() ([]Post, int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	posts, size := d.pending, d.size
+	d.pending, d.size = nil, 0
+	clear(d.runs)
+	return posts, size
+}
+
 // Flush sends every post held so far and returns when the board has
 // them.
 func (d *deferred) Flush() {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
-	d.mu.Lock()
-	posts := d.pending
-	d.pending, d.size = nil, 0
-	clear(d.runs)
-	d.mu.Unlock()
-	if len(posts) > 0 {
-		d.batch.PostBatch(posts)
+	if posts, _ := d.take(); len(posts) > 0 {
+		d.batch.PostBatch(posts, nil)
 	}
+}
+
+// readAll sends reads with the held batch. Only a read that carries
+// held posts keeps flushMu while it is in flight; one with nothing held
+// releases it at once, so such reads run concurrently. Reads that
+// would take the batch past flushBytes let it go first on its own.
+func (d *deferred) readAll(reads []Read) {
+	n := 0
+	for i := range reads {
+		n += reads[i].sizeBound()
+	}
+	d.flushMu.Lock()
+	posts, size := d.take()
+	if len(posts) == 0 {
+		d.flushMu.Unlock()
+	} else {
+		defer d.flushMu.Unlock()
+		if size+n > flushBytes {
+			d.batch.PostBatch(posts, nil)
+			posts = nil
+		}
+	}
+	d.batch.PostBatch(posts, reads)
+}
+
+// read answers one read through readAll.
+func (d *deferred) read(r Read) Read {
+	reads := [1]Read{r}
+	d.readAll(reads[:])
+	return reads[0]
 }
 
 func (d *deferred) PostProbe(p, o int, val byte) {
@@ -197,13 +317,14 @@ func (d *deferred) PostVector(name string, player int, v bitvec.Vector) {
 }
 
 func (d *deferred) LookupProbe(p, o int) (byte, bool) {
-	d.Flush()
-	return d.b.LookupProbe(p, o)
+	var grade [1]byte
+	var known [1]bool
+	d.LookupProbes(p, []int{o}, grade[:], known[:])
+	return grade[0], known[0]
 }
 
 func (d *deferred) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	d.Flush()
-	d.b.LookupProbes(p, objs, grades, known)
+	d.read(Read{Kind: LookupsRead, Player: p, Objs: objs, Grades: grades, Known: known})
 }
 
 func (d *deferred) ProbedObjects(p int) map[int]byte {
@@ -222,28 +343,23 @@ func (d *deferred) ProbeCount() int64 {
 }
 
 func (d *deferred) Postings(name string) []billboard.Posting {
-	d.Flush()
-	return d.b.Postings(name)
+	return d.read(Read{Kind: PostingsRead, Topic: name}).Postings
 }
 
 func (d *deferred) Votes(name string) []billboard.Vote {
-	d.Flush()
-	return d.b.Votes(name)
+	return d.read(Read{Kind: SnapshotRead, Topic: name}).Votes
 }
 
 func (d *deferred) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	d.Flush()
-	return d.b.PopularVectors(name, minVotes)
+	return billboard.PopularOf(d.Votes(name), minVotes)
 }
 
 func (d *deferred) ValuePostings(name string) []billboard.ValuePosting {
-	d.Flush()
-	return d.b.ValuePostings(name)
+	return d.read(Read{Kind: ValuePostingsRead, Topic: name}).ValuePostings
 }
 
 func (d *deferred) ValueVotes(name string) []billboard.ValueVote {
-	d.Flush()
-	return d.b.ValueVotes(name)
+	return d.read(Read{Kind: SnapshotRead, Topic: name}).ValueVotes
 }
 
 func (d *deferred) DropTopic(name string) {
@@ -261,8 +377,8 @@ func (d *deferred) VectorPostCount() int64 {
 }
 
 func (d *deferred) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	d.Flush()
-	return d.b.TopicSnapshot(name, sinceGen, sinceEpoch)
+	r := d.read(Read{Kind: SnapshotRead, Topic: name, SinceGen: sinceGen, SinceEpoch: sinceEpoch})
+	return r.Gen, r.Epoch, r.Unchanged, r.Votes, r.ValueVotes
 }
 
 func (d *deferred) Err() error      { return d.b.Err() }

@@ -4,23 +4,29 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
 )
 
-// batchBoard is an in-memory board that also takes post batches,
-// recording each one.
+// batchBoard is an in-memory board that also takes batches, recording
+// the posts of each batch that has posts, and counting the batches that
+// carry reads.
 type batchBoard struct {
 	*billboard.Board
 
-	mu      sync.Mutex
-	batches [][]Post
+	mu         sync.Mutex
+	batches    [][]Post
+	readCounts []int // reads of each batch, in batch order
 }
 
-func (b *batchBoard) PostBatch(posts []Post) {
+func (b *batchBoard) PostBatch(posts []Post, reads []Read) {
 	b.mu.Lock()
-	b.batches = append(b.batches, append([]Post(nil), posts...))
+	if len(posts) > 0 {
+		b.batches = append(b.batches, append([]Post(nil), posts...))
+	}
+	b.readCounts = append(b.readCounts, len(reads))
 	b.mu.Unlock()
 	for _, p := range posts {
 		switch p.Kind {
@@ -34,6 +40,7 @@ func (b *batchBoard) PostBatch(posts []Post) {
 			b.Board.DropTopic(p.Topic)
 		}
 	}
+	ReadAll(b.Board, reads)
 }
 
 func (b *batchBoard) batchCount() int {
@@ -187,6 +194,129 @@ func TestDeferReadsFlushFirst(t *testing.T) {
 		if bb.batchCount() != 1 {
 			t.Errorf("%s did not flush the held post first", name)
 		}
+	}
+}
+
+// TestDeferReadsRideTheHeldBatch: a topic read or a probe lookup
+// through the view takes the held posts with it, as one batch whose
+// read answers after them; ReadAll sends many reads the same way.
+func TestDeferReadsRideTheHeldBatch(t *testing.T) {
+	reads := map[string]func(v Interface) bool{
+		"LookupProbe": func(v Interface) bool { g, ok := v.LookupProbe(1, 1); return ok && g == 1 },
+		"LookupProbes": func(v Interface) bool {
+			g, ok := make([]byte, 1), make([]bool, 1)
+			v.LookupProbes(1, []int{1}, g, ok)
+			return ok[0] && g[0] == 1
+		},
+		"Postings":       func(v Interface) bool { return len(v.Postings("t")) == 1 },
+		"Votes":          func(v Interface) bool { return len(v.Votes("t")) == 1 },
+		"PopularVectors": func(v Interface) bool { return len(v.PopularVectors("t", 1)) == 1 },
+		"ValuePostings":  func(v Interface) bool { return len(v.ValuePostings("v")) == 1 },
+		"ValueVotes":     func(v Interface) bool { return len(v.ValueVotes("v")) == 1 },
+		"TopicSnapshot": func(v Interface) bool {
+			_, _, unchanged, votes, vals := v.TopicSnapshot("t", 0, 0)
+			return !unchanged && len(votes) == 1 && len(vals) == 0
+		},
+		"ReadAll": func(v Interface) bool {
+			rs := []Read{{Kind: PostingsRead, Topic: "t"}, {Kind: ValuePostingsRead, Topic: "v"}}
+			ReadAll(v, rs)
+			return len(rs[0].Postings) == 1 && len(rs[1].ValuePostings) == 1
+		},
+	}
+	vec, _ := bitvec.PartialFromString("01")
+	for name, read := range reads {
+		bb := &batchBoard{Board: billboard.New(2, 2)}
+		v := Defer(bb)
+		v.PostProbe(1, 1, 1)
+		v.Post("t", 0, vec)
+		v.PostValues("v", 0, []uint32{4})
+		if !read(v) {
+			t.Errorf("%s did not see the held posts", name)
+		}
+		if bb.batchCount() != 1 || len(bb.readCounts) != 1 || bb.readCounts[0] == 0 {
+			t.Errorf("%s sent %d batches with posts and reads %v, want the posts and the reads in one batch", name, bb.batchCount(), bb.readCounts)
+		}
+	}
+}
+
+// TestReadAllCallsOtherBoards: on a board that takes no batches, ReadAll
+// answers each read with its own call.
+func TestReadAllCallsOtherBoards(t *testing.T) {
+	b := billboard.New(2, 4)
+	vec, _ := bitvec.PartialFromString("01?")
+	b.Post("t", 1, vec)
+	b.PostValues("v", 0, []uint32{3})
+	b.PostProbes(1, []int{2}, []byte{1})
+	reads := []Read{
+		{Kind: PostingsRead, Topic: "t"},
+		{Kind: ValuePostingsRead, Topic: "v"},
+		{Kind: SnapshotRead, Topic: "t"},
+		{Kind: LookupsRead, Player: 1, Objs: []int{2, 3}, Grades: make([]byte, 2), Known: make([]bool, 2)},
+	}
+	ReadAll(b, reads)
+	if got := fmt.Sprint(reads[0].Postings, reads[1].ValuePostings, reads[2].Votes, reads[3].Grades, reads[3].Known); got != fmt.Sprint(b.Postings("t"), b.ValuePostings("v"), b.Votes("t"), []byte{1, 0}, []bool{true, false}) {
+		t.Fatalf("ReadAll answered %s", got)
+	}
+}
+
+// blockingBoard is a batchBoard whose read-only batches wait for
+// release.
+type blockingBoard struct {
+	batchBoard
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBoard) PostBatch(posts []Post, reads []Read) {
+	if len(posts) == 0 && len(reads) > 0 {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	b.batchBoard.PostBatch(posts, reads)
+}
+
+// TestDeferReadsWithNothingHeldRunConcurrently: a read with no posts
+// held does not keep the view's flush lock while it is in flight, so a
+// second one goes out while the first is still waiting for its answer.
+func TestDeferReadsWithNothingHeldRunConcurrently(t *testing.T) {
+	bb := &blockingBoard{batchBoard: batchBoard{Board: billboard.New(2, 2)}, entered: make(chan struct{}), release: make(chan struct{})}
+	v := Defer(bb)
+	done := make(chan struct{})
+	for range 2 {
+		go func() {
+			v.Postings("t")
+			done <- struct{}{}
+		}()
+	}
+	for range 2 {
+		select {
+		case <-bb.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a read with nothing held waited for another read in flight")
+		}
+	}
+	close(bb.release)
+	<-done
+	<-done
+}
+
+// TestDeferReadsPastBoundLetTheBatchGoFirst: reads that would take the
+// held batch past flushBytes go out after it, as a batch of their own.
+func TestDeferReadsPastBoundLetTheBatchGoFirst(t *testing.T) {
+	const objs = flushBytes / 12
+	bb := &batchBoard{Board: billboard.New(1, objs)}
+	v := Defer(bb)
+	v.PostValues("v", 0, make([]uint32, 64<<10))
+	all := make([]int, objs)
+	for o := range all {
+		all[o] = o
+	}
+	v.LookupProbes(0, all, make([]byte, objs), make([]bool, objs))
+	if bb.batchCount() != 1 || fmt.Sprint(bb.readCounts) != "[0 1]" {
+		t.Fatalf("%d batches with posts, reads by batch %v; want the posts alone, then the read", bb.batchCount(), bb.readCounts)
+	}
+	if len(bb.Board.ValuePostings("v")) != 1 {
+		t.Fatal("the held post did not reach the board")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/probe"
 )
 
@@ -139,10 +140,18 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	// Step 3: Coalesce each group's posted vectors into at most O(1/α)
 	// candidates (worst-case pairwise spread of typical outputs is
 	// 11λ = 5λ + λ + 5λ; coalD above uses the realized ≈2λ scale).
+	// Every group's postings are read at once: a deferred board sends
+	// the reads with Step 2's held posts, one request per shard.
+	reads := make([]boardclient.Read, groupCount)
+	for g, topic := range topics {
+		reads[g] = boardclient.Read{Kind: boardclient.PostingsRead, Topic: topic}
+	}
+	env.checkAborted()
+	boardclient.ReadAll(env.Board, reads)
 	cands := make([][]bitvec.Partial, groupCount)
 	for g, topic := range topics {
 		env.checkAborted()
-		postings := env.Board.Postings(topic)
+		postings := reads[g].Postings
 		vecs := make([]bitvec.Partial, len(postings))
 		for i, po := range postings {
 			vecs[i] = po.Vec

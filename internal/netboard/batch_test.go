@@ -13,10 +13,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
 	"tellme/internal/boardclient"
+	"tellme/internal/ints"
 	"tellme/internal/netboard/faultnet"
 	"tellme/internal/wire"
 )
@@ -107,7 +109,7 @@ func TestPostBatchMatchesPerCallPosts(t *testing.T) {
 		t.Run(codec+"/client", func(t *testing.T) {
 			board := billboard.New(4, 16)
 			meter := faultnet.New(nil, 1)
-			meteredCluster(t, []*billboard.Board{board}, meter, codec).PostBatch(mixedPosts())
+			meteredCluster(t, []*billboard.Board{board}, meter, codec).PostBatch(mixedPosts(), nil)
 			if meter.Delivered() != 1 {
 				t.Fatalf("batch took %d requests, want 1", meter.Delivered())
 			}
@@ -117,7 +119,7 @@ func TestPostBatchMatchesPerCallPosts(t *testing.T) {
 			boards := []*billboard.Board{billboard.New(4, 16), billboard.New(4, 16), billboard.New(4, 16)}
 			meter := faultnet.New(nil, 1)
 			cl := meteredCluster(t, boards, meter, codec)
-			cl.PostBatch(mixedPosts())
+			cl.PostBatch(mixedPosts(), nil)
 			touched := 0
 			for _, b := range boards {
 				if b.ProbeCount() > 0 || b.VectorPostCount() > 0 {
@@ -128,6 +130,130 @@ func TestPostBatchMatchesPerCallPosts(t *testing.T) {
 				t.Fatalf("batch took %d requests over %d touched shards, want one per touched shard (at least 2)", meter.Delivered(), touched)
 			}
 			sameBoard(t, cl, want, mixedTopics...)
+		})
+	}
+}
+
+// everyRead is a read of every kind for each of mixedPosts' topics and
+// players, with fresh answer slices.
+func everyRead() []boardclient.Read {
+	var reads []boardclient.Read
+	for _, topic := range mixedTopics {
+		reads = append(reads,
+			boardclient.Read{Kind: boardclient.PostingsRead, Topic: topic},
+			boardclient.Read{Kind: boardclient.ValuePostingsRead, Topic: topic},
+			boardclient.Read{Kind: boardclient.SnapshotRead, Topic: topic},
+		)
+	}
+	for p := 0; p < 4; p++ {
+		objs := []int{p, 8, 9, 14}
+		reads = append(reads, boardclient.Read{Kind: boardclient.LookupsRead, Player: p, Objs: objs,
+			Grades: make([]byte, len(objs)), Known: make([]bool, len(objs))})
+	}
+	return reads
+}
+
+// answers renders what reads answered, all but the snapshots' stamps,
+// which differ from board to board.
+func answers(reads []boardclient.Read) string {
+	var sb strings.Builder
+	for _, r := range reads {
+		fmt.Fprintln(&sb, r.Postings, r.ValuePostings, r.Unchanged, r.Votes, r.ValueVotes, r.Grades, r.Known)
+	}
+	return sb.String()
+}
+
+// TestPostBatchReadsSeeItsPosts: a batch's reads answer from the board
+// as it stands after the batch's posts, exactly as the in-memory board
+// answers them after the posts are made one by one, under both codecs,
+// on one server and on two shards, in one request per touched shard.
+func TestPostBatchReadsSeeItsPosts(t *testing.T) {
+	want := billboard.New(4, 16)
+	postOneByOne(want, mixedPosts())
+	wantReads := everyRead()
+	boardclient.ReadAll(want, wantReads)
+	for _, codec := range []string{"json", "binary"} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", codec, shards), func(t *testing.T) {
+				boards := make([]*billboard.Board, shards)
+				for i := range boards {
+					boards[i] = billboard.New(4, 16)
+				}
+				meter := faultnet.New(nil, 1)
+				cl := meteredCluster(t, boards, meter, codec)
+				reads := everyRead()
+				cl.PostBatch(mixedPosts(), reads)
+				if got := meter.Delivered(); got != int64(shards) {
+					t.Fatalf("batch took %d requests over %d shards, want one per shard", got, shards)
+				}
+				if got, w := answers(reads), answers(wantReads); got != w {
+					t.Fatalf("reads answered\n%s\nwant\n%s", got, w)
+				}
+				// The same reads alone read the same board.
+				again := everyRead()
+				boardclient.ReadAll(cl, again)
+				if got, w := answers(again), answers(wantReads); got != w {
+					t.Fatalf("read-only batch answered\n%s\nwant\n%s", got, w)
+				}
+			})
+		}
+	}
+}
+
+// TestPostBatchReadsSurviveLostResponses: batches of posts and reads
+// over a transport that loses responses after the server applied them,
+// and duplicates deliveries, are retried under their request ids. Each
+// applies its posts once and answers its reads with them, and the
+// board's counters are exact (run under -race).
+func TestPostBatchReadsSurviveLostResponses(t *testing.T) {
+	const rounds = 40
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			boards := make([]*billboard.Board, shards)
+			urls := make([]string, shards)
+			for i := range boards {
+				boards[i] = billboard.New(4, rounds)
+				srv := httptest.NewServer(NewServer(boards[i]))
+				t.Cleanup(srv.Close)
+				urls[i] = srv.URL
+			}
+			ft := faultnet.New(nil, int64(50+shards))
+			ft.DropResponse, ft.Duplicate = 0.3, 0.2
+			cl, err := NewCluster(ClusterConfig{Shards: urls, Client: Config{
+				HTTPClient: &http.Client{Transport: ft}, Retries: 40, RetryBackoff: 100 * time.Microsecond,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vec, _ := bitvec.PartialFromString("01?1")
+			for i := 0; i < rounds; i++ {
+				p := i % 4
+				reads := []boardclient.Read{
+					{Kind: boardclient.PostingsRead, Topic: "t"},
+					{Kind: boardclient.ValuePostingsRead, Topic: "v"},
+					{Kind: boardclient.LookupsRead, Player: p, Objs: []int{i}, Grades: make([]byte, 1), Known: make([]bool, 1)},
+				}
+				cl.PostBatch([]boardclient.Post{
+					{Kind: boardclient.VectorPost, Topic: "t", Player: p, Vec: vec},
+					{Kind: boardclient.ValuesPost, Topic: "v", Player: p, Vals: []uint32{uint32(i)}},
+					{Kind: boardclient.ProbesPost, Player: p, Objs: []int{i}, Grades: []byte{1}},
+				}, reads)
+				if len(reads[0].Postings) != i+1 || len(reads[1].ValuePostings) != i+1 || !reads[2].Known[0] || reads[2].Grades[0] != 1 {
+					t.Fatalf("round %d read %d postings, %d value postings and lookup (%d, %v); want %d, %d and (1, true)",
+						i, len(reads[0].Postings), len(reads[1].ValuePostings), reads[2].Grades[0], reads[2].Known[0], i+1, i+1)
+				}
+			}
+			var probes, posts int64
+			for _, b := range boards {
+				probes += b.ProbeCount()
+				posts += b.VectorPostCount()
+			}
+			if probes != rounds || posts != 2*rounds {
+				t.Fatalf("%d probes and %d posts on the boards, want %d and %d", probes, posts, rounds, 2*rounds)
+			}
+			if ft.LostResponses() == 0 || ft.Duplicated() == 0 {
+				t.Fatalf("%d lost responses and %d duplicates; the schedule proves nothing", ft.LostResponses(), ft.Duplicated())
+			}
 		})
 	}
 }
@@ -293,14 +419,41 @@ func TestOverCapBodyIs413(t *testing.T) {
 	}
 }
 
-// TestShortLookupReplyFails: a batch-lookup reply with fewer grades
-// than objects asked for fails the call, and is recorded, rather than
+// TestLargeLookupReadsBack: a lookup of 262,144 objects, whose object
+// list no request URL could carry, reads back the grades a PostProbes of
+// the same objects posted, under both codecs.
+func TestLargeLookupReadsBack(t *testing.T) {
+	const m = 1 << 18
+	objs, grades := ints.Iota(m), make([]byte, m)
+	for o := range grades {
+		grades[o] = byte(o/3) & 1
+	}
+	for _, codec := range []string{"json", "binary"} {
+		t.Run(codec, func(t *testing.T) {
+			board := billboard.New(1, m)
+			srv := httptest.NewServer(NewServer(board))
+			defer srv.Close()
+			c := dial(t, srv.URL, Config{Codec: codec})
+			c.PostProbes(0, objs, grades)
+			got, known := make([]byte, m), make([]bool, m)
+			c.LookupProbes(0, objs, got, known)
+			for o := range objs {
+				if !known[o] || got[o] != grades[o] {
+					t.Fatalf("object %d: looked up (%d, %v), want (%d, true)", o, got[o], known[o], grades[o])
+				}
+			}
+		})
+	}
+}
+
+// TestShortLookupReplyFails: a lookup answer with fewer grades than
+// objects asked for fails the call, and is recorded, rather than
 // answering for objects the server never looked up.
 func TestShortLookupReplyFails(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderProto, ProtoVersion)
 		w.Header().Set("Content-Type", wire.MediaJSON)
-		io.WriteString(w, `{"grades":"1"}`)
+		io.WriteString(w, `{"results":[{"lookups":{"grades":"1"}}]}`)
 	}))
 	defer srv.Close()
 	c := dial(t, srv.URL, Config{})

@@ -166,6 +166,15 @@ func TestCancelledViewSendsNothing(t *testing.T) {
 				{Kind: boardclient.ProbesPost, Player: 2, Objs: []int{0, 1, 2, 3, 4, 5, 6, 7}, Grades: make([]byte, 8)},
 				{Kind: boardclient.ValuesPost, Topic: "t", Player: 2, Vals: []uint32{7}},
 				{Kind: boardclient.VectorPost, Topic: "t", Player: 2, Vec: bitvec.PartialOf(vec)},
+			}, []boardclient.Read{
+				{Kind: boardclient.PostingsRead, Topic: "t"},
+				{Kind: boardclient.LookupsRead, Player: 2, Objs: []int{0}, Grades: make([]byte, 1), Known: make([]bool, 1)},
+			})
+		}},
+		{"ReadAll", func(b boardclient.Interface) {
+			boardclient.ReadAll(b, []boardclient.Read{
+				{Kind: boardclient.ValuePostingsRead, Topic: "t"},
+				{Kind: boardclient.SnapshotRead, Topic: "u"},
 			})
 		}},
 		{"LookupProbe", func(b boardclient.Interface) { b.LookupProbe(0, 0) }},

@@ -222,19 +222,22 @@ func (c *client) traceContext(ctx context.Context) context.Context {
 
 // do sends one logical request under ctx and returns its terminal
 // failure, or nil. A non-nil body makes it a POST of body under one
-// fresh request id, whose 2xx reply is not read; otherwise it is a GET
-// of path?query whose reply decodes into out. Transient failures are
-// retried with backoff, and every attempt of a POST carries the same
-// request id, so a retry of a post the server already applied is
-// acknowledged, not re-applied. A 4xx or a reply without this
-// protocol's stamp ends the call at once: retrying cannot help.
-// Cancelling ctx aborts the in-flight request and the backoff wait.
+// fresh request id; otherwise it is a GET of path?query. The 2xx reply
+// decodes into out when out is non-nil: a GET's always, a POST's when
+// the batch has reads (a batch without reads answers 204, which is not
+// read). Transient failures are retried with backoff, and every
+// attempt of a POST carries the same request id, so a retry of a post
+// the server already applied is acknowledged, not re-applied, and its
+// reads are answered again. A 4xx or a reply without this protocol's
+// stamp ends the call at once: retrying cannot help. Cancelling ctx
+// aborts the in-flight request and the backoff wait.
 //
-// A GET advertises a binary-configured client's codec via Accept and
-// decodes the reply by its Content-Type. A POST body is encoded into a
-// pooled scratch buffer but sent from its own copy: net/http may still
-// read a request body after Do returns (Body "may be closed
-// asynchronously"), so a pooled buffer must not back it.
+// A GET advertises a binary-configured client's codec via Accept; a
+// POST's reply comes in the codec of its body. Either reply decodes by
+// its Content-Type. A POST body is encoded into a pooled scratch buffer
+// but sent from its own copy: net/http may still read a request body
+// after Do returns (Body "may be closed asynchronously"), so a pooled
+// buffer must not back it.
 func (c *client) do(ctx context.Context, path string, query url.Values, body, out wire.Message) error {
 	u := c.baseURL + path
 	if len(query) > 0 {
@@ -307,29 +310,29 @@ func (c *client) do(ctx context.Context, path string, query url.Values, body, ou
 			lastErr = &ProtoError{Path: path, Got: got}
 			break
 		}
-		if post {
+		if out == nil {
 			resp.Body.Close()
 			return nil
 		}
-		if lastErr = c.decodeReply(resp, path, ins, out); lastErr == nil {
+		if lastErr = c.decodeReply(resp, method, path, ins, out); lastErr == nil {
 			return nil
 		}
 	}
 	return lastErr
 }
 
-// decodeReply reads a GET's 2xx reply into out, decoding it by its
+// decodeReply reads a 2xx reply into out, decoding it by its
 // Content-Type: any binary-family media type decodes with the binary
 // codec, which itself rejects frame versions it does not speak — a
 // future v2 reply fails loudly, not quietly.
-func (c *client) decodeReply(resp *http.Response, path string, ins wire.Instruments, out wire.Message) error {
+func (c *client) decodeReply(resp *http.Response, method, path string, ins wire.Instruments, out wire.Message) error {
 	bufp := wire.GetBuffer()
 	defer wire.PutBuffer(bufp)
 	data, err := wire.ReadAll(*bufp, resp.Body)
 	resp.Body.Close()
 	*bufp = data[:0] // keep the grown capacity for reuse
 	if err != nil {
-		return fmt.Errorf("GET %s: read: %v", path, err)
+		return fmt.Errorf("%s %s: read: %v", method, path, err)
 	}
 	ins.BytesIn.Add(int64(len(data)))
 	codec := wire.JSON
@@ -340,7 +343,7 @@ func (c *client) decodeReply(resp *http.Response, path string, ins wire.Instrume
 	err = codec.Decode(data, out)
 	ins.DecodeNs.ObserveSince(start)
 	if err != nil {
-		return fmt.Errorf("GET %s: decode: %v", path, err)
+		return fmt.Errorf("%s %s: decode: %v", method, path, err)
 	}
 	return nil
 }
@@ -373,5 +376,19 @@ func wirePost(p *boardclient.Post) batchPost {
 		return batchPost{Vector: &vectorPost{Topic: p.Topic, Player: p.Player, Bits: wire.Bits{P: p.Vec}}}
 	default:
 		return batchPost{Drop: &dropPost{Topic: p.Topic}}
+	}
+}
+
+// wireRead is r as a read of a post batch.
+func wireRead(r *boardclient.Read) batchRead {
+	switch r.Kind {
+	case boardclient.PostingsRead:
+		return batchRead{Postings: &topicRead{Topic: r.Topic}}
+	case boardclient.ValuePostingsRead:
+		return batchRead{ValuePostings: &topicRead{Topic: r.Topic}}
+	case boardclient.SnapshotRead:
+		return batchRead{Snapshot: &snapshotRead{Topic: r.Topic, Gen: r.SinceGen, Epoch: r.SinceEpoch}}
+	default:
+		return batchRead{Lookups: &lookupsRead{Player: r.Player, Objects: r.Objs}}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,11 +40,13 @@ type ClusterConfig struct {
 // shard, so every read and every probe operation is one request to
 // that shard (with idempotent request-id retries) and answers exactly
 // as a single board would: a Cluster run is byte-identical to an
-// in-memory run of the same seeds. Every write is a /v1/batch/posts
-// request: a post batch is split by owning shard and its parts sent
-// concurrently, and a single post or DropTopic is a one-entry batch.
-// LookupProbes is one /v1/batch/lookups request, and each vote read
-// (Votes, ValueVotes, PopularVectors) one /v1/topic-snapshot request.
+// in-memory run of the same seeds. Every post and every topic read or
+// probe lookup is a /v1/batch/posts request: a batch of posts and
+// reads is split by owning shard and its parts sent concurrently, each
+// shard answering its reads after applying its posts, and a single
+// post, DropTopic, read or lookup is a one-entry batch. Each vote read
+// (Votes, ValueVotes, PopularVectors) is a snapshot read.
+// ProbedObjects and ForEachProbe are one GET of the player's row, and
 // ProbeCount, the other counters and Quiesce ask every shard.
 //
 // billboard.Interface is error-free (the model treats the billboard as
@@ -211,37 +212,13 @@ func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
 	cl.postBatch(cl.probeShard(p), []boardclient.Post{{Kind: boardclient.ProbesPost, Player: p, Objs: objs, Grades: grades}})
 }
 
-// LookupProbes implements billboard.Interface: one request to p's
+// LookupProbes implements billboard.Interface: a one-read batch to p's
 // shard.
 func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
 	if len(objs) == 0 {
 		return
 	}
-	var sb strings.Builder
-	for k, o := range objs {
-		if k > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(o))
-	}
-	var reply batchLookupsReply
-	cl.get(cl.probeShard(p), PathBatchLookups, url.Values{
-		"player":  {strconv.Itoa(p)},
-		"objects": {sb.String()},
-	}, &reply)
-	if len(reply.Grades) != len(objs) {
-		cl.check(fmt.Errorf("batch lookup: %d grades for %d objects", len(reply.Grades), len(objs)))
-	}
-	for k := range objs {
-		switch reply.Grades[k] {
-		case '1':
-			grades[k], known[k] = 1, true
-		case '0':
-			grades[k], known[k] = 0, true
-		default:
-			grades[k], known[k] = 0, false
-		}
-	}
+	cl.read(boardclient.Read{Kind: boardclient.LookupsRead, Player: p, Objs: objs, Grades: grades, Known: known})
 }
 
 // ProbedObjects implements billboard.Interface: one request to p's
@@ -288,34 +265,136 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 	cl.post(cl.probeShard(p), PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
 }
 
-// PostBatch implements boardclient.Batcher: the batch is split by
-// owning shard — probe sets by player, topic posts and drops by topic —
-// with post order kept within each shard, and every touched shard gets
-// its part as one idempotent request, concurrently.
-func (cl *Cluster) PostBatch(posts []boardclient.Post) {
-	if len(posts) == 0 {
-		return
-	}
+// PostBatch implements boardclient.Batcher: posts and reads are split
+// by owning shard — probe sets and lookups by player, topic posts,
+// drops and topic reads by topic — keeping their order within each
+// shard, and every touched shard gets its part as one idempotent
+// request, concurrently. A shard answers its reads after applying its
+// posts, and it holds every post a read of its keys can see.
+func (cl *Cluster) PostBatch(posts []boardclient.Post, reads []boardclient.Read) {
 	k := len(cl.clients)
-	byShard := make([][]boardclient.Post, k)
-	for _, p := range posts {
+	parts := make([]shardPart, k)
+	for i := range posts {
+		p := &posts[i]
 		var s int
 		if p.Kind == boardclient.ProbesPost {
 			s = playerOwner(p.Player, k)
 		} else {
 			s = owner(p.Topic, k)
 		}
-		byShard[s] = append(byShard[s], p)
+		parts[s].msg.Posts = append(parts[s].msg.Posts, wirePost(p))
+	}
+	for i := range reads {
+		s := cl.readShard(&reads[i])
+		parts[s].msg.Reads = append(parts[s].msg.Reads, wireRead(&reads[i]))
+		parts[s].reads = append(parts[s].reads, &reads[i])
 	}
 	var shards []int
-	for s, part := range byShard {
-		if len(part) > 0 {
+	for s := range parts {
+		if len(parts[s].msg.Posts) > 0 || len(parts[s].msg.Reads) > 0 {
 			shards = append(shards, s)
 		}
 	}
 	scatter(len(shards), func(i int) {
-		cl.postBatch(shards[i], byShard[shards[i]])
+		cl.send(shards[i], &parts[shards[i]].msg, parts[shards[i]].reads)
 	})
+}
+
+// shardPart is one shard's part of a batch: the request and the reads
+// its Reads ask, in order.
+type shardPart struct {
+	msg   postBatch
+	reads []*boardclient.Read
+}
+
+// readShard is the shard that answers r: its player's for a lookup,
+// its topic's otherwise.
+func (cl *Cluster) readShard(r *boardclient.Read) int {
+	if r.Kind == boardclient.LookupsRead {
+		return cl.probeShard(r.Player)
+	}
+	return cl.topicShard(r.Topic)
+}
+
+// send sends msg to shard s as one request and fills in reads, the
+// reads msg.Reads asks, from the reply.
+func (cl *Cluster) send(s int, msg *postBatch, reads []*boardclient.Read) {
+	if len(reads) == 0 {
+		cl.post(s, PathPostBatch, msg)
+		return
+	}
+	var reply batchReply
+	cl.check(cl.clients[s].do(cl.ctx, PathPostBatch, nil, msg, &reply))
+	if len(reply.Results) != len(reads) {
+		cl.check(fmt.Errorf("post batch: %d results for %d reads", len(reply.Results), len(reads)))
+	}
+	for i, r := range reads {
+		cl.check(answer(r, &reply.Results[i]))
+	}
+}
+
+// answer fills r in from res, the answer its shard sent, or returns
+// why res does not answer r.
+func answer(r *boardclient.Read, res *readResult) error {
+	switch r.Kind {
+	case boardclient.PostingsRead:
+		if res.Postings == nil {
+			break
+		}
+		r.Postings = make([]billboard.Posting, len(*res.Postings))
+		for i, p := range *res.Postings {
+			r.Postings[i] = billboard.Posting{Player: p.Player, Vec: p.Bits.P}
+		}
+		return nil
+	case boardclient.ValuePostingsRead:
+		if res.ValuePostings == nil {
+			break
+		}
+		r.ValuePostings = make([]billboard.ValuePosting, len(*res.ValuePostings))
+		for i, p := range *res.ValuePostings {
+			r.ValuePostings[i] = billboard.ValuePosting{Player: p.Player, Vals: p.Vals}
+		}
+		return nil
+	case boardclient.SnapshotRead:
+		snap := res.Snapshot
+		if snap == nil {
+			break
+		}
+		r.Gen, r.Epoch, r.Unchanged = snap.Gen, snap.Epoch, snap.Unchanged
+		r.Votes, r.ValueVotes = nil, nil
+		if snap.Unchanged {
+			return nil
+		}
+		r.Votes = make([]billboard.Vote, len(snap.Votes))
+		for i, v := range snap.Votes {
+			r.Votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
+		}
+		r.ValueVotes = make([]billboard.ValueVote, len(snap.ValueVotes))
+		for i, v := range snap.ValueVotes {
+			r.ValueVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
+		}
+		return nil
+	case boardclient.LookupsRead:
+		if res.Lookups == nil {
+			break
+		}
+		grades := res.Lookups.Grades
+		if len(grades) != len(r.Objs) {
+			return fmt.Errorf("batch lookup: %d grades for %d objects", len(grades), len(r.Objs))
+		}
+		for k := range r.Objs {
+			switch grades[k] {
+			case '1':
+				r.Grades[k], r.Known[k] = 1, true
+			case '0':
+				r.Grades[k], r.Known[k] = 0, true
+			default:
+				r.Grades[k], r.Known[k] = 0, false
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("post batch: no answer for a read of kind %d", r.Kind)
 }
 
 // postBatch sends posts, all owned by shard s, as one request.
@@ -325,6 +404,12 @@ func (cl *Cluster) postBatch(s int, posts []boardclient.Post) {
 		msg.Posts[i] = wirePost(&posts[i])
 	}
 	cl.post(s, PathPostBatch, &msg)
+}
+
+// read answers r with a one-read batch to its shard and returns it.
+func (cl *Cluster) read(r boardclient.Read) boardclient.Read {
+	cl.send(cl.readShard(&r), &postBatch{Reads: []batchRead{wireRead(&r)}}, []*boardclient.Read{&r})
+	return r
 }
 
 // ── Topic operations (routed by topic name) ──────────────────────────
@@ -343,33 +428,22 @@ func (cl *Cluster) PostVector(name string, player int, v bitvec.Vector) {
 	cl.Post(name, player, bitvec.PartialOf(v))
 }
 
-// Postings implements billboard.Interface.
+// Postings implements billboard.Interface as a one-read batch to the
+// topic's shard, as do ValuePostings, the vote reads and
+// TopicSnapshot.
 func (cl *Cluster) Postings(name string) []billboard.Posting {
-	var reply postingList
-	cl.get(cl.topicShard(name), PathPostings, url.Values{"topic": {name}}, &reply)
-	out := make([]billboard.Posting, len(reply))
-	for i, p := range reply {
-		out[i] = billboard.Posting{Player: p.Player, Vec: p.Bits.P}
-	}
-	return out
+	return cl.read(boardclient.Read{Kind: boardclient.PostingsRead, Topic: name}).Postings
 }
 
-// Votes implements billboard.Interface: a TopicSnapshot read with the
-// zero stamp, which no live topic carries.
+// Votes implements billboard.Interface: a snapshot read with the zero
+// stamp, which no live topic carries.
 func (cl *Cluster) Votes(name string) []billboard.Vote {
-	_, _, _, votes, _ := cl.TopicSnapshot(name, 0, 0)
-	return votes
+	return cl.read(boardclient.Read{Kind: boardclient.SnapshotRead, Topic: name}).Votes
 }
 
 // PopularVectors implements billboard.Interface.
 func (cl *Cluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	var out []bitvec.Partial
-	for _, v := range cl.Votes(name) {
-		if v.Count >= minVotes {
-			out = append(out, v.Vec)
-		}
-	}
-	return out
+	return billboard.PopularOf(cl.Votes(name), minVotes)
 }
 
 // PostValues implements billboard.Interface.
@@ -379,19 +453,12 @@ func (cl *Cluster) PostValues(name string, player int, vals []uint32) {
 
 // ValuePostings implements billboard.Interface.
 func (cl *Cluster) ValuePostings(name string) []billboard.ValuePosting {
-	var reply valuePostingList
-	cl.get(cl.topicShard(name), PathValuePostings, url.Values{"topic": {name}}, &reply)
-	out := make([]billboard.ValuePosting, len(reply))
-	for i, p := range reply {
-		out[i] = billboard.ValuePosting{Player: p.Player, Vals: p.Vals}
-	}
-	return out
+	return cl.read(boardclient.Read{Kind: boardclient.ValuePostingsRead, Topic: name}).ValuePostings
 }
 
 // ValueVotes implements billboard.Interface like Votes.
 func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote {
-	_, _, _, _, valVotes := cl.TopicSnapshot(name, 0, 0)
-	return valVotes
+	return cl.read(boardclient.Read{Kind: boardclient.SnapshotRead, Topic: name}).ValueVotes
 }
 
 // DropTopic implements billboard.Interface.
@@ -399,29 +466,13 @@ func (cl *Cluster) DropTopic(name string) {
 	cl.postBatch(cl.topicShard(name), []boardclient.Post{{Kind: boardclient.DropPost, Topic: name}})
 }
 
-// TopicSnapshot implements boardclient.Interface: one
-// /v1/topic-snapshot GET to the topic's shard returning the server's
-// (gen, epoch) stamp of the topic and, unless it still equals
-// (sinceGen, sinceEpoch), the decoded tallies.
+// TopicSnapshot implements boardclient.Interface: a one-read batch to
+// the topic's shard returning the server's (gen, epoch) stamp of the
+// topic and, unless it still equals (sinceGen, sinceEpoch), the
+// decoded tallies.
 func (cl *Cluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	var reply topicSnapshotReply
-	cl.get(cl.topicShard(name), PathTopicSnapshot, url.Values{
-		"topic": {name},
-		"gen":   {strconv.FormatUint(sinceGen, 10)},
-		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
-	}, &reply)
-	if reply.Unchanged {
-		return reply.Gen, reply.Epoch, true, nil, nil
-	}
-	votes = make([]billboard.Vote, len(reply.Votes))
-	for i, v := range reply.Votes {
-		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-	}
-	valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
-	for i, v := range reply.ValueVotes {
-		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-	}
-	return reply.Gen, reply.Epoch, false, votes, valVotes
+	r := cl.read(boardclient.Read{Kind: boardclient.SnapshotRead, Topic: name, SinceGen: sinceGen, SinceEpoch: sinceEpoch})
+	return r.Gen, r.Epoch, r.Unchanged, r.Votes, r.ValueVotes
 }
 
 // TopicCount implements billboard.Interface: the sum over shards

@@ -473,7 +473,7 @@ func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 					}
 					want = append(want, s)
 				}
-				sends(fmt.Sprintf("PostBatch of %d probe sets", len(posts)), func() { cl.PostBatch(posts) }, want...)
+				sends(fmt.Sprintf("PostBatch of %d probe sets", len(posts)), func() { cl.PostBatch(posts, nil) }, want...)
 			}
 		})
 	}

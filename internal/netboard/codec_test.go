@@ -119,12 +119,14 @@ func (g *byteGen) valueVotes(n int) valueVoteList {
 }
 
 // postBatch returns a batch of n posts of generated kinds, or a nil
-// list for n == 0 half of the time.
+// list for n == 0 half of the time, and a nil or populated list of
+// reads (Reads is omitempty, so JSON cannot carry an empty one).
 func (g *byteGen) postBatch(n int) *postBatch {
+	b := &postBatch{Reads: g.reads(g.intn(4))}
 	if n == 0 && g.intn(2) == 0 {
-		return &postBatch{}
+		return b
 	}
-	b := &postBatch{Posts: make([]batchPost, n)}
+	b.Posts = make([]batchPost, n)
 	for i := range b.Posts {
 		switch g.intn(4) {
 		case 0:
@@ -135,6 +137,56 @@ func (g *byteGen) postBatch(n int) *postBatch {
 			b.Posts[i].Vector = &vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}}
 		default:
 			b.Posts[i].Drop = &dropPost{Topic: g.text(12)}
+		}
+	}
+	return b
+}
+
+// reads returns n reads of generated kinds, nil for n == 0.
+func (g *byteGen) reads(n int) []batchRead {
+	if n == 0 {
+		return nil
+	}
+	l := make([]batchRead, n)
+	for i := range l {
+		switch g.intn(4) {
+		case 0:
+			l[i].Postings = &topicRead{Topic: g.text(12)}
+		case 1:
+			l[i].ValuePostings = &topicRead{Topic: g.text(12)}
+		case 2:
+			l[i].Snapshot = &snapshotRead{Topic: g.text(12), Gen: uint64(g.byte()), Epoch: uint64(g.byte())}
+		default:
+			l[i].Lookups = &lookupsRead{Player: g.intn(1 << 12), Objects: g.voters()}
+		}
+	}
+	return l
+}
+
+// batchReply returns a reply of n results of generated kinds. Its
+// posting lists are non-nil, as the server sends them: a nil one
+// travels as JSON null, which decodes as no answer at all.
+func (g *byteGen) batchReply(n int) *batchReply {
+	b := &batchReply{Results: make([]readResult, n)}
+	for i := range b.Results {
+		switch g.intn(4) {
+		case 0:
+			l := postingList{}
+			for range g.intn(3) {
+				l = append(l, postingJSON{Player: g.intn(100), Bits: wire.Bits{P: g.partial(g.width())}})
+			}
+			b.Results[i].Postings = &l
+		case 1:
+			l := valuePostingList{}
+			for range g.intn(3) {
+				l = append(l, valuePostingJSON{Player: g.intn(100), Vals: g.vals()})
+			}
+			b.Results[i].ValuePostings = &l
+		case 2:
+			b.Results[i].Snapshot = &topicSnapshotReply{Gen: uint64(g.byte()), Epoch: uint64(g.byte()), Unchanged: g.intn(2) == 1,
+				Votes: g.votes(g.intn(3)), ValueVotes: g.valueVotes(g.intn(3))}
+		default:
+			b.Results[i].Lookups = &batchLookupsReply{Grades: g.bits(g.intn(8))}
 		}
 	}
 	return b
@@ -181,6 +233,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 64, 1, 2, 3, 4, 5})            // word-aligned planes
 	f.Add([]byte{9, 65, 0, 255, 128, 64, 32, 7})   // one past aligned
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}) // max-D-ish: everything known
+	f.Add([]byte{2, 3, 0, 1, 2, 3, 4, 2, 1, 0, 3}) // reads and results of every kind
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &byteGen{data: data}
 		msgs := []struct {
@@ -214,6 +267,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				func() wire.Message { return &statsReply{} }},
 			{g.postBatch(g.intn(5)),
 				func() wire.Message { return &postBatch{} }},
+			{g.batchReply(g.intn(5)),
+				func() wire.Message { return &batchReply{} }},
 		}
 		for _, m := range msgs {
 			viaJSON := roundTrip(t, wire.JSON, m.msg, m.fresh())
@@ -234,6 +289,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func FuzzBinaryDecode(f *testing.F) {
 	seed, _ := wire.Binary.Append(nil, &topicSnapshotReply{Votes: voteList{{Count: 1}}})
 	f.Add(seed)
+	seed, _ = wire.Binary.Append(nil, readsBatch())
+	f.Add(seed)
+	seed, _ = wire.Binary.Append(nil, readsReply())
+	f.Add(seed)
 	f.Add([]byte{'T', 'B', 1, 0x01})
 	f.Add([]byte{'T', 'B', 1, 0x0d, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -251,6 +310,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			func() wire.Message { return &quiesceReply{} },
 			func() wire.Message { return &statsReply{} },
 			func() wire.Message { return &postBatch{} },
+			func() wire.Message { return &batchReply{} },
 		} {
 			v := fresh()
 			if err := wire.Binary.Decode(data, v); err != nil {
@@ -273,4 +333,45 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readsBatch is a post batch with a post and a read of every kind.
+func readsBatch() *postBatch {
+	vec, _ := bitvec.PartialFromString("01?")
+	return &postBatch{
+		Posts: []batchPost{
+			{Probes: &batchProbesPost{Player: 1, Objects: []int{2, 3}, Grades: "10"}},
+			{Vector: &vectorPost{Topic: "t", Player: 1, Bits: wire.Bits{P: vec}}},
+		},
+		Reads: []batchRead{
+			{Postings: &topicRead{Topic: "t"}},
+			{ValuePostings: &topicRead{Topic: "v"}},
+			{Snapshot: &snapshotRead{Topic: "t", Gen: 3, Epoch: 9}},
+			{Lookups: &lookupsRead{Player: 1, Objects: []int{2, 3, 4}}},
+		},
+	}
+}
+
+// readsReply is a reply with a result of every kind.
+func readsReply() *batchReply {
+	vec, _ := bitvec.PartialFromString("01?")
+	return &batchReply{Results: []readResult{
+		{Postings: &postingList{{Player: 1, Bits: wire.Bits{P: vec}}}},
+		{ValuePostings: &valuePostingList{}},
+		{Snapshot: &topicSnapshotReply{Gen: 3, Epoch: 9, Votes: voteList{{Bits: wire.Bits{P: vec}, Count: 1, Voters: []int{1}}}}},
+		{Lookups: &batchLookupsReply{Grades: "10?"}},
+	}}
+}
+
+// TestCodecRoundTripBatchWithReads: a post batch with reads and a reply
+// with a result of every kind come back unchanged through either codec.
+func TestCodecRoundTripBatchWithReads(t *testing.T) {
+	for _, c := range []wire.Codec{wire.JSON, wire.Binary} {
+		if got := roundTrip(t, c, readsBatch(), &postBatch{}); !reflect.DeepEqual(got, readsBatch()) {
+			t.Errorf("%s: batch came back as %#v", c.Name(), got)
+		}
+		if got := roundTrip(t, c, readsReply(), &batchReply{}); !reflect.DeepEqual(got, readsReply()) {
+			t.Errorf("%s: reply came back as %#v", c.Name(), got)
+		}
+	}
 }

@@ -72,32 +72,51 @@ func TestMutatingHandlersValidateInput(t *testing.T) {
 	}
 }
 
-// TestReadHandlersValidateInput: every read checks its query against
-// the board; a missing or out-of-range player, a bad object list or an
-// empty topic answers 400.
+// TestReadHandlersValidateInput: every read checks its query or its
+// batch entry against the board; a missing or out-of-range player, an
+// out-of-range object, an empty topic or a read of no known kind
+// answers 400, and a bad read rejects its whole batch, posts included.
+// A read-only batch needs no request id: it answers 200.
 func TestReadHandlersValidateInput(t *testing.T) {
-	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
+	board := billboard.New(4, 8)
+	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	for _, query := range []string{
-		PathProbedObjects + "?player=",
-		PathProbedObjects + "?player=4",
-		PathProbedObjects + "?player=-1",
-		PathBatchLookups + "?player=9&objects=0",
-		PathBatchLookups + "?player=0",
-		PathBatchLookups + "?player=0&objects=0,8",
-		PathBatchLookups + "?player=0&objects=0,x",
-		PathPostings + "?topic=",
-		PathValuePostings + "?topic=",
-		PathTopicSnapshot + "?topic=",
+	const goodPosts = `"posts":[{"probes":{"player":0,"objects":[0],"grades":"1"}},{"vector":{"topic":"t","player":0,"bits":"01"}}]`
+	for _, tc := range []struct {
+		name, query, body string // a GET of query, or a batch of body
+		want              int
+	}{
+		{"probed objects without player", PathProbedObjects + "?player=", "", http.StatusBadRequest},
+		{"probed objects player out of range", PathProbedObjects + "?player=4", "", http.StatusBadRequest},
+		{"probed objects negative player", PathProbedObjects + "?player=-1", "", http.StatusBadRequest},
+		{"postings of empty topic", "", `{"reads":[{"postings":{"topic":""}}]}`, http.StatusBadRequest},
+		{"value postings of empty topic", "", `{"reads":[{"valuePostings":{"topic":""}}]}`, http.StatusBadRequest},
+		{"snapshot of empty topic", "", `{"reads":[{"snapshot":{"topic":"","gen":1,"epoch":1}}]}`, http.StatusBadRequest},
+		{"read of unknown kind", "", `{"reads":[{"votes":{"topic":"t"}}]}`, http.StatusBadRequest},
+		{"read of two kinds", "", `{"reads":[{"postings":{"topic":"t"},"valuePostings":{"topic":"t"}}]}`, http.StatusBadRequest},
+		{"lookup player out of range", "", `{"reads":[{"lookups":{"player":9,"objects":[0]}}]}`, http.StatusBadRequest},
+		{"lookup object out of range", "", `{"reads":[{"lookups":{"player":0,"objects":[0,8]}}]}`, http.StatusBadRequest},
+		{"bad read after good posts", "", `{` + goodPosts + `,"reads":[{"postings":{"topic":"t"}},{"snapshot":{"topic":""}}]}`, http.StatusBadRequest},
+		{"read-only batch without request id", "", `{"reads":[{"postings":{"topic":"t"}},{"lookups":{"player":0,"objects":[0,1]}}]}`, http.StatusOK},
 	} {
-		resp, err := http.Get(srv.URL + query)
-		if err != nil {
-			t.Fatal(err)
+		var code int
+		if tc.query != "" {
+			resp, err := http.Get(srv.URL + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			code = resp.StatusCode
+		} else {
+			code = postJSON(t, srv.URL+PathPostBatch, tc.body)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s: status %d, want 400", query, resp.StatusCode)
+		if code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
 		}
+	}
+	if board.ProbeCount() != 0 || board.VectorPostCount() != 0 || board.TopicCount() != 0 {
+		t.Fatalf("a rejected batch applied its posts: %d probes, %d vectors, %d topics",
+			board.ProbeCount(), board.VectorPostCount(), board.TopicCount())
 	}
 }
 
@@ -106,25 +125,26 @@ func TestReadHandlersRequireGET(t *testing.T) {
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 
-	paths := []string{
-		PathPostings, PathValuePostings,
-		PathProbedObjects, PathStats, PathBatchLookups, PathTopicSnapshot,
-	}
-	for _, path := range paths {
-		if code := postJSON(t, srv.URL+path+"?topic=t&player=0&objects=0", `{}`); code != http.StatusMethodNotAllowed {
+	for _, path := range []string{PathProbedObjects, PathStats, PathQuiesce} {
+		if code := postJSON(t, srv.URL+path+"?player=0", `{}`); code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: status %d, want 405", path, code)
 		}
 	}
 }
 
-// TestRetiredVoteEndpointsAreGone: tallies travel only in topic
-// snapshots; the old per-operation vote reads, and the topic-name list
-// of the retired reshard drains, answer 404.
+// retiredReads are the read endpoints of topic data and probe lookups
+// that reads in a post batch replaced.
+var retiredReads = []string{"/v1/postings", "/v1/value-postings", "/v1/topic-snapshot", "/v1/batch/lookups"}
+
+// TestRetiredVoteEndpointsAreGone: tallies travel only in snapshot
+// reads of a post batch; the old per-operation vote reads, the topic-name
+// list of the retired reshard drains, and the GET reads of topic data
+// and probe lookups answer 404.
 func TestRetiredVoteEndpointsAreGone(t *testing.T) {
 	srv := httptest.NewServer(NewServer(billboard.New(4, 8)))
 	defer srv.Close()
-	for _, path := range []string{"/v1/votes", "/v1/value-votes", "/v1/topics"} {
-		resp, err := http.Get(srv.URL + path + "?topic=t")
+	for _, path := range append([]string{"/v1/votes", "/v1/value-votes", "/v1/topics"}, retiredReads...) {
+		resp, err := http.Get(srv.URL + path + "?topic=t&player=0&objects=0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,14 +157,15 @@ func TestRetiredVoteEndpointsAreGone(t *testing.T) {
 
 // TestRetiredWriteEndpointsAreGone: /v1/batch/posts is the one
 // endpoint that writes board data; the per-call write endpoints, the
-// conditional drop of the retired reshard drains and the single-probe
-// lookup answer 404, and the board's one topic stays.
+// conditional drop of the retired reshard drains, the single-probe
+// lookup and the retired GET reads answer 404 to a POST, and the
+// board's one topic stays.
 func TestRetiredWriteEndpointsAreGone(t *testing.T) {
 	board := billboard.New(4, 8)
 	board.PostValues("kept", 1, []uint32{7})
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	for _, path := range []string{"/v1/probe", "/v1/batch/probes", "/v1/vector", "/v1/values", "/v1/drop-topic", "/v1/admin/drop-topic-if"} {
+	for _, path := range append([]string{"/v1/probe", "/v1/batch/probes", "/v1/vector", "/v1/values", "/v1/drop-topic", "/v1/admin/drop-topic-if"}, retiredReads...) {
 		if code := postJSON(t, srv.URL+path, `{"player":0,"object":0,"value":1,"objects":[0],"grades":"1","topic":"kept","vals":[1],"bits":"0101","vectors":0,"values":1}`); code != http.StatusNotFound {
 			t.Errorf("POST %s: status %d, want 404", path, code)
 		}

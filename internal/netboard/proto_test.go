@@ -101,8 +101,8 @@ func TestServerRejectsProtoMismatch(t *testing.T) {
 // TestClientProtoMismatchTypedError: against a server that answers 2xx
 // without (or with the wrong) protocol stamp, the client fails with a
 // *ProtoError reachable through errors.As — and gives up after one
-// attempt on both the POST and GET paths, since no number of retries
-// can fix a version mismatch.
+// attempt on a post and on a read, since no number of retries can fix
+// a version mismatch.
 func TestClientProtoMismatchTypedError(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -128,7 +128,7 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 			})
 
 			hits.Store(0)
-			got := failure(func() { c.PostProbe(0, 0, 1) }) // POST path
+			got := failure(func() { c.PostProbe(0, 0, 1) }) // a post
 			var pe *ProtoError
 			if !errors.As(got, &pe) {
 				t.Fatalf("POST: error %v (%T), want a *ProtoError", got, got)
@@ -142,12 +142,12 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 
 			pe = nil
 			hits.Store(0)
-			got = failure(func() { c.Votes("topic") }) // GET path
+			got = failure(func() { c.Votes("topic") }) // a read, whose reply is decoded
 			if !errors.As(got, &pe) {
-				t.Fatalf("GET: error %v (%T), want a *ProtoError", got, got)
+				t.Fatalf("read: error %v (%T), want a *ProtoError", got, got)
 			}
 			if n := hits.Load(); n != 1 {
-				t.Fatalf("GET: %d attempts, want 1 (mismatch must not be retried)", n)
+				t.Fatalf("read: %d attempts, want 1 (mismatch must not be retried)", n)
 			}
 
 			// The typed error is wrapped in the usual terminal failure, so

@@ -14,18 +14,20 @@
 // authentication, but the transport is built to survive a faulty
 // network (see DESIGN.md §8 for the full wire contract):
 //
-//   - Batching: /v1/batch/posts is the one endpoint that writes board
-//     data. It applies an ordered list of posts of every kind (probe
-//     sets, value vectors, vectors and topic drops: a deferred view's
-//     phase, see boardclient.Defer), and a single post travels as a
-//     one-entry batch. /v1/batch/lookups reads a set of probe results,
-//     and /v1/topic-snapshot returns a topic's vote tallies stamped with
-//     the board's (generation, epoch) pair; a request that sends the
-//     topic's current stamp gets "unchanged" instead of the tallies.
+//   - Batching: /v1/batch/posts is the one endpoint for board data. A
+//     batch applies an ordered list of posts of every kind (probe sets,
+//     value vectors, vectors and topic drops: a deferred view's phase,
+//     see boardclient.Defer), and then answers an ordered list of reads
+//     (a topic's postings, value postings or snapshot, or a player's
+//     probe lookups) from the board as it stands after those posts. A
+//     single post or read travels as a one-entry batch. A snapshot read
+//     returns the topic's vote tallies stamped with the board's
+//     (generation, epoch) pair; a read that sends the topic's current
+//     stamp gets "unchanged" instead of the tallies.
 //   - Idempotency: every mutating request carries a client-generated
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is
-//     applied exactly once.
+//     applied exactly once. A retried batch's reads are answered again.
 //   - Failure handling: each shard transport retries transient
 //     failures with jittered linear backoff; a terminal error, 4xx
 //     included, panics with a *TransportError, because
@@ -38,12 +40,8 @@ import "tellme/internal/wire"
 // Paths of the HTTP endpoints.
 const (
 	PathProbedObjects = "/v1/probed-objects" // GET: all of one player's probe results
-	PathPostings      = "/v1/postings"       // GET: vector postings of a topic
-	PathValuePostings = "/v1/value-postings" // GET: value postings of a topic
 	PathStats         = "/v1/stats"          // GET: counters
-	PathBatchLookups  = "/v1/batch/lookups"  // GET: look up many probe results at once
-	PathPostBatch     = "/v1/batch/posts"    // POST: apply an ordered list of posts of any kind
-	PathTopicSnapshot = "/v1/topic-snapshot" // GET: epoch-tagged vote tallies of a topic
+	PathPostBatch     = "/v1/batch/posts"    // POST: apply an ordered list of posts, then answer reads
 
 	// Admin endpoints. clear-probes removes a player's probe results for
 	// a set of objects: the serving daemon frees a departed player's
@@ -101,7 +99,7 @@ type postingJSON struct {
 	Bits   wire.Bits `json:"bits"`
 }
 
-// postingList is the PathPostings reply body.
+// postingList answers a postings read.
 type postingList []postingJSON
 
 // voteJSON is one tallied vector vote in replies.
@@ -127,7 +125,7 @@ type valuePostingJSON struct {
 	Vals   []uint32 `json:"vals"`
 }
 
-// valuePostingList is the PathValuePostings reply body.
+// valuePostingList answers a value-postings read.
 type valuePostingList []valuePostingJSON
 
 // valueVoteJSON is one tallied value vote in replies.
@@ -157,10 +155,12 @@ type batchProbesPost struct {
 }
 
 // postBatch is the POST body for PathPostBatch: posts applied in
-// order, all or none (the server checks every post before applying
-// any), under the request's one idempotency key.
+// order, all or none, under the request's one idempotency key, then
+// reads answered in order from the board as it stands after them. The
+// server checks every post and every read before applying any.
 type postBatch struct {
 	Posts []batchPost `json:"posts"`
+	Reads []batchRead `json:"reads,omitempty"`
 }
 
 // batchPost is one post of a postBatch. Exactly one field is set. A
@@ -174,27 +174,79 @@ type batchPost struct {
 
 // kinds counts the fields set; a well-formed post has one.
 func (p *batchPost) kinds() int {
+	return countSet(p.Probes != nil, p.Values != nil, p.Vector != nil, p.Drop != nil)
+}
+
+// batchRead is one read of a postBatch. Exactly one field is set.
+type batchRead struct {
+	Postings      *topicRead    `json:"postings,omitempty"`
+	ValuePostings *topicRead    `json:"valuePostings,omitempty"`
+	Snapshot      *snapshotRead `json:"snapshot,omitempty"`
+	Lookups       *lookupsRead  `json:"lookups,omitempty"`
+}
+
+// kinds counts the fields set; a well-formed read has one.
+func (r *batchRead) kinds() int {
+	return countSet(r.Postings != nil, r.ValuePostings != nil, r.Snapshot != nil, r.Lookups != nil)
+}
+
+// countSet counts the true values.
+func countSet(set ...bool) int {
 	n := 0
-	for _, set := range [...]bool{p.Probes != nil, p.Values != nil, p.Vector != nil, p.Drop != nil} {
-		if set {
+	for _, b := range set {
+		if b {
 			n++
 		}
 	}
 	return n
 }
 
-// batchLookupsReply answers PathBatchLookups
-// (GET ?player=P&objects=o1,o2,...): one '0'/'1'/'?' character per
-// requested object, '?' meaning "not posted".
+// topicRead names the topic of a postings or value-postings read.
+type topicRead struct {
+	Topic string `json:"topic"`
+}
+
+// snapshotRead asks for a topic's snapshot. Gen/Epoch are the stamp
+// the caller holds; zero, which no topic carries, always gets the
+// tallies.
+type snapshotRead struct {
+	Topic string `json:"topic"`
+	Gen   uint64 `json:"gen"`
+	Epoch uint64 `json:"epoch"`
+}
+
+// lookupsRead asks for a player's grades of objects, which must be in
+// range.
+type lookupsRead struct {
+	Player  int   `json:"player"`
+	Objects []int `json:"objects"`
+}
+
+// batchReply answers a postBatch with reads: one result per read, in
+// order. A batch without reads answers 204 and no body.
+type batchReply struct {
+	Results []readResult `json:"results"`
+}
+
+// readResult is one read's answer: the field of the read's kind is
+// set.
+type readResult struct {
+	Postings      *postingList        `json:"postings,omitempty"`
+	ValuePostings *valuePostingList   `json:"valuePostings,omitempty"`
+	Snapshot      *topicSnapshotReply `json:"snapshot,omitempty"`
+	Lookups       *batchLookupsReply  `json:"lookups,omitempty"`
+}
+
+// batchLookupsReply answers a lookups read: one '0'/'1'/'?' character
+// per requested object, '?' meaning "not posted".
 type batchLookupsReply struct {
 	Grades string `json:"grades"`
 }
 
-// topicSnapshotReply answers PathTopicSnapshot
-// (GET ?topic=T[&gen=G&epoch=E]). Gen/Epoch stamp the topic's current
-// content. When the caller's gen/epoch query already matches, Unchanged
-// is true and the tallies are omitted — the caller keeps what it
-// fetched at that stamp; otherwise both tallies are included.
+// topicSnapshotReply answers a snapshot read. Gen/Epoch stamp the
+// topic's current content. When the read's stamp already matches,
+// Unchanged is true and the tallies are omitted — the caller keeps
+// what it fetched at that stamp; otherwise both tallies are included.
 type topicSnapshotReply struct {
 	Gen        uint64        `json:"gen"`
 	Epoch      uint64        `json:"epoch"`

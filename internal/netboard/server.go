@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"tellme/internal/billboard"
@@ -83,12 +82,8 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 		s.mux.HandleFunc(PathTelemetryProm, s.readOnly(s.handleTelemetryProm))
 	}
 	s.handle(PathProbedObjects, s.readOnly(s.handleProbedObjects))
-	s.handle(PathPostings, s.readOnly(s.handlePostings))
-	s.handle(PathValuePostings, s.readOnly(s.handleValuePostings))
 	s.handle(PathStats, s.readOnly(s.handleStats))
-	s.handle(PathBatchLookups, s.readOnly(s.handleBatchLookups))
 	s.handle(PathPostBatch, s.handlePostBatch)
-	s.handle(PathTopicSnapshot, s.readOnly(s.handleTopicSnapshot))
 	s.handle(PathClearProbes, s.handleClearProbes)
 	s.handle(PathQuiesce, s.readOnly(s.handleQuiesce))
 	return s
@@ -154,10 +149,9 @@ func (s *Server) readOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// apply runs a validated mutation through the idempotency window and
-// acknowledges it. A replayed request id is acknowledged identically
-// without re-applying.
-func (s *Server) apply(w http.ResponseWriter, r *http.Request, mutate func()) {
+// apply runs a validated mutation through the idempotency window: a
+// replayed request id is not applied again.
+func (s *Server) apply(r *http.Request, mutate func()) {
 	id := r.Header.Get(HeaderRequestID)
 	if id == "" {
 		s.noIDRequests.Inc()
@@ -167,7 +161,6 @@ func (s *Server) apply(w http.ResponseWriter, r *http.Request, mutate func()) {
 	} else {
 		s.dedupeHits.Inc()
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // writeReply encodes v per the request's Accept header (JSON unless the
@@ -201,17 +194,6 @@ func (s *Server) playerParam(w http.ResponseWriter, r *http.Request) (int, bool)
 		return 0, false
 	}
 	return p, true
-}
-
-// topicParam rejects the empty topic name: every topic endpoint would
-// otherwise silently operate on the "" topic, which no algorithm uses —
-// an empty name is always a malformed client.
-func topicParam(w http.ResponseWriter, topic string) bool {
-	if topic == "" {
-		http.Error(w, errEmptyTopic.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 func (s *Server) validPlayer(w http.ResponseWriter, player int) bool {
@@ -300,11 +282,89 @@ func (s *Server) dropMutation(req *dropPost) (func(), error) {
 	return func() { s.board.DropTopic(req.Topic) }, nil
 }
 
-// handlePostBatch applies a post batch, the one request that writes
-// board data: every post is checked before any is applied, so one bad
-// post answers 400 and leaves the board untouched, and the posts then
-// apply in order under the request's one id — a retried or duplicated
-// batch applies once.
+// The read answers below check one read of a post batch against the
+// board and return the function that answers it, which runs once the
+// batch's posts are applied.
+
+// topicAnswer returns answer unless topic is empty: every topic read
+// would otherwise read the "" topic, which no algorithm uses.
+func topicAnswer(topic string, answer func() readResult) (func() readResult, error) {
+	if topic == "" {
+		return nil, errEmptyTopic
+	}
+	return answer, nil
+}
+
+func (s *Server) postingsAnswer(req *topicRead) (func() readResult, error) {
+	return topicAnswer(req.Topic, func() readResult {
+		postings := s.board.Postings(req.Topic)
+		out := make(postingList, len(postings))
+		for i, p := range postings {
+			out[i] = postingJSON{Player: p.Player, Bits: wire.Bits{P: p.Vec}}
+		}
+		return readResult{Postings: &out}
+	})
+}
+
+func (s *Server) valuePostingsAnswer(req *topicRead) (func() readResult, error) {
+	return topicAnswer(req.Topic, func() readResult {
+		postings := s.board.ValuePostings(req.Topic)
+		out := make(valuePostingList, len(postings))
+		for i, p := range postings {
+			out[i] = valuePostingJSON{Player: p.Player, Vals: p.Vals}
+		}
+		return readResult{ValuePostings: &out}
+	})
+}
+
+func (s *Server) snapshotAnswer(req *snapshotRead) (func() readResult, error) {
+	return topicAnswer(req.Topic, func() readResult {
+		gen, epoch, unchanged, votes, valVotes := s.board.TopicSnapshot(req.Topic, req.Gen, req.Epoch)
+		reply := topicSnapshotReply{Gen: gen, Epoch: epoch, Unchanged: unchanged}
+		if !unchanged {
+			reply.Votes = votesToWire(votes)
+			reply.ValueVotes = valueVotesToWire(valVotes)
+		}
+		return readResult{Snapshot: &reply}
+	})
+}
+
+func (s *Server) lookupsAnswer(req *lookupsRead) (func() readResult, error) {
+	if err := s.checkPlayer(req.Player); err != nil {
+		return nil, err
+	}
+	for _, o := range req.Objects {
+		if err := s.checkObject(o); err != nil {
+			return nil, err
+		}
+	}
+	return func() readResult {
+		n := len(req.Objects)
+		grades, known := make([]byte, n), make([]bool, n)
+		s.board.LookupProbes(req.Player, req.Objects, grades, known)
+		gw := make([]byte, n)
+		for k := range gw {
+			switch {
+			case !known[k]:
+				gw[k] = '?'
+			case grades[k] != 0:
+				gw[k] = '1'
+			default:
+				gw[k] = '0'
+			}
+		}
+		return readResult{Lookups: &batchLookupsReply{Grades: string(gw)}}
+	}, nil
+}
+
+// handlePostBatch serves a post batch, the one request for board data.
+// Every post and every read is checked before anything is applied, so
+// one bad entry answers 400 and leaves the board untouched. The posts
+// then apply in order under the request's one id — a retried or
+// duplicated batch applies once — and a batch with no posts takes no
+// slot in the idempotency window. The reads are answered in order,
+// from the board as it stands after the posts, with 200 and a reply in
+// the request's codec; a batch without reads answers 204.
 func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
 	var req postBatch
 	if !s.readBody(w, r, PathPostBatch, &req) {
@@ -330,48 +390,46 @@ func (s *Server) handlePostBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.apply(w, r, func() {
-		for _, m := range muts {
-			m()
+	answers := make([]func() readResult, len(req.Reads))
+	for i := range req.Reads {
+		var err error
+		switch rd := &req.Reads[i]; {
+		case rd.kinds() != 1:
+			err = errors.New("want exactly one of postings, valuePostings, snapshot, lookups")
+		case rd.Postings != nil:
+			answers[i], err = s.postingsAnswer(rd.Postings)
+		case rd.ValuePostings != nil:
+			answers[i], err = s.valuePostingsAnswer(rd.ValuePostings)
+		case rd.Snapshot != nil:
+			answers[i], err = s.snapshotAnswer(rd.Snapshot)
+		default:
+			answers[i], err = s.lookupsAnswer(rd.Lookups)
 		}
-	})
-}
-
-func (s *Server) handleBatchLookups(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.playerParam(w, r)
-	if !ok {
-		return
-	}
-	raw := r.URL.Query().Get("objects")
-	if raw == "" {
-		http.Error(w, "missing objects", http.StatusBadRequest)
-		return
-	}
-	parts := strings.Split(raw, ",")
-	objs := make([]int, len(parts))
-	for k, part := range parts {
-		o, err := strconv.Atoi(part)
-		if err != nil || o < 0 || o >= s.board.M() {
-			http.Error(w, "invalid object", http.StatusBadRequest)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("read %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		objs[k] = o
 	}
-	grades := make([]byte, len(objs))
-	known := make([]bool, len(objs))
-	s.board.LookupProbes(p, objs, grades, known)
-	gw := make([]byte, len(objs))
-	for k := range objs {
-		switch {
-		case !known[k]:
-			gw[k] = '?'
-		case grades[k] != 0:
-			gw[k] = '1'
-		default:
-			gw[k] = '0'
-		}
+	if len(muts) > 0 {
+		s.apply(r, func() {
+			for _, m := range muts {
+				m()
+			}
+		})
 	}
-	s.writeReply(w, r, PathBatchLookups, &batchLookupsReply{Grades: string(gw)})
+	if len(answers) == 0 {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	reply := batchReply{Results: make([]readResult, len(answers))}
+	for i, answer := range answers {
+		reply.Results[i] = answer()
+	}
+	codec := wire.JSON
+	if wire.ClassifyContentType(r.Header.Get("Content-Type")) == wire.KindBinary {
+		codec = wire.Binary
+	}
+	wire.WriteReplyAs(w, codec, &reply, s.wireIns[PathPostBatch])
 }
 
 func (s *Server) handleProbedObjects(w http.ResponseWriter, r *http.Request) {
@@ -386,19 +444,6 @@ func (s *Server) handleProbedObjects(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, r, PathProbedObjects, &reply)
 }
 
-func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	if !topicParam(w, topic) {
-		return
-	}
-	postings := s.board.Postings(topic)
-	out := make(postingList, len(postings))
-	for i, p := range postings {
-		out[i] = postingJSON{Player: p.Player, Bits: wire.Bits{P: p.Vec}}
-	}
-	s.writeReply(w, r, PathPostings, &out)
-}
-
 func votesToWire(votes []billboard.Vote) voteList {
 	out := make(voteList, len(votes))
 	for i, v := range votes {
@@ -407,44 +452,12 @@ func votesToWire(votes []billboard.Vote) voteList {
 	return out
 }
 
-func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	if !topicParam(w, topic) {
-		return
-	}
-	postings := s.board.ValuePostings(topic)
-	out := make(valuePostingList, len(postings))
-	for i, p := range postings {
-		out[i] = valuePostingJSON{Player: p.Player, Vals: p.Vals}
-	}
-	s.writeReply(w, r, PathValuePostings, &out)
-}
-
 func valueVotesToWire(votes []billboard.ValueVote) valueVoteList {
 	out := make(valueVoteList, len(votes))
 	for i, v := range votes {
 		out[i] = valueVoteJSON{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
 	}
 	return out
-}
-
-func (s *Server) handleTopicSnapshot(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	topic := q.Get("topic")
-	if !topicParam(w, topic) {
-		return
-	}
-	// Absent/garbled stamps parse as 0; no topic generation is ever 0,
-	// so that always misses and returns the full snapshot.
-	sinceGen, _ := strconv.ParseUint(q.Get("gen"), 10, 64)
-	sinceEpoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	gen, epoch, unchanged, votes, valVotes := s.board.TopicSnapshot(topic, sinceGen, sinceEpoch)
-	reply := topicSnapshotReply{Gen: gen, Epoch: epoch, Unchanged: unchanged}
-	if !unchanged {
-		reply.Votes = votesToWire(votes)
-		reply.ValueVotes = valueVotesToWire(valVotes)
-	}
-	s.writeReply(w, r, PathTopicSnapshot, &reply)
 }
 
 // handleClearProbes is the admin mutation that clears the given probe
@@ -467,7 +480,8 @@ func (s *Server) handleClearProbes(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.apply(w, r, func() { s.board.ClearProbes(req.Player, req.Objects) })
+	s.apply(r, func() { s.board.ClearProbes(req.Player, req.Objects) })
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleQuiesce blocks until every mutation the server has started

@@ -258,24 +258,28 @@ type meteredBoard interface {
 	boardclient.Batcher
 }
 
-// entryCounter is a board that counts the post batches its PostBatch
-// receives and the posts in them, the batch entries. It hides the
-// board's BindContext, which would return a view that bypasses it;
+// entryCounter is a board that counts the batches with posts its
+// PostBatch receives, the posts in them (the batch entries), and the
+// reads of every batch, and forwards both. It hides the board's
+// BindContext, which would return a view that bypasses it;
 // newMeteredEnv's engine binds no context.
 type entryCounter struct {
 	meteredBoard
-	batches, entries atomic.Int64
+	batches, entries, reads atomic.Int64
 }
 
-func (c *entryCounter) PostBatch(posts []boardclient.Post) {
-	c.batches.Add(1)
+func (c *entryCounter) PostBatch(posts []boardclient.Post, reads []boardclient.Read) {
+	if len(posts) > 0 {
+		c.batches.Add(1)
+	}
 	c.entries.Add(int64(len(posts)))
-	c.meteredBoard.PostBatch(posts)
+	c.reads.Add(int64(len(reads)))
+	c.meteredBoard.PostBatch(posts, reads)
 }
 
 // runCost is what a metered run sent and how many phases it ran.
 type runCost struct {
-	requests, phases, batches, entries int64
+	requests, phases, batches, entries, reads int64
 	// perShard is the requests by shard, in shard order.
 	perShard []int64
 }
@@ -304,7 +308,7 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 	run = func() (string, runCost) {
 		out := rc.run(env)
 		counts := meter.take()
-		cost := runCost{phases: pc.n, batches: c.batches.Load(), entries: c.entries.Load()}
+		cost := runCost{phases: pc.n, batches: c.batches.Load(), entries: c.entries.Load(), reads: c.reads.Load()}
 		for _, h := range hosts {
 			cost.requests += int64(counts[h])
 			cost.perShard = append(cost.perShard, int64(counts[h]))
@@ -325,11 +329,13 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 // trip shows up here, not only in the requests/op of
 // BenchmarkNetboardRunBatched. Posts and topic drops wait for the
 // phase barrier (boardclient.Defer), so a run costs one post request
-// per phase and shard that it posts or drops to, plus its reads
-// (DESIGN.md §8); sibling sub-algorithm calls share their phases
-// (DESIGN.md §3). It also pins the post batches and their entries as
-// the run hands them to its board: a flush holds one probe run per
-// player that probed, plus its topic posts and drops. The cluster
+// per phase and shard that it posts or drops to, plus the reads that
+// find no posts held; a read made while posts are held travels with
+// them (DESIGN.md §8), as LargeRadius Step 3's group reads do. Sibling
+// sub-algorithm calls share their phases (DESIGN.md §3). It also pins
+// the batches with posts and their entries as the run hands them to
+// its board, and the reads of all its batches: a flush holds one probe
+// run per player that probed, plus its topic posts and drops. The cluster
 // routes every key by shard position (DESIGN.md §12), so its
 // per-shard counts do not depend on the shards' ports. The counts are
 // the same under both codecs and at any parallelism; the outputs and
@@ -339,9 +345,9 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 		rc   meteredRun
 		want runCost
 	}{
-		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150, perShard: []int64{9}}},
-		{solveRow, runCost{requests: 33, phases: 24, batches: 20, entries: 325, perShard: []int64{33}}},
-		{solveRow, runCost{requests: 52, phases: 24, batches: 20, entries: 325, perShard: []int64{26, 26}}},
+		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150, reads: 6, perShard: []int64{9}}},
+		{solveRow, runCost{requests: 22, phases: 24, batches: 20, entries: 325, reads: 13, perShard: []int64{22}}},
+		{solveRow, runCost{requests: 41, phases: 24, batches: 20, entries: 325, reads: 13, perShard: []int64{21, 20}}},
 	} {
 		name := tc.rc.name
 		if shards := len(tc.want.perShard); shards > 1 {
@@ -360,9 +366,9 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 					defer stop()
 					out, cost := run()
 					if !reflect.DeepEqual(cost, tc.want) {
-						t.Errorf("%d HTTP requests (by shard %v) in %d phases, %d post batches of %d entries; want %d (%v) in %d, %d of %d",
-							cost.requests, cost.perShard, cost.phases, cost.batches, cost.entries,
-							tc.want.requests, tc.want.perShard, tc.want.phases, tc.want.batches, tc.want.entries)
+						t.Errorf("%d HTTP requests (by shard %v) in %d phases, %d post batches of %d entries, %d reads; want %d (%v) in %d, %d of %d, %d",
+							cost.requests, cost.perShard, cost.phases, cost.batches, cost.entries, cost.reads,
+							tc.want.requests, tc.want.perShard, tc.want.phases, tc.want.batches, tc.want.entries, tc.want.reads)
 					}
 					if out != wantOut {
 						t.Error("outputs differ from the in-process run")
@@ -417,7 +423,7 @@ func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
 
 // BenchmarkNetboardRunBatched measures the TestZeroRadiusRequestCount
 // runs against HTTP billboards and reports the HTTP requests, the
-// phases and the post-batch entries each took.
+// phases, the post-batch entries and the reads each took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
 	for _, row := range []struct {
 		name   string
@@ -440,12 +446,14 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 				total.requests += cost.requests
 				total.phases += cost.phases
 				total.entries += cost.entries
+				total.reads += cost.reads
 				stop()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(total.requests)/float64(b.N), "requests/op")
 			b.ReportMetric(float64(total.phases)/float64(b.N), "phases/op")
 			b.ReportMetric(float64(total.entries)/float64(b.N), "entries/op")
+			b.ReportMetric(float64(total.reads)/float64(b.N), "reads/op")
 		})
 	}
 }

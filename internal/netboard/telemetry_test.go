@@ -149,24 +149,18 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("billboard.posts.zr = %d, want 2", got)
 	}
 	// Server-side: the three probe posts and the two vector posts each
-	// went through PathPostBatch as a one-entry batch; the lookup went
-	// through PathBatchLookups.
-	if got := snap.Counters["netboard.server.requests."+PathPostBatch]; got != 5 {
-		t.Fatalf("server %s requests = %d, want 5 (3 probe posts + 2 vector posts)", PathPostBatch, got)
-	}
-	if got := snap.Counters["netboard.server.requests."+PathBatchLookups]; got != 1 {
-		t.Fatalf("server %s requests = %d, want 1", PathBatchLookups, got)
+	// went through PathPostBatch as a one-entry batch, and so did the
+	// lookup, as a one-read batch.
+	if got := snap.Counters["netboard.server.requests."+PathPostBatch]; got != 6 {
+		t.Fatalf("server %s requests = %d, want 6 (3 probe posts + 2 vector posts + 1 lookup)", PathPostBatch, got)
 	}
 	// Client-side mirrors: same logical calls, counted per path under
 	// the one shard's prefix.
-	if got := snap.Counters["netboard.cluster.shard0.requests."+PathPostBatch]; got != 5 {
-		t.Fatalf("client %s requests = %d, want 5", PathPostBatch, got)
-	}
-	if got := snap.Counters["netboard.cluster.shard0.requests."+PathBatchLookups]; got != 1 {
-		t.Fatalf("client %s requests = %d, want 1", PathBatchLookups, got)
+	if got := snap.Counters["netboard.cluster.shard0.requests."+PathPostBatch]; got != 6 {
+		t.Fatalf("client %s requests = %d, want 6", PathPostBatch, got)
 	}
 	// Every applied mutation passed the dedupe window exactly once, with
-	// an id, and none were replays.
+	// an id, and none were replays; the read-only batch took no slot.
 	if got := snap.Counters["netboard.server.dedupe.applied"]; got != 5 {
 		t.Fatalf("dedupe.applied = %d, want 5 (3 probes + 2 vector posts)", got)
 	}
@@ -178,8 +172,8 @@ func TestDebugTelemetryEndpoints(t *testing.T) {
 	}
 	// Latency histograms observed one sample per request.
 	h, ok := snap.Histograms["netboard.server.latency_ns."+PathPostBatch]
-	if !ok || h.Count != 5 {
-		t.Fatalf("server latency histogram for %s: ok=%v count=%d, want 5", PathPostBatch, ok, h.Count)
+	if !ok || h.Count != 6 {
+		t.Fatalf("server latency histogram for %s: ok=%v count=%d, want 6", PathPostBatch, ok, h.Count)
 	}
 
 	// Prometheus text form of the same registry.

@@ -27,6 +27,11 @@ const (
 	_ // reserved: the conditional drop of the retired /v1/admin/drop-topic-if
 	tagStatsReply
 	tagPostBatch
+	tagPostingsRead
+	tagValuePostingsRead
+	tagSnapshotRead
+	tagLookupsRead
+	tagBatchReply
 )
 
 // Every message reads its fields back in AppendBinary order; the
@@ -287,14 +292,10 @@ func (s *statsReply) DecodeBinary(r *wire.Reader) {
 func (*postBatch) WireTag() byte { return tagPostBatch }
 
 // AppendBinary writes each post as its entry message's tag and
-// payload; a post with no field set travels as tag 0, which the server
-// rejects.
+// payload, then each read as its kind's tag and payload; an entry with
+// no field set travels as tag 0, which the server rejects.
 func (b *postBatch) AppendBinary(dst []byte) []byte {
-	if b.Posts == nil {
-		return wire.AppendUint(dst, 0)
-	}
-	dst = wire.AppendUint(dst, uint64(len(b.Posts))+1)
-	for _, p := range b.Posts {
+	dst = appendEntries(dst, b.Posts, func(dst []byte, p batchPost) []byte {
 		var m wire.Message
 		switch {
 		case p.Probes != nil:
@@ -306,24 +307,31 @@ func (b *postBatch) AppendBinary(dst []byte) []byte {
 		case p.Drop != nil:
 			m = p.Drop
 		default:
-			dst = append(dst, 0)
-			continue
+			return append(dst, 0)
 		}
-		dst = append(dst, m.WireTag())
-		dst = m.AppendBinary(dst)
-	}
-	return dst
+		return m.AppendBinary(append(dst, m.WireTag()))
+	})
+	return appendEntries(dst, b.Reads, func(dst []byte, rd batchRead) []byte {
+		switch {
+		case rd.Postings != nil:
+			return wire.AppendString(append(dst, tagPostingsRead), rd.Postings.Topic)
+		case rd.ValuePostings != nil:
+			return wire.AppendString(append(dst, tagValuePostingsRead), rd.ValuePostings.Topic)
+		case rd.Snapshot != nil:
+			dst = wire.AppendString(append(dst, tagSnapshotRead), rd.Snapshot.Topic)
+			dst = wire.AppendUint(dst, rd.Snapshot.Gen)
+			return wire.AppendUint(dst, rd.Snapshot.Epoch)
+		case rd.Lookups != nil:
+			dst = wire.AppendUint(append(dst, tagLookupsRead), uint64(rd.Lookups.Player))
+			return wire.AppendInts(dst, rd.Lookups.Objects)
+		default:
+			return append(dst, 0)
+		}
+	})
 }
 
 func (b *postBatch) DecodeBinary(r *wire.Reader) {
-	b.Posts = nil
-	n := r.Uint()
-	if n == 0 {
-		return
-	}
-	b.Posts = make([]batchPost, 0, sliceCap(n-1, 1))
-	for i := uint64(0); i < n-1 && r.Err() == nil; i++ {
-		var p batchPost
+	b.Posts = decodeEntries(r, func(r *wire.Reader) (p batchPost) {
 		switch tag := r.Byte(); tag {
 		case 0:
 		case tagBatchProbesPost:
@@ -341,8 +349,97 @@ func (b *postBatch) DecodeBinary(r *wire.Reader) {
 		default:
 			r.Fail("bad post tag 0x%02x", tag)
 		}
-		b.Posts = append(b.Posts, p)
+		return p
+	})
+	b.Reads = decodeEntries(r, func(r *wire.Reader) (rd batchRead) {
+		switch tag := r.Byte(); tag {
+		case 0:
+		case tagPostingsRead:
+			rd.Postings = &topicRead{Topic: r.String()}
+		case tagValuePostingsRead:
+			rd.ValuePostings = &topicRead{Topic: r.String()}
+		case tagSnapshotRead:
+			rd.Snapshot = &snapshotRead{Topic: r.String(), Gen: r.Uint(), Epoch: r.Uint()}
+		case tagLookupsRead:
+			rd.Lookups = &lookupsRead{Player: r.Int(), Objects: r.Ints()}
+		default:
+			r.Fail("bad read tag 0x%02x", tag)
+		}
+		return rd
+	})
+}
+
+func (*batchReply) WireTag() byte { return tagBatchReply }
+
+// AppendBinary writes each result as its answer message's tag and
+// payload; a result with no field set travels as tag 0.
+func (b *batchReply) AppendBinary(dst []byte) []byte {
+	return appendEntries(dst, b.Results, func(dst []byte, res readResult) []byte {
+		var m wire.Message
+		switch {
+		case res.Postings != nil:
+			m = res.Postings
+		case res.ValuePostings != nil:
+			m = res.ValuePostings
+		case res.Snapshot != nil:
+			m = res.Snapshot
+		case res.Lookups != nil:
+			m = res.Lookups
+		default:
+			return append(dst, 0)
+		}
+		return m.AppendBinary(append(dst, m.WireTag()))
+	})
+}
+
+func (b *batchReply) DecodeBinary(r *wire.Reader) {
+	b.Results = decodeEntries(r, func(r *wire.Reader) (res readResult) {
+		switch tag := r.Byte(); tag {
+		case 0:
+		case tagPostingList:
+			res.Postings = new(postingList)
+			res.Postings.DecodeBinary(r)
+		case tagValuePostingList:
+			res.ValuePostings = new(valuePostingList)
+			res.ValuePostings.DecodeBinary(r)
+		case tagTopicSnapshotReply:
+			res.Snapshot = new(topicSnapshotReply)
+			res.Snapshot.DecodeBinary(r)
+		case tagBatchLookupsReply:
+			res.Lookups = new(batchLookupsReply)
+			res.Lookups.DecodeBinary(r)
+		default:
+			r.Fail("bad result tag 0x%02x", tag)
+		}
+		return res
+	})
+}
+
+// appendEntries writes a list of batch entries under the nil-preserving
+// count+1 convention, each through entry.
+func appendEntries[E any](dst []byte, list []E, entry func([]byte, E) []byte) []byte {
+	if list == nil {
+		return wire.AppendUint(dst, 0)
 	}
+	dst = wire.AppendUint(dst, uint64(len(list))+1)
+	for _, e := range list {
+		dst = entry(dst, e)
+	}
+	return dst
+}
+
+// decodeEntries reads back a list appendEntries wrote, each entry
+// through entry; an entry is at least its one tag byte.
+func decodeEntries[E any](r *wire.Reader, entry func(*wire.Reader) E) []E {
+	n := r.Uint()
+	if n == 0 {
+		return nil
+	}
+	list := make([]E, 0, sliceCap(n-1, 1))
+	for i := uint64(0); i < n-1 && r.Err() == nil; i++ {
+		list = append(list, entry(r))
+	}
+	return list
 }
 
 // sliceCap bounds a pre-allocation by what the payload could possibly

@@ -160,8 +160,9 @@ func NewEngine(inst *prefs.Instance, board boardclient.Interface, src rng.Source
 		e.board = boardclient.BindContext(e.ctx, e.board)
 	}
 	// A board whose posts are round trips holds them until the phase
-	// barrier (core.Env flushes there) or the next read, and sends each
-	// phase's posts as one request per shard.
+	// barrier (core.Env flushes there) or the next read, which carries
+	// them in its own request, and sends each phase's posts as one
+	// request per shard.
 	e.board = boardclient.Defer(e.board)
 	if e.telemetry != nil {
 		// Registered after all options so the policy label is final.

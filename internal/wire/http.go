@@ -172,14 +172,19 @@ func decodeBody(r *http.Request, ins Instruments, decode func([]byte) error) (st
 }
 
 // WriteReply encodes v per the request's Accept header — binary when
-// the client asked for it, JSON through WriteJSON otherwise — stamps
-// Content-Type, and writes the body.
+// the client asked for it, JSON otherwise — through WriteReplyAs.
 func WriteReply(w http.ResponseWriter, r *http.Request, v Message, ins Instruments) {
-	if !AcceptsBinary(r.Header.Get("Accept")) {
-		WriteJSON(w, 0, v, ins)
-		return
+	codec := JSON
+	if AcceptsBinary(r.Header.Get("Accept")) {
+		codec = Binary
 	}
-	writeBody(w, 0, ContentTypeBinary, ins, func(dst []byte) ([]byte, error) { return Binary.Append(dst, v) })
+	WriteReplyAs(w, codec, v, ins)
+}
+
+// WriteReplyAs encodes v with codec, stamps the codec's Content-Type,
+// and writes the body with the implicit 200.
+func WriteReplyAs(w http.ResponseWriter, codec Codec, v Message, ins Instruments) {
+	writeBody(w, 0, codec.ContentType(), ins, func(dst []byte) ([]byte, error) { return codec.Append(dst, v) })
 }
 
 // WriteJSON writes v as a JSON reply with the given HTTP status (0
