@@ -95,45 +95,54 @@ func TestRunRejectsUnknownCodec(t *testing.T) {
 	}
 }
 
+// TestRunOverFlakyTransport: runs through Options.Board with a
+// fault-injecting transport produce exactly the outputs of a local run:
+// retries recover every dropped request, and request-id dedupe absorbs
+// every re-delivery of a post the server already committed. One run
+// sends only a few requests, so the test makes flakyRuns of them, each
+// against a fresh server with its own fault seed, and checks that
+// every fault class fired in them.
 func TestRunOverFlakyTransport(t *testing.T) {
-	// A run through Options.Board with a fault-injecting transport must
-	// produce exactly the outputs of a local run: retries recover every
-	// dropped request, and request-id dedupe absorbs every re-delivery
-	// of a post the server already committed.
+	const flakyRuns = 8
 	in := IdenticalInstance(48, 48, 0.5, 21)
 	local, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	board := billboard.New(in.N, in.M)
-	srv := httptest.NewServer(netboard.NewServer(board))
-	defer srv.Close()
-	ft := faultnet.New(nil, 33)
-	ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.1, 0.1, 0.2
-	client, err := netboard.FromSpec(srv.URL, netboard.Config{
-		HTTPClient:   &http.Client{Transport: ft},
-		Retries:      40,
-		RetryBackoff: 100 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	remote, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 22, Board: client})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < in.N; p++ {
-		if !local.Outputs[p].Equal(remote.Outputs[p]) {
-			t.Fatalf("player %d output differs under flaky transport", p)
+	var dropped, lost, duplicated int64
+	for seed := int64(33); seed < 33+flakyRuns; seed++ {
+		srv := httptest.NewServer(netboard.NewServer(billboard.New(in.N, in.M)))
+		ft := faultnet.New(nil, seed)
+		ft.DropRequest, ft.DropResponse, ft.Duplicate = 0.1, 0.1, 0.2
+		client, err := netboard.FromSpec(srv.URL, netboard.Config{
+			HTTPClient:   &http.Client{Transport: ft},
+			Retries:      40,
+			RetryBackoff: 100 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		remote, err := Run(in, Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 22, Board: client})
+		srv.Close()
+		if err != nil {
+			t.Fatalf("fault seed %d: %v", seed, err)
+		}
+		for p := 0; p < in.N; p++ {
+			if !local.Outputs[p].Equal(remote.Outputs[p]) {
+				t.Fatalf("fault seed %d: player %d output differs under flaky transport", seed, p)
+			}
+		}
+		if local.MaxProbes != remote.MaxProbes {
+			t.Fatalf("fault seed %d: probe accounting differs: %d vs %d", seed, local.MaxProbes, remote.MaxProbes)
+		}
+		dropped += ft.DroppedRequests()
+		lost += ft.LostResponses()
+		duplicated += ft.Duplicated()
 	}
-	if local.MaxProbes != remote.MaxProbes {
-		t.Fatalf("probe accounting differs: %d vs %d", local.MaxProbes, remote.MaxProbes)
-	}
-	if ft.DroppedRequests()+ft.LostResponses()+ft.Duplicated() == 0 {
-		t.Fatal("fault schedule never fired; test proves nothing")
+	t.Logf("%d dropped requests, %d lost responses, %d duplicates in %d runs", dropped, lost, duplicated, flakyRuns)
+	if dropped == 0 || lost == 0 || duplicated == 0 {
+		t.Fatalf("%d dropped requests, %d lost responses, %d duplicates: a fault class never fired, so the test does not prove its retries and dedupe", dropped, lost, duplicated)
 	}
 }
 

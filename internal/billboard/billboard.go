@@ -917,15 +917,16 @@ func (b *Board) ValueVotes(name string) []ValueVote {
 // are nil and the caller should keep whatever it fetched at that stamp.
 // The stamp is comparable across DropTopic: a recreated topic has a
 // fresh gen, so a copy kept under the old stamp can never be mistaken
-// for current content. This is the server half of netboard's
-// epoch-tagged snapshot endpoint.
+// for current content. The zero stamp matches nothing, so it always
+// brings the tallies; Votes and ValueVotes over the wire send it. This
+// is the server half of netboard's snapshot read.
 func (b *Board) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []Vote, valVotes []ValueVote) {
 	t, ok := b.peekTopic(name)
 	if !ok {
-		// An absent topic reads as the zero stamp; real topics always
-		// carry gen >= 1, so a caller holding the zero stamp sees it
-		// unchanged and anything else refetches (empty) content.
-		return 0, 0, sinceGen == 0 && sinceEpoch == 0, nil, nil
+		// An absent topic reads as the zero stamp and empty tallies,
+		// non-nil as Votes and ValueVotes return them; real topics
+		// always carry gen >= 1.
+		return 0, 0, false, []Vote{}, []ValueVote{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -144,31 +144,35 @@ func ReadAll(b Interface, reads []Read) {
 // it unless a single post alone exceeds this bound.
 const flushBytes = wire.MaxBodyBytes / 2
 
-// Defer returns a view of b whose posts wait until its Flush method
-// sends them, when b is a Batcher; otherwise it returns b unchanged.
-// This is the phase contract of the paper's round-synchronous model
-// made into fewer round trips: no player reads what another posted in
-// the same phase, so a phase's posts may travel together at its
-// barrier. A DropTopic is held the same way, in order with the posts,
-// so the drop of a topic nothing reads any more travels with them.
-// A topic read or a probe lookup through the view (see ReadAll) takes
-// the held batch with it, as one batch: b applies the posts and then
-// answers the read, so it costs no request of its own. Every other
-// call — ProbedObjects, ForEachProbe, the counters — flushes first and
-// then goes straight to b. Either way a read sees every post and drop
-// made before it. Flushes, and reads that carry held posts, run one at
-// a time, which keeps that true at any parallelism; a read with
-// nothing held waits only for a flush already sending. Err and
-// Failures report b's record without flushing: a held post has not
-// failed yet.
+// Defer returns a view of b whose posts wait for the next read, when
+// b is a Batcher; otherwise it returns b unchanged. This is the phase
+// contract of the paper's round-synchronous model made into fewer
+// round trips: a post only has to be visible to the reads after it, so
+// posts travel with the next read, which costs no request of its own.
+// A DropTopic is held the same way, in order with the posts, so the
+// drop of a topic nothing reads any more travels with them. A topic
+// read or a probe lookup through the view (see ReadAll) takes the held
+// batch with it, as one batch: b applies the posts and then answers
+// the read. Every other call — ProbedObjects, ForEachProbe, the
+// counters — flushes first and then goes straight to b. Either way a
+// read sees every post and drop made before it. Flushes, and reads
+// that carry held posts, run one at a time, which keeps that true at
+// any parallelism; a read with nothing held waits only for a flush
+// already sending. Err and Failures report b's record without
+// flushing: a held post has not failed yet.
 //
 // Posts are copied, so callers may reuse their slices at once. A
 // player's PostProbe and PostProbes calls since the last flush are held
 // as one ProbesPost, in call order. A batch that grows past flushBytes
-// is sent early; see flushBytes.
+// is sent early; see flushBytes. What is still held when no read
+// follows goes out with the view's Flush method, which core calls at
+// the end of a run.
 //
 // A post that fails for good is reported by the flush or read that
-// sends it: the call panics with b's error.
+// sends it: the call panics with b's error, and the batch it took goes
+// back into the view, ahead of anything held since. Take empties the
+// view without sending, for a caller that sends the held batch
+// elsewhere, as core's abort path does.
 func Defer(b Interface) Interface {
 	bt, ok := b.(Batcher)
 	if !ok {
@@ -258,9 +262,49 @@ func (d *deferred) take() ([]Post, int) {
 func (d *deferred) Flush() {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
-	if posts, _ := d.take(); len(posts) > 0 {
-		d.batch.PostBatch(posts, nil)
+	if posts, size := d.take(); len(posts) > 0 {
+		d.send(posts, size, nil)
 	}
+}
+
+// Take empties the held batch without sending it and returns it. It
+// waits for a flush already sending, so a batch whose send fails is
+// back in the view first and Take returns it too.
+func (d *deferred) Take() []Post {
+	d.flushMu.Lock()
+	defer d.flushMu.Unlock()
+	posts, _ := d.take()
+	return posts
+}
+
+// send sends posts, taken from the held batch with sizeBound total
+// size, followed by reads. A send that fails puts posts back ahead of
+// anything held since, and panics on.
+func (d *deferred) send(posts []Post, size int, reads []Read) {
+	sent := false
+	defer func() {
+		if !sent {
+			d.putBack(posts, size)
+		}
+	}()
+	d.batch.PostBatch(posts, reads)
+	sent = true
+}
+
+// putBack returns posts to the front of the held batch. The probe runs
+// held since keep their place among the held posts; a player whose run
+// came back opens a new run with its next probes.
+func (d *deferred) putBack(posts []Post, size int) {
+	if len(posts) == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for p, i := range d.runs {
+		d.runs[p] = i + len(posts)
+	}
+	d.pending = append(posts, d.pending...)
+	d.size += size
 }
 
 // readAll sends reads with the held batch. Only a read that carries
@@ -276,14 +320,15 @@ func (d *deferred) readAll(reads []Read) {
 	posts, size := d.take()
 	if len(posts) == 0 {
 		d.flushMu.Unlock()
-	} else {
-		defer d.flushMu.Unlock()
-		if size+n > flushBytes {
-			d.batch.PostBatch(posts, nil)
-			posts = nil
-		}
+		d.batch.PostBatch(nil, reads)
+		return
 	}
-	d.batch.PostBatch(posts, reads)
+	defer d.flushMu.Unlock()
+	if size+n > flushBytes {
+		d.send(posts, size, nil)
+		posts, size = nil, 0
+	}
+	d.send(posts, size, reads)
 }
 
 // read answers one read through readAll.

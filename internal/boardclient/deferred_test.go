@@ -3,6 +3,7 @@ package boardclient
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,4 +389,112 @@ func TestDeferReadSeesOwnPostUnderConcurrency(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// failingBoard is a batchBoard whose next fails batches panic unsent.
+// during, when set, runs inside each failing batch before it panics.
+type failingBoard struct {
+	batchBoard
+	fails  atomic.Int64
+	during func()
+}
+
+func (b *failingBoard) PostBatch(posts []Post, reads []Read) {
+	if b.fails.Add(-1) >= 0 {
+		if b.during != nil {
+			b.during()
+		}
+		panic("board down")
+	}
+	b.batchBoard.PostBatch(posts, reads)
+}
+
+// TestDeferFailedSendKeepsItsBatch: a flush or a read whose batch fails
+// panics and puts the batch back into the view, in its order and ahead
+// of the posts held since, including those held while it was sending;
+// the next flush sends it all, and Take empties the view without
+// sending.
+func TestDeferFailedSendKeepsItsBatch(t *testing.T) {
+	want := []Post{
+		{Kind: ProbesPost, Player: 0, Objs: []int{1}, Grades: []byte{1}},
+		{Kind: ValuesPost, Player: 1, Topic: "v", Vals: []uint32{3}},
+		{Kind: DropPost, Topic: "v"},
+		{Kind: ProbesPost, Player: 1, Objs: []int{0, 3}, Grades: []byte{1, 0}},
+		{Kind: ProbesPost, Player: 0, Objs: []int{2}, Grades: []byte{0}},
+	}
+	for _, send := range []string{"Flush", "read"} {
+		for _, then := range []string{"Flush", "Take"} {
+			bb := &failingBoard{batchBoard: batchBoard{Board: billboard.New(2, 4)}}
+			bb.fails.Store(1)
+			v := Defer(bb)
+			bb.during = func() { v.PostProbe(1, 0, 1) }
+			v.PostProbe(0, 1, 1)
+			v.PostValues("v", 1, []uint32{3})
+			v.DropTopic("v")
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s over a failing board did not panic", send)
+					}
+				}()
+				if send == "Flush" {
+					v.(interface{ Flush() }).Flush()
+				} else {
+					v.Postings("t")
+				}
+			}()
+			v.PostProbe(1, 3, 0)
+			v.PostProbe(0, 2, 0)
+			var got []Post
+			if then == "Flush" {
+				v.(interface{ Flush() }).Flush()
+				if bb.batchCount() != 1 {
+					t.Fatalf("%s, then Flush: %d batches, want 1", send, bb.batchCount())
+				}
+				got = bb.batches[0]
+			} else {
+				got = v.(interface{ Take() []Post }).Take()
+				v.(interface{ Flush() }).Flush()
+				if bb.batchCount() != 0 || bb.Board.ProbeCount() != 0 {
+					t.Fatalf("%s, then Take: %d batches sent, want none", send, bb.batchCount())
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s, then %s: the view held\n%v\nwant\n%v", send, then, got, want)
+			}
+		}
+	}
+}
+
+// TestDeferFailedSendsUnderConcurrency: players posting and reading at
+// once while the board fails batches lose no post, since every failed
+// batch goes back into the view, and a flush once the board is back
+// sends them all (run under -race).
+func TestDeferFailedSendsUnderConcurrency(t *testing.T) {
+	const players, rounds = 8, 50
+	bb := &failingBoard{batchBoard: batchBoard{Board: billboard.New(players, rounds)}}
+	bb.fails.Store(players * rounds / 4)
+	v := Defer(bb)
+	var wg sync.WaitGroup
+	for p := 0; p < players; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for o := 0; o < rounds; o++ {
+				v.PostProbe(p, o, 1)
+				func() {
+					defer func() { _ = recover() }()
+					v.LookupProbe(p, o)
+				}()
+			}
+		}(p)
+	}
+	wg.Wait()
+	if left := bb.fails.Load(); left > 0 {
+		t.Fatalf("%d batch failures left unused; the test proves nothing", left)
+	}
+	v.(interface{ Flush() }).Flush()
+	if got := bb.Board.ProbeCount(); got != players*rounds {
+		t.Fatalf("%d probes on the board, want %d", got, players*rounds)
+	}
 }

@@ -104,9 +104,9 @@ type Env struct {
 	N, M int
 	Cfg  Config
 
-	// flusher is Board when Board holds posts until a flush (see
+	// held is Board when Board holds posts until the next read (see
 	// phase); nil otherwise.
-	flusher postFlusher
+	held postHolder
 	// dropBy is the deadline all of the run's abort-path drops share
 	// (see dropQuietly), zero until the first abort site runs.
 	dropBy time.Time
@@ -197,49 +197,37 @@ func AbortCause(rec any) error {
 // cancellation and player panics surface at the run boundary no matter
 // how deep the recursion is.
 //
-// The barrier is also where a deferred board view (boardclient.Defer)
-// sends the phase's posts. drops names topics that nothing reads after
-// the phase: they are dropped once the barrier has passed, so on a
-// deferred view the drops travel in the same flush as the phase's
-// posts. (Not before the phase: a drop held there would interleave
-// with the phase body's reads, and the first read would send it as a
-// request of its own.) A flush that fails for good panics with the
-// transport's error here, on the coordinator goroutine; after a failed
-// phase the flush is quiet, so the abort keeps its own cause, and the
-// drops are left to the caller's abort cleanup.
-func (env *Env) phase(players []int, f func(p int), drops ...string) {
+// The barrier sends nothing. In the paper's synchronous rounds a post
+// only has to be visible to the reads of later phases, and a deferred
+// board view (boardclient.Defer) holds the phase's posts and drops
+// until the next read, which carries them, or until the held batch
+// would pass its size bound; the run's outermost span sends what is
+// left (see spanEnd.end), so every phase runs inside a span. So a failed post is reported by the read or
+// flush that sends it, and an abort sends the held batch with its own
+// drops (see dropQuietly).
+func (env *Env) phase(players []int, f func(p int)) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
-		env.flushQuietly()
 		panic(&Abort{Err: err})
 	}
-	for _, name := range drops {
-		env.Board.DropTopic(name)
-	}
-	if env.flusher != nil {
-		env.flusher.Flush()
-	}
 }
 
-// postFlusher is implemented by a board view that holds posts until
-// Flush sends them (boardclient.Defer).
-type postFlusher interface {
+// postHolder is implemented by a board view that holds posts until
+// Flush sends them or Take empties it unsent (boardclient.Defer).
+type postHolder interface {
 	Flush()
-}
-
-// flushQuietly sends the deferred posts, swallowing any failure (see
-// quietly).
-func (env *Env) flushQuietly() {
-	if env.flusher != nil {
-		quietly(env.flusher.Flush)
-	}
+	Take() []boardclient.Post
 }
 
 // quietly runs f, swallowing any panic: the abort-path cleanups use it,
 // where the transport may be the very thing that died, and a cleanup
 // panic must not mask the original abort cause.
-func quietly(f func()) {
-	defer func() { _ = recover() }()
+func quietly(f func()) { _ = catch(f) }
+
+// catch runs f and returns the value it panicked with, nil if none.
+func catch(f func()) (rec any) {
+	defer func() { rec = recover() }()
 	f()
+	return nil
 }
 
 // checkAborted unwinds with *Abort if the run's context is done. The
@@ -294,9 +282,24 @@ const abortDropBudget = 250 * time.Millisecond
 // own. The drops go to the engine's unbound board under a context
 // detached from the run's cancellation, so a cancelled or timed-out
 // run still cleans up, with the run's one abort-drop deadline
-// (abortDropBudget). A remote board takes them all as one post batch
-// per shard. The drops are quiet: a failure does not mask the abort.
+// (abortDropBudget).
+//
+// On a deferred view the run's batch is still held: the drops of
+// finished levels and finished sub-algorithms, which no abort site
+// names, and the probe results. dropQuietly takes it and sends its
+// probe results and drops, followed by the named drops, as one post
+// batch per shard, so no held topic post can outlive its drop. The
+// held value and vector posts are discarded: every topic they post to
+// is dropped here or by an enclosing abort site. The drops are quiet:
+// a failure does not mask the abort.
 func (env *Env) dropQuietly(names ...string) {
+	var held []boardclient.Post
+	if env.held != nil {
+		held = env.held.Take()
+	}
+	if len(held)+len(names) == 0 {
+		return
+	}
 	if env.dropBy.IsZero() {
 		env.dropBy = time.Now().Add(abortDropBudget)
 	}
@@ -308,11 +311,19 @@ func (env *Env) dropQuietly(names ...string) {
 	defer cancel()
 	b := boardclient.Defer(boardclient.BindContext(ctx, env.Engine.UnboundBoard()))
 	quietly(func() {
+		for _, p := range held {
+			switch p.Kind {
+			case boardclient.ProbesPost:
+				b.PostProbes(p.Player, p.Objs, p.Grades)
+			case boardclient.DropPost:
+				b.DropTopic(p.Topic)
+			}
+		}
 		for _, name := range names {
 			b.DropTopic(name)
 		}
-		if f, ok := b.(postFlusher); ok {
-			f.Flush()
+		if h, ok := b.(postHolder); ok {
+			h.Flush()
 		}
 	})
 }
@@ -333,6 +344,7 @@ const (
 	spanZeroRadius
 	spanLargeRadius
 	spanUnknownD
+	spanAnytime
 	nSpanKinds
 )
 
@@ -342,6 +354,7 @@ var spanKindNames = [nSpanKinds]string{
 	spanZeroRadius:  "zeroradius",
 	spanLargeRadius: "largeradius",
 	spanUnknownD:    "unknownd",
+	spanAnytime:     "anytime",
 }
 
 // spanCountersFor returns the cached instruments for kind, resolving
@@ -402,20 +415,30 @@ func (env *Env) span(kind spanKind, players []int, calls int) spanEnd {
 // interrupted, not the outermost one.
 //
 // The outermost span ends the run, so it also flushes a deferred board
-// view: a drop can still be held there (a Refresh in which no group
-// forms holds its stale topic's), and a run never returns with one. A
-// flush that fails unwinds like an abort, with the kind still active.
+// view: the posts and drops made since the run's last read are still
+// held there, and a run never returns with one. A flush that fails
+// unwinds like an abort, with the kind still active. When the run
+// unwinds with an abort, or its final flush fails, the outermost span
+// sends the held batch the way an abort site does (dropQuietly, with
+// no names of its own): a sub-algorithm that has already returned,
+// such as a ZeroRadius inside SmallRadius, has no abort site left to
+// send its held drops.
 func (s spanEnd) end() {
 	rec := recover()
 	if s.tel != nil {
 		s.tel.probes.Add(s.env.chargedSum(s.players) - s.before)
 		s.tel.ns.Add(time.Since(s.start).Nanoseconds())
 	}
+	if s.prev == "" && s.env.held != nil {
+		if rec == nil {
+			rec = catch(s.env.held.Flush)
+		}
+		if rec != nil {
+			s.env.dropQuietly()
+		}
+	}
 	if rec != nil {
 		panic(rec)
-	}
-	if s.prev == "" && s.env.flusher != nil {
-		s.env.flusher.Flush()
 	}
 	s.env.cur = s.prev
 }
@@ -484,7 +507,7 @@ func NewEnv(e *probe.Engine, runner sim.PhaseRunner, public rng.Source, cfg Conf
 		M:      e.Instance().M,
 		Cfg:    cfg,
 	}
-	env.flusher, _ = env.Board.(postFlusher)
+	env.held, _ = env.Board.(postHolder)
 	// The engine's context (probe.WithContext) is the run's context: the
 	// coordinator loops observe the same cancellation the players do.
 	if ctx := e.Context(); ctx != nil && ctx.Done() != nil {

@@ -65,10 +65,12 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	// an abort mid-repair reports them instead of a half-patched mix.
 	env.saveCheckpoint(stale, 0)
 
+	defer env.span(spanRefresh, players, 1).end()
+
 	// Abort-path cleanup (see dropQuietly): the stale topic and the
-	// patch topics up to the running group's. It is deferred before the
-	// span, so it also covers the span end's flush, which may hold the
-	// stale topic's drop.
+	// patch topics up to the running group's. A failure of the span
+	// end's flush, which may hold the stale topic's drop, is the span
+	// end's own to clean up.
 	staleTopic := tag + "/stale"
 	groupID := 0
 	defer func() {
@@ -81,7 +83,6 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 			panic(rec)
 		}
 	}()
-	defer env.span(spanRefresh, players, 1).end()
 
 	// Step 1: identify consensus groups from the (public) stale outputs.
 	// Joiners have nothing to post and do not dilute the threshold.
@@ -204,13 +205,14 @@ func refreshGroup(env *Env, coin *rng.Rand, objs []int, holders []int,
 	}
 
 	// Phase 2: every holder self-verifies each patch coordinate. Nothing
-	// reads the patches topic any more, so the phase drops it.
+	// reads the patches topic any more, so it is dropped after the phase.
 	env.phase(holders, func(p int) {
 		pl := env.Engine.Player(p)
 		for _, pa := range patches {
 			out[p].SetBit(pa.lc, pl.Probe(objs[pa.lc]))
 		}
-	}, topic)
+	})
+	env.Board.DropTopic(topic)
 
 	repaired := consensus.Clone()
 	for _, pa := range patches {

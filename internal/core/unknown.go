@@ -101,6 +101,7 @@ type AnytimePhase struct {
 func Anytime(env *Env, budget int64, observe func(AnytimePhase) bool) []bitvec.Partial {
 	best := make([]bitvec.Partial, env.N)
 	players := allPlayers(env.N)
+	defer env.span(spanAnytime, players, 1).end()
 	objs := allObjects(env.M)
 	cLogN := RSelSamples(env.Cfg, env.N)
 	minAlpha := math.Log(float64(env.N)+1) / float64(env.N)

@@ -321,8 +321,8 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 			}
 		}
 		backing := make([]uint32, size)
-		// The level's phase reads its children's topics for the last
-		// time, so it drops them (see Env.phase).
+		// The level reads its children's topics for the last time, so
+		// it drops them after its phase.
 		drops := sc.names.Make(children)[:0]
 		phasePlayers = phasePlayers[:0]
 		for s := range sets {
@@ -371,7 +371,10 @@ func zeroRadiusJobs(env *Env, sets []zrSet) {
 					}
 				}
 			}
-		}, drops...)
+		})
+		for _, name := range drops {
+			env.Board.DropTopic(name)
+		}
 		for s := range sets {
 			set := &sets[s]
 			for _, jb := range set.jobs {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -264,6 +265,39 @@ func TestTopicSnapshotStamps(t *testing.T) {
 				t.Fatalf("after drop and re-create: (%d,%d) from (%d,%d), unchanged %v vals %+v", g, e, gen, epoch, unchanged, vals)
 			}
 		})
+	}
+}
+
+// TestAbsentTopicVoteReads: the vote reads of a topic never posted to,
+// and of one dropped, answer as the in-memory board's do (empty,
+// non-nil Votes and ValueVotes) over one server and over 2 shards,
+// under both codecs, directly and through a deferred view. A snapshot
+// read with the zero stamp brings the empty tallies, never unchanged.
+func TestAbsentTopicVoteReads(t *testing.T) {
+	local := billboard.New(4, 4)
+	reads := func(b boardclient.Interface, topic string) []any {
+		return []any{b.Votes(topic), b.ValueVotes(topic), b.PopularVectors(topic, 1)}
+	}
+	for _, codec := range []string{"json", "binary"} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", codec, shards), func(t *testing.T) {
+				_, cl := newShardFleet(t, shards, 4, 4, Config{Codec: codec})
+				for name, b := range map[string]boardclient.Interface{"local": local, "cluster": cl, "deferred": boardclient.Defer(cl)} {
+					b.PostValues("dropped", 0, []uint32{1})
+					b.DropTopic("dropped")
+					for _, topic := range []string{"never", "dropped"} {
+						if got, want := reads(b, topic), reads(local, "never"); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: %s reads %#v, want %#v", name, topic, got, want)
+						}
+						gen, epoch, unchanged, votes, vals := b.TopicSnapshot(topic, 0, 0)
+						if gen != 0 || epoch != 0 || unchanged || votes == nil || vals == nil || len(votes)+len(vals) != 0 {
+							t.Errorf("%s: %s snapshot (%d,%d) unchanged %v votes %#v vals %#v, want the zero stamp and empty tallies",
+								name, topic, gen, epoch, unchanged, votes, vals)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -16,14 +16,16 @@
 //
 //   - Batching: /v1/batch/posts is the one endpoint for board data. A
 //     batch applies an ordered list of posts of every kind (probe sets,
-//     value vectors, vectors and topic drops: a deferred view's phase,
-//     see boardclient.Defer), and then answers an ordered list of reads
-//     (a topic's postings, value postings or snapshot, or a player's
-//     probe lookups) from the board as it stands after those posts. A
-//     single post or read travels as a one-entry batch. A snapshot read
-//     returns the topic's vote tallies stamped with the board's
-//     (generation, epoch) pair; a read that sends the topic's current
-//     stamp gets "unchanged" instead of the tallies.
+//     value vectors, vectors and topic drops: what a deferred view held
+//     since its last send, see boardclient.Defer), and then answers an
+//     ordered list of reads (a topic's postings, value postings or
+//     snapshot, or a player's probe lookups) from the board as it
+//     stands after those posts. A single post or read travels as a
+//     one-entry batch. A snapshot read returns the topic's vote tallies
+//     stamped with the board's (generation, epoch) pair; a read that
+//     sends the topic's current stamp gets "unchanged" instead of the
+//     tallies, and the zero stamp, which no topic carries, always gets
+//     them.
 //   - Idempotency: every mutating request carries a client-generated
 //     request id (HeaderRequestID); the server deduplicates ids inside a
 //     sliding window, so a retry of a request whose response was lost is

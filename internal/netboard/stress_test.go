@@ -226,8 +226,7 @@ var solveRow = meteredRun{
 	},
 }
 
-// phaseCounter is a sim.PhaseRunner that counts the phases it runs:
-// a networked run sends its held posts once per phase.
+// phaseCounter is a sim.PhaseRunner that counts the phases it runs.
 type phaseCounter struct {
 	sim.PhaseRunner
 	n int64 // phases are started by the one coordinator goroutine
@@ -327,27 +326,27 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 // runs over one server, a one-shard Cluster, and of the solve over a
 // 2-shard Cluster: a protocol or schedule change that adds or saves a round
 // trip shows up here, not only in the requests/op of
-// BenchmarkNetboardRunBatched. Posts and topic drops wait for the
-// phase barrier (boardclient.Defer), so a run costs one post request
-// per phase and shard that it posts or drops to, plus the reads that
-// find no posts held; a read made while posts are held travels with
-// them (DESIGN.md §8), as LargeRadius Step 3's group reads do. Sibling
-// sub-algorithm calls share their phases (DESIGN.md §3). It also pins
-// the batches with posts and their entries as the run hands them to
-// its board, and the reads of all its batches: a flush holds one probe
-// run per player that probed, plus its topic posts and drops. The cluster
-// routes every key by shard position (DESIGN.md §12), so its
-// per-shard counts do not depend on the shards' ports. The counts are
-// the same under both codecs and at any parallelism; the outputs and
-// the servers' counters equal the in-process run's.
+// BenchmarkNetboardRunBatched. Posts and topic drops wait for the next
+// read (boardclient.Defer), which carries them (DESIGN.md §8). So a run
+// sends requests when it reads, one to each shard that the reads or the
+// posts they carry touch, when a held batch passes its size bound, and
+// at the run's end: the phase count sets no floor. Sibling sub-algorithm calls share their phases
+// (DESIGN.md §3). It also pins the batches with posts and their entries
+// as the run hands them to its board, and the reads of all its batches:
+// a batch holds one probe run per player that probed since the last
+// one, across phases, plus its topic posts and drops. The cluster
+// routes every key by shard position (DESIGN.md §12), so its per-shard
+// counts do not depend on the shards' ports. The counts are the same
+// under both codecs and at any parallelism; the outputs and the
+// servers' counters equal the in-process run's.
 func TestZeroRadiusRequestCount(t *testing.T) {
 	for _, tc := range []struct {
 		rc   meteredRun
 		want runCost
 	}{
-		{zeroRadiusRow, runCost{requests: 9, phases: 3, batches: 3, entries: 150, reads: 6, perShard: []int64{9}}},
-		{solveRow, runCost{requests: 22, phases: 24, batches: 20, entries: 325, reads: 13, perShard: []int64{22}}},
-		{solveRow, runCost{requests: 41, phases: 24, batches: 20, entries: 325, reads: 13, perShard: []int64{21, 20}}},
+		{zeroRadiusRow, runCost{requests: 7, phases: 3, batches: 3, entries: 150, reads: 6, perShard: []int64{7}}},
+		{solveRow, runCost{requests: 6, phases: 24, batches: 5, entries: 173, reads: 13, perShard: []int64{6}}},
+		{solveRow, runCost{requests: 11, phases: 24, batches: 5, entries: 173, reads: 13, perShard: []int64{6, 5}}},
 	} {
 		name := tc.rc.name
 		if shards := len(tc.want.perShard); shards > 1 {
@@ -423,7 +422,8 @@ func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
 
 // BenchmarkNetboardRunBatched measures the TestZeroRadiusRequestCount
 // runs against HTTP billboards and reports the HTTP requests, the
-// phases, the post-batch entries and the reads each took.
+// phases, the batches with posts, their entries and the reads each
+// took.
 func BenchmarkNetboardRunBatched(b *testing.B) {
 	for _, row := range []struct {
 		name   string
@@ -445,6 +445,7 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 				b.StopTimer()
 				total.requests += cost.requests
 				total.phases += cost.phases
+				total.batches += cost.batches
 				total.entries += cost.entries
 				total.reads += cost.reads
 				stop()
@@ -452,6 +453,7 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 			}
 			b.ReportMetric(float64(total.requests)/float64(b.N), "requests/op")
 			b.ReportMetric(float64(total.phases)/float64(b.N), "phases/op")
+			b.ReportMetric(float64(total.batches)/float64(b.N), "batches/op")
 			b.ReportMetric(float64(total.entries)/float64(b.N), "entries/op")
 			b.ReportMetric(float64(total.reads)/float64(b.N), "reads/op")
 		})

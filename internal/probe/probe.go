@@ -159,10 +159,9 @@ func NewEngine(inst *prefs.Instance, board boardclient.Interface, src rng.Source
 	if e.ctx != nil {
 		e.board = boardclient.BindContext(e.ctx, e.board)
 	}
-	// A board whose posts are round trips holds them until the phase
-	// barrier (core.Env flushes there) or the next read, which carries
-	// them in its own request, and sends each phase's posts as one
-	// request per shard.
+	// A board whose posts are round trips holds them until the next
+	// read, which carries them in its own request, one per shard; the
+	// end of the run (core.Env's outermost span) flushes what is left.
 	e.board = boardclient.Defer(e.board)
 	if e.telemetry != nil {
 		// Registered after all options so the policy label is final.
@@ -251,13 +250,13 @@ func (e *Engine) MaxDelta(prev []int64) int64 {
 // Board returns the billboard the engine posts to. When the engine was
 // built with WithContext this is the context-bound view, and when that
 // board is a boardclient.Batcher it is the deferred view over it (see
-// boardclient.Defer): its posts wait for a Flush.
+// boardclient.Defer): its posts wait for the next read or a Flush.
 func (e *Engine) Board() boardclient.Interface { return e.board }
 
 // UnboundBoard returns the board NewEngine was given, before
 // WithContext bound it and Defer wrapped it: its calls still go out
 // after the engine's context is done, and none of them waits for a
-// Flush. core.Env drops an aborted run's topics on it.
+// Flush. core.Env sends an aborted run's held batch and drops on it.
 func (e *Engine) UnboundBoard() boardclient.Interface { return e.unbound }
 
 // Context returns the context the engine was built with, or nil for an

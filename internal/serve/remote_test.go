@@ -84,15 +84,15 @@ func sameSnapshot(t *testing.T, got, want *Snapshot) {
 }
 
 // TestEpochRequestCount pins the requests of a full epoch and of a
-// refresh epoch over one server. The epoch's board is the
-// engine's own, so its posts and topic drops wait for each phase
-// barrier and go out as one request (boardclient.Defer), and a read
-// made while posts are held travels in that request too: LargeRadius's
-// group reads and Refresh's stale-topic vote read. A wrapper that hid
-// the cluster's batch interface would send one request per post, per
-// drop and per read. The counts are the
-// same under both codecs and at any parallelism, and the snapshots are
-// the in-process engine's.
+// refresh epoch over one server. The epoch's board is the engine's
+// own, so its posts and topic drops wait for the next read, which
+// carries them in its request (boardclient.Defer): LargeRadius's group
+// reads, ZeroRadius's tally reads and Refresh's vote reads. What is
+// held when the epoch ends goes out as one more request. A wrapper
+// that hid the cluster's batch interface would send one request per
+// post, per drop and per read. The counts are the same under both
+// codecs and at any parallelism, and the snapshots are the in-process
+// engine's.
 func TestEpochRequestCount(t *testing.T) {
 	want := referenceSnapshots(t)
 	for _, codec := range []string{"json", "binary"} {
@@ -100,7 +100,7 @@ func TestEpochRequestCount(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/par%d", codec, par), func(t *testing.T) {
 				meter := faultnet.New(nil, 1)
 				e, board := remoteEngine(t, meter, codec, par)
-				for i, requests := range []int64{23, 7} {
+				for i, requests := range []int64{6, 4} {
 					before := meter.Delivered()
 					if _, err := e.RunEpoch(context.Background()); err != nil {
 						t.Fatal(err)
