@@ -29,17 +29,17 @@ race:
 # The netboard fault-injection stress on its own (it also runs as part
 # of `race`); useful when iterating on the wire protocol. It includes
 # the deferred-post tests: the deferred view's own tests (one probe run
-# per player per flush, held drops, reads after concurrent posts, reads
-# that take the held posts with them, a failed send keeping its batch),
-# post batches applied exactly once, reads answered after their
-# batch's posts, a batch of posts and reads retried after lost
-# responses applying once and answering its reads, a flush over the
-# body cap split into several requests, a failed flush surfacing as a
-# RunError, a cancelled networked run leaving no topics, and the pinned
-# request, phase, batch-entry and read counts (7 requests in 3 phases
-# and 150 entries in 3 post batches for ZeroRadius 48×256; 6 in 24 and
-# 173 entries in 5 post batches for the solve-net solve, and 11
-# requests, 6 and 5 per shard, for the same solve over 2 shards).
+# per player per flush holding each object once, held drops, reads
+# after concurrent posts, reads that take the held posts with them, a
+# failed send keeping its batch, and the randomized oracle against a
+# sequential in-memory board), post batches applied exactly once,
+# reads answered after their batch's posts, a batch of posts and reads
+# retried after lost responses applying once and answering its reads,
+# a flush over the body cap split into several requests, a refused
+# post batch surfacing as a RunError, a cancelled networked run
+# leaving no topics, and the request, phase, batch-entry, probe-result
+# and read counts TestZeroRadiusRequestCount pins for ZeroRadius
+# 48×256 and for the solve-net solve on one server and on 2 shards.
 stress-net:
 	$(GO) test -race -run 'FaultSchedule|FaultyHTTP|Faultnet|Dedupe|RetryAfterCommit|PostBatch|Flush|RequestCount|OverNetboard|FlakyTransport|Defer' ./internal/netboard/ ./internal/boardclient/ .
 

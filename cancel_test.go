@@ -478,9 +478,11 @@ func TestCancelMidZeroRadiusOverNetboard(t *testing.T) {
 }
 
 // TestBarrierFlushFailureIsRunError: a shard that refuses every post
-// batch fails the first phase barrier's flush for good. Run returns a
-// *RunError naming the phase, with the shard's *netboard.TransportError
-// in the chain, and the cluster's Err records it.
+// batch fails the run's first send of held posts for good. Posts no
+// longer wait for a phase barrier: that send is ZeroRadius's first tally
+// read, which carries the posts held before it. Run returns a *RunError
+// naming the phase, with the shard's *netboard.TransportError in the
+// chain, and the cluster's Err records it.
 func TestBarrierFlushFailureIsRunError(t *testing.T) {
 	in := IdenticalInstance(32, 64, 0.5, 9)
 	t.Run("panicking", func(t *testing.T) {
@@ -517,7 +519,7 @@ func TestBarrierFlushFailureIsRunError(t *testing.T) {
 			t.Fatalf("err chain has no *netboard.TransportError: %v", err)
 		}
 		if err := cl.Err(); !errors.As(err, &terr) || cl.Failures() == 0 {
-			t.Fatalf("Err() = %v after %d failures, want the flush's *netboard.TransportError", err, cl.Failures())
+			t.Fatalf("Err() = %v after %d failures, want the refused send's *netboard.TransportError", err, cl.Failures())
 		}
 	})
 }

@@ -30,7 +30,8 @@ type Post struct {
 	Kind   PostKind
 	Player int
 	// Objs and Grades are a ProbesPost's results: Grades[k] is the
-	// grade for Objs[k]. An object may repeat; its first grade stands.
+	// grade for Objs[k]. A deferred view's run holds each object once;
+	// a post made otherwise may repeat one, and its first grade stands.
 	Objs   []int
 	Grades []byte
 	// Topic names the topic of a ValuesPost, a VectorPost or a
@@ -40,13 +41,20 @@ type Post struct {
 	Vec   bitvec.Partial
 }
 
+// The parts of Post.sizeBound: postBound covers field names, the
+// player and the list punctuation, objBound one probe result (an object
+// of 10 digits plus a separator, and its grade).
+const (
+	postBound = 128
+	objBound  = 12
+)
+
 // sizeBound is an upper bound on the post's encoded size under either
 // wire codec. JSON is the larger one: a topic byte escapes to at most 6
-// bytes, an object or value to 10 digits plus a separator, a vector
-// coordinate to one character; the constant covers field names, the
-// player and the list punctuation.
+// bytes, a value to 10 digits plus a separator, a vector coordinate to
+// one character.
 func (p *Post) sizeBound() int {
-	return 128 + 6*len(p.Topic) + 12*len(p.Objs) + 11*len(p.Vals) + p.Vec.Len()
+	return postBound + 6*len(p.Topic) + objBound*len(p.Objs) + 11*len(p.Vals) + p.Vec.Len()
 }
 
 // ReadKind says which read of Interface a Read stands for.
@@ -92,7 +100,7 @@ type Read struct {
 // sizeBound is an upper bound on the read's encoded size, as
 // Post.sizeBound is for a post.
 func (r *Read) sizeBound() int {
-	return 128 + 6*len(r.Topic) + 12*len(r.Objs)
+	return postBound + 6*len(r.Topic) + objBound*len(r.Objs)
 }
 
 // readFrom answers r with the one call of b it stands for.
@@ -162,11 +170,13 @@ const flushBytes = wire.MaxBodyBytes / 2
 // flushing: a held post has not failed yet.
 //
 // Posts are copied, so callers may reuse their slices at once. A
-// player's PostProbe and PostProbes calls since the last flush are held
-// as one ProbesPost, in call order. A batch that grows past flushBytes
-// is sent early; see flushBytes. What is still held when no read
-// follows goes out with the view's Flush method, which core calls at
-// the end of a run.
+// player's PostProbe and PostProbes calls since the last send are held
+// as one ProbesPost, the player's run, which keeps each object once, at
+// its first grade, in call order: the board keeps an object's first
+// grade, so a repeat would change nothing there. A batch that grows
+// past flushBytes is sent early; see flushBytes. What is still held
+// when no read follows goes out with the view's Flush method, which
+// core calls at the end of a run.
 //
 // A post that fails for good is reported by the flush or read that
 // sends it: the call panics with b's error, and the batch it took goes
@@ -178,7 +188,7 @@ func Defer(b Interface) Interface {
 	if !ok {
 		return b
 	}
-	return &deferred{b: b, batch: bt, runs: make(map[int]int)}
+	return &deferred{b: b, batch: bt, runs: make(map[int]*probeRun)}
 }
 
 type deferred struct {
@@ -192,8 +202,36 @@ type deferred struct {
 
 	mu      sync.Mutex
 	pending []Post
-	size    int         // sizeBound total of pending
-	runs    map[int]int // player → index in pending of its probe run
+	size    int               // sizeBound total of pending
+	runs    map[int]*probeRun // player → its open probe run
+	last    *probeRun         // the run addProbes found or opened last
+}
+
+// probeRun is a player's open probe run: the ProbesPost at pending[at]
+// and the set of objects it holds, kept beside the post so that Post
+// stays plain data.
+type probeRun struct {
+	player, at int
+	objs       []uint64 // bit o is set when the run holds object o
+}
+
+// holds reports whether the run holds object o.
+func (r *probeRun) holds(o int) bool {
+	w := o >> 6
+	return o >= 0 && w < len(r.objs) && r.objs[w]&(1<<(o&63)) != 0
+}
+
+// add puts object o into the run's set. A negative o stays out, so the
+// board gets it and rejects it.
+func (r *probeRun) add(o int) {
+	if o < 0 {
+		return
+	}
+	w := o >> 6
+	if w >= len(r.objs) {
+		r.objs = append(r.objs, make([]uint64, w+1-len(r.objs))...)
+	}
+	r.objs[w] |= 1 << (o & 63)
 }
 
 // add holds one value, vector or drop post, sending the held batch
@@ -213,37 +251,70 @@ func (d *deferred) add(p Post) {
 	}
 }
 
-// addProbes appends player p's probe results to p's run, the one
-// ProbesPost that holds all of p's probes since the last flush in call
-// order, opening it with p's first. A run that would take the held
-// batch past flushBytes sends the batch first, and p's next probes
-// open a new run. Only the run's place among the other posts differs
-// from call order, and no read can tell: probe posts of different
-// players, and probe and topic posts, touch disjoint board state.
+// addProbes adds player p's probe results to p's run, the one
+// ProbesPost that holds p's probes since the last send, and opens the
+// run with p's first. The run keeps each object once, at its first
+// grade, in call order, and only a kept object counts toward
+// flushBytes. The board ends the same: it applies a run in order and
+// keeps an object's first grade. An object that would take the held
+// batch past flushBytes sends the batch first, and the rest open a new
+// run. Only the run's place among the other posts differs from call
+// order, and no read can tell: probe posts of different players, and
+// probe and topic posts, touch disjoint board state.
 func (d *deferred) addProbes(p int, objs []int, grades []byte) {
-	for {
-		d.mu.Lock()
-		i, open := d.runs[p]
-		n := (&Post{Objs: objs}).sizeBound()
-		if open {
-			n -= (&Post{}).sizeBound() // the run already counts its own part
+	d.mu.Lock()
+	r := d.runOf(p)
+	for k := 0; k < len(objs); {
+		o := objs[k]
+		if r != nil && r.holds(o) {
+			k++
+			continue
 		}
-		if d.size == 0 || d.size+n <= flushBytes {
-			if !open {
-				i = len(d.pending)
-				d.runs[p] = i
-				d.pending = append(d.pending, Post{Kind: ProbesPost, Player: p})
-			}
-			run := &d.pending[i]
-			run.Objs = append(run.Objs, objs...)
-			run.Grades = append(run.Grades, grades...)
-			d.size += n
+		n := objBound
+		if r == nil {
+			n += postBound
+		}
+		if d.size != 0 && d.size+n > flushBytes {
 			d.mu.Unlock()
-			return
+			d.Flush()
+			d.mu.Lock()
+			r = d.runOf(p)
+			continue
 		}
-		d.mu.Unlock()
-		d.Flush()
+		if r == nil {
+			r = d.open(p)
+		}
+		r.add(o)
+		run := &d.pending[r.at]
+		run.Objs = append(run.Objs, o)
+		run.Grades = append(run.Grades, grades[k])
+		d.size += n
+		k++
 	}
+	d.mu.Unlock()
+}
+
+// runOf returns p's open probe run, or nil. A player makes its probes
+// one call after another, so the last run found is the likely one, and
+// it is checked before the map.
+func (d *deferred) runOf(p int) *probeRun {
+	if r := d.last; r != nil && r.player == p {
+		return r
+	}
+	r := d.runs[p]
+	if r != nil {
+		d.last = r
+	}
+	return r
+}
+
+// open opens p's probe run at the end of the held batch.
+func (d *deferred) open(p int) *probeRun {
+	r := &probeRun{player: p, at: len(d.pending)}
+	d.pending = append(d.pending, Post{Kind: ProbesPost, Player: p})
+	d.runs[p] = r
+	d.last = r
+	return r
 }
 
 // take empties the held batch and returns it with its sizeBound
@@ -254,6 +325,7 @@ func (d *deferred) take() ([]Post, int) {
 	posts, size := d.pending, d.size
 	d.pending, d.size = nil, 0
 	clear(d.runs)
+	d.last = nil
 	return posts, size
 }
 
@@ -300,8 +372,8 @@ func (d *deferred) putBack(posts []Post, size int) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for p, i := range d.runs {
-		d.runs[p] = i + len(posts)
+	for _, r := range d.runs {
+		r.at += len(posts)
 	}
 	d.pending = append(posts, d.pending...)
 	d.size += size

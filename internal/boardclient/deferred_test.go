@@ -29,18 +29,7 @@ func (b *batchBoard) PostBatch(posts []Post, reads []Read) {
 	}
 	b.readCounts = append(b.readCounts, len(reads))
 	b.mu.Unlock()
-	for _, p := range posts {
-		switch p.Kind {
-		case ProbesPost:
-			b.Board.PostProbes(p.Player, p.Objs, p.Grades)
-		case ValuesPost:
-			b.Board.PostValues(p.Topic, p.Player, p.Vals)
-		case VectorPost:
-			b.Board.Post(p.Topic, p.Player, p.Vec)
-		case DropPost:
-			b.Board.DropTopic(p.Topic)
-		}
-	}
+	applyPosts(b.Board, posts)
 	ReadAll(b.Board, reads)
 }
 
@@ -101,7 +90,8 @@ func TestDeferHoldsPostsUntilFlush(t *testing.T) {
 // TestDeferHoldsOneProbeRunPerPlayer: a player's probe posts since the
 // last flush go out as one entry, its objects and grades in call
 // order, wherever other players' and topic posts fall between them;
-// an object the player probed twice reads back its first grade.
+// an object the player probed twice is held once, and reads back its
+// first grade.
 func TestDeferHoldsOneProbeRunPerPlayer(t *testing.T) {
 	bb := &batchBoard{Board: billboard.New(2, 8)}
 	v := Defer(bb)
@@ -115,7 +105,7 @@ func TestDeferHoldsOneProbeRunPerPlayer(t *testing.T) {
 	v.(interface{ Flush() }).Flush()
 
 	want := []Post{
-		{Kind: ProbesPost, Player: 0, Objs: []int{5, 1, 5, 6}, Grades: []byte{1, 0, 0, 1}},
+		{Kind: ProbesPost, Player: 0, Objs: []int{5, 1, 6}, Grades: []byte{1, 0, 1}},
 		{Kind: ValuesPost, Player: 1, Topic: "v", Vals: []uint32{3}},
 		{Kind: ProbesPost, Player: 1, Objs: []int{2, 3, 4}, Grades: []byte{0, 1, 1}},
 		{Kind: VectorPost, Player: 0, Topic: "t", Vec: bitvec.PartialOf(bitvec.New(2))},
@@ -364,6 +354,27 @@ func TestDeferSendsEarlyPastBound(t *testing.T) {
 				t.Fatalf("%d of %d calls on the board", got, tc.calls)
 			}
 		})
+	}
+}
+
+// TestDeferRepeatsSendNothingEarly: a player that probes one object as
+// many times as would take a run of distinct objects past flushBytes
+// holds one run of that object, at its first grade, and sends nothing
+// before the flush: a repeat adds nothing to the held batch.
+func TestDeferRepeatsSendNothingEarly(t *testing.T) {
+	const probes = flushBytes/12 + 1
+	bb := &batchBoard{Board: billboard.New(1, 4)}
+	v := Defer(bb)
+	for i := 0; i < probes; i++ {
+		v.PostProbe(0, 3, byte(1-i&1))
+	}
+	if n := bb.batchCount(); n != 0 {
+		t.Fatalf("%d batches sent before the flush, want none", n)
+	}
+	v.(interface{ Flush() }).Flush()
+	want := []Post{{Kind: ProbesPost, Player: 0, Objs: []int{3}, Grades: []byte{1}}}
+	if bb.batchCount() != 1 || fmt.Sprint(bb.batches[0]) != fmt.Sprint(want) {
+		t.Fatalf("%d batches, the first %v; want one batch of %v", bb.batchCount(), bb.batches[0], want)
 	}
 }
 

@@ -359,26 +359,29 @@ func TestClusterPerShardTelemetry(t *testing.T) {
 }
 
 // hostCounter is a transport that counts the requests it passes on to
-// http.DefaultTransport, per host.
+// http.DefaultTransport, per host, and the bytes of their bodies.
 type hostCounter struct {
-	mu     sync.Mutex
-	counts map[string]int
+	mu        sync.Mutex
+	counts    map[string]int
+	bodyBytes int64
 }
 
 func (h *hostCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	h.mu.Lock()
 	h.counts[r.URL.Host]++
+	h.bodyBytes += max(r.ContentLength, 0)
 	h.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(r)
 }
 
-// take returns the counts since the last take and starts over.
-func (h *hostCounter) take() map[string]int {
+// take returns the counts and the body bytes since the last take and
+// starts over.
+func (h *hostCounter) take() (map[string]int, int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	counts := h.counts
-	h.counts = make(map[string]int)
-	return counts
+	counts, bodyBytes := h.counts, h.bodyBytes
+	h.counts, h.bodyBytes = make(map[string]int), 0
+	return counts, bodyBytes
 }
 
 // TestClusterProbeOpsGoToPlayerShard pins probe routing by player on a
@@ -418,7 +421,7 @@ func TestClusterProbeOpsGoToPlayerShard(t *testing.T) {
 				for _, s := range want {
 					wantCounts[hosts[s]]++
 				}
-				if got := counter.take(); !maps.Equal(got, wantCounts) {
+				if got, _ := counter.take(); !maps.Equal(got, wantCounts) {
 					t.Errorf("%s sent %v requests by host, want %v (shards %v)", op, got, wantCounts, want)
 				}
 			}

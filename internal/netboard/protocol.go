@@ -148,8 +148,9 @@ type dropPost struct {
 // batchProbesPost is a probe-set entry of a postBatch: grades[k] (a
 // '0'/'1' character, same alphabet as the vector wire form) is the
 // player's grade for objects[k]. Objects must be in range. One may
-// repeat, as in a deferred view's run when its player probed an object
-// again; the first grade for it stands, as with repeated PostProbe.
+// repeat, and its first grade stands, as with repeated PostProbe. A
+// deferred view's run holds each object once (boardclient.Defer); a
+// probe set posted without one may still repeat an object.
 type batchProbesPost struct {
 	Player  int    `json:"player"`
 	Objects []int  `json:"objects"`

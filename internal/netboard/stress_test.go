@@ -258,36 +258,43 @@ type meteredBoard interface {
 }
 
 // entryCounter is a board that counts the batches with posts its
-// PostBatch receives, the posts in them (the batch entries), and the
-// reads of every batch, and forwards both. It hides the board's
-// BindContext, which would return a view that bypasses it;
-// newMeteredEnv's engine binds no context.
+// PostBatch receives, the posts in them (the batch entries), the probe
+// results in those posts, and the reads of every batch, and forwards
+// both. It hides the board's BindContext, which would return a view
+// that bypasses it; newMeteredEnv's engine binds no context.
 type entryCounter struct {
 	meteredBoard
-	batches, entries, reads atomic.Int64
+	batches, entries, objects, reads atomic.Int64
 }
 
 func (c *entryCounter) PostBatch(posts []boardclient.Post, reads []boardclient.Read) {
 	if len(posts) > 0 {
 		c.batches.Add(1)
 	}
+	objects := 0
+	for i := range posts {
+		objects += len(posts[i].Objs)
+	}
 	c.entries.Add(int64(len(posts)))
+	c.objects.Add(int64(objects))
 	c.reads.Add(int64(len(reads)))
 	c.meteredBoard.PostBatch(posts, reads)
 }
 
 // runCost is what a metered run sent and how many phases it ran.
 type runCost struct {
-	requests, phases, batches, entries, reads int64
+	// objects counts the probe results in the batch entries.
+	requests, phases, batches, entries, objects, reads int64
 	// perShard is the requests by shard, in shard order.
 	perShard []int64
 }
 
 // overMeter sets up rc against shards HTTP billboards, behind a
 // Cluster that counts requests by shard and post-batch entries. run
-// executes the simulation and returns its outputs and cost; setup and
-// stop stay outside it so the benchmark times the simulation alone.
-func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards []*billboard.Board, run func() (string, runCost), stop func()) {
+// executes the simulation and returns its outputs, its cost and the
+// bytes of its request bodies; setup and stop stay outside it so the
+// benchmark times the simulation alone.
+func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards []*billboard.Board, run func() (string, runCost, int64), stop func()) {
 	hosts := make([]string, shards)
 	urls := make([]string, shards)
 	srvs := make([]*httptest.Server, shards)
@@ -304,15 +311,15 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 	}
 	c := &entryCounter{meteredBoard: b}
 	env, pc := newMeteredEnv(rc.in, c, parallelism)
-	run = func() (string, runCost) {
+	run = func() (string, runCost, int64) {
 		out := rc.run(env)
-		counts := meter.take()
-		cost := runCost{phases: pc.n, batches: c.batches.Load(), entries: c.entries.Load(), reads: c.reads.Load()}
+		counts, bodyBytes := meter.take()
+		cost := runCost{phases: pc.n, batches: c.batches.Load(), entries: c.entries.Load(), objects: c.objects.Load(), reads: c.reads.Load()}
 		for _, h := range hosts {
 			cost.requests += int64(counts[h])
 			cost.perShard = append(cost.perShard, int64(counts[h]))
 		}
-		return out, cost
+		return out, cost, bodyBytes
 	}
 	stop = func() {
 		for _, srv := range srvs {
@@ -332,9 +339,10 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 // posts they carry touch, when a held batch passes its size bound, and
 // at the run's end: the phase count sets no floor. Sibling sub-algorithm calls share their phases
 // (DESIGN.md §3). It also pins the batches with posts and their entries
-// as the run hands them to its board, and the reads of all its batches:
-// a batch holds one probe run per player that probed since the last
-// one, across phases, plus its topic posts and drops. The cluster
+// as the run hands them to its board, the probe results in those
+// entries, and the reads of all its batches: a batch holds one probe
+// run per player that probed since the last one, across phases, with
+// each object once, plus its topic posts and drops. The cluster
 // routes every key by shard position (DESIGN.md §12), so its per-shard
 // counts do not depend on the shards' ports. The counts are the same
 // under both codecs and at any parallelism; the outputs and the
@@ -344,9 +352,9 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 		rc   meteredRun
 		want runCost
 	}{
-		{zeroRadiusRow, runCost{requests: 7, phases: 3, batches: 3, entries: 150, reads: 6, perShard: []int64{7}}},
-		{solveRow, runCost{requests: 6, phases: 24, batches: 5, entries: 173, reads: 13, perShard: []int64{6}}},
-		{solveRow, runCost{requests: 11, phases: 24, batches: 5, entries: 173, reads: 13, perShard: []int64{6, 5}}},
+		{zeroRadiusRow, runCost{requests: 7, phases: 3, batches: 3, entries: 150, objects: 3072, reads: 6, perShard: []int64{7}}},
+		{solveRow, runCost{requests: 6, phases: 24, batches: 5, entries: 173, objects: 731, reads: 13, perShard: []int64{6}}},
+		{solveRow, runCost{requests: 11, phases: 24, batches: 5, entries: 173, objects: 731, reads: 13, perShard: []int64{6, 5}}},
 	} {
 		name := tc.rc.name
 		if shards := len(tc.want.perShard); shards > 1 {
@@ -363,11 +371,11 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/par%d", name, codec, par), func(t *testing.T) {
 					boards, run, stop := overMeter(tc.rc, len(tc.want.perShard), codec, par)
 					defer stop()
-					out, cost := run()
+					out, cost, _ := run()
 					if !reflect.DeepEqual(cost, tc.want) {
-						t.Errorf("%d HTTP requests (by shard %v) in %d phases, %d post batches of %d entries, %d reads; want %d (%v) in %d, %d of %d, %d",
-							cost.requests, cost.perShard, cost.phases, cost.batches, cost.entries, cost.reads,
-							tc.want.requests, tc.want.perShard, tc.want.phases, tc.want.batches, tc.want.entries, tc.want.reads)
+						t.Errorf("%d HTTP requests (by shard %v) in %d phases, %d post batches of %d entries holding %d probe results, %d reads; want %d (%v) in %d, %d of %d holding %d, %d",
+							cost.requests, cost.perShard, cost.phases, cost.batches, cost.entries, cost.objects, cost.reads,
+							tc.want.requests, tc.want.perShard, tc.want.phases, tc.want.batches, tc.want.entries, tc.want.objects, tc.want.reads)
 					}
 					if out != wantOut {
 						t.Error("outputs differ from the in-process run")
@@ -422,8 +430,9 @@ func TestRefreshWithoutGroupsLeavesNoTopic(t *testing.T) {
 
 // BenchmarkNetboardRunBatched measures the TestZeroRadiusRequestCount
 // runs against HTTP billboards and reports the HTTP requests, the
-// phases, the batches with posts, their entries and the reads each
-// took.
+// phases, the batches with posts, their entries, the probe results in
+// those entries and the reads each took, and the bytes of its request
+// bodies as body-bytes/op (B/op is the benchmark's own allocation).
 func BenchmarkNetboardRunBatched(b *testing.B) {
 	for _, row := range []struct {
 		name   string
@@ -437,17 +446,20 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 		rc := row.rc
 		b.Run(row.name, func(b *testing.B) {
 			var total runCost
+			var bodyBytes int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				_, run, stop := overMeter(rc, row.shards, "", 4)
 				b.StartTimer()
-				_, cost := run()
+				_, cost, body := run()
 				b.StopTimer()
 				total.requests += cost.requests
 				total.phases += cost.phases
 				total.batches += cost.batches
 				total.entries += cost.entries
+				total.objects += cost.objects
 				total.reads += cost.reads
+				bodyBytes += body
 				stop()
 				b.StartTimer()
 			}
@@ -455,7 +467,9 @@ func BenchmarkNetboardRunBatched(b *testing.B) {
 			b.ReportMetric(float64(total.phases)/float64(b.N), "phases/op")
 			b.ReportMetric(float64(total.batches)/float64(b.N), "batches/op")
 			b.ReportMetric(float64(total.entries)/float64(b.N), "entries/op")
+			b.ReportMetric(float64(total.objects)/float64(b.N), "objects/op")
 			b.ReportMetric(float64(total.reads)/float64(b.N), "reads/op")
+			b.ReportMetric(float64(bodyBytes)/float64(b.N), "body-bytes/op")
 		})
 	}
 }
