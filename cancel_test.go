@@ -14,8 +14,11 @@ import (
 
 	"tellme/internal/billboard"
 	"tellme/internal/boardclient"
+	"tellme/internal/core"
 	"tellme/internal/netboard"
 	"tellme/internal/netboard/faultnet"
+	"tellme/internal/probe"
+	"tellme/internal/rng"
 	"tellme/internal/sim"
 )
 
@@ -53,21 +56,18 @@ func TestRunOptionsValidation(t *testing.T) {
 	}
 }
 
-// panicBoard panics on one probe post — the victim player's first, or
-// with last > 0 the run's last-th — and counts the probe posts made and
-// which other players got theirs through.
+// panicBoard panics on the victim player's first probe post and
+// records which other players got theirs through.
 type panicBoard struct {
 	boardclient.Interface
 	victim int
-	last   int64
-	calls  atomic.Int64
 
 	mu     sync.Mutex
 	posted map[int]bool
 }
 
 func (b *panicBoard) post(p int) {
-	if n := b.calls.Add(1); (b.last == 0 && p == b.victim) || n == b.last {
+	if p == b.victim {
 		panic("player exploded")
 	}
 	b.mu.Lock()
@@ -85,6 +85,17 @@ func (b *panicBoard) PostProbes(p int, objs []int, grades []byte) {
 	b.Interface.PostProbes(p, objs, grades)
 }
 
+// runHooked runs opt's algorithm on an in-memory board as Run does,
+// with hook called before every charged probe, and returns what
+// execute returns.
+func runHooked(in *Instance, opt Options, hook func(player int)) ([]Partial, error) {
+	cfg := core.DefaultConfig()
+	src := rng.NewSource(opt.Seed)
+	engine := probe.NewEngine(in, billboard.New(in.N, in.M), src.Child("engine", 0), probe.WithProbeHook(hook))
+	env := core.NewEnv(engine, sim.NewRunner(opt.Parallelism), src.Child("public", 0), cfg)
+	return execute(env, in, opt, cfg)
+}
+
 // TestPlayerPanicBecomesRunError checks that a player panic aborts the
 // run with a *RunError whose Phase is the sub-algorithm running when it
 // happened: the innermost one, not the last one entered.
@@ -94,8 +105,9 @@ func TestPlayerPanicBecomesRunError(t *testing.T) {
 		name string
 		in   *Instance
 		opt  Options
-		// last panics on the run's last probe post, not on the
-		// victim's first.
+		// last panics on the run's last charged probe, not on the
+		// victim's first post. The engine posts each result once per
+		// run, so the last post can come long before the last probe.
 		last bool
 		want string
 	}{
@@ -105,18 +117,30 @@ func TestPlayerPanicBecomesRunError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pb := &panicBoard{Interface: billboard.New(tc.in.N, tc.in.M), posted: map[int]bool{}}
+			var outputs []Partial
+			var err error
 			if tc.last {
-				count := &panicBoard{Interface: billboard.New(tc.in.N, tc.in.M), victim: -1, last: -1, posted: map[int]bool{}}
-				opt := tc.opt
-				opt.Board = count
-				if _, err := Run(tc.in, opt); err != nil {
+				var probes atomic.Int64
+				if _, err := runHooked(tc.in, tc.opt, func(int) { probes.Add(1) }); err != nil {
 					t.Fatal(err)
 				}
-				pb.last = count.calls.Load()
+				last := probes.Load()
+				probes.Store(0)
+				outputs, err = runHooked(tc.in, tc.opt, func(int) {
+					if probes.Add(1) == last {
+						panic("player exploded")
+					}
+				})
+			} else {
+				opt := tc.opt
+				opt.Board = pb
+				var rep *Report
+				rep, err = Run(tc.in, opt)
+				if rep == nil {
+					t.Fatalf("no partial report: %v", err)
+				}
+				outputs = rep.Outputs
 			}
-			opt := tc.opt
-			opt.Board = pb
-			rep, err := Run(tc.in, opt)
 			if err == nil {
 				t.Fatal("panicking player produced no error")
 			}
@@ -134,8 +158,8 @@ func TestPlayerPanicBecomesRunError(t *testing.T) {
 			if perr.Value != "player exploded" {
 				t.Fatalf("panic value = %v", perr.Value)
 			}
-			if rep == nil || rep.Outputs != nil {
-				t.Fatalf("want partial report without outputs, got %+v", rep)
+			if outputs != nil {
+				t.Fatalf("want a partial result without outputs, got %d outputs", len(outputs))
 			}
 			if tc.last {
 				return

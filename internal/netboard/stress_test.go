@@ -341,8 +341,11 @@ func overMeter(rc meteredRun, shards int, codec string, parallelism int) (boards
 // (DESIGN.md §3). It also pins the batches with posts and their entries
 // as the run hands them to its board, the probe results in those
 // entries, and the reads of all its batches: a batch holds one probe
-// run per player that probed since the last one, across phases, with
-// each object once, plus its topic posts and drops. The cluster
+// run per player that posted since the last one, across phases, plus
+// its topic posts and drops. The probe engine posts a player's result
+// for an object once per run (probe.Player.Probe), so the solve's
+// probe results are the 256 pairs of its 16×16 instance, each once, and
+// ZeroRadius's 3,072 hold no repeat. The cluster
 // routes every key by shard position (DESIGN.md §12), so its per-shard
 // counts do not depend on the shards' ports. The counts are the same
 // under both codecs and at any parallelism; the outputs and the
@@ -353,8 +356,8 @@ func TestZeroRadiusRequestCount(t *testing.T) {
 		want runCost
 	}{
 		{zeroRadiusRow, runCost{requests: 7, phases: 3, batches: 3, entries: 150, objects: 3072, reads: 6, perShard: []int64{7}}},
-		{solveRow, runCost{requests: 6, phases: 24, batches: 5, entries: 173, objects: 731, reads: 13, perShard: []int64{6}}},
-		{solveRow, runCost{requests: 11, phases: 24, batches: 5, entries: 173, objects: 731, reads: 13, perShard: []int64{6, 5}}},
+		{solveRow, runCost{requests: 6, phases: 24, batches: 5, entries: 125, objects: 256, reads: 13, perShard: []int64{6}}},
+		{solveRow, runCost{requests: 11, phases: 24, batches: 5, entries: 125, objects: 256, reads: 13, perShard: []int64{6, 5}}},
 	} {
 		name := tc.rc.name
 		if shards := len(tc.want.perShard); shards > 1 {

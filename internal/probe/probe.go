@@ -1,17 +1,24 @@
 // Package probe implements the probe engine: the only way a player can
 // learn one of its own hidden grades, at unit cost per probe.
 //
-// Every probe result is automatically posted to the shared billboard, as
-// the model requires. The engine keeps per-player cost counters so the
-// simulator can convert "max probes per player in a phase" into the
-// paper's parallel round count.
+// Every probe result is posted to the shared billboard, as the model
+// requires, once per engine: the board keeps a (player, object)'s first
+// grade, so the engine posts a player's first result for an object and
+// skips the repeats, which would change nothing there. The set of
+// posted objects belongs to one engine, so a new engine over the same
+// board posts again. Charging does not depend on it: a repeat is
+// charged, counted and hooked like any probe. The engine keeps
+// per-player cost counters so the simulator can convert "max probes per
+// player in a phase" into the paper's parallel round count.
 //
 // Charging policy: the paper charges one unit per Probe invocation, and
 // its Select remark explicitly forbids reusing earlier probes, so the
 // default policy ChargeAll counts every invocation. ChargeDistinct is the
 // systems-flavored alternative (re-reading your own posted result is
 // free); experiments use it to show the bounds are insensitive to the
-// choice.
+// choice. ChargeDistinct reads the board, not the engine's posted set, so
+// on a board shared with another engine a probe of an object the other
+// engine posted is charged 0 and returns that engine's grade.
 //
 // The engine also supports fault injection (a NoiseFunc that corrupts
 // returned grades) for robustness experiments beyond the paper's
@@ -183,8 +190,8 @@ func NewEngine(inst *prefs.Instance, board boardclient.Interface, src rng.Source
 }
 
 // Player returns the probe handle for player p. The handle must be used
-// only from p's goroutine (its noise stream is not synchronized); the
-// shared engine state it touches is synchronized.
+// only from p's goroutine (its noise stream and posted set are not
+// synchronized); the shared engine state it touches is synchronized.
 func (e *Engine) Player(p int) *Player { return &e.players[p] }
 
 // Charged returns the number of probes charged to player p so far.
@@ -293,6 +300,11 @@ type Player struct {
 	lookGrades []byte
 	lookKnown  []bool
 
+	// posted has bit o set once this player's result for object o went
+	// to the engine's board. Created on the player's first post, so its
+	// memory follows the players that probe.
+	posted []uint64
+
 	// arena is the player's region allocator for per-call scratch inside
 	// phase bodies (Select working sets and the like), lazily created by
 	// Arena. Owned by this player's goroutine like the scratch above.
@@ -314,8 +326,23 @@ func (pl *Player) Arena() *arena.Arena {
 // ID returns the player index.
 func (pl *Player) ID() int { return pl.id }
 
+// firstPost reports whether the player has not posted object o yet,
+// and marks it posted.
+func (pl *Player) firstPost(o int) bool {
+	if pl.posted == nil {
+		pl.posted = make([]uint64, (pl.engine.inst.M+63)>>6)
+	}
+	w, bit := o>>6, uint64(1)<<(o&63)
+	if pl.posted[w]&bit != 0 {
+		return false
+	}
+	pl.posted[w] |= bit
+	return true
+}
+
 // Probe reveals the player's grade for object o, charges the configured
-// cost, and posts the result to the billboard.
+// cost, and posts the result to the billboard if the player has not
+// posted o through this engine before.
 func (pl *Player) Probe(o int) byte {
 	e := pl.engine
 	// The invocation counter doubles as the cancellation sampler: every
@@ -338,7 +365,9 @@ func (pl *Player) Probe(o int) byte {
 		v = e.noise(pl.id, o, v, pl.noiseRand)
 	}
 	e.charged[pl.id].Add(1)
-	e.board.PostProbe(pl.id, o, v)
+	if pl.firstPost(o) {
+		e.board.PostProbe(pl.id, o, v)
+	}
 	return v
 }
 
@@ -357,12 +386,12 @@ func (pl *Player) ObjScratch(n int) []int {
 // ProbeMany probes every object in objs and writes the observed grades
 // into dst (dst[k] for objs[k]). It is observably equivalent to calling
 // Probe per object in order — same charging, same hook ticks, same
-// noise-stream consumption — except that the results reach the
-// billboard as one batched post (and, under ChargeDistinct, the cache
-// check is one batched lookup), which a networked billboard ships as a
-// single round trip instead of len(objs). Objects within one call must
-// be distinct; under ChargeDistinct a duplicate would be recharged
-// because the batch is posted only at the end.
+// noise-stream consumption, and the same objects posted — except that
+// the results reach the billboard as one batched post (and, under
+// ChargeDistinct, the cache check is one batched lookup), which a
+// networked billboard ships as a single round trip instead of len(objs).
+// Objects within one call must be distinct; under ChargeDistinct a
+// duplicate would be recharged because the lookup precedes the probes.
 func (pl *Player) ProbeMany(objs []int, dst []uint32) {
 	n := len(objs)
 	if n == 0 {
@@ -395,6 +424,7 @@ func (pl *Player) ProbeMany(objs []int, dst []uint32) {
 		pl.postGrades = make([]byte, 0, n)
 	}
 	postObjs, postGrades := pl.postObjs[:0], pl.postGrades[:0]
+	var charged int64
 	for k, o := range objs {
 		if known != nil && known[k] {
 			continue
@@ -407,13 +437,18 @@ func (pl *Player) ProbeMany(objs []int, dst []uint32) {
 			v = e.noise(pl.id, o, v, pl.noiseRand)
 		}
 		dst[k] = uint32(v)
-		postObjs = append(postObjs, o)
-		postGrades = append(postGrades, v)
+		charged++
+		if pl.firstPost(o) {
+			postObjs = append(postObjs, o)
+			postGrades = append(postGrades, v)
+		}
 	}
-	if len(postObjs) > 0 {
+	if charged > 0 {
 		// One charge update for the batch: totals match the per-object
 		// path exactly, and charges are only read between phases.
-		e.charged[pl.id].Add(int64(len(postObjs)))
+		e.charged[pl.id].Add(charged)
+	}
+	if len(postObjs) > 0 {
 		e.board.PostProbes(pl.id, postObjs, postGrades)
 	}
 }
